@@ -21,7 +21,6 @@ from .diagrams import (
     residual_rank,
     theta,
 )
-from .kernels import backend as kernel_backend
 from .ktheory import (
     KClass,
     ResidualReport,

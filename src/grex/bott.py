@@ -172,7 +172,8 @@ class _EulerCalc:
             for j in range(i + 1, k):
                 prod *= g[i] - g[j]
         q, rem = divmod(prod * self.cnum, self.cden)
-        assert rem == 0
+        if rem != 0:
+            raise AssertionError(f"Weyl dimension of {v} is not an integer")
         self.memo[v] = q
         return q
 
@@ -210,7 +211,8 @@ def bott(box: Box, nu: tuple[int, ...]) -> BottOutcome:
         for j in range(i + 1, n):
             if gamma[i] < gamma[j]:
                 inversions += 1
-    assert inversions <= box.dimension, "dot-action degree exceeded dim G(k,n)"
+    if inversions > box.dimension:
+        raise AssertionError("dot-action degree exceeded dim G(k,n)")
     sorted_gamma = sorted(gamma, reverse=True)
     gln = tuple(g - r for g, r in zip(sorted_gamma, range(n - 1, -1, -1)))
     dim = abs(_calc(box).chi(nu))

@@ -122,5 +122,6 @@ def dimension(w: tuple[int, ...], m: int) -> int:
             num *= full[i] - full[j] + j - i
             den *= j - i
     q, r = divmod(num, den)
-    assert r == 0
+    if r != 0:
+        raise AssertionError(f"Weyl dimension of {w} for GL({m}) is not an integer")
     return q

@@ -1,10 +1,23 @@
 """CLI: commands, exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import grex
 from grex.cli import main
+
+SRC = os.path.dirname(os.path.dirname(grex.__file__))
+
+
+def run_python(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=300
+    )
 
 
 def run(capsys, *argv):
@@ -164,6 +177,29 @@ class TestReport:
         _, out, _ = run(capsys, "report", "--k", "2", "--n", "4", "--format", "json")
         data = json.loads(out)
         assert json.loads(json.dumps(data)) == data
+
+
+class TestFreshInterpreter:
+    def test_optimized_mode_keeps_checks_and_output(self):
+        # python -O strips assert statements; the report must not depend on them
+        argv = ["-m", "grex.cli", "report", "--k", "3", "--n", "6", "--format", "json"]
+        plain = run_python(*argv)
+        optimized = run_python("-O", *argv)
+        assert plain.returncode == 0, plain.stderr
+        assert optimized.returncode == 0, optimized.stderr
+        assert optimized.stdout == plain.stdout
+
+    def test_cli_import_loads_only_the_standard_library(self):
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import grex.cli\n"
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(new - set(sys.stdlib_module_names)))\n"
+        )
+        out = run_python("-c", probe)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "['grex']"
 
 
 class TestOutputModes:

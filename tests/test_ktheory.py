@@ -7,6 +7,7 @@ import pytest
 from grex.bott import TwistedSchur, euler_char
 from grex.diagrams import Box, enumerate_diagrams, orbit_length, residual_rank, theta
 from grex.ktheory import (
+    _ctx,
     basis,
     class_of,
     euler_pairing,
@@ -18,6 +19,7 @@ from grex.ktheory import (
     twist_class,
 )
 from grex.staircase import build_theta_staircase
+from oracles import dimension_oracle, ext_table_oracle
 
 
 def ts(w, t, box):
@@ -46,6 +48,64 @@ class TestKapranovGram:
             assert g[i][i] == 1
             for j in range(i):
                 assert g[i][j] == 0
+
+
+def oracle_euler(box, a, t, kappa):
+    table = ext_table_oracle(box, a, t, kappa, 0)
+    return sum(v if d % 2 == 0 else -v for d, v in table.items())
+
+
+class TestChiPair:
+    """The Jacobi-Trudi pairing against routes that share none of its code."""
+
+    @pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (3, 7)])
+    def test_negative_twist_against_oracle_and_generic_route(self, k, n):
+        box = Box(k, n)
+        ctx = _ctx(box)
+        ws = ctx.weights
+        rng = random.Random(100 * k + n)
+        for _ in range(25):
+            a, kappa = rng.choice(ws), rng.choice(ws)
+            t = rng.randint(-2, -1)
+            got = ctx.chi_pair(a, t, kappa)
+            assert got == oracle_euler(box, a, t, kappa), (a, t, kappa)
+            assert got == euler_char(ts(a, t, box), ts(kappa, 0, box)), (a, t, kappa)
+
+    def test_deep_twist(self):
+        # h_m(1^n) is tabulated on demand; a deep twist needs large m
+        box = Box(2, 5)
+        ctx = _ctx(box)
+        for a, kappa in [((3, 1), (0, 0)), ((0, 0), (3, 3)), ((2, 2), (1, 0))]:
+            got = ctx.chi_pair(a, -20, kappa)
+            assert got == euler_char(ts(a, -20, box), ts(kappa, 0, box))
+            assert got > 0
+
+    def test_empty_skew_shape(self):
+        assert _ctx(Box(2, 5)).chi_pair((2, 1), 0, (2, 1)) == 1
+        assert _ctx(Box(3, 7)).chi_pair((3, 3, 2), -1, (2, 2, 1)) == 1
+
+    def test_not_contained_is_zero(self):
+        box = Box(2, 5)
+        assert _ctx(box).chi_pair((3, 0), 0, (2, 1)) == 0
+        assert euler_char(ts((3, 0), 0, box), ts((2, 1), 0, box)) == 0
+
+    def test_straight_shape_is_a_dimension(self):
+        box = Box(3, 7)
+        assert _ctx(box).chi_pair((0, 0, 0), 0, (3, 2, 1)) == dimension_oracle((3, 2, 1), 7)
+        assert _ctx(box).chi_pair((0, 0, 0), -1, (2, 1, 0)) == dimension_oracle((3, 2, 1), 7)
+
+    def test_large_rank_against_generic_route(self):
+        box = Box(12, 14)
+        a = (1,) + (0,) * 11
+        kappa = (1,) * 6 + (0,) * 6
+        got = _ctx(box).chi_pair(a, -1, kappa)
+        assert got > 0
+        assert got == euler_char(ts(a, -1, box), ts(kappa, 0, box))
+
+    def test_g25_gram_values(self):
+        g = kapranov_gram(Box(2, 5))
+        assert g[0][1] == 5 and g[1][0] == 0
+        assert all(g[i][i] == 1 for i in range(10))
 
 
 class TestClassOf:
