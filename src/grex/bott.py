@@ -8,19 +8,17 @@ cohomology representation off the sorted weight.
 `ext_table` reduces Ext^*(Sigma^a U*(s), Sigma^b U*(t)) to bundle cohomology
 through the Littlewood-Richardson expansion of Sigma^dual(a) (x) Sigma^b.
 
-`euler_char` evaluates the same alternating sum through the Weyl dimension
-polynomial, which vanishes precisely on the acyclic weights and carries the
-degree sign; agreement with the table is covered by tests.
+`euler_char` is the alternating sum of that table.  Every dimension comes
+from the Weyl dimension formula `schur.dimension` of the sorted GL(n) weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .diagrams import Box
-from .schur import check_weight, dualize, lr_product
+from .schur import check_weight, dimension, dualize, lr_product
 
 __all__ = [
     "TwistedSchur",
@@ -29,7 +27,6 @@ __all__ = [
     "bott",
     "ext_table",
     "euler_char",
-    "schur_euler",
 ]
 
 
@@ -120,74 +117,6 @@ class ExtTable:
         return f"ExtTable({self.dims!r})"
 
 
-class _EulerCalc:
-    """Per-box evaluator of chi(G(k,n), Sigma^v U*) for arbitrary integer weights.
-
-    With gamma_i = v_i + n - i the value factors as
-        V(gamma) * prod_i P(gamma_i) * V(rho_tail) / prod_{i<j<=n}(j - i),
-    where P(g) = g(g-1)...(g-(n-k)+1); a zero factor is exactly the
-    repeated-entry case of the dot action.
-    """
-
-    __slots__ = ("k", "n", "cnum", "cden", "ptab", "memo")
-
-    def __init__(self, box: Box):
-        self.k, self.n = box.k, box.n
-        w = box.width
-        num = 1
-        for a in range(1, w):
-            for b in range(a):
-                num *= a - b
-        den = 1
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                den *= j - i
-        self.cnum, self.cden = num, den
-        self.ptab: dict[int, int] = {}
-        self.memo: dict[tuple[int, ...], int] = {}
-
-    def falling(self, g: int) -> int:
-        v = self.ptab.get(g)
-        if v is None:
-            v = 1
-            for a in range(self.n - self.k):
-                v *= g - a
-            self.ptab[g] = v
-        return v
-
-    def chi(self, v: tuple[int, ...]) -> int:
-        r = self.memo.get(v)
-        if r is not None:
-            return r
-        k, n = self.k, self.n
-        g = [v[i] + n - 1 - i for i in range(k)]
-        prod = 1
-        for gi in g:
-            f = self.falling(gi)
-            if f == 0:
-                self.memo[v] = 0
-                return 0
-            prod *= f
-        for i in range(k):
-            for j in range(i + 1, k):
-                prod *= g[i] - g[j]
-        q, rem = divmod(prod * self.cnum, self.cden)
-        if rem != 0:
-            raise AssertionError(f"Weyl dimension of {v} is not an integer")
-        self.memo[v] = q
-        return q
-
-
-@lru_cache(maxsize=None)
-def _calc(box: Box) -> _EulerCalc:
-    return _EulerCalc(box)
-
-
-def schur_euler(box: Box, v: tuple[int, ...]) -> int:
-    """chi(G(k,n), Sigma^v U*) for a weakly decreasing integer weight v."""
-    return _calc(box).chi(check_weight(v))
-
-
 _BOTT_CACHE: dict[tuple, BottOutcome] = {}
 
 
@@ -215,7 +144,7 @@ def bott(box: Box, nu: tuple[int, ...]) -> BottOutcome:
         raise AssertionError("dot-action degree exceeded dim G(k,n)")
     sorted_gamma = sorted(gamma, reverse=True)
     gln = tuple(g - r for g, r in zip(sorted_gamma, range(n - 1, -1, -1)))
-    dim = abs(_calc(box).chi(nu))
+    dim = dimension(gln, n)
     out = BottOutcome(inversions, gln, dim)
     _BOTT_CACHE[key] = out
     return out
@@ -238,11 +167,4 @@ def ext_table(e: TwistedSchur, f: TwistedSchur) -> ExtTable:
 
 def euler_char(e: TwistedSchur, f: TwistedSchur) -> int:
     """Euler form chi(E, F) = sum (-1)^i dim Ext^i(E, F)."""
-    if e.box != f.box:
-        raise ValueError("bundles live on different boxes")
-    calc = _calc(e.box)
-    t = f.twist - e.twist
-    total = 0
-    for nu, mult in lr_product(dualize(e.weight), f.weight).items():
-        total += mult * calc.chi(tuple(x + t for x in nu))
-    return total
+    return ext_table(e, f).euler()

@@ -57,8 +57,11 @@ def _emit(payload, args, *, csv_rows=None) -> None:
     else:
         text = _pretty(payload)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemExit(_fail(f"cannot write {args.output}: {exc.strerror}"))
     else:
         sys.stdout.write(text)
 
@@ -469,6 +472,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the invalid-input code
         return int(exc.code or 0)
+    if getattr(args, "jobs", 1) < 1:
+        return _fail(f"--jobs must be at least 1, got {args.jobs}")
     try:
         return args.fn(args)
     except SystemExit as exc:

@@ -2,9 +2,19 @@
 residual classes, and the fullness determinant.
 
 A class is an integer coordinate vector over the lexicographically ordered
-box diagrams.  Coordinates of a bundle are recovered from its Euler pairings
-against the basis by back-substitution through the upper uni-triangular
-Kapranov Gram matrix.
+box diagrams.  `class_of` is the generic route: it recovers the coordinates
+of any bundle from its Euler pairings against the basis by back-substitution
+through the upper uni-triangular Kapranov Gram matrix.
+
+Twisted classes come from the twist T = (x) O(1) instead, whose matrix is pure
+combinatorics.  If lam_1 < n-k, then T e_lam = e_{lam+1}.  If lam_1 = n-k, the
+staircase resolution of Sigma^lam U*, twisted by O(1), gives
+
+    [Sigma^lam U*(1)] = -sum_{(c, Sigma^mu U*(s))} c e_{mu+s+1}
+
+over its non-head terms, and every mu+s+1 is a box diagram.  So
+[Sigma^lam U*(i)] = T^i e_lam for i >= 0.  The staircase checks stay on the
+Euler-pairing route below, so they do not verify the twist built from them.
 
 Pairings of the form chi(Sigma^a U*(t), Sigma^kappa U*) with t <= 0 and both
 diagrams in the box sit in a single cohomological degree, so they reduce to
@@ -54,13 +64,29 @@ KClass = tuple[int, ...]
 
 
 class _Ctx:
-    __slots__ = ("box", "weights", "chis", "h")
+    __slots__ = ("box", "weights", "index", "chis", "h", "twisted")
 
     def __init__(self, box: Box):
         self.box = box
         self.weights = tuple(d.parts for d in enumerate_diagrams(box, "all"))
+        self.index = {w: i for i, w in enumerate(self.weights)}
         self.chis: dict[tuple, int] = {}
         self.h = [1]  # h[m] = h_m(1^n) = C(n+m-1, m), grown on demand
+        self.twisted: dict[tuple, KClass] = {}
+
+    def twisted_class(self, w: tuple[int, ...], i: int) -> KClass:
+        """[Sigma^w U*(i)] = T^i e_w for a box diagram w and i >= 0."""
+        key = (w, i)
+        c = self.twisted.get(key)
+        if c is None:
+            if i == 0:
+                e = [0] * len(self.weights)
+                e[self.index[w]] = 1
+                c = tuple(e)
+            else:
+                c = twist_class(self.box, self.twisted_class(w, i - 1))
+            self.twisted[key] = c
+        return c
 
     def chi_pair(self, a: tuple[int, ...], t: int, kappa: tuple[int, ...]) -> int:
         """chi(Sigma^a U*(t), Sigma^kappa U*), a and kappa in the box, t <= 0."""
@@ -142,21 +168,31 @@ def euler_pairing(box: Box, x: KClass, y: KClass) -> int:
 
 
 @lru_cache(maxsize=None)
-def _twist_matrix(box: Box) -> tuple[KClass, ...]:
-    """Columns: class of Sigma^lam U*(1) for each basis diagram lam."""
-    return tuple(class_of(TwistedSchur(w, 1, box)) for w in _ctx(box).weights)
+def _twist_matrix(box: Box) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Column lam: the class of Sigma^lam U*(1) as sparse (row, coefficient) pairs."""
+    from .staircase import build_staircase  # staircase imports this module
+
+    index = _ctx(box).index
+    cols = []
+    for d in basis(box):
+        if d.parts[0] < box.width:
+            cols.append(((index[tuple(x + 1 for x in d.parts)], 1),))
+            continue
+        col: dict[int, int] = {}
+        for coef, e in build_staircase(box, d).k_class_combination()[1:]:
+            i = index[tuple(x + e.twist + 1 for x in e.weight)]
+            col[i] = col.get(i, 0) - coef
+        cols.append(tuple(col.items()))
+    return tuple(cols)
 
 
 def twist_class(box: Box, x: KClass) -> KClass:
     """The class of x (x) O(1)."""
-    cols = _twist_matrix(box)
-    n = len(cols)
-    out = [0] * n
-    for j, xj in enumerate(x):
+    out = [0] * len(x)
+    for xj, col in zip(x, _twist_matrix(box)):
         if xj:
-            col = cols[j]
-            for i in range(n):
-                out[i] += xj * col[i]
+            for i, c in col:
+                out[i] += xj * c
     return tuple(out)
 
 
@@ -274,15 +310,8 @@ def residual_report(box: Box, include_fullness: bool = True) -> ResidualReport:
         if orbit_length(box, d.parts) < n
     ]
 
-    a_classes_cache: dict[int, list[KClass]] = {}
-
-    def a_classes(j: int) -> list[KClass]:
-        if j not in a_classes_cache:
-            a_classes_cache[j] = [
-                class_of(TwistedSchur(d.parts, j, box)) for d in full_block
-            ]
-        return a_classes_cache[j]
-
+    twisted = _ctx(box).twisted_class
+    primitive = [twisted(lam.parts, 0) for lam in full_block]
     residual: list[KClass] = []
     tau_ok: list[bool] = []
     sign_exponents: list[int] = []
@@ -292,22 +321,16 @@ def residual_report(box: Box, include_fullness: bool = True) -> ResidualReport:
         sign_exponents.append(sign_exp)
         fs: list[KClass] = []
         for i in range(o):
-            projectors: list[KClass] = []
-            for j in range(i):
-                projectors.extend(a_classes(j))
+            projectors = [twisted(lam.parts, j) for j in range(i) for lam in full_block]
             projectors.extend(
-                class_of(TwistedSchur(lam.parts, i, box))
-                for lam in full_block
-                if mu.contains(lam)
+                twisted(lam.parts, i) for lam in full_block if mu.contains(lam)
             )
-            fs.append(
-                mutate_left(box, projectors, class_of(TwistedSchur(mu.parts, i, box)))
-            )
+            fs.append(mutate_left(box, projectors, twisted(mu.parts, i)))
         residual.extend(fs)
         ok = True
         sign = -1 if sign_exp % 2 else 1
         for i in range(o):
-            y = mutate_left(box, a_classes(0), twist_class(box, fs[i]))
+            y = mutate_left(box, primitive, twist_class(box, fs[i]))
             if i < o - 1:
                 ok = ok and y == fs[i + 1]
             else:
@@ -359,7 +382,8 @@ def fullness_determinant(box: Box) -> int:
     """det of the Fonarev classes in the Kapranov basis; |det| = 1 certifies
     that the collection spans K_0."""
     collection = fonarev(box)
-    cols = [class_of(obj.bundle) for obj in collection.objects]
+    twisted = _ctx(box).twisted_class
+    cols = [twisted(obj.bundle.weight, obj.bundle.twist) for obj in collection.objects]
     n = len(cols)
     if n != len(basis(box)):
         raise AssertionError("Fonarev collection size does not match rank of K_0")

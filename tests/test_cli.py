@@ -127,6 +127,14 @@ class TestValidation:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one(self, capsys, jobs):
+        for command in ("gram", "report"):
+            code, out, err = run(capsys, command, "--k", "2", "--n", "4", "--jobs", jobs)
+            assert code == 2
+            assert out == ""
+            assert "error: --jobs" in err
+
 
 class TestFullness:
     def test_g24(self, capsys):
@@ -214,3 +222,12 @@ class TestOutputModes:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["count"] == 6
+
+    def test_unwritable_output_file(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run(capsys, "diagrams", "--k", "2", "--n", "4",
+                             "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write")
+        assert not target.exists()

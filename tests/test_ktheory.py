@@ -18,6 +18,7 @@ from grex.ktheory import (
     residual_report,
     twist_class,
 )
+from grex.lefschetz import fonarev
 from grex.staircase import build_theta_staircase
 from oracles import dimension_oracle, ext_table_oracle
 
@@ -158,12 +159,29 @@ class TestEulerPairing:
 
 
 class TestTwistClass:
+    """The staircase-built twist against the generic LR + Bott route."""
+
     def test_agrees_with_twisted_bundle(self):
         box = Box(2, 5)
         for d in basis(box)[:5]:
             for t in (0, 1, -2):
                 x = class_of(ts(d.parts, t, box))
                 assert twist_class(box, x) == class_of(ts(d.parts, t + 1, box))
+
+    @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 6), (3, 7), (4, 8)])
+    def test_every_column(self, k, n):
+        # columns with lam_1 = n-k come from the staircase of lam
+        box = Box(k, n)
+        for i, d in enumerate(basis(box)):
+            assert twist_class(box, unit(box, i)) == class_of(ts(d.parts, 1, box)), d
+
+    @pytest.mark.parametrize("k,n", [(3, 6), (4, 8)])
+    def test_fonarev_columns(self, k, n):
+        box = Box(k, n)
+        ctx = _ctx(box)
+        for obj in fonarev(box).objects:
+            e = obj.bundle
+            assert ctx.twisted_class(e.weight, e.twist) == class_of(e), e
 
 
 class TestMutateLeft:
