@@ -16,7 +16,7 @@ import sys
 import time
 from math import comb
 
-from .bott import TwistedSchur, ext_table, euler_char
+from .bott import TwistedSchur, ext_table
 from .diagrams import (
     Box,
     BoxedDiagram,
@@ -173,7 +173,7 @@ def cmd_ext(args) -> int:
         "source": e.to_json(),
         "target": f.to_json(),
         "ext": table.to_json(),
-        "euler": euler_char(e, f),
+        "euler": table.euler(),
     }
     _emit(payload, args)
     return 0
@@ -397,12 +397,8 @@ def _add_common(sub, *, jobs=True):
     sub.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     sub.add_argument("--output", default=None, help="write output to a file")
     if jobs:
-        default_jobs = os.environ.get("GREX_JOBS", "1")
-        try:
-            default_jobs = max(1, int(default_jobs))
-        except ValueError:
-            default_jobs = 1
-        sub.add_argument("--jobs", type=int, default=default_jobs)
+        # None means "not given": main() then reads GREX_JOBS
+        sub.add_argument("--jobs", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,8 +468,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the invalid-input code
         return int(exc.code or 0)
-    if getattr(args, "jobs", 1) < 1:
-        return _fail(f"--jobs must be at least 1, got {args.jobs}")
+    if hasattr(args, "jobs"):
+        if args.jobs is None:
+            env = os.environ.get("GREX_JOBS") or "1"
+            try:
+                args.jobs = int(env)
+            except ValueError:
+                return _fail(f"GREX_JOBS must be an integer, got {env!r}")
+            if args.jobs < 1:
+                return _fail(f"GREX_JOBS must be at least 1, got {args.jobs}")
+        elif args.jobs < 1:
+            return _fail(f"--jobs must be at least 1, got {args.jobs}")
     try:
         return args.fn(args)
     except SystemExit as exc:

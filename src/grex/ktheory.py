@@ -64,7 +64,7 @@ KClass = tuple[int, ...]
 
 
 class _Ctx:
-    __slots__ = ("box", "weights", "index", "chis", "h", "twisted")
+    __slots__ = ("box", "weights", "index", "chis", "h", "twisted", "semiorthogonal")
 
     def __init__(self, box: Box):
         self.box = box
@@ -73,6 +73,7 @@ class _Ctx:
         self.chis: dict[tuple, int] = {}
         self.h = [1]  # h[m] = h_m(1^n) = C(n+m-1, m), grown on demand
         self.twisted: dict[tuple, KClass] = {}
+        self.semiorthogonal: set[tuple[KClass, ...]] = set()  # validated projector lists
 
     def twisted_class(self, w: tuple[int, ...], i: int) -> KClass:
         """[Sigma^w U*(i)] = T^i e_w for a box diagram w and i >= 0."""
@@ -200,16 +201,21 @@ def mutate_left(box: Box, projectors: list[KClass], x: KClass) -> KClass:
     """Gram-Schmidt x against a semiorthogonal sequence, last projector first.
 
     Rejects projector lists that are not Euler-unitriangular, and checks
-    that the result is left-orthogonal to every projector.
+    that the result is left-orthogonal to every projector.  A list that
+    passes is remembered on the per-box context and not checked again.
     """
-    for i, e in enumerate(projectors):
-        if euler_pairing(box, e, e) != 1:
-            raise ValueError(f"projector {i} is not exceptional (chi(e,e) != 1)")
-        for j in range(i + 1, len(projectors)):
-            if euler_pairing(box, projectors[j], e) != 0:
-                raise ValueError(
-                    f"projectors {j} > {i} are not semiorthogonal; check the ordering"
-                )
+    validated = _ctx(box).semiorthogonal
+    key = tuple(projectors)
+    if key not in validated:
+        for i, e in enumerate(projectors):
+            if euler_pairing(box, e, e) != 1:
+                raise ValueError(f"projector {i} is not exceptional (chi(e,e) != 1)")
+            for j in range(i + 1, len(projectors)):
+                if euler_pairing(box, projectors[j], e) != 0:
+                    raise ValueError(
+                        f"projectors {j} > {i} are not semiorthogonal; check the ordering"
+                    )
+        validated.add(key)
     y = list(x)
     for e in reversed(projectors):
         c = euler_pairing(box, e, tuple(y))

@@ -135,6 +135,18 @@ class TestValidation:
             assert out == ""
             assert "error: --jobs" in err
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_grex_jobs(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GREX_JOBS", value)
+        for command in ("gram", "report"):
+            code, out, err = run(capsys, command, "--k", "2", "--n", "4")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: GREX_JOBS")
+        # an explicit --jobs wins, and commands without --jobs ignore it
+        assert run(capsys, "gram", "--k", "2", "--n", "4", "--jobs", "1")[0] == 0
+        assert run(capsys, "diagrams", "--k", "2", "--n", "4")[0] == 0
+
 
 class TestFullness:
     def test_g24(self, capsys):

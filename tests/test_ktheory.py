@@ -218,6 +218,38 @@ class TestMutateLeft:
         with pytest.raises(ValueError):
             mutate_left(box, [(2, 0)], unit(box, 1))
 
+    def test_bad_list_rejected_on_every_call(self):
+        # a validated list is remembered; a bad one never is, even after a
+        # valid list over the same classes was seen
+        box = Box(1, 3)
+        e0, e1 = unit(box, 0), unit(box, 1)
+        for _ in range(3):
+            mutate_left(box, [e0, e1], unit(box, 2))
+            with pytest.raises(ValueError):
+                mutate_left(box, [e1, e0], unit(box, 2))
+            with pytest.raises(ValueError):
+                mutate_left(box, [(2, 0, 0)], unit(box, 2))
+
+    def test_list_validated_once(self, monkeypatch):
+        import grex.ktheory as kt
+
+        box = Box(3, 6)
+        primitive = [_ctx(box).twisted_class(w, 0) for w in ((0, 0, 0), (1, 0, 0), (1, 1, 0))]
+        _ctx(box).semiorthogonal.discard(tuple(primitive))
+        calls = []
+        pairing = kt.euler_pairing
+        monkeypatch.setattr(
+            kt, "euler_pairing", lambda *a: calls.append(1) or pairing(*a)
+        )
+        x = unit(box, 7)
+        first = mutate_left(box, primitive, x)
+        p = len(primitive)
+        # p(p+1)/2 validation pairings, then p projections and p orthogonality checks
+        assert len(calls) == p * (p + 1) // 2 + 2 * p
+        del calls[:]
+        assert mutate_left(box, primitive, x) == first
+        assert len(calls) == 2 * p
+
 
 class TestResidualReport:
     def test_g24(self):

@@ -1,12 +1,15 @@
 """Collections: construction, support partitions, semiorthogonality."""
 
+import random
 from math import comb
 
 import pytest
 
-from grex.bott import TwistedSchur, ext_table
+import grex.lefschetz
+from grex.bott import TwistedSchur, euler_char, ext_table
 from grex.diagrams import Box, BoxedDiagram, enumerate_diagrams
 from grex.lefschetz import (
+    Violation,
     fenced_block,
     fonarev,
     gram,
@@ -154,6 +157,71 @@ class TestGram:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             gram(kapranov(Box(1, 3)).objects, mode="fast")
+
+
+def per_pair_gram(objects):
+    """`gram(objects, "full_ext")` with one Ext computation per ordered pair."""
+    bundles = [o.bundle for o in objects]
+    entries = tuple(tuple(euler_char(e, f) for f in bundles) for e in bundles)
+    violations = []
+    for i, e in enumerate(bundles):
+        for j in range(i):
+            table = ext_table(e, bundles[j])
+            violations += [Violation(i, j, d, table[d]) for d in sorted(table.dims)]
+        table = ext_table(e, e)
+        for d in sorted(set(table.dims) | {0}):
+            if table[d] != (1 if d == 0 else 0):
+                violations.append(Violation(i, i, d, table[d]))
+    return entries, tuple(violations)
+
+
+def _shuffled(objects, seed):
+    out = list(objects)
+    random.Random(seed).shuffle(out)
+    return tuple(out)
+
+
+class TestGramDedup:
+    """One Ext table per (a, b, t-s) triple gives the per-pair answer."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "objects",
+        [
+            tuple(reversed(kapranov(Box(2, 4)).objects)),
+            tuple(reversed(fonarev(Box(3, 6)).objects)),
+            _shuffled(fonarev(Box(3, 6)).objects, 7),
+        ],
+        ids=["kapranov24_reversed", "fonarev36_reversed", "fonarev36_shuffled"],
+    )
+    def test_matches_per_pair_route(self, objects, jobs):
+        entries, violations = per_pair_gram(objects)
+        assert violations  # the inputs are not semiorthogonal
+        result = gram(objects, mode="full_ext", jobs=jobs)
+        assert result.entries == entries
+        assert result.violations == violations
+        assert gram(objects, mode="euler", jobs=jobs).entries == entries
+
+    def test_one_ext_table_per_triple(self, monkeypatch):
+        calls = []
+        table = grex.lefschetz.ext_table
+        monkeypatch.setattr(
+            grex.lefschetz, "ext_table", lambda e, f: calls.append(1) or table(e, f)
+        )
+        objects = fonarev(Box(4, 8)).objects
+        triples = {
+            (e.bundle.weight, f.bundle.weight, f.bundle.twist - e.bundle.twist)
+            for e in objects
+            for f in objects
+        }
+        assert gram(objects, mode="full_ext").violations == ()
+        assert len(triples) == 1300
+        assert len(calls) == 1300  # not len(objects)**2 + C(len(objects) + 1, 2)
+
+    def test_mixed_boxes_rejected(self):
+        objs = kapranov(Box(2, 4)).objects[:1] + kapranov(Box(2, 5)).objects[:1]
+        with pytest.raises(ValueError):
+            gram(objs, mode="euler")
 
 
 class TestPrimitiveTranslates:
