@@ -315,10 +315,10 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
         m = box.n // box.k if box.n % box.k == 0 else 0
         if box.k >= 2 and m >= 2:
             sc, ledger = build_theta_staircase(box.k, m)
-            theta_ok = is_k_exact(sc) and ledger.complete
+            theta_exact = is_k_exact(sc)
             out["theta_ledger_complete"] = ledger.complete
-            out["theta_k_exact"] = is_k_exact(sc)
-            if not theta_ok:
+            out["theta_k_exact"] = theta_exact
+            if not (theta_exact and ledger.complete):
                 out["verdict"] = "fail"
         if box.k == 3 and box.n % 3 == 0 and box.n // 3 >= 2:
             m3 = box.n // 3

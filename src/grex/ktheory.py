@@ -30,12 +30,20 @@ a k x k integer determinant with h_m(1^n) = C(n+m-1, m) and h_m = 0 for
 m < 0.  That identity powers the Gram matrix and the zero-class tests that
 the staircase checks hammer on; its agreement with the generic Littlewood-
 Richardson + dot-action route is part of the test suite.
+
+All per-box state lives on one context, `_ctx(box)`, and only the box used
+last is kept, so a sweep over many boxes frees each one when it moves on.
+The context holds the basis diagrams, the sparse twist matrix, the twisted
+classes, the validated projector lists and the pairing rows: row (a, t) is
+chi(Sigma^a U*(t), Sigma^kappa U*) over every basis kappa, built once by one
+determinant per entry.  The Kapranov Gram matrix is the t = 0 rows, and a
+combination of bundles is zero in K_0 when the sum of its rows is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .bott import TwistedSchur, euler_char
 from .diagrams import (
@@ -64,16 +72,51 @@ KClass = tuple[int, ...]
 
 
 class _Ctx:
-    __slots__ = ("box", "weights", "index", "chis", "h", "twisted", "semiorthogonal")
+    """Everything K_0 keeps for one box.  `_ctx` holds one box at a time."""
 
     def __init__(self, box: Box):
         self.box = box
-        self.weights = tuple(d.parts for d in enumerate_diagrams(box, "all"))
+        self.diagrams = tuple(enumerate_diagrams(box, "all"))
+        self.weights = tuple(d.parts for d in self.diagrams)
         self.index = {w: i for i, w in enumerate(self.weights)}
-        self.chis: dict[tuple, int] = {}
+        self.chis: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}  # (a, t) -> row
         self.h = [1]  # h[m] = h_m(1^n) = C(n+m-1, m), grown on demand
         self.twisted: dict[tuple, KClass] = {}
         self.semiorthogonal: set[tuple[KClass, ...]] = set()  # validated projector lists
+
+    def row(self, a: tuple[int, ...], t: int) -> tuple[int, ...]:
+        """chi(Sigma^a U*(t), Sigma^kappa U*) for every basis kappa, in order."""
+        key = (a, t)
+        r = self.chis.get(key)
+        if r is None:
+            r = self.chis[key] = tuple(self.chi_pair(a, t, kappa) for kappa in self.weights)
+        return r
+
+    @cached_property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        rows = tuple(self.row(a, 0) for a in self.weights)
+        for i, a in enumerate(self.weights):
+            if rows[i][i] != 1:
+                raise AssertionError(f"Kapranov Gram diagonal is not 1 at {a}")
+        return rows
+
+    @cached_property
+    def twist(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Column lam: the class of Sigma^lam U*(1) as sparse (row, coefficient) pairs."""
+        from .staircase import build_staircase  # staircase imports this module
+
+        index = self.index
+        cols = []
+        for d in self.diagrams:
+            if d.parts[0] < self.box.width:
+                cols.append(((index[tuple(x + 1 for x in d.parts)], 1),))
+                continue
+            col: dict[int, int] = {}
+            for coef, e in build_staircase(self.box, d).k_class_combination()[1:]:
+                i = index[tuple(x + e.twist + 1 for x in e.weight)]
+                col[i] = col.get(i, 0) - coef
+            cols.append(tuple(col.items()))
+        return tuple(cols)
 
     def twisted_class(self, w: tuple[int, ...], i: int) -> KClass:
         """[Sigma^w U*(i)] = T^i e_w for a box diagram w and i >= 0."""
@@ -91,49 +134,33 @@ class _Ctx:
 
     def chi_pair(self, a: tuple[int, ...], t: int, kappa: tuple[int, ...]) -> int:
         """chi(Sigma^a U*(t), Sigma^kappa U*), a and kappa in the box, t <= 0."""
-        key = (a, t, kappa)
-        v = self.chis.get(key)
-        if v is None:
-            k = self.box.k
-            lam = [x - t for x in kappa]
-            if any(a[i] > lam[i] for i in range(k)):
-                v = 0
-            else:
-                h = self.h
-                n = self.box.n
-                for m in range(len(h), lam[0] - a[-1] + k):
-                    h.append(h[-1] * (n + m - 1) // m)
-                v = _bareiss_det([
-                    [h[d] if (d := lam[i] - a[j] - i + j) >= 0 else 0 for j in range(k)]
-                    for i in range(k)
-                ])
-            self.chis[key] = v
-        return v
+        k = self.box.k
+        lam = [x - t for x in kappa]
+        if any(a[i] > lam[i] for i in range(k)):
+            return 0
+        h = self.h
+        n = self.box.n
+        for m in range(len(h), lam[0] - a[-1] + k):
+            h.append(h[-1] * (n + m - 1) // m)
+        return _bareiss_det([
+            [h[d] if (d := lam[i] - a[j] - i + j) >= 0 else 0 for j in range(k)]
+            for i in range(k)
+        ])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _ctx(box: Box) -> _Ctx:
     return _Ctx(box)
 
 
-@lru_cache(maxsize=None)
 def basis(box: Box) -> tuple[BoxedDiagram, ...]:
     """The Kapranov basis diagrams in lexicographic order."""
-    return tuple(enumerate_diagrams(box, "all"))
+    return _ctx(box).diagrams
 
 
-@lru_cache(maxsize=None)
 def kapranov_gram(box: Box) -> tuple[tuple[int, ...], ...]:
     """Gram matrix chi(Sigma^lam U*, Sigma^mu U*) over the basis; unit diagonal."""
-    ctx = _ctx(box)
-    ws = ctx.weights
-    rows = []
-    for i, a in enumerate(ws):
-        row = tuple(ctx.chi_pair(a, 0, b) for b in ws)
-        if row[i] != 1:
-            raise AssertionError(f"Kapranov Gram diagonal is not 1 at {a}")
-        rows.append(row)
-    return tuple(rows)
+    return _ctx(box).gram
 
 
 def class_of(e: TwistedSchur) -> KClass:
@@ -157,40 +184,18 @@ def class_of(e: TwistedSchur) -> KClass:
 
 def euler_pairing(box: Box, x: KClass, y: KClass) -> int:
     """Bilinear Euler form x^T G y on coordinate vectors."""
-    g = kapranov_gram(box)
-    n = len(g)
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
     total = 0
-    for i in range(n):
-        xi = x[i]
+    for xi, gi in zip(x, kapranov_gram(box)):
         if xi:
-            gi = g[i]
-            total += xi * sum(gi[j] * y[j] for j in range(n) if y[j])
+            total += xi * sum(gi[j] * yj for j, yj in ys)
     return total
-
-
-@lru_cache(maxsize=None)
-def _twist_matrix(box: Box) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Column lam: the class of Sigma^lam U*(1) as sparse (row, coefficient) pairs."""
-    from .staircase import build_staircase  # staircase imports this module
-
-    index = _ctx(box).index
-    cols = []
-    for d in basis(box):
-        if d.parts[0] < box.width:
-            cols.append(((index[tuple(x + 1 for x in d.parts)], 1),))
-            continue
-        col: dict[int, int] = {}
-        for coef, e in build_staircase(box, d).k_class_combination()[1:]:
-            i = index[tuple(x + e.twist + 1 for x in e.weight)]
-            col[i] = col.get(i, 0) - coef
-        cols.append(tuple(col.items()))
-    return tuple(cols)
 
 
 def twist_class(box: Box, x: KClass) -> KClass:
     """The class of x (x) O(1)."""
     out = [0] * len(x)
-    for xj, col in zip(x, _twist_matrix(box)):
+    for xj, col in zip(x, _ctx(box).twist):
         if xj:
             for i, c in col:
                 out[i] += xj * c
@@ -232,12 +237,12 @@ def mutate_left(box: Box, projectors: list[KClass], x: KClass) -> KClass:
 def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool:
     """Whether sum coef * [bundle] vanishes in K_0.
 
-    Tested through the Euler pairings against every basis object, which
-    determine a class uniquely (the Gram matrix is uni-triangular).  All
-    bundles must reduce to a non-positive twist.
+    Tested by summing the pairing rows of the terms: the pairings against
+    every basis object determine a class uniquely (the Gram matrix is
+    uni-triangular).  All bundles must reduce to a non-positive twist.
     """
     ctx = _ctx(box)
-    reduced = []
+    total = [0] * len(ctx.weights)
     for coef, bundle in terms:
         if coef == 0:
             continue
@@ -250,14 +255,8 @@ def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool
             t = 0
             if w[0] > box.width:
                 raise ValueError(f"bundle {bundle} does not fit the pairing fast path")
-        reduced.append((coef, w, t))
-    for kappa in ctx.weights:
-        total = 0
-        for coef, w, t in reduced:
-            total += coef * ctx.chi_pair(w, t, kappa)
-        if total != 0:
-            return False
-    return True
+        total = [s + coef * v for s, v in zip(total, ctx.row(w, t))]
+    return not any(total)
 
 
 @dataclass(frozen=True)

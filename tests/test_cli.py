@@ -193,6 +193,18 @@ class TestReport:
                          "--jobs", "2")
         assert out1 == out2
 
+    def test_each_staircase_checked_once(self, capsys, monkeypatch):
+        import grex.cli as cli
+
+        checked = []
+        check = cli.is_k_exact
+        monkeypatch.setattr(cli, "is_k_exact", lambda sc: checked.append(sc) or check(sc))
+        code, _, _ = run(capsys, "report", "--k", "2", "--n", "4", "--format", "json")
+        assert code == 0
+        # three full-first-row staircases and the theta staircase, once each
+        assert len(checked) == 4
+        assert len({id(sc) for sc in checked}) == 4
+
     def test_round_trip(self, capsys):
         _, out, _ = run(capsys, "report", "--k", "2", "--n", "4", "--format", "json")
         data = json.loads(out)

@@ -1,5 +1,6 @@
 """K-theory: Gram matrices, classes, mutations, residual reports."""
 
+import gc
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from grex.bott import TwistedSchur, euler_char
 from grex.diagrams import Box, enumerate_diagrams, orbit_length, residual_rank, theta
 from grex.ktheory import (
     _ctx,
+    _Ctx,
     basis,
     class_of,
     euler_pairing,
@@ -19,7 +21,7 @@ from grex.ktheory import (
     twist_class,
 )
 from grex.lefschetz import fonarev
-from grex.staircase import build_theta_staircase
+from grex.staircase import build_staircase, build_theta_staircase, is_k_exact
 from oracles import dimension_oracle, ext_table_oracle
 
 
@@ -156,6 +158,64 @@ class TestEulerPairing:
             z = tuple(rng.randint(-4, 4) for _ in range(n))
             xy = tuple(a + b for a, b in zip(x, y))
             assert euler_pairing(box, xy, z) == euler_pairing(box, x, z) + euler_pairing(box, y, z)
+
+    def test_matches_dense_product(self):
+        # the sparse loops against x^T G y over every coordinate
+        rng = random.Random(31)
+        for k, n in [(2, 5), (3, 6), (3, 7)]:
+            box = Box(k, n)
+            g = kapranov_gram(box)
+            size = len(g)
+            for _ in range(20):
+                x = tuple(rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(size))
+                y = tuple(rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(size))
+                dense = sum(
+                    x[i] * g[i][j] * y[j] for i in range(size) for j in range(size)
+                )
+                assert euler_pairing(box, x, y) == dense
+
+
+class TestContext:
+    """One per-box context, kept for the box used last."""
+
+    @staticmethod
+    def check_staircases(box):
+        for d in enumerate_diagrams(box, "all"):
+            if d.parts[0] == box.width:
+                assert is_k_exact(build_staircase(box, d))
+
+    def test_sweep_keeps_one_box(self):
+        for k, n in [(2, 6), (3, 7), (4, 8)]:
+            self.check_staircases(Box(k, n))
+        gc.collect()
+        alive = [o for o in gc.get_objects() if type(o) is _Ctx]
+        assert len(alive) == 1
+        assert alive[0].box == Box(4, 8)
+
+    def test_no_pairing_computed_twice(self, monkeypatch):
+        box = Box(4, 8)
+        _ctx.cache_clear()
+        ctx = _ctx(box)
+        seen = []
+        pair = _Ctx.chi_pair
+
+        def recorded(self, a, t, kappa):
+            seen.append((a, t, kappa))
+            return pair(self, a, t, kappa)
+
+        monkeypatch.setattr(_Ctx, "chi_pair", recorded)
+        self.check_staircases(box)
+        assert _ctx(box) is ctx
+        assert len(set(seen)) == len(seen)
+        # 35 staircases need 105 rows of 70 pairings each
+        assert len(ctx.chis) == 105
+        assert len(seen) == len(ctx.chis) * len(ctx.weights) == 7350
+
+    def test_gram_is_the_untwisted_rows(self):
+        # one copy: the Gram rows are the cached pairing rows themselves
+        ctx = _ctx(Box(3, 6))
+        g = kapranov_gram(ctx.box)
+        assert all(row is ctx.chis[(w, 0)] for row, w in zip(g, ctx.weights, strict=True))
 
 
 class TestTwistClass:
