@@ -1,8 +1,8 @@
 """Command-line front end emitting machine-readable verification reports.
 
 Exit codes: 0 = pass/informational, 1 = a mathematical check failed,
-2 = invalid input.  JSON goes to stdout, diagnostics and timings to stderr,
-so the JSON payload is byte-identical regardless of --jobs.
+2 = invalid input.  JSON goes to stdout, diagnostics and timings to stderr.
+--jobs and GREX_JOBS are validated but start no processes.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .bott import TwistedSchur, ext_table
 from .diagrams import (
     Box,
     BoxedDiagram,
+    Orbit,
     enumerate_diagrams,
     non_minimal_upper,
     orbit_of,
@@ -122,16 +123,22 @@ def cmd_diagrams(args) -> int:
     return 0
 
 
-def cmd_orbits(args) -> int:
-    box = _box_from(args)
+def _orbits(diagrams: list[BoxedDiagram]) -> list[Orbit]:
+    """The orbits of the cyclic action on all diagrams of a box, in order of
+    their first diagram."""
     seen = set()
     orbits = []
-    for d in enumerate_diagrams(box, "all"):
-        if d.parts in seen:
-            continue
-        orb = orbit_of(d)
-        seen.update(m.parts for m in orb.members)
-        orbits.append(orb)
+    for d in diagrams:
+        if d.parts not in seen:
+            orb = orbit_of(d)
+            seen.update(m.parts for m in orb.members)
+            orbits.append(orb)
+    return orbits
+
+
+def cmd_orbits(args) -> int:
+    box = _box_from(args)
+    orbits = _orbits(enumerate_diagrams(box, "all"))
     payload = {
         "box": box.to_json(),
         "orbit_count": len(orbits),
@@ -182,7 +189,7 @@ def cmd_ext(args) -> int:
 def cmd_gram(args) -> int:
     box = _box_from(args)
     coll = fonarev(box) if args.style == "fonarev" else kapranov(box)
-    result = gram(coll.objects, mode=args.mode, jobs=args.jobs)
+    result = gram(coll.objects, mode=args.mode)
     payload = {
         "box": box.to_json(),
         "style": args.style,
@@ -240,7 +247,10 @@ def cmd_fullness(args) -> int:
 
 
 def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
-    """Run every verification stage; failures are recorded, never raised."""
+    """Run every verification stage; failures are recorded, never raised.
+
+    `jobs` is accepted and ignored: every stage runs in this process.
+    """
 
     stages: dict[str, dict] = {}
 
@@ -252,13 +262,7 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
 
     def stage_diagrams():
         all_d = enumerate_diagrams(box, "all")
-        seen = set()
-        lengths = []
-        for d in all_d:
-            if d.parts not in seen:
-                orb = orbit_of(d)
-                seen.update(m.parts for m in orb.members)
-                lengths.append(orb.length)
+        lengths = [orb.length for orb in _orbits(all_d)]
         minimal = enumerate_diagrams(box, "minimal_upper")
         rank_m = residual_rank(box, "mobius")
         rank_b = residual_rank(box, "brute_force")
@@ -295,7 +299,7 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
 
     def stage_gram():
         coll = fonarev(box)
-        result = gram(coll.objects, mode="full_ext", jobs=jobs)
+        result = gram(coll.objects, mode="full_ext")
         return {
             "verdict": "pass" if not result.violations else "fail",
             "violation_count": len(result.violations),
@@ -384,7 +388,7 @@ def cmd_report(args) -> int:
             "pass --force to run anyway"
         )
     timings: dict[str, float] = {}
-    payload = full_report(box, jobs=args.jobs, timings=timings)
+    payload = full_report(box, timings=timings)
     for name, dt in timings.items():
         print(f"timing {name}: {dt:.2f}s", file=sys.stderr)
     _emit(payload, args)

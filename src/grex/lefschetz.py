@@ -159,11 +159,6 @@ class GramResult:
         }
 
 
-def _key_ext(args):
-    box, a, b, t = args
-    return ext_table(TwistedSchur(a, 0, box), TwistedSchur(b, t, box))
-
-
 def gram(
     objects: tuple[CollectionObject, ...] | list[CollectionObject],
     mode: str = "euler",
@@ -175,8 +170,7 @@ def gram(
     degree and the diagonal must be exactly Hom = k; each failure becomes a
     Violation.  Ext^*(Sigma^a U*(s), Sigma^b U*(t)) depends only on
     (a, b, t-s), so one Ext table is computed per distinct triple and every
-    pair with that triple reads it.  Tables are merged by triple, so the
-    output does not depend on the number of workers.
+    pair with that triple reads it.  `jobs` is accepted and ignored.
     """
     if mode not in ("euler", "full_ext"):
         raise ValueError(f"mode must be 'euler' or 'full_ext', got {mode!r}")
@@ -186,16 +180,10 @@ def gram(
     if any(e.box != box for e in bundles):
         raise ValueError("bundles live on different boxes")
     keys = [[(e.weight, f.weight, f.twist - e.twist) for f in bundles] for e in bundles]
-    distinct = list(dict.fromkeys(key for row in keys for key in row))
-    work = [(box, *key) for key in distinct]
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            tables = pool.map(_key_ext, work, chunksize=64)
-    else:
-        tables = [_key_ext(w) for w in work]
-    table = dict(zip(distinct, tables))
+    table = {
+        (a, b, t): ext_table(TwistedSchur(a, 0, box), TwistedSchur(b, t, box))
+        for a, b, t in dict.fromkeys(key for row in keys for key in row)
+    }
     chi = {key: t.euler() for key, t in table.items()}
     entries = tuple(tuple(chi[key] for key in row) for row in keys)
     violations: list[Violation] = []

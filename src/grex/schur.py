@@ -27,23 +27,22 @@ def dualize(w: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-x for x in reversed(w))
 
 
-# Littlewood-Richardson expansions, cached by normalized argument pair.
-# The core enumerates chains of horizontal strips (one strip per entry of the
-# content) subject to the lattice condition
-#   (# cells of entry e in rows <= r)  <=  (# cells of entry e-1 in rows <= r-1),
-# which is the prefix condition on the reverse reading word.
-# The cache is an ordinary dict: lookups and inserts are atomic under the
-# GIL, worker processes get their own copy, and results never depend on hits.
+# Finished expansions of lr_product, keyed by its checked argument pair and
+# already shifted back, so each distinct pair is expanded and re-twisted once.
+# lr_product hands out copies, so callers never see or mutate a cached dict.
 _LR_CACHE: dict[tuple, dict] = {}
 
 
 def _lr_core(alpha: tuple[int, ...], beta: tuple[int, ...], k: int) -> dict:
+    """LR expansion of two non-negative weights of length k.
+
+    Enumerates chains of horizontal strips (one strip per entry of the
+    content) subject to the lattice condition
+      (# cells of entry e in rows <= r)  <=  (# cells of entry e-1 in rows <= r-1),
+    which is the prefix condition on the reverse reading word.
+    """
     if sum(beta) > sum(alpha):
         alpha, beta = beta, alpha
-    key = (alpha, beta)
-    cached = _LR_CACHE.get(key)
-    if cached is not None:
-        return cached
     out: dict[tuple[int, ...], int] = {}
 
     def add_level(level: int, shape: tuple[int, ...], prevcum: tuple[int, ...]):
@@ -80,7 +79,6 @@ def _lr_core(alpha: tuple[int, ...], beta: tuple[int, ...], k: int) -> dict:
         place(level, size, 0)
 
     add_level(0, alpha, (0,) * (k + 1))
-    _LR_CACHE[key] = out
     return out
 
 
@@ -91,16 +89,17 @@ def lr_product(a: tuple[int, ...], b: tuple[int, ...]) -> dict[tuple[int, ...], 
     by determinant twists and every output is shifted back.
     """
     a, b = check_weight(a), check_weight(b)
-    if len(a) != len(b):
-        raise ValueError(f"weights of different lengths: {a} vs {b}")
-    k = len(a)
-    sa = -a[-1] if a[-1] < 0 else 0
-    sb = -b[-1] if b[-1] < 0 else 0
-    core = _lr_core(twist(a, sa), twist(b, sb), k)
-    s = sa + sb
-    if s == 0:
-        return dict(core)
-    return {twist(nu, -s): c for nu, c in core.items()}
+    cached = _LR_CACHE.get((a, b))
+    if cached is None:
+        if len(a) != len(b):
+            raise ValueError(f"weights of different lengths: {a} vs {b}")
+        sa = -a[-1] if a[-1] < 0 else 0
+        sb = -b[-1] if b[-1] < 0 else 0
+        core = _lr_core(twist(a, sa), twist(b, sb), len(a))
+        s = sa + sb
+        cached = {twist(nu, -s): c for nu, c in core.items()} if s else core
+        _LR_CACHE[(a, b)] = cached
+    return dict(cached)
 
 
 def dimension(w: tuple[int, ...], m: int) -> int:

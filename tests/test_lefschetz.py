@@ -218,6 +218,16 @@ class TestGramDedup:
         assert len(triples) == 1300
         assert len(calls) == 1300  # not len(objects)**2 + C(len(objects) + 1, 2)
 
+    def test_jobs_starts_no_pool(self, monkeypatch):
+        import multiprocessing
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("gram started a process pool")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        objects = fonarev(Box(3, 6)).objects
+        assert gram(objects, "full_ext", jobs=2) == gram(objects, "full_ext", jobs=1)
+
     def test_mixed_boxes_rejected(self):
         objs = kapranov(Box(2, 4)).objects[:1] + kapranov(Box(2, 5)).objects[:1]
         with pytest.raises(ValueError):

@@ -40,6 +40,25 @@ class TestLRProduct:
         got = lr_product((0, -1), (1, 0))
         assert got == lr_product_oracle((0, -1), (1, 0))
 
+    def test_cache_holds_finished_expansions(self, monkeypatch):
+        import grex.schur
+
+        monkeypatch.setattr(grex.schur, "_LR_CACHE", {})
+        calls = []
+        core = grex.schur._lr_core
+        monkeypatch.setattr(
+            grex.schur, "_lr_core", lambda *args: calls.append(args) or core(*args)
+        )
+        pair = ((0, -1), (1, 0))
+        first = lr_product(*pair)
+        assert len(calls) == 1
+        second = lr_product(*pair)
+        assert len(calls) == 1  # the shifted-back answer is cached, not the core
+        assert second == first == lr_product_oracle(*pair)
+        second[(9, 9)] = 1
+        first.clear()
+        assert lr_product(*pair) == lr_product_oracle(*pair)
+
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             lr_product((1, 0), (1, 0, 0))
