@@ -255,10 +255,10 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
     stages: dict[str, dict] = {}
 
     def run(name, fn):
-        t0 = time.time()
+        t0 = time.perf_counter()
         stages[name] = fn()
         if timings is not None:
-            timings[name] = time.time() - t0
+            timings[name] = time.perf_counter() - t0
 
     def stage_diagrams():
         all_d = enumerate_diagrams(box, "all")

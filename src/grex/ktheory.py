@@ -38,6 +38,12 @@ classes, the validated projector lists and the pairing rows: row (a, t) is
 chi(Sigma^a U*(t), Sigma^kappa U*) over every basis kappa, built once by one
 determinant per entry.  The Kapranov Gram matrix is the t = 0 rows, and a
 combination of bundles is zero in K_0 when the sum of its rows is.
+
+The fullness determinant is det of the Fonarev classes T^i e_lam in this
+basis.  That matrix is sparse and rich in +-1 entries, so it is eliminated
+over Z on +-1 pivots in Markowitz order, which needs no division; whatever
+is left without such a pivot goes to the dense fraction-free (Bareiss)
+determinant.  Either way the value is the exact integer.
 """
 
 from __future__ import annotations
@@ -358,7 +364,11 @@ def residual_report(box: Box, include_fullness: bool = True) -> ResidualReport:
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant of a square integer matrix."""
+    """Fraction-free determinant of a square integer matrix.
+
+    Overwrites the rows of `m` (and swaps them) with elimination values, so
+    callers pass a matrix they do not need again.
+    """
     n = len(m)
     if n == 0:
         return 1
@@ -383,14 +393,134 @@ def _bareiss_det(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _unit_pivot(
+    rows: list[dict[int, int]],
+    cols: dict[int, set[int]],
+    row_bucket: list[set[int]],
+    col_bucket: list[set[int]],
+) -> tuple[int, int] | None:
+    """The live +-1 entry (r, c) of least Markowitz count, or None.
+
+    Rows and columns are scanned by live count, lowest first.  Once every
+    row and column with fewer than k entries has been seen, any other entry
+    costs at least (k-1)^2, so the scan stops there.
+    """
+    best = None
+    least = len(row_bucket) ** 2  # above every count
+    for k in range(1, len(row_bucket)):
+        if least <= (k - 1) ** 2:
+            break
+        for c in col_bucket[k]:
+            for r in cols[c]:
+                if abs(rows[r][c]) == 1:
+                    cost = (k - 1) * (len(rows[r]) - 1)
+                    if cost < least:
+                        best, least = (r, c), cost
+                        if not cost:
+                            return best
+        for r in row_bucket[k]:
+            for c, v in rows[r].items():
+                if abs(v) == 1:
+                    cost = (k - 1) * (len(cols[c]) - 1)
+                    if cost < least:
+                        best, least = (r, c), cost
+                        if not cost:
+                            return best
+    return best
+
+
+def _sparse_det(rows: list[dict[int, int]]) -> int:
+    """Exact determinant of a square integer matrix given as sparse rows
+    {column: entry} over the columns 0..len(rows)-1.  Consumes the dicts.
+
+    Each step pivots on a live entry p = +-1 of least Markowitz count
+    (r-1)(c-1), r and c the live entries of its row and column (Markowitz
+    1957), and clears its column from each other live row, whose entry
+    there is a, by row -= (a p) pivot_row: exact, because 1/p = p.  The
+    determinant is the product of the pivots times the sign of the
+    row -> column pivot permutation.  If no +-1 entry is left, a freshly
+    built dense remainder goes to `_bareiss_det`, so the result is always
+    the exact integer.
+    """
+    n = len(rows)
+    cols: dict[int, set[int]] = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+    if len(cols) < n or not all(rows):  # a zero column or row
+        return 0
+    row_bucket: list[set[int]] = [set() for _ in range(n + 1)]
+    col_bucket: list[set[int]] = [set() for _ in range(n + 1)]
+    for r, row in enumerate(rows):
+        row_bucket[len(row)].add(r)
+    for c, live in cols.items():
+        col_bucket[len(live)].add(c)
+    pivot_col = list(range(n))
+    det = 1
+    while pivot := _unit_pivot(rows, cols, row_bucket, col_bucket):
+        r, c = pivot
+        prow = rows[r]
+        row_bucket[len(prow)].discard(r)
+        p = prow.pop(c)
+        below = cols.pop(c)
+        col_bucket[len(below)].discard(c)
+        below.discard(r)
+        counts = {j: len(cols[j]) for j in prow}
+        for j in prow:
+            cols[j].discard(r)
+        for s in below:
+            row = rows[s]
+            row_bucket[len(row)].discard(s)
+            f = row.pop(c) * p
+            for j, v in prow.items():
+                x = row.get(j, 0) - f * v
+                if x:
+                    if j not in row:
+                        cols[j].add(s)
+                    row[j] = x
+                else:
+                    del row[j]
+                    cols[j].discard(s)
+            if not row:
+                return 0
+            row_bucket[len(row)].add(s)
+        for j, m in counts.items():
+            live = cols[j]
+            if not live:
+                return 0
+            col_bucket[m].discard(j)
+            col_bucket[len(live)].add(j)
+        det *= p
+        pivot_col[r] = c
+    if cols:
+        left = sorted(set().union(*cols.values()))
+        right = sorted(cols)
+        for r, c in zip(left, right):
+            pivot_col[r] = c
+        det *= _bareiss_det([[rows[r].get(c, 0) for c in right] for r in left])
+    for i in range(n):  # the sign of r -> pivot_col[r]; each swap fixes one entry
+        while pivot_col[i] != i:
+            j = pivot_col[i]
+            pivot_col[i], pivot_col[j] = pivot_col[j], j
+            det = -det
+    return det
+
+
 def fullness_determinant(box: Box) -> int:
     """det of the Fonarev classes in the Kapranov basis; |det| = 1 certifies
-    that the collection spans K_0."""
+    that the collection spans K_0.
+
+    The classes T^i e_lam are sparse, and a quarter to a half of them are
+    basis vectors, so `_sparse_det` takes the determinant (of the transpose,
+    which has the same value) by elimination on +-1 pivots.  The result is
+    the exact integer, sign included, whether or not its dense fallback runs.
+    """
     collection = fonarev(box)
     twisted = _ctx(box).twisted_class
-    cols = [twisted(obj.bundle.weight, obj.bundle.twist) for obj in collection.objects]
-    n = len(cols)
-    if n != len(basis(box)):
+    rows = [
+        {i: v for i, v in enumerate(twisted(obj.bundle.weight, obj.bundle.twist)) if v}
+        for obj in collection.objects
+    ]
+    if len(rows) != len(basis(box)):
         raise AssertionError("Fonarev collection size does not match rank of K_0")
-    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return _bareiss_det(rows)
+    return _sparse_det(rows)

@@ -7,9 +7,12 @@ import pytest
 
 from grex.bott import TwistedSchur, euler_char
 from grex.diagrams import Box, enumerate_diagrams, orbit_length, residual_rank, theta
+from grex import ktheory
 from grex.ktheory import (
+    _bareiss_det,
     _ctx,
     _Ctx,
+    _sparse_det,
     basis,
     class_of,
     euler_pairing,
@@ -20,7 +23,7 @@ from grex.ktheory import (
     residual_report,
     twist_class,
 )
-from grex.lefschetz import fonarev
+from grex.lefschetz import fonarev, gram
 from grex.staircase import build_staircase, build_theta_staircase, is_k_exact
 from oracles import dimension_oracle, ext_table_oracle
 
@@ -374,10 +377,66 @@ class TestConeClassConsistency:
         assert is_zero_combination(box, cone + combo[1:-1])
 
 
+def dense_fonarev_matrix(box):
+    """Column j holds the class of the j-th Fonarev object."""
+    twisted = _ctx(box).twisted_class
+    cols = [twisted(o.bundle.weight, o.bundle.twist) for o in fonarev(box).objects]
+    return [[c[i] for c in cols] for i in range(len(cols))]
+
+
 class TestFullness:
     @pytest.mark.parametrize("k,n", [(2, 4), (2, 6), (3, 6)])
     def test_unimodular(self, k, n):
         assert abs(fullness_determinant(Box(k, n))) == 1
+
+    @pytest.mark.parametrize("k,n", [(k, n) for n in range(4, 11) for k in range(2, n - 1)])
+    def test_matches_dense_bareiss(self, k, n):
+        box = Box(k, n)
+        assert fullness_determinant(box) == _bareiss_det(dense_fonarev_matrix(box))
+
+    @pytest.mark.parametrize("k,n", [(2, 4), (2, 6), (3, 6), (3, 7), (4, 8), (3, 9)])
+    def test_square_is_euler_gram_det(self, k, n):
+        # the Fonarev Euler Gram is C^T G C with det G = 1; it is computed by
+        # LR and Bott, not through the twist matrix
+        box = Box(k, n)
+        entries = gram(fonarev(box).objects, "euler").entries
+        assert fullness_determinant(box) ** 2 == _bareiss_det([list(r) for r in entries])
+
+    @pytest.mark.parametrize("k,n", [(4, 8), (4, 10), (5, 10)])
+    def test_fonarev_needs_no_fallback(self, k, n, monkeypatch):
+        def refuse(m):
+            raise AssertionError("dense fallback taken")
+
+        monkeypatch.setattr(ktheory, "_bareiss_det", refuse)
+        assert abs(fullness_determinant(Box(k, n))) == 1
+
+
+class TestSparseDet:
+    @pytest.mark.parametrize(
+        "m,det,dense_calls",
+        [
+            ([], 1, 0),
+            ([[2, 3], [4, 5]], -2, 1),  # no +-1 entry: all of it is the fallback
+            ([[0, 0, 1], [2, 3, 5], [4, 5, 7]], -2, 1),  # one pivot, then the fallback
+            ([[1, 2], [2, 4]], 0, 0),  # singular
+            ([[0, 0], [1, 1]], 0, 0),  # zero row
+            ([[1, 0, 1], [0, 1, 1], [1, 1, 2]], 0, 0),  # a row cancels to zero
+            ([[0, 1], [1, 0]], -1, 0),  # odd permutation
+            ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1, 0),  # even permutation
+            ([[0, -1, 0], [0, 0, 1], [1, 0, 0]], -1, 0),
+        ],
+    )
+    def test_planted(self, m, det, dense_calls, monkeypatch):
+        calls = []
+
+        def counted(dense):
+            calls.append(len(dense))
+            return _bareiss_det(dense)
+
+        monkeypatch.setattr(ktheory, "_bareiss_det", counted)
+        assert _bareiss_det([list(r) for r in m]) == det
+        assert _sparse_det([{j: v for j, v in enumerate(row) if v} for row in m]) == det
+        assert len(calls) == dense_calls
 
 
 class TestZeroCombination:

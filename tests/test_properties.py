@@ -1,4 +1,5 @@
-"""Property tests on random boxes G(k,n) with n <= 8.
+"""Property tests on random boxes G(k,n) with n <= 8, and on random sparse
+integer matrices.
 
 Examples are derandomized, so every run draws the same cases.
 """
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from grex.bott import TwistedSchur, euler_char, ext_table
 from grex.diagrams import Box
-from grex.ktheory import class_of, euler_pairing, twist_class
+from grex.ktheory import _bareiss_det, _sparse_det, class_of, euler_pairing, twist_class
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -57,3 +58,18 @@ def test_twist_against_generic_route(e):
     box = e.box
     twisted = TwistedSchur(e.weight, e.twist + 1, box)
     assert twist_class(box, class_of(e)) == class_of(twisted)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Square matrices up to 7 x 7, mostly zero, some entries not +-1."""
+    n = draw(st.integers(0, 7))
+    entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3])
+    return draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(sparse_matrices())
+def test_sparse_det_against_bareiss(m):
+    rows = [{j: v for j, v in enumerate(row) if v} for row in m]
+    assert _sparse_det(rows) == _bareiss_det([list(row) for row in m])
