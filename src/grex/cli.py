@@ -76,10 +76,10 @@ def _pretty(payload, indent: int = 0) -> str:
                 lines.append(f"{pad}{key}:")
                 lines.append(_pretty(val, indent + 1))
             else:
-                lines.append(f"{pad}{key}: {_flat(val)}")
+                lines.append(f"{pad}{key}: {json.dumps(val)}")
         return "\n".join(lines) + ("\n" if indent == 0 else "")
     if isinstance(payload, list):
-        return "\n".join(f"{pad}- {_flat(v)}" for v in payload)
+        return "\n".join(f"{pad}- {json.dumps(v)}" for v in payload)
     return f"{pad}{payload}"
 
 
@@ -89,10 +89,6 @@ def _is_flat(val) -> bool:
             all(isinstance(v, list) and len(v) <= 12 for v in val) and len(val) <= 12
         )
     return False
-
-
-def _flat(val) -> str:
-    return json.dumps(val)
 
 
 def _parse_parts(text: str) -> tuple[int, ...]:

@@ -33,11 +33,18 @@ Richardson + dot-action route is part of the test suite.
 
 All per-box state lives on one context, `_ctx(box)`, and only the box used
 last is kept, so a sweep over many boxes frees each one when it moves on.
-The context holds the basis diagrams, the sparse twist matrix, the twisted
-classes, the validated projector lists and the pairing rows: row (a, t) is
+The context holds the basis diagrams, the sparse twist matrix, one store of
+twisted classes T^i e_lam and the pairing rows: row (a, t) is
 chi(Sigma^a U*(t), Sigma^kappa U*) over every basis kappa, built once by one
 determinant per entry.  The Kapranov Gram matrix is the t = 0 rows, and a
 combination of bundles is zero in K_0 when the sum of its rows is.
+
+Inside the module a class is sparse, {basis index: coefficient}: the twist,
+the pairing sum x_i G[i][j] y_j over nonzeros and the checked Gram-Schmidt
+projection act on that form.  Every residual projector list is a subsequence
+of the chain T^j e_lam, lam in the primitive block and j below the longest
+short orbit.  Semiorthogonality passes to subsequences, so `residual_report`
+checks that chain once, then projects.
 
 The fullness determinant is det of the Fonarev classes T^i e_lam in this
 basis.  That matrix is sparse and rich in +-1 entries, so it is eliminated
@@ -58,7 +65,7 @@ from .diagrams import (
     enumerate_diagrams,
     orbit_length,
 )
-from .lefschetz import fonarev
+from .lefschetz import fenced_block, fonarev, primitive_block
 
 __all__ = [
     "KClass",
@@ -87,8 +94,7 @@ class _Ctx:
         self.index = {w: i for i, w in enumerate(self.weights)}
         self.chis: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}  # (a, t) -> row
         self.h = [1]  # h[m] = h_m(1^n) = C(n+m-1, m), grown on demand
-        self.twisted: dict[tuple, KClass] = {}
-        self.semiorthogonal: set[tuple[KClass, ...]] = set()  # validated projector lists
+        self.twisted: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}  # (w, i) -> T^i e_w
 
     def row(self, a: tuple[int, ...], t: int) -> tuple[int, ...]:
         """chi(Sigma^a U*(t), Sigma^kappa U*) for every basis kappa, in order."""
@@ -124,19 +130,62 @@ class _Ctx:
             cols.append(tuple(col.items()))
         return tuple(cols)
 
-    def twisted_class(self, w: tuple[int, ...], i: int) -> KClass:
-        """[Sigma^w U*(i)] = T^i e_w for a box diagram w and i >= 0."""
-        key = (w, i)
-        c = self.twisted.get(key)
-        if c is None:
-            if i == 0:
-                e = [0] * len(self.weights)
-                e[self.index[w]] = 1
-                c = tuple(e)
-            else:
-                c = twist_class(self.box, self.twisted_class(w, i - 1))
-            self.twisted[key] = c
-        return c
+    def twisted_class(self, w: tuple[int, ...], i: int) -> dict[int, int]:
+        """[Sigma^w U*(i)] = T^i e_w as {basis index: coefficient}, for a box
+        diagram w and i >= 0.  The dict is the stored one: copy it to change it."""
+        if (w, i) not in self.twisted:
+            c = {self.index[w]: 1} if i == 0 else self.apply_twist(self.twisted_class(w, i - 1))
+            self.twisted[w, i] = c
+        return self.twisted[w, i]
+
+    def apply_twist(self, x: dict[int, int]) -> dict[int, int]:
+        """The class of x (x) O(1)."""
+        out: dict[int, int] = {}
+        for j, xj in x.items():
+            for i, c in self.twist[j]:
+                out[i] = out.get(i, 0) + xj * c
+        return {i: v for i, v in out.items() if v}
+
+    def pair(self, x: dict[int, int], y: dict[int, int]) -> int:
+        """The Euler form sum x_i G[i][j] y_j over the nonzeros of x and y."""
+        total = 0
+        for i, xi in x.items():
+            gi = self.gram[i]
+            total += xi * sum(gi[j] * yj for j, yj in y.items())
+        return total
+
+    def check_semiorthogonal(self, projectors: list[dict[int, int]]) -> None:
+        """Raise ValueError unless the list is Euler-unitriangular."""
+        for i, e in enumerate(projectors):
+            if self.pair(e, e) != 1:
+                raise ValueError(f"projector {i} is not exceptional (chi(e,e) != 1)")
+            for j in range(i + 1, len(projectors)):
+                if self.pair(projectors[j], e) != 0:
+                    raise ValueError(
+                        f"projectors {j} > {i} are not semiorthogonal; check the ordering"
+                    )
+
+    def project(self, projectors: list[dict[int, int]], x: dict[int, int]) -> dict[int, int]:
+        """Gram-Schmidt x against a checked semiorthogonal list, last projector
+        first, and check that the result is left-orthogonal to every projector."""
+        y = dict(x)
+        for e in reversed(projectors):
+            if c := self.pair(e, y):
+                for i, v in e.items():
+                    y[i] = y.get(i, 0) - c * v
+        y = {i: v for i, v in y.items() if v}
+        if any(self.pair(e, y) for e in projectors):
+            raise AssertionError("mutation lost orthogonality")
+        return y
+
+    def sparse(self, x: KClass) -> dict[int, int]:
+        """The nonzeros of a coordinate vector over the basis."""
+        if len(x) != len(self.weights):
+            raise ValueError(f"class has {len(x)} coordinates, the basis has {len(self.weights)}")
+        return {i: v for i, v in enumerate(x) if v}
+
+    def dense(self, x: dict[int, int]) -> KClass:
+        return tuple(x.get(i, 0) for i in range(len(self.weights)))
 
     def chi_pair(self, a: tuple[int, ...], t: int, kappa: tuple[int, ...]) -> int:
         """chi(Sigma^a U*(t), Sigma^kappa U*), a and kappa in the box, t <= 0."""
@@ -190,54 +239,26 @@ def class_of(e: TwistedSchur) -> KClass:
 
 def euler_pairing(box: Box, x: KClass, y: KClass) -> int:
     """Bilinear Euler form x^T G y on coordinate vectors."""
-    ys = [(j, yj) for j, yj in enumerate(y) if yj]
-    total = 0
-    for xi, gi in zip(x, kapranov_gram(box)):
-        if xi:
-            total += xi * sum(gi[j] * yj for j, yj in ys)
-    return total
+    ctx = _ctx(box)
+    return ctx.pair(ctx.sparse(x), ctx.sparse(y))
 
 
 def twist_class(box: Box, x: KClass) -> KClass:
     """The class of x (x) O(1)."""
-    out = [0] * len(x)
-    for xj, col in zip(x, _ctx(box).twist):
-        if xj:
-            for i, c in col:
-                out[i] += xj * c
-    return tuple(out)
+    ctx = _ctx(box)
+    return ctx.dense(ctx.apply_twist(ctx.sparse(x)))
 
 
 def mutate_left(box: Box, projectors: list[KClass], x: KClass) -> KClass:
     """Gram-Schmidt x against a semiorthogonal sequence, last projector first.
 
-    Rejects projector lists that are not Euler-unitriangular, and checks
-    that the result is left-orthogonal to every projector.  A list that
-    passes is remembered on the per-box context and not checked again.
+    Every call rejects a projector list that is not Euler-unitriangular, and
+    checks that the result is left-orthogonal to every projector.
     """
-    validated = _ctx(box).semiorthogonal
-    key = tuple(projectors)
-    if key not in validated:
-        for i, e in enumerate(projectors):
-            if euler_pairing(box, e, e) != 1:
-                raise ValueError(f"projector {i} is not exceptional (chi(e,e) != 1)")
-            for j in range(i + 1, len(projectors)):
-                if euler_pairing(box, projectors[j], e) != 0:
-                    raise ValueError(
-                        f"projectors {j} > {i} are not semiorthogonal; check the ordering"
-                    )
-        validated.add(key)
-    y = list(x)
-    for e in reversed(projectors):
-        c = euler_pairing(box, e, tuple(y))
-        if c:
-            for i in range(len(y)):
-                y[i] -= c * e[i]
-    result = tuple(y)
-    for e in projectors:
-        if euler_pairing(box, e, result) != 0:
-            raise AssertionError("mutation lost orthogonality")
-    return result
+    ctx = _ctx(box)
+    es = [ctx.sparse(e) for e in projectors]
+    ctx.check_semiorthogonal(es)
+    return ctx.dense(ctx.project(es, ctx.sparse(x)))
 
 
 def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool:
@@ -312,53 +333,41 @@ def residual_report(box: Box, include_fullness: bool = True) -> ResidualReport:
     The induced polarization acts as x -> mutate(primitive block, x (x) O(1))
     and must cycle the classes, closing up to the sign (-1)^(k(n-k)/d).
     """
-    k, n = box.k, box.n
-    minimal = enumerate_diagrams(box, "minimal_upper")
-    full_block = [d for d in minimal if orbit_length(box, d.parts) == n]
+    ctx = _ctx(box)
+    block = [obj.bundle.weight for obj in primitive_block(box)]
     shorts = [
-        (d, orbit_length(box, d.parts))
-        for d in minimal
-        if orbit_length(box, d.parts) < n
+        (mu, orbit_length(box, mu.parts))
+        for mu in enumerate_diagrams(box, "short_minimal_upper")
     ]
-
-    twisted = _ctx(box).twisted_class
-    primitive = [twisted(lam.parts, 0) for lam in full_block]
-    residual: list[KClass] = []
+    o_max = max((o for _, o in shorts), default=0)
+    chain = [ctx.twisted_class(w, j) for j in range(o_max) for w in block]
+    ctx.check_semiorthogonal(chain)
+    sign_exponents = tuple(box.k * (box.n - box.k) // (box.n // o) for _, o in shorts)
+    residual: list[dict[int, int]] = []
     tau_ok: list[bool] = []
-    sign_exponents: list[int] = []
-    for mu, o in shorts:
-        d = n // o
-        sign_exp = (k * (n - k)) // d
-        sign_exponents.append(sign_exp)
-        fs: list[KClass] = []
-        for i in range(o):
-            projectors = [twisted(lam.parts, j) for j in range(i) for lam in full_block]
-            projectors.extend(
-                twisted(lam.parts, i) for lam in full_block if mu.contains(lam)
+    for (mu, o), sign_exp in zip(shorts, sign_exponents):
+        inside = [obj.bundle.weight for obj in fenced_block(box, mu, "minus")]
+        fs = [
+            ctx.project(
+                chain[: i * len(block)] + [ctx.twisted_class(w, i) for w in inside],
+                ctx.twisted_class(mu.parts, i),
             )
-            fs.append(mutate_left(box, projectors, twisted(mu.parts, i)))
+            for i in range(o)
+        ]
         residual.extend(fs)
-        ok = True
         sign = -1 if sign_exp % 2 else 1
-        for i in range(o):
-            y = mutate_left(box, primitive, twist_class(box, fs[i]))
-            if i < o - 1:
-                ok = ok and y == fs[i + 1]
-            else:
-                ok = ok and y == tuple(sign * v for v in fs[0])
-        tau_ok.append(ok)
+        polarized = [ctx.project(chain[: len(block)], ctx.apply_twist(x)) for x in fs]
+        tau_ok.append(polarized == fs[1:] + [{j: sign * v for j, v in fs[0].items()}])
 
-    gram = tuple(
-        tuple(euler_pairing(box, x, y) for y in residual) for x in residual
-    )
+    gram = tuple(tuple(ctx.pair(x, y) for y in residual) for x in residual)
     det = fullness_determinant(box) if include_fullness else None
     return ResidualReport(
         box=box,
         short_diagrams=tuple(shorts),
-        residual_classes=tuple(residual),
+        residual_classes=tuple(ctx.dense(x) for x in residual),
         residual_gram=gram,
         tau_orbit_ok=tuple(tau_ok),
-        sign_exponents=tuple(sign_exponents),
+        sign_exponents=sign_exponents,
         fullness_det=det,
     )
 
@@ -517,10 +526,7 @@ def fullness_determinant(box: Box) -> int:
     """
     collection = fonarev(box)
     twisted = _ctx(box).twisted_class
-    rows = [
-        {i: v for i, v in enumerate(twisted(obj.bundle.weight, obj.bundle.twist)) if v}
-        for obj in collection.objects
-    ]
+    rows = [dict(twisted(obj.bundle.weight, obj.bundle.twist)) for obj in collection.objects]
     if len(rows) != len(basis(box)):
         raise AssertionError("Fonarev collection size does not match rank of K_0")
     return _sparse_det(rows)

@@ -153,3 +153,64 @@ def ext_table_oracle(box: Box, a: tuple[int, ...], s: int, b: tuple[int, ...], t
             deg, dim = outcome
             table[deg] = table.get(deg, 0) + c * dim
     return {d: v for d, v in table.items() if v}
+
+
+def residual_oracle(box: Box):
+    """Residual classes, their Euler Gram matrix and tau-orbit verdicts on a
+    dense route: each bundle's class by `class_of` (LR + Bott), the pairing
+    x^T G y with G from `euler_char`, and Gram-Schmidt with the last projector
+    first.  A class is kept as a formal combination {(weight, twist): coef} of
+    bundles, so twisting it by O(1) raises every twist and needs no K_0 twist
+    matrix."""
+    from grex.bott import TwistedSchur, euler_char
+    from grex.diagrams import enumerate_diagrams, orbit_length
+    from grex.ktheory import class_of
+
+    k, n = box.k, box.n
+    ws = [d.parts for d in enumerate_diagrams(box, "all")]
+    size = len(ws)
+    g = [[euler_char(TwistedSchur(a, 0, box), TwistedSchur(b, 0, box)) for b in ws] for a in ws]
+    bundle_classes: dict = {}
+
+    def dense(combo: dict) -> list[int]:
+        out = [0] * size
+        for (w, t), coef in combo.items():
+            if (w, t) not in bundle_classes:
+                bundle_classes[(w, t)] = class_of(TwistedSchur(w, t, box))
+            for i, v in enumerate(bundle_classes[(w, t)]):
+                out[i] += coef * v
+        return out
+
+    def pair(x: list[int], y: list[int]) -> int:
+        return sum(x[i] * g[i][j] * y[j] for i in range(size) for j in range(size))
+
+    def mutate(projectors: list, combo: dict) -> dict:
+        combo = dict(combo)
+        for p in reversed(projectors):
+            c = pair(dense({p: 1}), dense(combo))
+            combo[p] = combo.get(p, 0) - c
+        return combo
+
+    minimal = enumerate_diagrams(box, "minimal_upper")
+    block = [d for d in minimal if orbit_length(box, d.parts) == n]
+    residual, tau_ok = [], []
+    for mu in minimal:
+        o = orbit_length(box, mu.parts)
+        if o == n:
+            continue
+        fs = []
+        for i in range(o):
+            projectors = [(lam.parts, j) for j in range(i) for lam in block]
+            projectors += [(lam.parts, i) for lam in block if mu.contains(lam)]
+            fs.append(mutate(projectors, {(mu.parts, i): 1}))
+        residual.extend(fs)
+        sign = (-1) ** (k * (n - k) // (n // o))
+        ends = [dense(f) for f in fs[1:]] + [[sign * v for v in dense(fs[0])]]
+        primitive = [(lam.parts, 0) for lam in block]
+        tau_ok.append(all(
+            dense(mutate(primitive, {(w, t + 1): c for (w, t), c in f.items()})) == end
+            for f, end in zip(fs, ends)
+        ))
+    classes = [dense(f) for f in residual]
+    gram = tuple(tuple(pair(x, y) for y in classes) for x in classes)
+    return tuple(tuple(c) for c in classes), gram, tuple(tau_ok)

@@ -1,7 +1,10 @@
 """K-theory: Gram matrices, classes, mutations, residual reports."""
 
 import gc
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -25,7 +28,7 @@ from grex.ktheory import (
 )
 from grex.lefschetz import fonarev, gram
 from grex.staircase import build_staircase, build_theta_staircase, is_k_exact
-from oracles import dimension_oracle, ext_table_oracle
+from oracles import dimension_oracle, ext_table_oracle, residual_oracle
 
 
 def ts(w, t, box):
@@ -162,6 +165,14 @@ class TestEulerPairing:
             xy = tuple(a + b for a, b in zip(x, y))
             assert euler_pairing(box, xy, z) == euler_pairing(box, x, z) + euler_pairing(box, y, z)
 
+    def test_rejects_wrong_length(self):
+        # on Box(2, 4) a class has 6 coordinates; a short one must not be truncated away
+        box = Box(2, 4)
+        with pytest.raises(ValueError, match="coordinates"):
+            euler_pairing(box, (1,), unit(box, 0))
+        with pytest.raises(ValueError, match="coordinates"):
+            euler_pairing(box, unit(box, 0), unit(box, 0) + (0,))
+
     def test_matches_dense_product(self):
         # the sparse loops against x^T G y over every coordinate
         rng = random.Random(31)
@@ -238,13 +249,27 @@ class TestTwistClass:
         for i, d in enumerate(basis(box)):
             assert twist_class(box, unit(box, i)) == class_of(ts(d.parts, 1, box)), d
 
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="coordinates"):
+            twist_class(Box(2, 4), (1, 0, 0))
+
     @pytest.mark.parametrize("k,n", [(3, 6), (4, 8)])
     def test_fonarev_columns(self, k, n):
         box = Box(k, n)
         ctx = _ctx(box)
         for obj in fonarev(box).objects:
             e = obj.bundle
-            assert ctx.twisted_class(e.weight, e.twist) == class_of(e), e
+            assert ctx.dense(ctx.twisted_class(e.weight, e.twist)) == class_of(e), e
+
+
+def record_checks(monkeypatch):
+    """The length of every list passed to the semiorthogonality check."""
+    lengths = []
+    check = _Ctx.check_semiorthogonal
+    monkeypatch.setattr(
+        _Ctx, "check_semiorthogonal", lambda self, es: lengths.append(len(es)) or check(self, es)
+    )
+    return lengths
 
 
 class TestMutateLeft:
@@ -293,28 +318,67 @@ class TestMutateLeft:
             with pytest.raises(ValueError):
                 mutate_left(box, [(2, 0, 0)], unit(box, 2))
 
-    def test_list_validated_once(self, monkeypatch):
-        import grex.ktheory as kt
-
+    def test_list_validated_on_every_call(self, monkeypatch):
         box = Box(3, 6)
-        primitive = [_ctx(box).twisted_class(w, 0) for w in ((0, 0, 0), (1, 0, 0), (1, 1, 0))]
-        _ctx(box).semiorthogonal.discard(tuple(primitive))
-        calls = []
-        pairing = kt.euler_pairing
-        monkeypatch.setattr(
-            kt, "euler_pairing", lambda *a: calls.append(1) or pairing(*a)
-        )
+        primitive = [unit(box, _ctx(box).index[w]) for w in ((0, 0, 0), (1, 0, 0), (1, 1, 0))]
+        checked = record_checks(monkeypatch)
         x = unit(box, 7)
         first = mutate_left(box, primitive, x)
-        p = len(primitive)
-        # p(p+1)/2 validation pairings, then p projections and p orthogonality checks
-        assert len(calls) == p * (p + 1) // 2 + 2 * p
-        del calls[:]
         assert mutate_left(box, primitive, x) == first
-        assert len(calls) == 2 * p
+        assert checked == [3, 3]
+
+    def test_rejects_wrong_length(self):
+        box = Box(2, 4)
+        e0 = unit(box, 0)
+        with pytest.raises(ValueError, match="coordinates"):
+            mutate_left(box, [(1, 0, 0)], e0)
+        with pytest.raises(ValueError, match="coordinates"):
+            mutate_left(box, [e0], (1, 0, 0))
 
 
 class TestResidualReport:
+    @pytest.mark.parametrize("k,n", [(2, 4), (3, 6), (4, 8), (3, 9)])
+    def test_matches_dense_oracle(self, k, n):
+        report = residual_report(Box(k, n), include_fullness=False)
+        got = (report.residual_classes, report.residual_gram, report.tau_orbit_ok)
+        assert got == residual_oracle(Box(k, n))
+
+    def test_one_chain_check(self, monkeypatch):
+        # G(4,8): a primitive block of 8 and a longest short orbit of 4 make a
+        # 32-class chain; every projector list is a subsequence of it
+        box = Box(4, 8)
+        checked, dense = record_checks(monkeypatch), []
+        to_dense = _Ctx.dense
+        monkeypatch.setattr(_Ctx, "dense", lambda self, x: dense.append(1) or to_dense(self, x))
+        report = residual_report(box, include_fullness=False)
+        assert checked == [32]
+        # the returned classes are the only dense vectors built
+        assert len(dense) == len(report.residual_classes) == 6
+        fullness_determinant(box)
+        assert len(dense) == 6
+
+    @pytest.mark.parametrize("flags", [(), ("-O",)])
+    def test_non_semiorthogonal_chain_raises(self, flags):
+        # the primitive block reversed puts chi(O, Sigma^lam U*) != 0 below the
+        # diagonal; python -O strips assert statements, and the check is not one
+        probe = (
+            "from grex import ktheory\n"
+            "from grex.diagrams import Box\n"
+            "block = ktheory.primitive_block\n"
+            "ktheory.primitive_block = lambda box: tuple(reversed(block(box)))\n"
+            "try:\n"
+            "    ktheory.residual_report(Box(3, 6), include_fullness=False)\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError:', exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ktheory.__file__)))
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", probe], capture_output=True, text=True, env=env,
+            timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("ValueError:") and "not semiorthogonal" in out.stdout
+
     def test_g24(self):
         report = residual_report(Box(2, 4))
         assert len(report.residual_classes) == 2
@@ -379,8 +443,11 @@ class TestConeClassConsistency:
 
 def dense_fonarev_matrix(box):
     """Column j holds the class of the j-th Fonarev object."""
-    twisted = _ctx(box).twisted_class
-    cols = [twisted(o.bundle.weight, o.bundle.twist) for o in fonarev(box).objects]
+    ctx = _ctx(box)
+    cols = [
+        ctx.dense(ctx.twisted_class(o.bundle.weight, o.bundle.twist))
+        for o in fonarev(box).objects
+    ]
     return [[c[i] for c in cols] for i in range(len(cols))]
 
 
