@@ -7,6 +7,9 @@ cohomology representation off the sorted weight.
 
 `ext_table` reduces Ext^*(Sigma^a U*(s), Sigma^b U*(t)) to bundle cohomology
 through the Littlewood-Richardson expansion of Sigma^dual(a) (x) Sigma^b.
+`_ext_of` is the one loop that sums Bott outcomes over such an expansion;
+`lefschetz.gram` calls it too, with a memo of outcomes that lives for one
+Gram check.  Nothing here keeps state between calls.
 
 `euler_char` is the alternating sum of that table.  Every dimension comes
 from the Weyl dimension formula `schur.dimension` of the sorted GL(n) weight.
@@ -114,17 +117,8 @@ class ExtTable:
         return f"ExtTable({self.dims!r})"
 
 
-# Kept on purpose: in the Fonarev G(4,11) Gram check 98 % of the ~210k calls
-# hit 4548 keys, and without the cache that stage runs about 3x slower.
-_BOTT_CACHE: dict[tuple, BottOutcome] = {}
-
-
 def bott(box: Box, nu: tuple[int, ...]) -> BottOutcome:
     """Cohomology of Sigma^nu U* on G(k,n): at most one non-vanishing degree."""
-    key = (box, nu)
-    hit = _BOTT_CACHE.get(key)
-    if hit is not None:
-        return hit
     check_weight(nu)
     k, n = box.k, box.n
     if len(nu) != k:
@@ -132,7 +126,6 @@ def bott(box: Box, nu: tuple[int, ...]) -> BottOutcome:
     rho = range(n - 1, -1, -1)
     gamma = [x + r for x, r in zip(list(nu) + [0] * (n - k), rho)]
     if len(set(gamma)) < n:
-        _BOTT_CACHE[key] = _ACYCLIC
         return _ACYCLIC
     inversions = 0
     for i in range(n):
@@ -143,25 +136,33 @@ def bott(box: Box, nu: tuple[int, ...]) -> BottOutcome:
         raise AssertionError("dot-action degree exceeded dim G(k,n)")
     sorted_gamma = sorted(gamma, reverse=True)
     gln = tuple(g - r for g, r in zip(sorted_gamma, range(n - 1, -1, -1)))
-    dim = dimension(gln, n)
-    out = BottOutcome(inversions, gln, dim)
-    _BOTT_CACHE[key] = out
-    return out
+    return BottOutcome(inversions, gln, dimension(gln, n))
+
+
+def _ext_of(box: Box, expansion: dict, t: int, outcomes: dict) -> ExtTable:
+    """Ext table of H^*(Sigma^nu U*(t)) summed over an LR expansion {nu: mult}.
+
+    `outcomes` memoizes `bott` by twisted weight; callers that resolve many
+    twists of many expansions on one box share it.
+    """
+    dims: dict[int, int] = {}
+    for nu, mult in expansion.items():
+        nu = tuple(x + t for x in nu)
+        outcome = outcomes.get(nu)
+        if outcome is None:
+            outcome = outcomes[nu] = bott(box, nu)
+        if not outcome.acyclic:
+            d = outcome.degree
+            dims[d] = dims.get(d, 0) + mult * outcome.dim
+    return ExtTable(dims)
 
 
 def ext_table(e: TwistedSchur, f: TwistedSchur) -> ExtTable:
     """Graded dimensions of Ext^*(E, F) for twisted Schur bundles on one box."""
     if e.box != f.box:
         raise ValueError("bundles live on different boxes")
-    box = e.box
-    t = f.twist - e.twist
-    dims: dict[int, int] = {}
-    for nu, mult in lr_product(dualize(e.weight), f.weight).items():
-        outcome = bott(box, tuple(x + t for x in nu))
-        if not outcome.acyclic:
-            d = outcome.degree
-            dims[d] = dims.get(d, 0) + mult * outcome.dim
-    return ExtTable(dims)
+    expansion = lr_product(dualize(e.weight), f.weight)
+    return _ext_of(e.box, expansion, f.twist - e.twist, {})
 
 
 def euler_char(e: TwistedSchur, f: TwistedSchur) -> int:

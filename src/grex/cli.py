@@ -48,8 +48,6 @@ def _emit(payload, args, *, csv_rows=None) -> None:
     if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
-        if csv_rows is None:
-            raise SystemExit(_fail("csv output is not available for this command"))
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in csv_rows:
@@ -391,10 +389,12 @@ def cmd_report(args) -> int:
     return 0 if payload["pass"] else 1
 
 
-def _add_common(sub, *, jobs=True):
+def _add_common(sub, *, jobs=True, csv=False):
+    # csv only where there is a matrix to write; elsewhere argparse rejects it
     sub.add_argument("--k", type=int, required=False)
     sub.add_argument("--n", type=int, required=False)
-    sub.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
+    formats = ("json", "csv", "pretty") if csv else ("json", "pretty")
+    sub.add_argument("--format", choices=formats, default="json")
     sub.add_argument("--output", default=None, help="write output to a file")
     if jobs:
         # None means "not given": main() then reads GREX_JOBS
@@ -434,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_ext)
 
     p = subs.add_parser("gram", help="Gram matrix and semiorthogonality check")
-    _add_common(p)
+    _add_common(p, csv=True)
     p.add_argument("--style", choices=("fonarev", "kapranov"), default="fonarev")
     p.add_argument("--mode", choices=("euler", "full_ext"), default="full_ext")
     p.set_defaults(fn=cmd_gram)
@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_staircase)
 
     p = subs.add_parser("residual", help="residual classes, Gram matrix and twist orbit")
-    _add_common(p, jobs=False)
+    _add_common(p, jobs=False, csv=True)
     p.set_defaults(fn=cmd_residual)
 
     p = subs.add_parser("fullness", help="K-theory fullness determinant")

@@ -10,7 +10,6 @@ the word, which is what the orbit-counting argument uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, gcd
 
 __all__ = [
@@ -126,16 +125,6 @@ def _word(d: BoxedDiagram) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _orbit_length_of_parts(parts: tuple[int, ...], box: Box) -> int:
-    d = BoxedDiagram(parts, box)
-    word = _word(d)
-    n = box.n
-    for r in range(1, n + 1):
-        if n % r == 0 and word[-r:] + word[:-r] == word:
-            return r
-    raise AssertionError("unreachable: n-fold rotation is the identity")
-
-
 def orbit_of(d: BoxedDiagram) -> Orbit:
     """The cyclic orbit through d, with the minimal upper triangular representative."""
     members = [d]
@@ -205,7 +194,7 @@ def enumerate_diagrams(box: Box, selection: str = "all") -> list[BoxedDiagram]:
             if is_minimal_upper_triangular(d):
                 if selection == "minimal_upper":
                     out.append(d)
-                elif _orbit_length_of_parts(parts, box) < box.n:
+                elif orbit_length(box, parts) < box.n:
                     out.append(d)
     return out
 
@@ -241,7 +230,7 @@ def residual_rank(box: Box, method: str = "mobius") -> int:
         return sum(
             1
             for parts in _ascending_parts(k, box.width)
-            if _orbit_length_of_parts(parts, box) < n
+            if orbit_length(box, parts) < n
         )
     raise ValueError(f"unknown method {method!r}")
 
@@ -263,7 +252,11 @@ def non_minimal_upper(box: Box) -> list[BoxedDiagram]:
     ]
 
 
-@lru_cache(maxsize=None)
 def orbit_length(box: Box, parts: tuple[int, ...]) -> int:
-    """Orbit length of the diagram with these parts (cached)."""
-    return _orbit_length_of_parts(parts, box)
+    """Orbit length of the diagram with these parts: the least period of its word."""
+    word = _word(BoxedDiagram(parts, box))
+    n = box.n
+    for r in range(1, n + 1):
+        if n % r == 0 and word[-r:] + word[:-r] == word:
+            return r
+    raise AssertionError("unreachable: n-fold rotation is the identity")

@@ -266,7 +266,8 @@ def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool
 
     Tested by summing the pairing rows of the terms: the pairings against
     every basis object determine a class uniquely (the Gram matrix is
-    uni-triangular).  All bundles must reduce to a non-positive twist.
+    uni-triangular).  Every bundle, with a positive twist absorbed into its
+    weight, must have its weight inside the box; otherwise ValueError.
     """
     ctx = _ctx(box)
     total = [0] * len(ctx.weights)
@@ -280,8 +281,8 @@ def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool
             # pairing argument needs t <= (n-k) - w_1, which then holds
             w = tuple(x + t for x in w)
             t = 0
-            if w[0] > box.width:
-                raise ValueError(f"bundle {bundle} does not fit the pairing fast path")
+        if w[0] > box.width:
+            raise ValueError(f"bundle {bundle} does not fit the pairing fast path")
         total = [s + coef * v for s, v in zip(total, ctx.row(w, t))]
     return not any(total)
 

@@ -13,7 +13,9 @@ flow: violations are collected and returned, never raised.
 which depends only on the triple (a, b, t-s).  Fonarev's collection repeats
 each weight at many twists, so `gram` computes one Ext table per distinct
 triple (1300 tables for the 7385 ordered pairs of G(4,8)) and reads every
-pair from it.
+pair from it.  The triples are grouped by weight pair: one LR expansion per
+(a, b), and one `bott` evaluation per distinct twisted weight, memoized in a
+dict that lives for the one call.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .bott import TwistedSchur, ext_table
+from .bott import TwistedSchur, _ext_of
 from .diagrams import Box, BoxedDiagram, enumerate_diagrams, orbit_length
+from .schur import dualize, lr_product
 
 __all__ = [
     "CollectionObject",
@@ -180,10 +183,15 @@ def gram(
     if any(e.box != box for e in bundles):
         raise ValueError("bundles live on different boxes")
     keys = [[(e.weight, f.weight, f.twist - e.twist) for f in bundles] for e in bundles]
-    table = {
-        (a, b, t): ext_table(TwistedSchur(a, 0, box), TwistedSchur(b, t, box))
-        for a, b, t in dict.fromkeys(key for row in keys for key in row)
-    }
+    twists: dict[tuple, list[int]] = {}
+    for a, b, t in dict.fromkeys(key for row in keys for key in row):
+        twists.setdefault((a, b), []).append(t)
+    outcomes = {}
+    table = {}
+    for (a, b), ts in twists.items():
+        expansion = lr_product(dualize(a), b)
+        for t in ts:
+            table[a, b, t] = _ext_of(box, expansion, t, outcomes)
     chi = {key: t.euler() for key, t in table.items()}
     entries = tuple(tuple(chi[key] for key in row) for row in keys)
     violations: list[Violation] = []

@@ -27,12 +27,6 @@ def dualize(w: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-x for x in reversed(w))
 
 
-# Finished expansions of lr_product, keyed by its checked argument pair and
-# already shifted back, so each distinct pair is expanded and re-twisted once.
-# lr_product hands out copies, so callers never see or mutate a cached dict.
-_LR_CACHE: dict[tuple, dict] = {}
-
-
 def _lr_core(alpha: tuple[int, ...], beta: tuple[int, ...], k: int) -> dict:
     """LR expansion of two non-negative weights of length k.
 
@@ -89,17 +83,13 @@ def lr_product(a: tuple[int, ...], b: tuple[int, ...]) -> dict[tuple[int, ...], 
     by determinant twists and every output is shifted back.
     """
     a, b = check_weight(a), check_weight(b)
-    cached = _LR_CACHE.get((a, b))
-    if cached is None:
-        if len(a) != len(b):
-            raise ValueError(f"weights of different lengths: {a} vs {b}")
-        sa = -a[-1] if a[-1] < 0 else 0
-        sb = -b[-1] if b[-1] < 0 else 0
-        core = _lr_core(twist(a, sa), twist(b, sb), len(a))
-        s = sa + sb
-        cached = {twist(nu, -s): c for nu, c in core.items()} if s else core
-        _LR_CACHE[(a, b)] = cached
-    return dict(cached)
+    if len(a) != len(b):
+        raise ValueError(f"weights of different lengths: {a} vs {b}")
+    sa = -a[-1] if a[-1] < 0 else 0
+    sb = -b[-1] if b[-1] < 0 else 0
+    core = _lr_core(twist(a, sa), twist(b, sb), len(a))
+    s = sa + sb
+    return {twist(nu, -s): c for nu, c in core.items()} if s else core
 
 
 def dimension(w: tuple[int, ...], m: int) -> int:

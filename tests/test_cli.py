@@ -1,5 +1,6 @@
 """CLI: commands, exit codes, output formats, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -209,6 +210,58 @@ class TestReport:
         _, out, _ = run(capsys, "report", "--k", "2", "--n", "4", "--format", "json")
         data = json.loads(out)
         assert json.loads(json.dumps(data)) == data
+
+    def test_csv_rejected_before_any_stage(self, capsys, monkeypatch):
+        import grex.cli as cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the report ran before csv was rejected")
+
+        monkeypatch.setattr(cli, "full_report", no_work)
+        code, out, err = run(capsys, "report", "--k", "2", "--n", "4", "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert "csv" in err
+
+    def test_ext_path_keeps_no_module_state(self):
+        import importlib
+
+        from grex.cli import full_report
+        from grex.diagrams import Box
+
+        full_report(Box(3, 6))
+        full_report(Box(2, 5))
+        for name in ("grex.bott", "grex.schur", "grex.diagrams"):
+            module = importlib.import_module(name)
+            for attr, value in vars(module).items():
+                if attr.startswith("__"):
+                    continue
+                assert not (isinstance(value, dict) and value), f"{name}.{attr}"
+                assert not hasattr(value, "cache_info"), f"{name}.{attr}"
+
+
+class TestGoldenOutput:
+    """sha256 of stdout.  No other test pins every Ext entry and verdict of
+    these Gram checks and reports, so any change in them shows here."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (("report", "--k", "3", "--n", "6"),
+             "58d171023e6b37a676b5e9cb35d6ceb88dd26bfc5d0ff937282989c3ad9add5d"),
+            (("report", "--k", "4", "--n", "8"),
+             "77cd953f68b71cff21d98b5a1bbf252e1c882f24ec0b8ea1eaae0f5bf788ef1f"),
+            (("gram", "--k", "4", "--n", "8", "--style", "fonarev", "--mode", "full_ext"),
+             "63dc7429b106944dbf17d6dc412c5e4721f163a8dd91f348dcc9faeb54494ecb"),
+            (("gram", "--k", "3", "--n", "6", "--style", "kapranov", "--mode", "full_ext"),
+             "62728b5c3ce76f3f5c5768eee4423e9f15e6c894de6723f3f02d362d131ba36f"),
+        ],
+        ids=["report_g36", "report_g48", "gram_fonarev_g48", "gram_kapranov_g36"],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestFreshInterpreter:

@@ -525,3 +525,18 @@ class TestZeroCombination:
         combo = sc.k_class_combination()
         combo[1] = (combo[1][0] + 1, combo[1][1])
         assert not is_zero_combination(box, combo)
+
+    def test_out_of_box_weight_rejected(self):
+        box = Box(2, 4)
+        with pytest.raises(ValueError):
+            is_zero_combination(box, [(1, ts((3, 0), 0, box))])
+
+    def test_out_of_box_zero_combination_rejected(self):
+        # [S^(3,0)U*] = 4 e_(0,0) - 6 e_(1,0) + 4 e_(2,0) by class_of, so this
+        # combination vanishes; the pairing rows cannot say so for (3,0)
+        box = Box(2, 4)
+        assert class_of(ts((3, 0), 0, box)) == (4, -6, 0, 4, 0, 0)
+        combo = [(1, ts((3, 0), 0, box)), (-4, ts((0, 0), 0, box)),
+                 (6, ts((1, 0), 0, box)), (-4, ts((2, 0), 0, box))]
+        with pytest.raises(ValueError):
+            is_zero_combination(box, combo)

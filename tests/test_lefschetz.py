@@ -1,5 +1,6 @@
 """Collections: construction, support partitions, semiorthogonality."""
 
+import importlib
 import random
 from math import comb
 
@@ -202,11 +203,17 @@ class TestGramDedup:
         assert result.violations == violations
         assert gram(objects, mode="euler", jobs=jobs).entries == entries
 
-    def test_one_ext_table_per_triple(self, monkeypatch):
-        calls = []
-        table = grex.lefschetz.ext_table
+    def test_one_lr_product_per_pair_and_one_bott_per_weight(self, monkeypatch):
+        from grex.schur import dualize, lr_product
+
+        bott_module = importlib.import_module("grex.bott")  # grex.bott is the function
+        pairs, weights = [], []
+        lr, bott = grex.lefschetz.lr_product, bott_module.bott
         monkeypatch.setattr(
-            grex.lefschetz, "ext_table", lambda e, f: calls.append(1) or table(e, f)
+            grex.lefschetz, "lr_product", lambda a, b: pairs.append((a, b)) or lr(a, b)
+        )
+        monkeypatch.setattr(
+            bott_module, "bott", lambda box, nu: weights.append(nu) or bott(box, nu)
         )
         objects = fonarev(Box(4, 8)).objects
         triples = {
@@ -216,7 +223,14 @@ class TestGramDedup:
         }
         assert gram(objects, mode="full_ext").violations == ()
         assert len(triples) == 1300
-        assert len(calls) == 1300  # not len(objects)**2 + C(len(objects) + 1, 2)
+        assert sorted(pairs) == sorted({(dualize(a), b) for a, b, _ in triples})
+        twisted = {
+            tuple(x + t for x in nu)
+            for a, b, t in triples
+            for nu in lr_product(dualize(a), b)
+        }
+        assert len(weights) == len(twisted)
+        assert set(weights) == twisted
 
     def test_jobs_starts_no_pool(self, monkeypatch):
         import multiprocessing
