@@ -6,7 +6,7 @@ the K-theory of mutations and residual classes, and staircase resolutions,
 with a CLI that emits machine-readable verification reports.
 """
 
-from .bott import BottOutcome, ExtTable, TwistedSchur, bott, euler_char, ext_table
+from .bott import BottOutcome, ExtTable, TwistedSchur, euler_char, ext_table
 from .diagrams import (
     Box,
     BoxedDiagram,

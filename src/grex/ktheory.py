@@ -27,17 +27,21 @@ function at the point 1^n.  By the Jacobi-Trudi identity (Macdonald,
                                        = det[h_{lam_i - a_j - i + j}(1^n)],
 
 a k x k integer determinant with h_m(1^n) = C(n+m-1, m) and h_m = 0 for
-m < 0.  That identity powers the Gram matrix and the zero-class tests that
-the staircase checks hammer on; its agreement with the generic Littlewood-
-Richardson + dot-action route is part of the test suite.
+m < 0.  Its agreement with the generic Littlewood-Richardson + dot-action
+route is part of the test suite.
+
+Pairings come in rows: row (a, t) holds chi(Sigma^a U*(t), Sigma^kappa U*)
+for every basis kappa and is built once, by one walk over the kappa that
+contain a + t carrying one fraction-free (Bareiss) elimination; every other
+kappa pairs to 0.  No pivoting is needed, as every pivot is a skew Schur
+value at 1^n, so at least 1 (`_Ctx.pairing_row`).  The Kapranov Gram matrix
+is the t = 0 rows, and a combination of bundles is zero in K_0 when the sum
+of its rows is, which is what the staircase checks hammer on.
 
 All per-box state lives on one context, `_ctx(box)`, and only the box used
 last is kept, so a sweep over many boxes frees each one when it moves on.
 The context holds the basis diagrams, the sparse twist matrix, one store of
-twisted classes T^i e_lam and the pairing rows: row (a, t) is
-chi(Sigma^a U*(t), Sigma^kappa U*) over every basis kappa, built once by one
-determinant per entry.  The Kapranov Gram matrix is the t = 0 rows, and a
-combination of bundles is zero in K_0 when the sum of its rows is.
+twisted classes T^i e_lam and the pairing rows.
 
 Inside the module a class is sparse, {basis index: coefficient}: the twist,
 the pairing sum x_i G[i][j] y_j over nonzeros and the checked Gram-Schmidt
@@ -101,8 +105,53 @@ class _Ctx:
         key = (a, t)
         r = self.chis.get(key)
         if r is None:
-            r = self.chis[key] = tuple(self.chi_pair(a, t, kappa) for kappa in self.weights)
+            r = self.chis[key] = self.pairing_row(a, t)
         return r
+
+    def pairing_row(self, a: tuple[int, ...], t: int) -> tuple[int, ...]:
+        """s_{lam/a}(1^n), lam = kappa(-t), over the basis: a in the box, t <= 0.
+
+        Walks the kappa containing a + t depth-first, bottom row first.  Depth
+        i adds row i of the row- and column-reversed Jacobi-Trudi matrix,
+        h_{lam_{k-1-i} - a_{k-1-j} + i - j}, and reduces it by Bareiss steps
+        against the pivot rows of the nodes above, so its i-th entry is the
+        leading (i+1)-minor and a leaf's is the determinant.  That minor is
+        the bottom-right one of the Jacobi-Trudi matrix, with m = k-1-i
+        s_{lam_{>=m}/a_{>=m}}(1^n) for a valid skew shape of at most k < n
+        rows: it counts at least one tableau, so no pivoting is needed, and
+        a zero pivot raises AssertionError.
+        """
+        k, n, width = self.box.k, self.box.n, self.box.width
+        h = self.h
+        for m in range(len(h), width - t + k):
+            h.append(h[-1] * (n + m - 1) // m)
+        off = [x + j for j, x in enumerate(reversed(a))]  # a_{k-1-j} + j
+        index = self.index
+        out = [0] * len(self.weights)
+        pivots: list[list[int]] = []  # the reduced rows of the nodes above
+
+        def walk(i: int, lo: int, tail: tuple[int, ...]) -> None:
+            leaf = i == k - 1
+            for c in range(max(lo, off[i] - i + t), width + 1):
+                top = c - t + i  # lam_{k-1-i} + i
+                x = [h[d] if (d := top - o) >= 0 else 0 for o in off]
+                prev = 1
+                for r, p in enumerate(pivots):
+                    xr, pr = x[r], p[r]
+                    for j in range(r + 1, k):
+                        x[j] = (pr * x[j] - xr * p[j]) // prev
+                    prev = pr
+                if leaf:
+                    out[index[(c, *tail)]] = x[i]
+                    continue
+                if not x[i]:
+                    raise AssertionError(f"zero Jacobi-Trudi pivot at row {i} for a={a}, t={t}")
+                pivots.append(x)
+                walk(i + 1, c, (c, *tail))
+                pivots.pop()
+
+        walk(0, 0, ())
+        return tuple(out)
 
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
@@ -186,21 +235,6 @@ class _Ctx:
 
     def dense(self, x: dict[int, int]) -> KClass:
         return tuple(x.get(i, 0) for i in range(len(self.weights)))
-
-    def chi_pair(self, a: tuple[int, ...], t: int, kappa: tuple[int, ...]) -> int:
-        """chi(Sigma^a U*(t), Sigma^kappa U*), a and kappa in the box, t <= 0."""
-        k = self.box.k
-        lam = [x - t for x in kappa]
-        if any(a[i] > lam[i] for i in range(k)):
-            return 0
-        h = self.h
-        n = self.box.n
-        for m in range(len(h), lam[0] - a[-1] + k):
-            h.append(h[-1] * (n + m - 1) // m)
-        return _bareiss_det([
-            [h[d] if (d := lam[i] - a[j] - i + j) >= 0 else 0 for j in range(k)]
-            for i in range(k)
-        ])
 
 
 @lru_cache(maxsize=1)
@@ -374,7 +408,8 @@ def residual_report(box: Box, include_fullness: bool = True) -> ResidualReport:
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant of a square integer matrix.
+    """Fraction-free determinant of a square integer matrix: the fallback of
+    `_sparse_det` for a remainder without a +-1 entry.
 
     Overwrites the rows of `m` (and swaps them) with elimination values, so
     callers pass a matrix they do not need again.

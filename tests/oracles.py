@@ -7,6 +7,9 @@ leading term.  Slow and simple on purpose.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import comb
+
 from grex.diagrams import Box
 
 
@@ -99,6 +102,32 @@ def dimension_oracle(w: tuple[int, ...], m: int) -> int:
     """Representation dimension as a count of semistandard tableaux."""
     shift = -min(w[-1], 0) if w else 0
     return sum(ssyt_contents(tuple(x + shift for x in w), m).values())
+
+
+def jacobi_trudi_oracle(n: int, a: tuple[int, ...], lam: tuple[int, ...]) -> int:
+    """s_{lam/a}(1^n) as det[h_{lam_i - a_j - i + j}(1^n)], one determinant by
+    Gaussian elimination over the rationals with row swaps."""
+    k = len(lam)
+    m = [
+        [Fraction(comb(n + d - 1, d)) if (d := lam[i] - a[j] - i + j) >= 0 else Fraction(0)
+         for j in range(k)]
+        for i in range(k)
+    ]
+    det = Fraction(1)
+    for c in range(k):
+        r = next((r for r in range(c, k) if m[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            m[c], m[r] = m[r], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, k):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    if det.denominator != 1:
+        raise AssertionError(f"Jacobi-Trudi determinant {det} is not an integer")
+    return int(det)
 
 
 def bott_oracle(box: Box, nu: tuple[int, ...]):

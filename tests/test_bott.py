@@ -1,6 +1,7 @@
 """Dot-action cohomology: convention anchors, Ext tables, Serre duality."""
 
 import random
+import types
 from math import gcd
 
 import pytest
@@ -198,3 +199,11 @@ class TestSerialization:
         box = Box(3, 6)
         r = ts((3, 2, 1), 0, box).reduced()
         assert r.weight == (2, 1, 0) and r.twist == 1
+
+
+class TestPackageNamespace:
+    def test_grex_bott_is_the_module(self):
+        import grex
+
+        assert isinstance(grex.bott, types.ModuleType)
+        assert grex.bott.bott is bott

@@ -64,8 +64,13 @@ def oracle_euler(box, a, t, kappa):
     return sum(v if d % 2 == 0 else -v for d, v in table.items())
 
 
+def chi(ctx, a, t, kappa):
+    """chi(Sigma^a U*(t), Sigma^kappa U*), read off the pairing row of (a, t)."""
+    return ctx.row(a, t)[ctx.index[kappa]]
+
+
 class TestChiPair:
-    """The Jacobi-Trudi pairing against routes that share none of its code."""
+    """Pairing-row entries against routes that share none of their code."""
 
     @pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (3, 7)])
     def test_negative_twist_against_oracle_and_generic_route(self, k, n):
@@ -76,7 +81,7 @@ class TestChiPair:
         for _ in range(25):
             a, kappa = rng.choice(ws), rng.choice(ws)
             t = rng.randint(-2, -1)
-            got = ctx.chi_pair(a, t, kappa)
+            got = chi(ctx, a, t, kappa)
             assert got == oracle_euler(box, a, t, kappa), (a, t, kappa)
             assert got == euler_char(ts(a, t, box), ts(kappa, 0, box)), (a, t, kappa)
 
@@ -85,31 +90,39 @@ class TestChiPair:
         box = Box(2, 5)
         ctx = _ctx(box)
         for a, kappa in [((3, 1), (0, 0)), ((0, 0), (3, 3)), ((2, 2), (1, 0))]:
-            got = ctx.chi_pair(a, -20, kappa)
+            got = chi(ctx, a, -20, kappa)
             assert got == euler_char(ts(a, -20, box), ts(kappa, 0, box))
             assert got > 0
 
     def test_empty_skew_shape(self):
-        assert _ctx(Box(2, 5)).chi_pair((2, 1), 0, (2, 1)) == 1
-        assert _ctx(Box(3, 7)).chi_pair((3, 3, 2), -1, (2, 2, 1)) == 1
+        assert chi(_ctx(Box(2, 5)), (2, 1), 0, (2, 1)) == 1
+        assert chi(_ctx(Box(3, 7)), (3, 3, 2), -1, (2, 2, 1)) == 1
 
     def test_not_contained_is_zero(self):
         box = Box(2, 5)
-        assert _ctx(box).chi_pair((3, 0), 0, (2, 1)) == 0
+        assert chi(_ctx(box), (3, 0), 0, (2, 1)) == 0
         assert euler_char(ts((3, 0), 0, box), ts((2, 1), 0, box)) == 0
 
     def test_straight_shape_is_a_dimension(self):
-        box = Box(3, 7)
-        assert _ctx(box).chi_pair((0, 0, 0), 0, (3, 2, 1)) == dimension_oracle((3, 2, 1), 7)
-        assert _ctx(box).chi_pair((0, 0, 0), -1, (2, 1, 0)) == dimension_oracle((3, 2, 1), 7)
+        ctx = _ctx(Box(3, 7))
+        assert chi(ctx, (0, 0, 0), 0, (3, 2, 1)) == dimension_oracle((3, 2, 1), 7)
+        assert chi(ctx, (0, 0, 0), -1, (2, 1, 0)) == dimension_oracle((3, 2, 1), 7)
 
     def test_large_rank_against_generic_route(self):
         box = Box(12, 14)
         a = (1,) + (0,) * 11
         kappa = (1,) * 6 + (0,) * 6
-        got = _ctx(box).chi_pair(a, -1, kappa)
+        got = chi(_ctx(box), a, -1, kappa)
         assert got > 0
         assert got == euler_char(ts(a, -1, box), ts(kappa, 0, box))
+
+    def test_zero_pivot_raises(self):
+        # a corrupt table with h_m = 0 for m >= 1 zeroes the pivot of every
+        # kappa_1 > a_1; that is a verdict, not a ZeroDivisionError
+        ctx = _Ctx(Box(2, 4))
+        ctx.h = [1, 0, 0, 0, 0]
+        with pytest.raises(AssertionError, match="zero Jacobi-Trudi pivot"):
+            ctx.row((1, 1), 0)
 
     def test_g25_gram_values(self):
         g = kapranov_gram(Box(2, 5))
@@ -210,20 +223,19 @@ class TestContext:
         box = Box(4, 8)
         _ctx.cache_clear()
         ctx = _ctx(box)
-        seen = []
-        pair = _Ctx.chi_pair
+        built = []
+        build = _Ctx.pairing_row
 
-        def recorded(self, a, t, kappa):
-            seen.append((a, t, kappa))
-            return pair(self, a, t, kappa)
+        def recorded(self, a, t):
+            built.append((a, t))
+            return build(self, a, t)
 
-        monkeypatch.setattr(_Ctx, "chi_pair", recorded)
+        monkeypatch.setattr(_Ctx, "pairing_row", recorded)
         self.check_staircases(box)
         assert _ctx(box) is ctx
-        assert len(set(seen)) == len(seen)
-        # 35 staircases need 105 rows of 70 pairings each
-        assert len(ctx.chis) == 105
-        assert len(seen) == len(ctx.chis) * len(ctx.weights) == 7350
+        # the 35 staircases of G(4,8) need 105 distinct rows
+        assert len(built) == len(set(built)) == 105
+        assert set(built) == set(ctx.chis)
 
     def test_gram_is_the_untwisted_rows(self):
         # one copy: the Gram rows are the cached pairing rows themselves

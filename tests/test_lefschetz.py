@@ -1,11 +1,11 @@
 """Collections: construction, support partitions, semiorthogonality."""
 
-import importlib
 import random
 from math import comb
 
 import pytest
 
+import grex.bott
 import grex.lefschetz
 from grex.bott import TwistedSchur, euler_char, ext_table
 from grex.diagrams import Box, BoxedDiagram, enumerate_diagrams
@@ -206,14 +206,13 @@ class TestGramDedup:
     def test_one_lr_product_per_pair_and_one_bott_per_weight(self, monkeypatch):
         from grex.schur import dualize, lr_product
 
-        bott_module = importlib.import_module("grex.bott")  # grex.bott is the function
         pairs, weights = [], []
-        lr, bott = grex.lefschetz.lr_product, bott_module.bott
+        lr, bott = grex.lefschetz.lr_product, grex.bott.bott
         monkeypatch.setattr(
             grex.lefschetz, "lr_product", lambda a, b: pairs.append((a, b)) or lr(a, b)
         )
         monkeypatch.setattr(
-            bott_module, "bott", lambda box, nu: weights.append(nu) or bott(box, nu)
+            grex.bott, "bott", lambda box, nu: weights.append(nu) or bott(box, nu)
         )
         objects = fonarev(Box(4, 8)).objects
         triples = {

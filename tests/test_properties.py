@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from grex.bott import TwistedSchur, euler_char, ext_table
 from grex.diagrams import Box
-from grex.ktheory import _bareiss_det, _sparse_det, class_of, euler_pairing, twist_class
+from grex.ktheory import _bareiss_det, _ctx, _sparse_det, class_of, euler_pairing, twist_class
+from oracles import jacobi_trudi_oracle
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -58,6 +59,27 @@ def test_twist_against_generic_route(e):
     box = e.box
     twisted = TwistedSchur(e.weight, e.twist + 1, box)
     assert twist_class(box, class_of(e)) == class_of(twisted)
+
+
+@st.composite
+def rows(draw):
+    """A box, a diagram a of it and a twist -3 <= t <= 0."""
+    box = draw(boxes())
+    a = draw(st.lists(st.integers(0, box.width), min_size=box.k, max_size=box.k))
+    return box, tuple(sorted(a, reverse=True)), draw(st.integers(-3, 0))
+
+
+@PROPERTY
+@given(rows())
+def test_pairing_row_against_jacobi_trudi(case):
+    # every entry is one Jacobi-Trudi determinant, positive exactly on the
+    # kappa with a inside kappa - t
+    box, a, t = case
+    ctx = _ctx(box)
+    for kappa, got in zip(ctx.weights, ctx.row(a, t), strict=True):
+        lam = tuple(x - t for x in kappa)
+        assert got == jacobi_trudi_oracle(box.n, a, lam), (kappa, got)
+        assert (got > 0) == all(x <= y for x, y in zip(a, lam)), (kappa, got)
 
 
 @st.composite
