@@ -18,6 +18,7 @@ from .diagrams import (
     is_upper_triangular,
     non_minimal_upper,
     orbit_of,
+    orbits,
     residual_rank,
     theta,
 )

@@ -1,9 +1,17 @@
 """Sheaf cohomology of twisted Schur bundles on G(k,n) via the dot action.
 
-`bott` implements the standard algorithm for Sigma^nu U*: append the zero
-tail, add rho = (n-1, ..., 0), declare the bundle acyclic on a repeated
-entry, and otherwise read the degree off the inversion count and the
-cohomology representation off the sorted weight.
+`bott` is Bott-Borel-Weil in closed form for Sigma^nu U* on G(k,n).  With
+v_i = nu_i + n-1-i, the entries v_1 > ... > v_k sit ahead of the tail
+n-k-1, ..., 0 of nu + rho, rho = (n-1, ..., 0).  So the bundle is acyclic
+exactly when some v_i lies in [0, n-k).  Otherwise, with j = #{v_i >= n-k},
+sorting moves the k-j negative v_i past the n-k tail entries: the degree is
+(n-k)(k-j), and the GL(n) weight is
+
+    (nu_1, ..., nu_j, (j-k)^{n-k}, nu_{j+1}+n-k, ..., nu_k+n-k).
+
+The generic dot action (padded weight, repeated-entry test, inversion count,
+sort) lives only in `tests/oracles.py`, as the reference `bott` is checked
+against.
 
 `ext_table` reduces Ext^*(Sigma^a U*(s), Sigma^b U*(t)) to bundle cohomology
 through the Littlewood-Richardson expansion of Sigma^dual(a) (x) Sigma^b.
@@ -12,7 +20,7 @@ through the Littlewood-Richardson expansion of Sigma^dual(a) (x) Sigma^b.
 Gram check.  Nothing here keeps state between calls.
 
 `euler_char` is the alternating sum of that table.  Every dimension comes
-from the Weyl dimension formula `schur.dimension` of the sorted GL(n) weight.
+from the Weyl dimension formula `schur.dimension` of that GL(n) weight.
 """
 
 from __future__ import annotations
@@ -118,25 +126,19 @@ class ExtTable:
 
 
 def bott(box: Box, nu: tuple[int, ...]) -> BottOutcome:
-    """Cohomology of Sigma^nu U* on G(k,n): at most one non-vanishing degree."""
-    check_weight(nu)
-    k, n = box.k, box.n
+    """Cohomology of Sigma^nu U* on G(k,n): at most one non-vanishing degree,
+    by the closed form in the module docstring."""
+    nu = check_weight(nu)
+    k, n, w = box.k, box.n, box.width
     if len(nu) != k:
         raise ValueError(f"weight length {len(nu)} does not match k={k}")
-    rho = range(n - 1, -1, -1)
-    gamma = [x + r for x, r in zip(list(nu) + [0] * (n - k), rho)]
-    if len(set(gamma)) < n:
+    v = [x + n - 1 - i for i, x in enumerate(nu)]
+    # v strictly decreases, so v[j] is its largest entry below n-k
+    j = sum(1 for x in v if x >= w)
+    if j < k and v[j] >= 0:
         return _ACYCLIC
-    inversions = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if gamma[i] < gamma[j]:
-                inversions += 1
-    if inversions > box.dimension:
-        raise AssertionError("dot-action degree exceeded dim G(k,n)")
-    sorted_gamma = sorted(gamma, reverse=True)
-    gln = tuple(g - r for g, r in zip(sorted_gamma, range(n - 1, -1, -1)))
-    return BottOutcome(inversions, gln, dimension(gln, n))
+    gln = nu[:j] + (j - k,) * w + tuple(x + w for x in nu[j:])
+    return BottOutcome(w * (k - j), gln, dimension(gln, n))
 
 
 def _ext_of(box: Box, expansion: dict, t: int, outcomes: dict) -> ExtTable:

@@ -20,10 +20,9 @@ from .bott import TwistedSchur, ext_table
 from .diagrams import (
     Box,
     BoxedDiagram,
-    Orbit,
     enumerate_diagrams,
     non_minimal_upper,
-    orbit_of,
+    orbits,
     residual_rank,
 )
 from .ktheory import fullness_determinant, residual_report
@@ -117,32 +116,19 @@ def cmd_diagrams(args) -> int:
     return 0
 
 
-def _orbits(diagrams: list[BoxedDiagram]) -> list[Orbit]:
-    """The orbits of the cyclic action on all diagrams of a box, in order of
-    their first diagram."""
-    seen = set()
-    orbits = []
-    for d in diagrams:
-        if d.parts not in seen:
-            orb = orbit_of(d)
-            seen.update(m.parts for m in orb.members)
-            orbits.append(orb)
-    return orbits
-
-
 def cmd_orbits(args) -> int:
     box = _box_from(args)
-    orbits = _orbits(enumerate_diagrams(box, "all"))
+    orbs = orbits(box)
     payload = {
         "box": box.to_json(),
-        "orbit_count": len(orbits),
+        "orbit_count": len(orbs),
         "orbits": [
             {
                 "representative": orb.representative.to_json(),
                 "length": orb.length,
                 "members": [m.to_json() for m in orb.members],
             }
-            for orb in sorted(orbits, key=lambda o: o.representative.parts)
+            for orb in sorted(orbs, key=lambda o: o.representative.parts)
         ],
     }
     _emit(payload, args)
@@ -227,6 +213,7 @@ def cmd_residual(args) -> int:
     payload = report.to_json()
     ok = report.gram_is_identity and report.tau_all_ok
     ok = ok and len(report.residual_classes) == residual_rank(box)
+    payload["fullness_det"] = fullness_determinant(box)
     payload["pass"] = ok
     _emit(payload, args, csv_rows=[list(r) for r in report.residual_gram])
     return 0 if ok else 1
@@ -256,7 +243,7 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
 
     def stage_diagrams():
         all_d = enumerate_diagrams(box, "all")
-        lengths = [orb.length for orb in _orbits(all_d)]
+        lengths = [orb.length for orb in orbits(box)]
         minimal = enumerate_diagrams(box, "minimal_upper")
         rank_m = residual_rank(box, "mobius")
         rank_b = residual_rank(box, "brute_force")
@@ -333,14 +320,13 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
         rank = residual_rank(box)
         if rank == 0:
             return {"verdict": "pass", "residual_rank": 0, "note": "residual rank is zero"}
-        report = residual_report(box, include_fullness=False)
+        report = residual_report(box)
         ok = (
             report.gram_is_identity
             and report.tau_all_ok
             and len(report.residual_classes) == rank
         )
         out = report.to_json()
-        del out["fullness_det"]
         out["verdict"] = "pass" if ok else "fail"
         return out
 

@@ -2,9 +2,12 @@
 
 A diagram is stored as a weakly decreasing length-k integer vector with
 explicit trailing zeros, so the cyclic rule has no variable-length cases.
-Diagrams are encoded as length-n binary words (1 = horizontal step,
-0 = vertical step of the boundary path); the cyclic action is rotation of
-the word, which is what the orbit-counting argument uses.
+The generator of Z/n acts by one step rule on those parts: add a full
+column when the first row is short of n-k, and otherwise drop the full first
+row and append an empty last row.  n steps give the identity (the step
+rotates the diagram's length-n boundary word by one letter), so every orbit
+length divides n.  `cyclic_step`, `orbit_of`, `orbit_length` and `orbits`
+all apply `_step`, and nothing else encodes the action.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ __all__ = [
     "is_strictly_upper_triangular",
     "is_upper_triangular",
     "non_minimal_upper",
+    "orbit_length",
     "orbit_of",
+    "orbits",
     "residual_rank",
     "theta",
 ]
@@ -104,37 +109,53 @@ class Orbit:
 SELECTIONS = ("all", "upper", "strictly_upper", "minimal_upper", "short_minimal_upper")
 
 
+def _step(parts: tuple[int, ...], width: int) -> tuple[int, ...]:
+    """The one step rule of the Z/n action, on the parts of a diagram."""
+    if parts[0] < width:
+        return tuple(x + 1 for x in parts)
+    return parts[1:] + (0,)
+
+
+def _orbit_parts(parts: tuple[int, ...], width: int) -> list[tuple[int, ...]]:
+    """Successive images of parts under `_step`, up to the first return."""
+    out = [parts]
+    cur = _step(parts, width)
+    while cur != parts:
+        out.append(cur)
+        cur = _step(cur, width)
+    return out
+
+
 def cyclic_step(d: BoxedDiagram) -> BoxedDiagram:
     """One step of the Z/n action: add a full column, or shift when the first row is full."""
-    w = d.box.width
-    p = d.parts
-    if p[0] < w:
-        return BoxedDiagram(tuple(x + 1 for x in p), d.box)
-    return BoxedDiagram(p[1:] + (0,), d.box)
+    return BoxedDiagram(_step(d.parts, d.box.width), d.box)
 
 
-def _word(d: BoxedDiagram) -> tuple[int, ...]:
-    """Length-n binary word of the boundary path, bottom-left to top-right."""
-    out = []
-    prev = 0
-    for part in reversed(d.parts):
-        out.extend([1] * (part - prev))
-        out.append(0)
-        prev = part
-    out.extend([1] * (d.box.width - prev))
-    return tuple(out)
+def orbit_length(box: Box, parts: tuple[int, ...]) -> int:
+    """Orbit length of the diagram with these parts in the box."""
+    d = BoxedDiagram(parts, box)
+    return len(_orbit_parts(d.parts, box.width))
 
 
 def orbit_of(d: BoxedDiagram) -> Orbit:
     """The cyclic orbit through d, with the minimal upper triangular representative."""
-    members = [d]
-    cur = cyclic_step(d)
-    while cur != d:
-        members.append(cur)
-        cur = cyclic_step(cur)
+    members = [BoxedDiagram(p, d.box) for p in _orbit_parts(d.parts, d.box.width)]
     upper = [m for m in members if is_upper_triangular(m)]
     rep = min(upper, key=lambda m: m.parts)
     return Orbit(representative=rep, members=tuple(members), length=len(members))
+
+
+def orbits(box: Box) -> list[Orbit]:
+    """The orbits of the cyclic action on all diagrams of the box, in
+    lexicographic order of their first diagram."""
+    seen: set[tuple[int, ...]] = set()
+    out = []
+    for parts in _ascending_parts(box.k, box.width):
+        if parts not in seen:
+            orb = orbit_of(BoxedDiagram(parts, box))
+            seen.update(m.parts for m in orb.members)
+            out.append(orb)
+    return out
 
 
 def is_upper_triangular(d: BoxedDiagram) -> bool:
@@ -227,11 +248,7 @@ def residual_rank(box: Box, method: str = "mobius") -> int:
                 total += _moebius(d) * comb(n // d, k // d)
         return -total
     if method == "brute_force":
-        return sum(
-            1
-            for parts in _ascending_parts(k, box.width)
-            if orbit_length(box, parts) < n
-        )
+        return sum(orb.length for orb in orbits(box) if orb.length < n)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -250,13 +267,3 @@ def non_minimal_upper(box: Box) -> list[BoxedDiagram]:
         for d in enumerate_diagrams(box, "upper")
         if not is_minimal_upper_triangular(d)
     ]
-
-
-def orbit_length(box: Box, parts: tuple[int, ...]) -> int:
-    """Orbit length of the diagram with these parts: the least period of its word."""
-    word = _word(BoxedDiagram(parts, box))
-    n = box.n
-    for r in range(1, n + 1):
-        if n % r == 0 and word[-r:] + word[:-r] == word:
-            return r
-    raise AssertionError("unreachable: n-fold rotation is the identity")

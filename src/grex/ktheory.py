@@ -317,7 +317,10 @@ def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool
             t = 0
         if w[0] > box.width:
             raise ValueError(f"bundle {bundle} does not fit the pairing fast path")
-        total = [s + coef * v for s, v in zip(total, ctx.row(w, t))]
+        # every kappa containing w + t is lexicographically at least
+        # max(w + t, 0), so the row is zero before that basis index
+        lo = ctx.index[tuple(max(x + t, 0) for x in w)]
+        total[lo:] = [s + coef * v for s, v in zip(total[lo:], ctx.row(w, t)[lo:])]
     return not any(total)
 
 
@@ -331,7 +334,6 @@ class ResidualReport:
     residual_gram: tuple[tuple[int, ...], ...]
     tau_orbit_ok: tuple[bool, ...]
     sign_exponents: tuple[int, ...]
-    fullness_det: int | None
 
     @property
     def gram_is_identity(self) -> bool:
@@ -355,11 +357,10 @@ class ResidualReport:
             "residual_gram_is_identity": self.gram_is_identity,
             "tau_orbit_ok": list(self.tau_orbit_ok),
             "sign_exponents": list(self.sign_exponents),
-            "fullness_det": self.fullness_det,
         }
 
 
-def residual_report(box: Box, include_fullness: bool = True) -> ResidualReport:
+def residual_report(box: Box) -> ResidualReport:
     """Residual classes [F_mu^i], their Gram matrix, and the twisted-mutation orbit.
 
     For each short minimal diagram mu and 0 <= i < o(mu), [F_mu^i] is the left
@@ -395,7 +396,6 @@ def residual_report(box: Box, include_fullness: bool = True) -> ResidualReport:
         tau_ok.append(polarized == fs[1:] + [{j: sign * v for j, v in fs[0].items()}])
 
     gram = tuple(tuple(ctx.pair(x, y) for y in residual) for x in residual)
-    det = fullness_determinant(box) if include_fullness else None
     return ResidualReport(
         box=box,
         short_diagrams=tuple(shorts),
@@ -403,7 +403,6 @@ def residual_report(box: Box, include_fullness: bool = True) -> ResidualReport:
         residual_gram=gram,
         tau_orbit_ok=tuple(tau_ok),
         sign_exponents=sign_exponents,
-        fullness_det=det,
     )
 
 

@@ -24,7 +24,13 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .bott import TwistedSchur, _ext_of
-from .diagrams import Box, BoxedDiagram, enumerate_diagrams, orbit_length
+from .diagrams import (
+    Box,
+    BoxedDiagram,
+    enumerate_diagrams,
+    is_minimal_upper_triangular,
+    orbit_length,
+)
 from .schur import dualize, lr_product
 
 __all__ = [
@@ -121,8 +127,6 @@ def fenced_block(
     """Members of the primitive block containing mu (plus) or contained in mu (minus)."""
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    from .diagrams import is_minimal_upper_triangular
-
     if not is_minimal_upper_triangular(mu) or orbit_length(box, mu.parts) == box.n:
         raise ValueError(f"{mu} is not a short minimal upper triangular diagram")
     out = []
@@ -150,16 +154,7 @@ class Violation:
 @dataclass(frozen=True)
 class GramResult:
     entries: tuple[tuple[int, ...], ...]
-    ordering: tuple[CollectionObject, ...]
     violations: tuple[Violation, ...]
-    mode: str
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "entries": [list(r) for r in self.entries],
-            "violations": [v.to_json() for v in self.violations],
-        }
 
 
 def gram(
@@ -177,7 +172,6 @@ def gram(
     """
     if mode not in ("euler", "full_ext"):
         raise ValueError(f"mode must be 'euler' or 'full_ext', got {mode!r}")
-    objects = tuple(objects)
     bundles = [o.bundle for o in objects]
     box = bundles[0].box if bundles else None
     if any(e.box != box for e in bundles):
@@ -205,9 +199,4 @@ def gram(
             for d in sorted(set(hom.dims) | {0}):
                 if hom[d] != (d == 0):
                     violations.append(Violation(i, i, d, hom[d]))
-    return GramResult(
-        entries=entries,
-        ordering=objects,
-        violations=tuple(violations),
-        mode=mode,
-    )
+    return GramResult(entries=entries, violations=tuple(violations))

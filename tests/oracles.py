@@ -131,8 +131,10 @@ def jacobi_trudi_oracle(n: int, a: tuple[int, ...], lam: tuple[int, ...]) -> int
 
 
 def bott_oracle(box: Box, nu: tuple[int, ...]):
-    """Dot-action cohomology of Sigma^nu U*, written independently:
-    returns None or (degree, dim by tableau count of the sorted weight)."""
+    """Cohomology of Sigma^nu U* by the generic dot action: pad nu with zeros
+    to length n, add rho, test for a repeated entry, count inversions and
+    sort.  Returns None (acyclic) or (degree, GL(n) weight); the dimension
+    is `dimension_oracle` of that weight, a tableau count."""
     k, n = box.k, box.n
     gamma = [nu[i] + (n - 1 - i) for i in range(k)]
     gamma += [n - 1 - i for i in range(k, n)]
@@ -142,8 +144,21 @@ def bott_oracle(box: Box, nu: tuple[int, ...]):
         1 for i in range(n) for j in range(i + 1, n) if gamma[i] < gamma[j]
     )
     dom = sorted(gamma, reverse=True)
-    weight = tuple(dom[i] - (n - 1 - i) for i in range(n))
-    return inv, dimension_oracle(weight, n)
+    return inv, tuple(dom[i] - (n - 1 - i) for i in range(n))
+
+
+def word_period(box: Box, parts: tuple[int, ...]) -> int:
+    """Orbit length of a diagram as the least period, under rotation, of its
+    length-n boundary word (1 = horizontal step, 0 = vertical step, from
+    bottom left to top right)."""
+    word = []
+    prev = 0
+    for part in reversed(parts):
+        word += [1] * (part - prev) + [0]
+        prev = part
+    word += [1] * (box.width - prev)
+    n = box.n
+    return next(r for r in range(1, n + 1) if n % r == 0 and word[r:] + word[:r] == word)
 
 
 def ext_table_oracle(box: Box, a: tuple[int, ...], s: int, b: tuple[int, ...], t: int) -> dict[int, int]:
@@ -179,8 +194,8 @@ def ext_table_oracle(box: Box, a: tuple[int, ...], s: int, b: tuple[int, ...], t
         assert c > 0, "straightening must produce non-negative multiplicities"
         outcome = bott_oracle(box, tuple(x + twist for x in nu))
         if outcome is not None:
-            deg, dim = outcome
-            table[deg] = table.get(deg, 0) + c * dim
+            deg, weight = outcome
+            table[deg] = table.get(deg, 0) + c * dimension_oracle(weight, box.n)
     return {d: v for d, v in table.items() if v}
 
 

@@ -137,7 +137,7 @@ def test_09_residual_structure():
     with criterion(9, "residual Gram and twisted-mutation orbits"):
         for k, n in ((2, 4), (2, 6), (2, 8), (3, 6), (3, 9), (4, 8)):
             box = Box(k, n)
-            report = residual_report(box, include_fullness=False)
+            report = residual_report(box)
             assert report.gram_is_identity, (k, n)
             assert report.tau_all_ok, (k, n)
             assert len(report.residual_classes) == residual_rank(box), (k, n)

@@ -8,7 +8,7 @@ import pytest
 
 from grex.bott import TwistedSchur, bott, euler_char, ext_table
 from grex.diagrams import Box, enumerate_diagrams, orbit_length
-from oracles import bott_oracle, ext_table_oracle
+from oracles import bott_oracle, dimension_oracle, ext_table_oracle
 
 
 def ts(w, t, box):
@@ -54,7 +54,9 @@ class TestConventionAnchors:
             if want is None:
                 assert out.acyclic, nu
             else:
-                assert (out.degree, out.dim) == want, nu
+                degree, weight = want
+                got = (out.degree, out.gln_weight, out.dim)
+                assert got == (degree, weight, dimension_oracle(weight, box.n)), nu
 
 
 class TestExtTable:

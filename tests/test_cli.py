@@ -242,7 +242,8 @@ class TestReport:
 
 class TestGoldenOutput:
     """sha256 of stdout.  No other test pins every Ext entry and verdict of
-    these Gram checks and reports, so any change in them shows here."""
+    these Gram checks and reports, every orbit and short diagram, or every
+    residual class, so any change in them shows here."""
 
     @pytest.mark.parametrize(
         "argv,digest",
@@ -255,8 +256,15 @@ class TestGoldenOutput:
              "63dc7429b106944dbf17d6dc412c5e4721f163a8dd91f348dcc9faeb54494ecb"),
             (("gram", "--k", "3", "--n", "6", "--style", "kapranov", "--mode", "full_ext"),
              "62728b5c3ce76f3f5c5768eee4423e9f15e6c894de6723f3f02d362d131ba36f"),
+            (("orbits", "--k", "4", "--n", "8"),
+             "904f96f61e55d56b33f321544b0cccb67ec45914d2cddc27b3fd35caa34fe2eb"),
+            (("diagrams", "--k", "6", "--n", "12", "--selection", "short_minimal_upper"),
+             "0eed2ce3f664f31d73a1df3eec49f39a8bb7b865435ffae7db9a440e857cb432"),
+            (("residual", "--k", "4", "--n", "8"),
+             "c68cd8c304841490caf779edc0366d441e24cd9e4e80d8ce8a1460450598a081"),
         ],
-        ids=["report_g36", "report_g48", "gram_fonarev_g48", "gram_kapranov_g36"],
+        ids=["report_g36", "report_g48", "gram_fonarev_g48", "gram_kapranov_g36",
+             "orbits_g48", "diagrams_short_g612", "residual_g48"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

@@ -14,10 +14,13 @@ from grex.diagrams import (
     is_strictly_upper_triangular,
     is_upper_triangular,
     non_minimal_upper,
+    orbit_length,
     orbit_of,
+    orbits,
     residual_rank,
     theta,
 )
+from oracles import word_period
 
 B36 = Box(3, 6)
 
@@ -149,6 +152,26 @@ class TestOrbitInvariants:
             for x in enumerate_diagrams(box, "short_minimal_upper")
         )
         assert total == residual_rank(box)
+
+
+class TestOneStepRule:
+    def test_against_boundary_words(self):
+        # orbit_length against the least period of the boundary word, and
+        # orbits(box) as a partition of the box into cyclic_step chains
+        for n in range(2, 11):
+            for k in range(1, n):
+                box = Box(k, n)
+                diagrams = enumerate_diagrams(box, "all")
+                for x in diagrams:
+                    assert orbit_length(box, x.parts) == word_period(box, x.parts), x
+                orbs = orbits(box)
+                assert sorted(m.parts for o in orbs for m in o.members) == [
+                    x.parts for x in diagrams
+                ]
+                for o in orbs:
+                    assert o.length == len(o.members)
+                    chain = o.members + o.members[:1]
+                    assert all(cyclic_step(a) == b for a, b in zip(chain, chain[1:])), o
 
 
 class TestResidualRank:

@@ -351,7 +351,7 @@ class TestMutateLeft:
 class TestResidualReport:
     @pytest.mark.parametrize("k,n", [(2, 4), (3, 6), (4, 8), (3, 9)])
     def test_matches_dense_oracle(self, k, n):
-        report = residual_report(Box(k, n), include_fullness=False)
+        report = residual_report(Box(k, n))
         got = (report.residual_classes, report.residual_gram, report.tau_orbit_ok)
         assert got == residual_oracle(Box(k, n))
 
@@ -362,7 +362,7 @@ class TestResidualReport:
         checked, dense = record_checks(monkeypatch), []
         to_dense = _Ctx.dense
         monkeypatch.setattr(_Ctx, "dense", lambda self, x: dense.append(1) or to_dense(self, x))
-        report = residual_report(box, include_fullness=False)
+        report = residual_report(box)
         assert checked == [32]
         # the returned classes are the only dense vectors built
         assert len(dense) == len(report.residual_classes) == 6
@@ -379,7 +379,7 @@ class TestResidualReport:
             "block = ktheory.primitive_block\n"
             "ktheory.primitive_block = lambda box: tuple(reversed(block(box)))\n"
             "try:\n"
-            "    ktheory.residual_report(Box(3, 6), include_fullness=False)\n"
+            "    ktheory.residual_report(Box(3, 6))\n"
             "except ValueError as exc:\n"
             "    print('ValueError:', exc)\n"
         )
@@ -412,12 +412,12 @@ class TestResidualReport:
         assert report.gram_is_identity
         assert report.sign_exponents == (3,)
         assert report.tau_all_ok
-        assert abs(report.fullness_det) == 1
+        assert abs(fullness_determinant(Box(3, 6))) == 1
 
     @pytest.mark.parametrize("k,n", [(2, 4), (2, 6), (3, 6)])
     def test_rank_accounting(self, k, n):
         box = Box(k, n)
-        report = residual_report(box, include_fullness=False)
+        report = residual_report(box)
         assert len(report.residual_classes) == residual_rank(box)
 
     def test_json_fields(self):
@@ -427,10 +427,11 @@ class TestResidualReport:
             "residual_classes",
             "residual_gram",
             "tau_orbit_ok",
-            "fullness_det",
             "residual_rank",
         ):
             assert key in data
+        # fullness is its own check; `grex residual` adds it to its payload
+        assert "fullness_det" not in data
 
 
 class TestConeClassConsistency:

@@ -7,10 +7,10 @@ Examples are derandomized, so every run draws the same cases.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grex.bott import TwistedSchur, euler_char, ext_table
+from grex.bott import TwistedSchur, bott, euler_char, ext_table
 from grex.diagrams import Box
 from grex.ktheory import _bareiss_det, _ctx, _sparse_det, class_of, euler_pairing, twist_class
-from oracles import jacobi_trudi_oracle
+from oracles import bott_oracle, dimension_oracle, jacobi_trudi_oracle
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -62,6 +62,31 @@ def test_twist_against_generic_route(e):
 
 
 @st.composite
+def weights(draw):
+    """A box and a weakly decreasing weight with entries in [-2n, 2n]."""
+    box = draw(boxes())
+    nu = draw(st.lists(st.integers(-2 * box.n, 2 * box.n), min_size=box.k, max_size=box.k))
+    return box, tuple(sorted(nu, reverse=True))
+
+
+@settings(PROPERTY, max_examples=500)
+@given(weights())
+def test_bott_against_dot_action(case):
+    # the closed form against the generic dot action; dimensions by tableau
+    # count only for weights of at most 6 boxes once shifted to end in 0
+    box, nu = case
+    out = bott(box, nu)
+    want = bott_oracle(box, nu)
+    if want is None:
+        assert out.acyclic
+        return
+    degree, weight = want
+    assert (out.degree, out.gln_weight) == (degree, weight)
+    if sum(weight) - box.n * weight[-1] <= 6:
+        assert out.dim == dimension_oracle(weight, box.n)
+
+
+@st.composite
 def rows(draw):
     """A box, a diagram a of it and a twist -3 <= t <= 0."""
     box = draw(boxes())
@@ -76,7 +101,11 @@ def test_pairing_row_against_jacobi_trudi(case):
     # kappa with a inside kappa - t
     box, a, t = case
     ctx = _ctx(box)
-    for kappa, got in zip(ctx.weights, ctx.row(a, t), strict=True):
+    row = ctx.row(a, t)
+    # the least kappa containing a + t starts the row, which is zero before it
+    lo = ctx.index[tuple(max(x + t, 0) for x in a)]
+    assert not any(row[:lo]) and row[lo] > 0
+    for kappa, got in zip(ctx.weights, row, strict=True):
         lam = tuple(x - t for x in kappa)
         assert got == jacobi_trudi_oracle(box.n, a, lam), (kappa, got)
         assert (got > 0) == all(x <= y for x, y in zip(a, lam)), (kappa, got)
