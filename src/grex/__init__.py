@@ -1,6 +1,6 @@
 """grex: exceptional collections on Grassmannians, verified at desk scale.
 
-Box-diagram combinatorics, Littlewood-Richardson products, dot-action
+Box-diagram combinatorics, Littlewood-Richardson products, Bott-Borel-Weil
 cohomology of twisted Schur bundles, Kapranov/Fonarev Lefschetz collections,
 the K-theory of mutations and residual classes, and staircase resolutions,
 with a CLI that emits machine-readable verification reports.

@@ -1,4 +1,4 @@
-"""Sheaf cohomology of twisted Schur bundles on G(k,n) via the dot action.
+"""Sheaf cohomology of twisted Schur bundles on G(k,n) by Bott-Borel-Weil.
 
 `bott` is Bott-Borel-Weil in closed form for Sigma^nu U* on G(k,n).  With
 v_i = nu_i + n-1-i, the entries v_1 > ... > v_k sit ahead of the tail

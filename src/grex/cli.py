@@ -128,7 +128,7 @@ def cmd_orbits(args) -> int:
                 "length": orb.length,
                 "members": [m.to_json() for m in orb.members],
             }
-            for orb in sorted(orbs, key=lambda o: o.representative.parts)
+            for orb in orbs
         ],
     }
     _emit(payload, args)
@@ -245,8 +245,8 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
         all_d = enumerate_diagrams(box, "all")
         lengths = [orb.length for orb in orbits(box)]
         minimal = enumerate_diagrams(box, "minimal_upper")
-        rank_m = residual_rank(box, "mobius")
-        rank_b = residual_rank(box, "brute_force")
+        rank_m = residual_rank(box)
+        rank_b = sum(o for o in lengths if o < box.n)
         ok = (
             len(all_d) == comb(box.n, box.k)
             and sum(lengths) == comb(box.n, box.k)

@@ -8,6 +8,11 @@ row and append an empty last row.  n steps give the identity (the step
 rotates the diagram's length-n boundary word by one letter), so every orbit
 length divides n.  `cyclic_step`, `orbit_of`, `orbit_length` and `orbits`
 all apply `_step`, and nothing else encodes the action.
+
+`orbits(box)` is the one classification of the box: one walk per orbit,
+sorted by the minimal upper triangular representative lambda, each with its
+length o(lambda).  Every minimal, short (o < n) and primitive (o = n)
+selection reads it, here and in `lefschetz`, `ktheory` and `staircase`.
 """
 
 from __future__ import annotations
@@ -146,8 +151,8 @@ def orbit_of(d: BoxedDiagram) -> Orbit:
 
 
 def orbits(box: Box) -> list[Orbit]:
-    """The orbits of the cyclic action on all diagrams of the box, in
-    lexicographic order of their first diagram."""
+    """The orbits of the cyclic action on all diagrams of the box, sorted by
+    representative; each orbit's members start at its smallest diagram."""
     seen: set[tuple[int, ...]] = set()
     out = []
     for parts in _ascending_parts(box.k, box.width):
@@ -155,6 +160,7 @@ def orbits(box: Box) -> list[Orbit]:
             orb = orbit_of(BoxedDiagram(parts, box))
             seen.update(m.parts for m in orb.members)
             out.append(orb)
+    out.sort(key=lambda orb: orb.representative.parts)
     return out
 
 
@@ -197,9 +203,14 @@ def enumerate_diagrams(box: Box, selection: str = "all") -> list[BoxedDiagram]:
     """All diagrams of the box matching `selection`, in lexicographic order.
 
     Selections: all, upper, strictly_upper, minimal_upper, short_minimal_upper.
+    The last two are the representatives of `orbits(box)`, all or the short ones.
     """
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection {selection!r}; expected one of {SELECTIONS}")
+    if selection == "minimal_upper":
+        return [orb.representative for orb in orbits(box)]
+    if selection == "short_minimal_upper":
+        return [orb.representative for orb in orbits(box) if orb.length < box.n]
     out = []
     for parts in _ascending_parts(box.k, box.width):
         d = BoxedDiagram(parts, box)
@@ -211,12 +222,6 @@ def enumerate_diagrams(box: Box, selection: str = "all") -> list[BoxedDiagram]:
         elif selection == "strictly_upper":
             if is_strictly_upper_triangular(d):
                 out.append(d)
-        else:
-            if is_minimal_upper_triangular(d):
-                if selection == "minimal_upper":
-                    out.append(d)
-                elif orbit_length(box, parts) < box.n:
-                    out.append(d)
     return out
 
 
@@ -237,19 +242,15 @@ def _moebius(d: int) -> int:
     return -1 if primes % 2 else 1
 
 
-def residual_rank(box: Box, method: str = "mobius") -> int:
+def residual_rank(box: Box) -> int:
     """Number of diagrams with short orbit: -sum_{d | gcd(k,n), d>1} mu(d) C(n/d, k/d)."""
     k, n = box.k, box.n
-    if method == "mobius":
-        g = gcd(k, n)
-        total = 0
-        for d in range(2, g + 1):
-            if g % d == 0:
-                total += _moebius(d) * comb(n // d, k // d)
-        return -total
-    if method == "brute_force":
-        return sum(orb.length for orb in orbits(box) if orb.length < n)
-    raise ValueError(f"unknown method {method!r}")
+    g = gcd(k, n)
+    total = 0
+    for d in range(2, g + 1):
+        if g % d == 0:
+            total += _moebius(d) * comb(n // d, k // d)
+    return -total
 
 
 def theta(k: int, m: int) -> BoxedDiagram:
@@ -261,9 +262,6 @@ def theta(k: int, m: int) -> BoxedDiagram:
 
 
 def non_minimal_upper(box: Box) -> list[BoxedDiagram]:
-    """Upper triangular diagrams that are not minimal in their orbit."""
-    return [
-        d
-        for d in enumerate_diagrams(box, "upper")
-        if not is_minimal_upper_triangular(d)
-    ]
+    """Upper triangular diagrams that are not their orbit's representative."""
+    reps = {orb.representative for orb in orbits(box)}
+    return [d for d in enumerate_diagrams(box, "upper") if d not in reps]

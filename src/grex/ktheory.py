@@ -67,7 +67,7 @@ from .diagrams import (
     Box,
     BoxedDiagram,
     enumerate_diagrams,
-    orbit_length,
+    orbits,
 )
 from .lefschetz import fenced_block, fonarev, primitive_block
 
@@ -371,10 +371,7 @@ def residual_report(box: Box) -> ResidualReport:
     """
     ctx = _ctx(box)
     block = [obj.bundle.weight for obj in primitive_block(box)]
-    shorts = [
-        (mu, orbit_length(box, mu.parts))
-        for mu in enumerate_diagrams(box, "short_minimal_upper")
-    ]
+    shorts = [(orb.representative, orb.length) for orb in orbits(box) if orb.length < box.n]
     o_max = max((o for _, o in shorts), default=0)
     chain = [ctx.twisted_class(w, j) for j in range(o_max) for w in block]
     ctx.check_semiorthogonal(chain)

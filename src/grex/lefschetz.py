@@ -2,9 +2,10 @@
 subblocks, and Gram/semiorthogonality verification.
 
 Fonarev's collection takes the minimal upper triangular diagrams and repeats
-each one at twists 0 .. o(lambda)-1; the support partition is the conjugate
-of the orbit-length multiset.  Verification in `gram` is data, not control
-flow: violations are collected and returned, never raised.
+each one at twists 0 .. o(lambda)-1, both read from `orbits(box)`; the
+support partition is the conjugate of the orbit-length multiset.
+Verification in `gram` is data, not control flow: violations are collected
+and returned, never raised.
 
 `gram` rests on the invariance
 
@@ -12,7 +13,7 @@ flow: violations are collected and returned, never raised.
 
 which depends only on the triple (a, b, t-s).  Fonarev's collection repeats
 each weight at many twists, so `gram` computes one Ext table per distinct
-triple (1300 tables for the 7385 ordered pairs of G(4,8)) and reads every
+triple (1300 tables for the 4900 ordered pairs of G(4,8)) and reads every
 pair from it.  The triples are grouped by weight pair: one LR expansion per
 (a, b), and one `bott` evaluation per distinct twisted weight, memoized in a
 dict that lives for the one call.
@@ -30,6 +31,7 @@ from .diagrams import (
     enumerate_diagrams,
     is_minimal_upper_triangular,
     orbit_length,
+    orbits,
 )
 from .schur import dualize, lr_product
 
@@ -96,15 +98,14 @@ def kapranov(box: Box) -> LefschetzCollection:
 def fonarev(box: Box) -> LefschetzCollection:
     """Sigma^lam U*(i) for minimal upper triangular lam and 0 <= i < o(lam),
     ordered by twist block and lexicographically inside each block."""
-    minimal = enumerate_diagrams(box, "minimal_upper")
-    lengths = [orbit_length(box, d.parts) for d in minimal]
+    orbs = orbits(box)
     objs = []
     support = []
     for i in range(box.n):
         block = [
-            CollectionObject(TwistedSchur(d.parts, i, box), i)
-            for d, o in zip(minimal, lengths)
-            if i < o
+            CollectionObject(TwistedSchur(orb.representative.parts, i, box), i)
+            for orb in orbs
+            if i < orb.length
         ]
         if block:
             support.append(len(block))
@@ -115,9 +116,9 @@ def fonarev(box: Box) -> LefschetzCollection:
 def primitive_block(box: Box) -> tuple[CollectionObject, ...]:
     """The full-orbit minimal upper triangular bundles at twist 0."""
     return tuple(
-        CollectionObject(TwistedSchur(d.parts, 0, box), 0)
-        for d in enumerate_diagrams(box, "minimal_upper")
-        if orbit_length(box, d.parts) == box.n
+        CollectionObject(TwistedSchur(orb.representative.parts, 0, box), 0)
+        for orb in orbits(box)
+        if orb.length == box.n
     )
 
 

@@ -25,10 +25,11 @@ from .diagrams import (
     BoxedDiagram,
     cyclic_step,
     is_minimal_upper_triangular,
-    orbit_length,
+    orbit_of,
     theta,
 )
 from .ktheory import is_zero_combination
+from .lefschetz import primitive_block
 from .schur import dimension
 
 __all__ = [
@@ -144,21 +145,18 @@ def membership_ledger(
 
         a_minus, a(-1), ..., a(1 - n/d), a_plus(-n/d),
 
-    where o(mu) = n/d.  A term lands in a slot only if its diagram is minimal
-    upper triangular with a full orbit, and satisfies the containment the
-    fenced slots demand.
+    where o(mu) = n/d.  A term lands in a slot only if its weight is in the
+    primitive block (minimal upper triangular with a full orbit), and
+    satisfies the containment the fenced slots demand.
     """
-    n = box.n
-    period = orbit_length(box, mu.parts)  # n/d; slots span twists 1-n/d .. 0
+    period = orbit_of(mu).length  # n/d; slots span twists 1-n/d .. 0
+    primitive = {obj.bundle.weight for obj in primitive_block(box)}
     assignments = []
     unassigned = []
     for idx, (w, t) in enumerate(middle):
         d = BoxedDiagram(w, box)
-        eligible = (
-            is_minimal_upper_triangular(d) and orbit_length(box, w) == n
-        )
         slot = None
-        if eligible:
+        if w in primitive:
             if t == 0 and mu.contains(d):
                 slot = "a_minus"
             elif -period < t < 0:

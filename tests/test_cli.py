@@ -243,7 +243,9 @@ class TestReport:
 class TestGoldenOutput:
     """sha256 of stdout.  No other test pins every Ext entry and verdict of
     these Gram checks and reports, every orbit and short diagram, or every
-    residual class, so any change in them shows here."""
+    residual class, so any change in them shows here.  The G(6,12) orbits,
+    minimal_upper diagrams and Fonarev collection pin the one orbit
+    classification that every minimal, short and primitive selection reads."""
 
     @pytest.mark.parametrize(
         "argv,digest",
@@ -262,9 +264,16 @@ class TestGoldenOutput:
              "0eed2ce3f664f31d73a1df3eec49f39a8bb7b865435ffae7db9a440e857cb432"),
             (("residual", "--k", "4", "--n", "8"),
              "c68cd8c304841490caf779edc0366d441e24cd9e4e80d8ce8a1460450598a081"),
+            (("collection", "--k", "6", "--n", "12"),
+             "e9b52ee4d8bc71b9482bf7bcfb5fa0fa9b53b1f1072ad9026a9502c0ba75ce09"),
+            (("diagrams", "--k", "6", "--n", "12", "--selection", "minimal_upper"),
+             "8d24a494e9736e7039b323770c73d6dc40ac79005014a271d3fea3b62d6981f0"),
+            (("orbits", "--k", "6", "--n", "12"),
+             "d5b97740af8806747e984a8ea3affa8b2738407ec8d20056c530863b982ffc4f"),
         ],
         ids=["report_g36", "report_g48", "gram_fonarev_g48", "gram_kapranov_g36",
-             "orbits_g48", "diagrams_short_g612", "residual_g48"],
+             "orbits_g48", "diagrams_short_g612", "residual_g48", "collection_g612",
+             "diagrams_minimal_g612", "orbits_g612"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

@@ -5,6 +5,9 @@ from math import comb, gcd
 
 import pytest
 
+import grex.diagrams as diagrams_mod
+from grex.bott import TwistedSchur
+from grex.cli import full_report
 from grex.diagrams import (
     Box,
     BoxedDiagram,
@@ -20,6 +23,7 @@ from grex.diagrams import (
     residual_rank,
     theta,
 )
+from grex.lefschetz import CollectionObject, LefschetzCollection, fonarev, primitive_block
 from oracles import word_period
 
 B36 = Box(3, 6)
@@ -172,6 +176,59 @@ class TestOneStepRule:
                     assert o.length == len(o.members)
                     chain = o.members + o.members[:1]
                     assert all(cyclic_step(a) == b for a, b in zip(chain, chain[1:])), o
+                assert [o.representative for o in orbs] == sorted(
+                    (o.representative for o in orbs), key=lambda x: x.parts
+                )
+                _check_per_diagram_route(box, diagrams)
+
+    def test_one_walk_per_orbit(self, monkeypatch):
+        walks = []
+        inner = diagrams_mod._orbit_parts
+
+        def counted(parts, width):
+            walks.append(parts)
+            return inner(parts, width)
+
+        monkeypatch.setattr(diagrams_mod, "_orbit_parts", counted)
+        box = Box(6, 12)
+        enumerate_diagrams(box, "minimal_upper")
+        assert len(walks) == 80
+        walks.clear()
+        assert len(orbits(box)) == len(walks) == 80
+        walks.clear()
+        full_report(Box(4, 8))
+        assert len(walks) == 150  # 298 when every selection walked per diagram
+
+
+def _check_per_diagram_route(box, diagrams):
+    """The selections read from orbits(box) equal their per-diagram
+    definitions, which walk one orbit for each diagram tested."""
+    n = box.n
+    minimal = [x for x in diagrams if is_minimal_upper_triangular(x)]
+    lengths = [orbit_length(box, x.parts) for x in minimal]
+    assert enumerate_diagrams(box, "minimal_upper") == minimal
+    assert enumerate_diagrams(box, "short_minimal_upper") == [
+        x for x, o in zip(minimal, lengths) if o < n
+    ]
+    assert non_minimal_upper(box) == [
+        x for x in enumerate_diagrams(box, "upper") if not is_minimal_upper_triangular(x)
+    ]
+    objs, support = [], []
+    for i in range(n):
+        block = [
+            CollectionObject(TwistedSchur(x.parts, i, box), i)
+            for x, o in zip(minimal, lengths)
+            if i < o
+        ]
+        if block:
+            support.append(len(block))
+            objs.extend(block)
+    assert fonarev(box) == LefschetzCollection(tuple(objs), tuple(support), box)
+    assert primitive_block(box) == tuple(
+        CollectionObject(TwistedSchur(x.parts, 0, box), 0)
+        for x, o in zip(minimal, lengths)
+        if o == n
+    )
 
 
 class TestResidualRank:
@@ -179,21 +236,20 @@ class TestResidualRank:
         assert residual_rank(Box(3, 6)) == 2
         assert residual_rank(Box(3, 7)) == 0
         assert residual_rank(Box(4, 8)) == 6
-        assert residual_rank(Box(6, 12), "brute_force") == 24
+        box = Box(6, 12)
+        assert residual_rank(box) == 24
+        assert sum(o.length for o in orbits(box) if o.length < box.n) == 24
 
     def test_methods_agree_small(self):
+        # the Moebius formula against the lengths of the short orbits
         for n in range(2, 12):
             for k in range(1, n):
                 box = Box(k, n)
-                assert residual_rank(box, "mobius") == residual_rank(box, "brute_force")
+                assert residual_rank(box) == sum(o.length for o in orbits(box) if o.length < n)
 
     def test_coprime_vanishes(self):
         for k, n in [(2, 5), (3, 8), (4, 9), (5, 12)]:
             assert residual_rank(Box(k, n)) == 0
-
-    def test_bad_method(self):
-        with pytest.raises(ValueError):
-            residual_rank(B36, "guess")
 
 
 class TestTheta:

@@ -4,7 +4,13 @@ appendix tables, and the G(4,8) fixture."""
 import pytest
 
 from grex.bott import TwistedSchur, ext_table
-from grex.diagrams import Box, BoxedDiagram
+from grex.diagrams import (
+    Box,
+    BoxedDiagram,
+    enumerate_diagrams,
+    is_minimal_upper_triangular,
+    orbit_length,
+)
 from grex.schur import dimension, dualize, twist
 from grex.staircase import (
     G48_SEQUENCE,
@@ -13,12 +19,11 @@ from grex.staircase import (
     build_theta_staircase,
     g48_sequence_check,
     is_k_exact,
+    membership_ledger,
 )
 
 
 def staircases_of(box):
-    from grex.diagrams import enumerate_diagrams
-
     return [d for d in enumerate_diagrams(box, "all") if d.parts[0] == box.width]
 
 
@@ -115,6 +120,24 @@ class TestThetaStaircase:
             build_theta_staircase(1, 3)
         with pytest.raises(ValueError):
             build_theta_staircase(3, 1)
+
+
+class TestMembershipLedger:
+    @pytest.mark.parametrize("k,n", [(3, 6), (4, 8), (3, 9), (6, 12)])
+    def test_eligible_means_minimal_with_full_orbit(self, k, n):
+        # every diagram at twist -1: a term takes the slot a(-1) exactly when
+        # its diagram is minimal upper triangular with an orbit of length n
+        box = Box(k, n)
+        mu = enumerate_diagrams(box, "short_minimal_upper")[0]
+        diagrams = enumerate_diagrams(box, "all")
+        ledger = membership_ledger(box, mu, [(x.parts, -1) for x in diagrams])
+        expected = [
+            i
+            for i, x in enumerate(diagrams)
+            if is_minimal_upper_triangular(x) and orbit_length(box, x.parts) == n
+        ]
+        assert ledger.assignments == tuple((i, "a(-1)") for i in expected)
+        assert len(ledger.unassigned) == len(diagrams) - len(expected)
 
 
 class TestAppendixTables:
