@@ -15,9 +15,13 @@ against.
 
 `ext_table` reduces Ext^*(Sigma^a U*(s), Sigma^b U*(t)) to bundle cohomology
 through the Littlewood-Richardson expansion of Sigma^dual(a) (x) Sigma^b.
-`_ext_of` is the one loop that sums Bott outcomes over such an expansion;
-`lefschetz.gram` calls it too, with a memo of outcomes that lives for one
-Gram check.  Nothing here keeps state between calls.
+`_ext_tables` is the one loop that sums Bott outcomes over such an expansion,
+for every twist a caller asks at once: `ext_table` asks for one, and
+`lefschetz.gram` for all of a weight pair, with a memo of outcomes that lives
+for one Gram check.  Read along the twist, the closed form makes Sigma^nu U*(d)
+acyclic exactly for d in the k intervals [-c_i, n-k-1-c_i], c_i = nu_i + n-1-i,
+so only the twists off them (`_cohomological_twists`) reach `bott`.  Nothing
+here keeps state between calls.
 
 `euler_char` is the alternating sum of that table.  Every dimension comes
 from the Weyl dimension formula `schur.dimension` of that GL(n) weight.
@@ -26,7 +30,7 @@ from the Weyl dimension formula `schur.dimension` of that GL(n) weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .diagrams import Box
 from .schur import check_weight, dimension, dualize, lr_product
@@ -141,30 +145,45 @@ def bott(box: Box, nu: tuple[int, ...]) -> BottOutcome:
     return BottOutcome(w * (k - j), gln, dimension(gln, n))
 
 
-def _ext_of(box: Box, expansion: dict, t: int, outcomes: dict) -> ExtTable:
-    """Ext table of H^*(Sigma^nu U*(t)) summed over an LR expansion {nu: mult}.
+def _cohomological_twists(box: Box, nu: tuple[int, ...], lo: int, hi: int) -> Iterator[int]:
+    """The twists d in [lo, hi] where Sigma^nu U*(d) is not acyclic, ascending:
+    the gaps between the acyclic intervals, which start in increasing order of i."""
+    d = lo
+    for i, x in enumerate(nu):
+        start = -(x + box.n - 1 - i)
+        yield from range(d, min(start, hi + 1))
+        d = max(d, start + box.width)
+    yield from range(d, hi + 1)
 
-    `outcomes` memoizes `bott` by twisted weight; callers that resolve many
-    twists of many expansions on one box share it.
-    """
-    dims: dict[int, int] = {}
+
+def _ext_tables(
+    box: Box, expansion: dict, ts: Iterable[int], outcomes: dict
+) -> dict[int, ExtTable]:
+    """{t: Ext table of H^*(Sigma^nu U*(t)) summed over an LR expansion {nu: mult}}
+    for t in ts.  Only the (nu, t) off the acyclic intervals reach `bott`, through
+    `outcomes`, a memo by twisted weight that the callers on one box share."""
+    wanted = set(ts)
+    lo, hi = min(wanted), max(wanted)
+    dims: dict[int, dict[int, int]] = {t: {} for t in wanted}
     for nu, mult in expansion.items():
-        nu = tuple(x + t for x in nu)
-        outcome = outcomes.get(nu)
-        if outcome is None:
-            outcome = outcomes[nu] = bott(box, nu)
-        if not outcome.acyclic:
-            d = outcome.degree
-            dims[d] = dims.get(d, 0) + mult * outcome.dim
-    return ExtTable(dims)
+        for t in _cohomological_twists(box, nu, lo, hi):
+            if t not in wanted:
+                continue
+            twisted = tuple(x + t for x in nu)
+            outcome = outcomes.get(twisted)
+            if outcome is None:
+                outcome = outcomes[twisted] = bott(box, twisted)
+            table = dims[t]
+            table[outcome.degree] = table.get(outcome.degree, 0) + mult * outcome.dim
+    return {t: ExtTable(table) for t, table in dims.items()}
 
 
 def ext_table(e: TwistedSchur, f: TwistedSchur) -> ExtTable:
     """Graded dimensions of Ext^*(E, F) for twisted Schur bundles on one box."""
     if e.box != f.box:
         raise ValueError("bundles live on different boxes")
-    expansion = lr_product(dualize(e.weight), f.weight)
-    return _ext_of(e.box, expansion, f.twist - e.twist, {})
+    t = f.twist - e.twist
+    return _ext_tables(e.box, lr_product(dualize(e.weight), f.weight), (t,), {})[t]
 
 
 def euler_char(e: TwistedSchur, f: TwistedSchur) -> int:

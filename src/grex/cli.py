@@ -280,7 +280,7 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
 
     def stage_gram():
         coll = fonarev(box)
-        result = gram(coll.objects, mode="full_ext")
+        result = gram(coll.objects, mode="full_ext", violations_only=True)
         return {
             "verdict": "pass" if not result.violations else "fail",
             "violation_count": len(result.violations),

@@ -69,7 +69,7 @@ from .diagrams import (
     enumerate_diagrams,
     orbits,
 )
-from .lefschetz import fenced_block, fonarev, primitive_block
+from .lefschetz import fonarev, primitive_block
 
 __all__ = [
     "KClass",
@@ -379,7 +379,7 @@ def residual_report(box: Box) -> ResidualReport:
     residual: list[dict[int, int]] = []
     tau_ok: list[bool] = []
     for (mu, o), sign_exp in zip(shorts, sign_exponents):
-        inside = [obj.bundle.weight for obj in fenced_block(box, mu, "minus")]
+        inside = [w for w in block if mu.contains(BoxedDiagram(w, box))]
         fs = [
             ctx.project(
                 chain[: i * len(block)] + [ctx.twisted_class(w, i) for w in inside],

@@ -13,10 +13,11 @@ and returned, never raised.
 
 which depends only on the triple (a, b, t-s).  Fonarev's collection repeats
 each weight at many twists, so `gram` computes one Ext table per distinct
-triple (1300 tables for the 4900 ordered pairs of G(4,8)) and reads every
-pair from it.  The triples are grouped by weight pair: one LR expansion per
-(a, b), and one `bott` evaluation per distinct twisted weight, memoized in a
-dict that lives for the one call.
+triple it reads (1300 tables for the 4900 ordered pairs of G(4,8)) and reads
+every pair from it.  The triples are grouped by weight pair: one LR expansion
+per (a, b) serves all its twists, and `bott` runs once per twisted weight off
+the acyclicity intervals, through a memo that lives for the one call.  A
+violations-only call resolves only the lower triangle and the diagonal.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .bott import TwistedSchur, _ext_of
+from .bott import TwistedSchur, _ext_tables
 from .diagrams import (
     Box,
     BoxedDiagram,
@@ -162,33 +163,38 @@ def gram(
     objects: tuple[CollectionObject, ...] | list[CollectionObject],
     mode: str = "euler",
     jobs: int = 1,
+    *,
+    violations_only: bool = False,
 ) -> GramResult:
     """Euler pairing matrix of an ordered collection.
 
     In full_ext mode every pair below the diagonal is checked degree by
     degree and the diagonal must be exactly Hom = k; each failure becomes a
     Violation.  Ext^*(Sigma^a U*(s), Sigma^b U*(t)) depends only on
-    (a, b, t-s), so one Ext table is computed per distinct triple and every
-    pair with that triple reads it.  `jobs` is accepted and ignored.
+    (a, b, t-s), so one Ext table is computed per distinct triple the output
+    reads.  `violations_only` (full_ext mode) reads only the lower triangle
+    and the diagonal, and returns no `entries`.  `jobs` is ignored.
     """
     if mode not in ("euler", "full_ext"):
         raise ValueError(f"mode must be 'euler' or 'full_ext', got {mode!r}")
+    if violations_only and mode != "full_ext":
+        raise ValueError("violations_only needs mode 'full_ext'")
     bundles = [o.bundle for o in objects]
     box = bundles[0].box if bundles else None
     if any(e.box != box for e in bundles):
         raise ValueError("bundles live on different boxes")
-    keys = [[(e.weight, f.weight, f.twist - e.twist) for f in bundles] for e in bundles]
+    rows = (bundles[: i + 1] if violations_only else bundles for i in range(len(bundles)))
+    keys = [[(e.weight, f.weight, f.twist - e.twist) for f in row] for e, row in zip(bundles, rows)]
     twists: dict[tuple, list[int]] = {}
     for a, b, t in dict.fromkeys(key for row in keys for key in row):
         twists.setdefault((a, b), []).append(t)
     outcomes = {}
     table = {}
     for (a, b), ts in twists.items():
-        expansion = lr_product(dualize(a), b)
-        for t in ts:
-            table[a, b, t] = _ext_of(box, expansion, t, outcomes)
-    chi = {key: t.euler() for key, t in table.items()}
-    entries = tuple(tuple(chi[key] for key in row) for row in keys)
+        tables = _ext_tables(box, lr_product(dualize(a), b), ts, outcomes)
+        table.update(((a, b, t), ext) for t, ext in tables.items())
+    chi = {key: ext.euler() for key, ext in table.items()}
+    entries = () if violations_only else tuple(tuple(chi[key] for key in row) for row in keys)
     violations: list[Violation] = []
     if mode == "full_ext":
         for i, row in enumerate(keys):

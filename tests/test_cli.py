@@ -242,8 +242,10 @@ class TestReport:
 
 class TestGoldenOutput:
     """sha256 of stdout.  No other test pins every Ext entry and verdict of
-    these Gram checks and reports, every orbit and short diagram, or every
-    residual class, so any change in them shows here.  The G(6,12) orbits,
+    these Gram checks, reports and Ext tables, every orbit and short diagram,
+    or every residual class, so any change in them shows here.  The last four
+    digests were recorded before the Gram check moved to the acyclicity
+    intervals and the lower triangle.  The G(6,12) orbits,
     minimal_upper diagrams and Fonarev collection pin the one orbit
     classification that every minimal, short and primitive selection reads."""
 
@@ -270,10 +272,19 @@ class TestGoldenOutput:
              "8d24a494e9736e7039b323770c73d6dc40ac79005014a271d3fea3b62d6981f0"),
             (("orbits", "--k", "6", "--n", "12"),
              "d5b97740af8806747e984a8ea3affa8b2738407ec8d20056c530863b982ffc4f"),
+            (("report", "--k", "4", "--n", "10"),
+             "5d58fc9f459d2fa05a6255fad75a590c8a104625b49f7908abc3be9d7086c506"),
+            (("report", "--k", "5", "--n", "9"),
+             "4d95497d97d2d6a31f879ca532533e06923bb1cc6a5cc7d078492c9f5b1ea570"),
+            (("ext", "--k", "2", "--n", "4", "--lambda", "1,0", "--mu", "1,0", "--twist", "-2"),
+             "21fd589ab04d8986f16ecdac4d0ad8e32109203a9d376e32c80466b37e50861d"),
+            (("ext", "--k", "3", "--n", "6", "--lambda", "3,3,1", "--mu", "2,0,0", "--twist", "-8"),
+             "8824e1b7be67d93d4e51b6d78edac251f9cfc54d4fc4b757c5f014bb94aec247"),
         ],
         ids=["report_g36", "report_g48", "gram_fonarev_g48", "gram_kapranov_g36",
              "orbits_g48", "diagrams_short_g612", "residual_g48", "collection_g612",
-             "diagrams_minimal_g612", "orbits_g612"],
+             "diagrams_minimal_g612", "orbits_g612", "report_g410", "report_g59",
+             "ext_two_anchor_g24", "ext_three_terms_g36"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

@@ -26,7 +26,7 @@ from grex.ktheory import (
     residual_report,
     twist_class,
 )
-from grex.lefschetz import fonarev, gram
+from grex.lefschetz import fenced_block, fonarev, gram, primitive_block
 from grex.staircase import build_staircase, build_theta_staircase, is_k_exact
 from oracles import dimension_oracle, ext_table_oracle, residual_oracle
 
@@ -368,6 +368,27 @@ class TestResidualReport:
         assert len(dense) == len(report.residual_classes) == 6
         fullness_determinant(box)
         assert len(dense) == 6
+
+    @pytest.mark.parametrize("k,n", [(4, 8), (3, 9), (4, 10)])
+    def test_projects_through_fenced_blocks(self, monkeypatch, k, n):
+        # F_mu^i projects through the chain up to twist i, then through the
+        # part of the primitive block inside mu at twist i: fenced_block's
+        # "minus" side, which residual_report selects from its own block
+        box = Box(k, n)
+        lists = []
+        project = _Ctx.project
+        monkeypatch.setattr(
+            _Ctx, "project", lambda self, ps, x: lists.append(ps) or project(self, ps, x)
+        )
+        report = residual_report(box)
+        ctx, width, pos = ktheory._ctx(box), len(primitive_block(box)), 0
+        assert report.short_diagrams
+        for mu, o in report.short_diagrams:
+            fenced = [obj.bundle.weight for obj in fenced_block(box, mu, "minus")]
+            for i in range(o):
+                assert lists[pos + i][i * width:] == [ctx.twisted_class(w, i) for w in fenced]
+            pos += 2 * o  # o projections, then o polarized ones
+        assert pos == len(lists)
 
     @pytest.mark.parametrize("flags", [(), ("-O",)])
     def test_non_semiorthogonal_chain_raises(self, flags):

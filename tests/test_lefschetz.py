@@ -10,6 +10,7 @@ import grex.lefschetz
 from grex.bott import TwistedSchur, euler_char, ext_table
 from grex.diagrams import Box, BoxedDiagram, enumerate_diagrams
 from grex.lefschetz import (
+    GramResult,
     Violation,
     fenced_block,
     fonarev,
@@ -17,6 +18,7 @@ from grex.lefschetz import (
     kapranov,
     primitive_block,
 )
+from oracles import bott_oracle
 
 
 class TestKapranov:
@@ -202,6 +204,23 @@ class TestGramDedup:
         assert result.entries == entries
         assert result.violations == violations
         assert gram(objects, mode="euler", jobs=jobs).entries == entries
+        lower = gram(objects, mode="full_ext", jobs=jobs, violations_only=True)
+        assert lower == GramResult(entries=(), violations=violations)
+
+    def test_planted_lower_pair(self):
+        # swapping O and U* in Fonarev's G(3,6) makes exactly one lower pair,
+        # Ext^*(O, U*) = H^0(U*) = k^6, non-acyclic
+        objects = list(fonarev(Box(3, 6)).objects)
+        assert [o.bundle.weight for o in objects[:2]] == [(0, 0, 0), (1, 0, 0)]
+        objects[:2] = objects[1::-1]
+        violations = per_pair_gram(objects)[1]
+        assert violations == (Violation(1, 0, 0, 6),)
+        assert gram(objects, mode="full_ext").violations == violations
+        assert gram(objects, mode="full_ext", violations_only=True).violations == violations
+
+    def test_violations_only_needs_full_ext(self):
+        with pytest.raises(ValueError):
+            gram(kapranov(Box(1, 3)).objects, mode="euler", violations_only=True)
 
     def test_one_lr_product_per_pair_and_one_bott_per_weight(self, monkeypatch):
         from grex.schur import dualize, lr_product
@@ -214,22 +233,37 @@ class TestGramDedup:
         monkeypatch.setattr(
             grex.bott, "bott", lambda box, nu: weights.append(nu) or bott(box, nu)
         )
-        objects = fonarev(Box(4, 8)).objects
-        triples = {
-            (e.bundle.weight, f.bundle.weight, f.bundle.twist - e.bundle.twist)
-            for e in objects
-            for f in objects
-        }
+        box = Box(4, 8)
+        objects = fonarev(box).objects
+
+        def triples(stop):
+            return {
+                (e.bundle.weight, f.bundle.weight, f.bundle.twist - e.bundle.twist)
+                for i, e in enumerate(objects)
+                for f in objects[: stop(i)]
+            }
+
+        # violations only: the lower triangle and the diagonal, where every
+        # twisted weight but the trivial one lies on an acyclicity interval
+        assert gram(objects, mode="full_ext", violations_only=True).violations == ()
+        lower = triples(lambda i: i + 1)
+        assert sorted(pairs) == sorted({(dualize(a), b) for a, b, _ in lower})
+        assert weights == [(0, 0, 0, 0)]
+
+        # the full table: bott once on each twisted weight the dot action
+        # calls non-acyclic, and on no other
+        pairs.clear()
+        weights.clear()
+        full = triples(lambda i: None)
         assert gram(objects, mode="full_ext").violations == ()
-        assert len(triples) == 1300
-        assert sorted(pairs) == sorted({(dualize(a), b) for a, b, _ in triples})
+        assert len(full) == 1300
+        assert sorted(pairs) == sorted({(dualize(a), b) for a, b, _ in full})
         twisted = {
             tuple(x + t for x in nu)
-            for a, b, t in triples
+            for a, b, t in full
             for nu in lr_product(dualize(a), b)
         }
-        assert len(weights) == len(twisted)
-        assert set(weights) == twisted
+        assert sorted(weights) == sorted(nu for nu in twisted if bott_oracle(box, nu) is not None)
 
     def test_jobs_starts_no_pool(self, monkeypatch):
         import multiprocessing

@@ -7,9 +7,10 @@ Examples are derandomized, so every run draws the same cases.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grex.bott import TwistedSchur, bott, euler_char, ext_table
+from grex.bott import TwistedSchur, _cohomological_twists, bott, euler_char, ext_table
 from grex.diagrams import Box
 from grex.ktheory import _bareiss_det, _ctx, _sparse_det, class_of, euler_pairing, twist_class
+from grex.schur import twist
 from oracles import bott_oracle, dimension_oracle, jacobi_trudi_oracle
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -84,6 +85,24 @@ def test_bott_against_dot_action(case):
     assert (out.degree, out.gln_weight) == (degree, weight)
     if sum(weight) - box.n * weight[-1] <= 6:
         assert out.dim == dimension_oracle(weight, box.n)
+
+
+@st.composite
+def twist_ranges(draw):
+    """A weight of `weights()` and a twist range [lo, hi], possibly empty,
+    wide enough to reach past every acyclicity interval of such weights."""
+    box, nu = draw(weights())
+    lo = draw(st.integers(-4 * box.n, 3 * box.n))
+    return box, nu, lo, lo + draw(st.integers(-1, 4 * box.n))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(twist_ranges())
+def test_cohomological_twists_against_dot_action(case):
+    # the interval walk against the dot action, twist by twist
+    box, nu, lo, hi = case
+    want = [d for d in range(lo, hi + 1) if bott_oracle(box, twist(nu, d)) is not None]
+    assert list(_cohomological_twists(box, nu, lo, hi)) == want
 
 
 @st.composite
