@@ -20,8 +20,14 @@ for every twist a caller asks at once: `ext_table` asks for one, and
 `lefschetz.gram` for all of a weight pair, with a memo of outcomes that lives
 for one Gram check.  Read along the twist, the closed form makes Sigma^nu U*(d)
 acyclic exactly for d in the k intervals [-c_i, n-k-1-c_i], c_i = nu_i + n-1-i,
-so only the twists off them (`_cohomological_twists`) reach `bott`.  Nothing
-here keeps state between calls.
+so only the twists off them (`_cohomological_twists`) reach `bott`.
+
+`_weyl_twists` reads the same row test from a box of weights instead of one
+weight: given Weyl's bounds `schur.lr_bounds` on the LR support and its fixed
+size, it keeps every twist at which some weight of that box could be non-acyclic,
+without expanding the product.  `gram` drops the other twists of a weight pair
+before it expands, and expands only the pairs that keep one; `ext_table` does
+not go through it.  Nothing here keeps state between calls.
 
 `euler_char` is the alternating sum of that table.  Every dimension comes
 from the Weyl dimension formula `schur.dimension` of that GL(n) weight.
@@ -154,6 +160,60 @@ def _cohomological_twists(box: Box, nu: tuple[int, ...], lo: int, hi: int) -> It
         yield from range(d, min(start, hi + 1))
         d = max(d, start + box.width)
     yield from range(d, hi + 1)
+
+
+def _least_twist(breaks: list[int], slack: int) -> int:
+    """The least integer d with sum(max(0, x - d) for x in breaks) <= slack,
+    for slack >= 0 and breaks not empty."""
+    breaks = sorted(breaks, reverse=True)
+    total = 0
+    for m, x in enumerate(breaks, 1):
+        total += x
+        # on [breaks[m], breaks[m-1]] the sum is total - m*d
+        if m == len(breaks) or total - m * breaks[m] > slack:
+            return -((slack - total) // m)
+
+
+def _weyl_twists(
+    box: Box, lower: tuple[int, ...], upper: tuple[int, ...], size: int, lo: int, hi: int
+) -> Iterator[int]:
+    """The twists d in [lo, hi], ascending, at which some integer vector nu with
+    lower <= nu <= upper and |nu| = size passes the row test of `bott` for
+    Sigma^nu U*(d): for some j in 0..k, nu_r + d >= r+1-k on the rows r < j and
+    nu_r + d <= r-n on the rows r >= j.  Every twist where some weight of that
+    box is not acyclic is among them.  For each j they form one interval, cut
+    by each row alone and by the sum on each side of j."""
+    k = box.k
+    tops = [r + 1 - k for r in range(k)]
+    bottoms = [r - box.n for r in range(k)]
+    below, above = size - sum(lower), sum(upper) - size
+    if below < 0 or above < 0 or any(x > y for x, y in zip(lower, upper)):
+        return
+    # row r < j alone needs d >= tops[r] - upper[r], row r >= j needs
+    # d <= bottoms[r] - lower[r]; lasts[j] is the least of the latter
+    lasts = [hi] * (k + 1)
+    for r in range(k - 1, -1, -1):
+        lasts[r] = min(lasts[r + 1], bottoms[r] - lower[r])
+    spans = []
+    first = lo
+    for j in range(k + 1):
+        if j > 0:
+            first = max(first, tops[j - 1] - upper[j - 1])
+        if first > lasts[j]:
+            continue
+        start, end = first, lasts[j]
+        if j > 0:
+            # sum of max(lower_r, tops_r - d) over r < j, plus lower beyond, <= size
+            start = max(start, _least_twist([tops[r] - lower[r] for r in range(j)], below))
+        if j < k:
+            # sum of min(upper_r, bottoms_r - d) over r >= j, plus upper before, >= size
+            end = min(end, -_least_twist([upper[r] - bottoms[r] for r in range(j, k)], above))
+        if start <= end:
+            spans.append((start, end))
+    d = lo
+    for start, end in sorted(spans):
+        yield from range(max(d, start), end + 1)
+        d = max(d, end + 1)
 
 
 def _ext_tables(

@@ -14,8 +14,12 @@ and returned, never raised.
 which depends only on the triple (a, b, t-s).  Fonarev's collection repeats
 each weight at many twists, so `gram` computes one Ext table per distinct
 triple it reads (1300 tables for the 4900 ordered pairs of G(4,8)) and reads
-every pair from it.  The triples are grouped by weight pair: one LR expansion
-per (a, b) serves all its twists, and `bott` runs once per twisted weight off
+every pair from it.  The triples are grouped by weight pair.  Before a pair
+is expanded, Weyl's bounds on the support of a* (x) b drop every twist at
+which no weight inside them can be non-acyclic; those tables are zero, and a
+pair left with no twist is not expanded (on a Fonarev collection, only the
+diagonal pairs keep one in the lower triangle).  One LR expansion per kept
+(a, b) serves all its kept twists, and `bott` runs once per twisted weight off
 the acyclicity intervals, through a memo that lives for the one call.  A
 violations-only call resolves only the lower triangle and the diagonal.
 """
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .bott import TwistedSchur, _ext_tables
+from .bott import ExtTable, TwistedSchur, _ext_tables, _weyl_twists
 from .diagrams import (
     Box,
     BoxedDiagram,
@@ -34,7 +38,7 @@ from .diagrams import (
     orbit_length,
     orbits,
 )
-from .schur import dualize, lr_product
+from .schur import dualize, lr_bounds, lr_product
 
 __all__ = [
     "CollectionObject",
@@ -172,8 +176,10 @@ def gram(
     degree and the diagonal must be exactly Hom = k; each failure becomes a
     Violation.  Ext^*(Sigma^a U*(s), Sigma^b U*(t)) depends only on
     (a, b, t-s), so one Ext table is computed per distinct triple the output
-    reads.  `violations_only` (full_ext mode) reads only the lower triangle
-    and the diagonal, and returns no `entries`.  `jobs` is ignored.
+    reads, and none for a triple whose twist the Weyl bounds on the LR
+    support of a* (x) b prove acyclic.  `violations_only` (full_ext mode)
+    reads only the lower triangle and the diagonal, and returns no
+    `entries`.  `jobs` is ignored.
     """
     if mode not in ("euler", "full_ext"):
         raise ValueError(f"mode must be 'euler' or 'full_ext', got {mode!r}")
@@ -189,20 +195,26 @@ def gram(
     for a, b, t in dict.fromkeys(key for row in keys for key in row):
         twists.setdefault((a, b), []).append(t)
     outcomes = {}
-    table = {}
+    table = {}  # the nonzero Ext tables, by triple
     for (a, b), ts in twists.items():
-        tables = _ext_tables(box, lr_product(dualize(a), b), ts, outcomes)
-        table.update(((a, b, t), ext) for t, ext in tables.items())
-    chi = {key: ext.euler() for key, ext in table.items()}
-    entries = () if violations_only else tuple(tuple(chi[key] for key in row) for row in keys)
+        dual = dualize(a)
+        kept = set(_weyl_twists(box, *lr_bounds(dual, b), sum(b) - sum(a), min(ts), max(ts)))
+        ts = [t for t in ts if t in kept]
+        if ts:
+            tables = _ext_tables(box, lr_product(dual, b), ts, outcomes)
+            table.update(((a, b, t), ext) for t, ext in tables.items() if ext)
+    entries = ()
+    if not violations_only:
+        chi = {key: ext.euler() for key, ext in table.items()}
+        entries = tuple(tuple(chi.get(key, 0) for key in row) for row in keys)
     violations: list[Violation] = []
     if mode == "full_ext":
         for i, row in enumerate(keys):
-            for j in range(i):
-                dims = table[row[j]].dims
-                for d in sorted(dims):
-                    violations.append(Violation(i, j, d, dims[d]))
-            hom = table[row[i]]
+            for j, key in enumerate(row[:i]):
+                if key in table:
+                    dims = table[key].dims
+                    violations += [Violation(i, j, d, dims[d]) for d in sorted(dims)]
+            hom = table.get(row[i], ExtTable())
             for d in sorted(set(hom.dims) | {0}):
                 if hom[d] != (d == 0):
                     violations.append(Violation(i, i, d, hom[d]))

@@ -7,7 +7,7 @@ dicts mapping weight tuples to positive multiplicities.
 
 from __future__ import annotations
 
-__all__ = ["twist", "dualize", "lr_product", "dimension", "check_weight"]
+__all__ = ["twist", "dualize", "lr_product", "lr_bounds", "dimension", "check_weight"]
 
 
 def check_weight(w: tuple[int, ...]) -> tuple[int, ...]:
@@ -90,6 +90,26 @@ def lr_product(a: tuple[int, ...], b: tuple[int, ...]) -> dict[tuple[int, ...], 
     core = _lr_core(twist(a, sa), twist(b, sb), len(a))
     s = sa + sb
     return {twist(nu, -s): c for nu, c in core.items()} if s else core
+
+
+def lr_bounds(
+    a: tuple[int, ...], b: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Weyl's bounds (lower, upper) on the support of `lr_product(a, b)`.
+
+    Every nu in it has lower[r] <= nu[r] <= upper[r] and |nu| = |a| + |b|, where
+
+        upper[r] = min over i + j = r of a[i] + b[j],
+        lower[r] = max over i + j = r + k - 1 of a[i] + b[j],
+
+    indices from 0: Weyl's inequalities, a subset of Horn's (Fulton, Eigenvalues,
+    invariant factors, highest weights, and Schubert calculus, Bull. AMS 37,
+    2000).  Both bounds are weakly decreasing.
+    """
+    k = len(a)
+    upper = tuple(min(a[i] + b[r - i] for i in range(r + 1)) for r in range(k))
+    lower = tuple(max(a[i] + b[r + k - 1 - i] for i in range(r, k)) for r in range(k))
+    return lower, upper
 
 
 def dimension(w: tuple[int, ...], m: int) -> int:

@@ -243,9 +243,11 @@ class TestReport:
 class TestGoldenOutput:
     """sha256 of stdout.  No other test pins every Ext entry and verdict of
     these Gram checks, reports and Ext tables, every orbit and short diagram,
-    or every residual class, so any change in them shows here.  The last four
-    digests were recorded before the Gram check moved to the acyclicity
-    intervals and the lower triangle.  The G(6,12) orbits,
+    or every residual class, so any change in them shows here.  The G(4,10)
+    and G(5,9) reports and the two ext digests were recorded before the Gram
+    check moved to the acyclicity intervals and the lower triangle; the last
+    three, before it skipped the weight pairs that the Weyl bounds on the LR
+    support prove acyclic at every twist it reads.  The G(6,12) orbits,
     minimal_upper diagrams and Fonarev collection pin the one orbit
     classification that every minimal, short and primitive selection reads."""
 
@@ -280,11 +282,18 @@ class TestGoldenOutput:
              "21fd589ab04d8986f16ecdac4d0ad8e32109203a9d376e32c80466b37e50861d"),
             (("ext", "--k", "3", "--n", "6", "--lambda", "3,3,1", "--mu", "2,0,0", "--twist", "-8"),
              "8824e1b7be67d93d4e51b6d78edac251f9cfc54d4fc4b757c5f014bb94aec247"),
+            (("gram", "--k", "5", "--n", "9", "--style", "fonarev", "--mode", "euler"),
+             "a1483decde60287333d04d7027c085b218709febcfb4e2a8b0a82a6d738ba00c"),
+            (("gram", "--k", "4", "--n", "9", "--style", "kapranov", "--mode", "full_ext"),
+             "a5b04f68d02ce092eebc47541d62c58d5b0edc6005ed708f81b5f6f97f8d001a"),
+            (("report", "--k", "4", "--n", "11"),
+             "fb57ccfd423448f35e339913aa283bf4757ffe3bd88da2e00344c14f5a43ae53"),
         ],
         ids=["report_g36", "report_g48", "gram_fonarev_g48", "gram_kapranov_g36",
              "orbits_g48", "diagrams_short_g612", "residual_g48", "collection_g612",
              "diagrams_minimal_g612", "orbits_g612", "report_g410", "report_g59",
-             "ext_two_anchor_g24", "ext_three_terms_g36"],
+             "ext_two_anchor_g24", "ext_three_terms_g36", "gram_fonarev_euler_g59",
+             "gram_kapranov_g49", "report_g411"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

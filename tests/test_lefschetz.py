@@ -218,6 +218,24 @@ class TestGramDedup:
         assert gram(objects, mode="full_ext").violations == violations
         assert gram(objects, mode="full_ext", violations_only=True).violations == violations
 
+    def test_planted_off_diagonal_pair_at_a_twist(self):
+        # swapping the first two twist blocks of Fonarev's G(3,6) puts
+        # Sigma^a U* after Sigma^b U*(1); among the non-acyclic lower pairs
+        # are some with a != b, which the Weyl bounds must keep
+        coll = fonarev(Box(3, 6))
+        first, second, *rest = coll.blocks()
+        objects = second + first + [o for block in rest for o in block]
+        entries, violations = per_pair_gram(objects)
+        assert any(
+            objects[v.i].bundle.weight != objects[v.j].bundle.weight
+            and objects[v.i].bundle.twist != objects[v.j].bundle.twist
+            for v in violations
+        )
+        result = gram(objects, mode="full_ext")
+        assert result.entries == entries
+        assert result.violations == violations
+        assert gram(objects, mode="full_ext", violations_only=True).violations == violations
+
     def test_violations_only_needs_full_ext(self):
         with pytest.raises(ValueError):
             gram(kapranov(Box(1, 3)).objects, mode="euler", violations_only=True)
@@ -243,27 +261,33 @@ class TestGramDedup:
                 for f in objects[: stop(i)]
             }
 
-        # violations only: the lower triangle and the diagonal, where every
-        # twisted weight but the trivial one lies on an acyclicity interval
+        # violations only: of the lower triangle and the diagonal, only the
+        # diagonal pairs (a, a) keep a twist that the Weyl bounds cannot rule
+        # out, and there every twisted weight but the trivial one lies on an
+        # acyclicity interval
         assert gram(objects, mode="full_ext", violations_only=True).violations == ()
-        lower = triples(lambda i: i + 1)
-        assert sorted(pairs) == sorted({(dualize(a), b) for a, b, _ in lower})
+        diagonal = {(dualize(a), a) for a, _, _ in triples(lambda i: i + 1)}
+        assert sorted(pairs) == sorted(diagonal)
         assert weights == [(0, 0, 0, 0)]
 
-        # the full table: bott once on each twisted weight the dot action
-        # calls non-acyclic, and on no other
+        # the full table: one expansion per weight pair with a non-acyclic
+        # term at a twist read, and bott once on each twisted weight the dot
+        # action calls non-acyclic, and on no other
         pairs.clear()
         weights.clear()
         full = triples(lambda i: None)
         assert gram(objects, mode="full_ext").violations == ()
         assert len(full) == 1300
-        assert sorted(pairs) == sorted({(dualize(a), b) for a, b, _ in full})
-        twisted = {
-            tuple(x + t for x in nu)
+        cohomological = {
+            (a, b, t): [nu for nu in lr_product(dualize(a), b)
+                        if bott_oracle(box, tuple(x + t for x in nu)) is not None]
             for a, b, t in full
-            for nu in lr_product(dualize(a), b)
         }
-        assert sorted(weights) == sorted(nu for nu in twisted if bott_oracle(box, nu) is not None)
+        expanded = {(dualize(a), b) for (a, b, _), nus in cohomological.items() if nus}
+        assert sorted(pairs) == sorted(expanded)
+        twisted = {tuple(x + t for x in nu) for (_, _, t), nus in cohomological.items()
+                   for nu in nus}
+        assert sorted(weights) == sorted(twisted)
 
     def test_jobs_starts_no_pool(self, monkeypatch):
         import multiprocessing

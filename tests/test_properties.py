@@ -1,17 +1,29 @@
-"""Property tests on random boxes G(k,n) with n <= 8, and on random sparse
-integer matrices.
+"""Property tests on random boxes G(k,n) with n <= 8, on random pairs of
+weights and on random sparse integer matrices, and an exhaustive check, on
+four boxes, that the Gram check skips only acyclic twists.
 
 Examples are derandomized, so every run draws the same cases.
 """
 
+import functools
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grex.bott import TwistedSchur, _cohomological_twists, bott, euler_char, ext_table
-from grex.diagrams import Box
+import oracles
+from grex.bott import (
+    TwistedSchur,
+    _cohomological_twists,
+    _weyl_twists,
+    bott,
+    euler_char,
+    ext_table,
+)
+from grex.diagrams import Box, enumerate_diagrams
 from grex.ktheory import _bareiss_det, _ctx, _sparse_det, class_of, euler_pairing, twist_class
-from grex.schur import twist
-from oracles import bott_oracle, dimension_oracle, jacobi_trudi_oracle
+from grex.schur import dualize, lr_bounds, twist
+from oracles import bott_oracle, dimension_oracle, jacobi_trudi_oracle, lr_product_oracle
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -103,6 +115,47 @@ def test_cohomological_twists_against_dot_action(case):
     box, nu, lo, hi = case
     want = [d for d in range(lo, hi + 1) if bott_oracle(box, twist(nu, d)) is not None]
     assert list(_cohomological_twists(box, nu, lo, hi)) == want
+
+
+@st.composite
+def weight_pairs(draw):
+    """Two weakly decreasing weights of one length k <= 4, entries in [-2, 2]."""
+    k = draw(st.integers(1, 4))
+    entries = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+    return tuple(sorted(draw(entries), reverse=True)), tuple(sorted(draw(entries), reverse=True))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(weight_pairs())
+def test_lr_bounds_hold_on_the_oracle_expansion(pair):
+    # Weyl's inequalities against the expansion by polynomial multiplication
+    alpha, beta = pair
+    lower, upper = lr_bounds(alpha, beta)
+    for nu in lr_product_oracle(alpha, beta):
+        assert sum(nu) == sum(alpha) + sum(beta)
+        assert all(lo <= x <= hi for lo, x, hi in zip(lower, nu, upper)), nu
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (3, 7), (4, 8)])
+def test_weyl_twists_drop_only_acyclic_twists(k, n, monkeypatch):
+    # wherever the twist test drops d for a pair (a, b) of diagrams, every
+    # term of the oracle's a* (x) b is acyclic at d by the dot action
+    monkeypatch.setattr(oracles, "ssyt_contents", functools.cache(oracles.ssyt_contents))
+    box = Box(k, n)
+    diagrams = [d.parts for d in enumerate_diagrams(box, "all")]
+    # the oracle's expansion, once per unordered pair up to determinant twists
+    expansions = {}
+    for a in diagrams:
+        for b in diagrams:
+            alpha = dualize(a)
+            kept = set(_weyl_twists(box, *lr_bounds(alpha, b), sum(b) - sum(a), -n, n))
+            key = tuple(sorted((twist(alpha, -alpha[-1]), twist(b, -b[-1]))))
+            if key not in expansions:
+                expansions[key] = lr_product_oracle(*key)
+            terms = [twist(nu, alpha[-1] + b[-1]) for nu in expansions[key]]
+            for d in range(-n, n + 1):
+                if d not in kept:
+                    assert all(bott_oracle(box, twist(nu, d)) is None for nu in terms), (a, b, d)
 
 
 @st.composite
