@@ -15,19 +15,17 @@ against.
 
 `ext_table` reduces Ext^*(Sigma^a U*(s), Sigma^b U*(t)) to bundle cohomology
 through the Littlewood-Richardson expansion of Sigma^dual(a) (x) Sigma^b.
-`_ext_tables` is the one loop that sums Bott outcomes over such an expansion,
-for every twist a caller asks at once: `ext_table` asks for one, and
-`lefschetz.gram` for all of a weight pair, with a memo of outcomes that lives
-for one Gram check.  Read along the twist, the closed form makes Sigma^nu U*(d)
-acyclic exactly for d in the k intervals [-c_i, n-k-1-c_i], c_i = nu_i + n-1-i,
-so only the twists off them (`_cohomological_twists`) reach `bott`.
-
-`_weyl_twists` reads the same row test from a box of weights instead of one
-weight: given Weyl's bounds `schur.lr_bounds` on the LR support and its fixed
-size, it keeps every twist at which some weight of that box could be non-acyclic,
-without expanding the product.  `gram` drops the other twists of a weight pair
-before it expands, and expands only the pairs that keep one; `ext_table` does
-not go through it.  Nothing here keeps state between calls.
+`_ext_tables` is the one routine that does so, for every twist a caller asks
+at once: `ext_table` asks for one twist with a fresh memo, and
+`lefschetz.gram` for all the twists of a weight pair, with one memo of Bott
+outcomes by twisted weight for the whole Gram check.  Before it expands,
+`_weyl_twists` reads the row test of `bott` from a box of weights instead of
+one weight: given Weyl's bounds `schur.lr_bounds` on the LR support and its
+fixed size, it keeps every twist at which some weight of that box could be
+non-acyclic.  The other twists are zero without expanding, and a weight pair
+left with none is not expanded at all; every (nu, t) of the one expansion
+otherwise goes to `bott` through the memo.  Nothing here keeps state between
+calls.
 
 `euler_char` is the alternating sum of that table.  Every dimension comes
 from the Weyl dimension formula `schur.dimension` of that GL(n) weight.
@@ -39,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .diagrams import Box
-from .schur import check_weight, dimension, dualize, lr_product
+from .schur import check_weight, dimension, dualize, lr_bounds, lr_product
 
 __all__ = [
     "TwistedSchur",
@@ -151,17 +149,6 @@ def bott(box: Box, nu: tuple[int, ...]) -> BottOutcome:
     return BottOutcome(w * (k - j), gln, dimension(gln, n))
 
 
-def _cohomological_twists(box: Box, nu: tuple[int, ...], lo: int, hi: int) -> Iterator[int]:
-    """The twists d in [lo, hi] where Sigma^nu U*(d) is not acyclic, ascending:
-    the gaps between the acyclic intervals, which start in increasing order of i."""
-    d = lo
-    for i, x in enumerate(nu):
-        start = -(x + box.n - 1 - i)
-        yield from range(d, min(start, hi + 1))
-        d = max(d, start + box.width)
-    yield from range(d, hi + 1)
-
-
 def _least_twist(breaks: list[int], slack: int) -> int:
     """The least integer d with sum(max(0, x - d) for x in breaks) <= slack,
     for slack >= 0 and breaks not empty."""
@@ -217,25 +204,29 @@ def _weyl_twists(
 
 
 def _ext_tables(
-    box: Box, expansion: dict, ts: Iterable[int], outcomes: dict
+    box: Box, a: tuple[int, ...], b: tuple[int, ...], ts: Iterable[int], outcomes: dict
 ) -> dict[int, ExtTable]:
-    """{t: Ext table of H^*(Sigma^nu U*(t)) summed over an LR expansion {nu: mult}}
-    for t in ts.  Only the (nu, t) off the acyclic intervals reach `bott`, through
-    `outcomes`, a memo by twisted weight that the callers on one box share."""
+    """{t: Ext^*(Sigma^a U*, Sigma^b U*(t))} for the t in ts where it is not zero.
+    One LR expansion of Sigma^dual(a) (x) Sigma^b serves every twist that
+    `_weyl_twists` keeps, and none runs if it keeps none; `outcomes` memoizes
+    `bott` by twisted weight for as long as the caller keeps it."""
     wanted = set(ts)
-    lo, hi = min(wanted), max(wanted)
-    dims: dict[int, dict[int, int]] = {t: {} for t in wanted}
-    for nu, mult in expansion.items():
-        for t in _cohomological_twists(box, nu, lo, hi):
-            if t not in wanted:
-                continue
-            twisted = tuple(x + t for x in nu)
-            outcome = outcomes.get(twisted)
-            if outcome is None:
-                outcome = outcomes[twisted] = bott(box, twisted)
-            table = dims[t]
-            table[outcome.degree] = table.get(outcome.degree, 0) + mult * outcome.dim
-    return {t: ExtTable(table) for t, table in dims.items()}
+    dual = dualize(a)
+    lower, upper = lr_bounds(dual, b)
+    kept = wanted.intersection(
+        _weyl_twists(box, lower, upper, sum(b) - sum(a), min(wanted), max(wanted))
+    )
+    dims: dict[int, dict[int, int]] = {t: {} for t in kept}
+    if kept:
+        for nu, mult in lr_product(dual, b).items():
+            for t, table in dims.items():
+                twisted = tuple(x + t for x in nu)
+                outcome = outcomes.get(twisted)
+                if outcome is None:
+                    outcome = outcomes[twisted] = bott(box, twisted)
+                if outcome.dim:
+                    table[outcome.degree] = table.get(outcome.degree, 0) + mult * outcome.dim
+    return {t: ExtTable(table) for t, table in dims.items() if table}
 
 
 def ext_table(e: TwistedSchur, f: TwistedSchur) -> ExtTable:
@@ -243,7 +234,7 @@ def ext_table(e: TwistedSchur, f: TwistedSchur) -> ExtTable:
     if e.box != f.box:
         raise ValueError("bundles live on different boxes")
     t = f.twist - e.twist
-    return _ext_tables(e.box, lr_product(dualize(e.weight), f.weight), (t,), {})[t]
+    return _ext_tables(e.box, e.weight, f.weight, (t,), {}).get(t, ExtTable())
 
 
 def euler_char(e: TwistedSchur, f: TwistedSchur) -> int:

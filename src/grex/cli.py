@@ -18,6 +18,7 @@ from math import comb
 
 from .bott import TwistedSchur, ext_table
 from .diagrams import (
+    SELECTIONS,
     Box,
     BoxedDiagram,
     enumerate_diagrams,
@@ -396,11 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("diagrams", help="enumerate box diagrams")
     _add_common(p, jobs=False)
-    p.add_argument(
-        "--selection",
-        choices=("all", "upper", "strictly_upper", "minimal_upper", "short_minimal_upper"),
-        default="all",
-    )
+    p.add_argument("--selection", choices=SELECTIONS, default="all")
     p.set_defaults(fn=cmd_diagrams)
 
     p = subs.add_parser("orbits", help="orbit decomposition of the cyclic action")
@@ -427,8 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("staircase", help="staircase resolution and K-exactness")
     _add_common(p, jobs=False)
-    p.add_argument("--lambda", dest="lam", type=_parse_parts, default=None)
-    p.add_argument("--theta", action="store_true", help="use the canonical short diagram")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--lambda", dest="lam", type=_parse_parts, default=None)
+    which.add_argument("--theta", action="store_true", help="use the canonical short diagram")
     p.set_defaults(fn=cmd_staircase)
 
     p = subs.add_parser("residual", help="residual classes, Gram matrix and twist orbit")

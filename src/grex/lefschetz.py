@@ -12,16 +12,13 @@ and returned, never raised.
     Ext^*(Sigma^a U*(s), Sigma^b U*(t)) = H^*(Sigma^{a*} (x) Sigma^b (x) O(t-s)),
 
 which depends only on the triple (a, b, t-s).  Fonarev's collection repeats
-each weight at many twists, so `gram` computes one Ext table per distinct
-triple it reads (1300 tables for the 4900 ordered pairs of G(4,8)) and reads
-every pair from it.  The triples are grouped by weight pair.  Before a pair
-is expanded, Weyl's bounds on the support of a* (x) b drop every twist at
-which no weight inside them can be non-acyclic; those tables are zero, and a
-pair left with no twist is not expanded (on a Fonarev collection, only the
-diagonal pairs keep one in the lower triangle).  One LR expansion per kept
-(a, b) serves all its kept twists, and `bott` runs once per twisted weight off
-the acyclicity intervals, through a memo that lives for the one call.  A
-violations-only call resolves only the lower triangle and the diagonal.
+each weight at many twists, so `gram` groups the objects by weight and, for
+each weight pair, asks `bott._ext_tables` once for every twist offset t-s it
+reads (1300 triples for the 4900 ordered pairs of G(4,8)).  That one routine
+drops the twists Weyl's bounds prove acyclic, expands the pair only if one is
+left (on a Fonarev collection, only the diagonal pairs keep one in the lower
+triangle), and resolves the rest by `bott` through one memo per call.  A
+violations-only call reads only the lower triangle and the diagonal.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .bott import ExtTable, TwistedSchur, _ext_tables, _weyl_twists
+from .bott import ExtTable, TwistedSchur, _ext_tables
 from .diagrams import (
     Box,
     BoxedDiagram,
@@ -38,7 +35,6 @@ from .diagrams import (
     orbit_length,
     orbits,
 )
-from .schur import dualize, lr_bounds, lr_product
 
 __all__ = [
     "CollectionObject",
@@ -175,11 +171,10 @@ def gram(
     In full_ext mode every pair below the diagonal is checked degree by
     degree and the diagonal must be exactly Hom = k; each failure becomes a
     Violation.  Ext^*(Sigma^a U*(s), Sigma^b U*(t)) depends only on
-    (a, b, t-s), so one Ext table is computed per distinct triple the output
-    reads, and none for a triple whose twist the Weyl bounds on the LR
-    support of a* (x) b prove acyclic.  `violations_only` (full_ext mode)
-    reads only the lower triangle and the diagonal, and returns no
-    `entries`.  `jobs` is ignored.
+    (a, b, t-s), so each weight pair (a, b) goes to `bott._ext_tables` once,
+    with every offset t-s the output reads and one memo of Bott outcomes
+    for the call.  `violations_only` (full_ext mode) reads only the lower
+    triangle and the diagonal, and returns no `entries`.  `jobs` is ignored.
     """
     if mode not in ("euler", "full_ext"):
         raise ValueError(f"mode must be 'euler' or 'full_ext', got {mode!r}")
@@ -189,33 +184,37 @@ def gram(
     box = bundles[0].box if bundles else None
     if any(e.box != box for e in bundles):
         raise ValueError("bundles live on different boxes")
-    rows = (bundles[: i + 1] if violations_only else bundles for i in range(len(bundles)))
-    keys = [[(e.weight, f.weight, f.twist - e.twist) for f in row] for e, row in zip(bundles, rows)]
-    twists: dict[tuple, list[int]] = {}
-    for a, b, t in dict.fromkeys(key for row in keys for key in row):
-        twists.setdefault((a, b), []).append(t)
+    at: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # weight -> [(index, twist)]
+    for i, e in enumerate(bundles):
+        at.setdefault(e.weight, []).append((i, e.twist))
     outcomes = {}
-    table = {}  # the nonzero Ext tables, by triple
-    for (a, b), ts in twists.items():
-        dual = dualize(a)
-        kept = set(_weyl_twists(box, *lr_bounds(dual, b), sum(b) - sum(a), min(ts), max(ts)))
-        ts = [t for t in ts if t in kept]
-        if ts:
-            tables = _ext_tables(box, lr_product(dual, b), ts, outcomes)
-            table.update(((a, b, t), ext) for t, ext in tables.items() if ext)
+    tables = {}  # (a, b) -> {t-s: nonzero Ext table}
+    for a, rows in at.items():
+        for b, cols in at.items():
+            ts = {t - s for i, s in rows for j, t in cols if not violations_only or j <= i}
+            if ts:
+                tables[a, b] = _ext_tables(box, a, b, ts, outcomes)
     entries = ()
     if not violations_only:
-        chi = {key: ext.euler() for key, ext in table.items()}
-        entries = tuple(tuple(chi.get(key, 0) for key in row) for row in keys)
+        chi = {pair: {t: ext.euler() for t, ext in exts.items()} for pair, exts in tables.items()}
+        entries = tuple(
+            tuple(chi[e.weight, f.weight].get(f.twist - e.twist, 0) for f in bundles)
+            for e in bundles
+        )
     violations: list[Violation] = []
     if mode == "full_ext":
-        for i, row in enumerate(keys):
-            for j, key in enumerate(row[:i]):
-                if key in table:
-                    dims = table[key].dims
-                    violations += [Violation(i, j, d, dims[d]) for d in sorted(dims)]
-            hom = table.get(row[i], ExtTable())
-            for d in sorted(set(hom.dims) | {0}):
-                if hom[d] != (d == 0):
-                    violations.append(Violation(i, i, d, hom[d]))
+        for (a, b), exts in tables.items():
+            if exts:
+                violations += [
+                    Violation(i, j, d, ext.dims[d])
+                    for i, s in at[a]
+                    for j, t in at[b]
+                    if j < i and (ext := exts.get(t - s))
+                    for d in sorted(ext.dims)
+                ]
+        for a, rows in at.items():
+            hom = tables[a, a].get(0, ExtTable())
+            bad = [d for d in sorted(set(hom.dims) | {0}) if hom[d] != (d == 0)]
+            violations += [Violation(i, i, d, hom[d]) for i, _ in rows for d in bad]
+        violations.sort(key=lambda v: (v.i, v.j))
     return GramResult(entries=entries, violations=tuple(violations))

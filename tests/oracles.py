@@ -8,14 +8,17 @@ leading term.  Slow and simple on purpose.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from grex.diagrams import Box
 
 
+@cache
 def ssyt_contents(shape: tuple[int, ...], nvars: int) -> dict[tuple[int, ...], int]:
     """Monomial expansion of the Schur polynomial s_shape(x_1..x_nvars):
-    enumerate semistandard tableaux, accumulating content vectors."""
+    enumerate semistandard tableaux, accumulating content vectors.  Memoized,
+    so the returned dict is shared: callers only read it."""
     rows = [r for r in shape if r > 0]
     if any(x < 0 for x in shape):
         raise ValueError("shape must be non-negative")

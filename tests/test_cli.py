@@ -10,6 +10,7 @@ import pytest
 
 import grex
 from grex.cli import main
+from grex.diagrams import SELECTIONS
 
 SRC = os.path.dirname(os.path.dirname(grex.__file__))
 
@@ -37,6 +38,16 @@ class TestDiagramsAndOrbits:
         data = json.loads(out)
         assert data["count"] == 5
         assert data["diagrams"] == [[0, 0, 0], [1, 0, 0], [1, 1, 0], [2, 0, 0], [2, 1, 0]]
+
+    @pytest.mark.parametrize("selection", SELECTIONS)
+    def test_every_selection_accepted(self, capsys, selection):
+        code, out, _ = run(capsys, "diagrams", "--k", "3", "--n", "6", "--selection", selection)
+        assert code == 0
+        assert json.loads(out)["selection"] == selection
+
+    def test_unknown_selection_rejected(self, capsys):
+        code, out, _ = run(capsys, "diagrams", "--k", "3", "--n", "6", "--selection", "lower")
+        assert code == 2 and out == ""
 
     def test_orbits(self, capsys):
         code, out, _ = run(capsys, "orbits", "--k", "3", "--n", "6", "--format", "json")
@@ -109,6 +120,19 @@ class TestStaircase:
         code, _, err = run(capsys, "staircase", "--k", "3", "--n", "6",
                            "--lambda", "2,1,0", "--format", "json")
         assert code == 2
+
+    def test_theta_and_lambda_exclusive(self, capsys):
+        code, out, err = run(capsys, "staircase", "--k", "3", "--n", "6", "--theta",
+                             "--lambda", "2,0,0", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "not allowed with argument" in err
+
+    def test_needs_theta_or_lambda(self, capsys):
+        code, out, err = run(capsys, "staircase", "--k", "3", "--n", "6")
+        assert code == 2
+        assert out == ""
+        assert "--lambda or --theta" in err
 
 
 class TestValidation:
@@ -302,6 +326,21 @@ class TestGoldenOutput:
 
 
 class TestFreshInterpreter:
+    def test_library_has_no_assert_statements(self):
+        # python -O strips assert statements, so checks in grex are raises
+        import ast
+        import pathlib
+
+        files = sorted(pathlib.Path(grex.__file__).parent.glob("*.py"))
+        assert files
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in files
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
+
     def test_optimized_mode_keeps_checks_and_output(self):
         # python -O strips assert statements; the report must not depend on them
         argv = ["-m", "grex.cli", "report", "--k", "3", "--n", "6", "--format", "json"]

@@ -6,7 +6,6 @@ from math import comb
 import pytest
 
 import grex.bott
-import grex.lefschetz
 from grex.bott import TwistedSchur, euler_char, ext_table
 from grex.diagrams import Box, BoxedDiagram, enumerate_diagrams
 from grex.lefschetz import (
@@ -241,13 +240,12 @@ class TestGramDedup:
             gram(kapranov(Box(1, 3)).objects, mode="euler", violations_only=True)
 
     def test_one_lr_product_per_pair_and_one_bott_per_weight(self, monkeypatch):
-        from grex.schur import dualize, lr_product
+        from grex.bott import _weyl_twists
+        from grex.schur import dualize, lr_bounds, lr_product, twist
 
         pairs, weights = [], []
-        lr, bott = grex.lefschetz.lr_product, grex.bott.bott
-        monkeypatch.setattr(
-            grex.lefschetz, "lr_product", lambda a, b: pairs.append((a, b)) or lr(a, b)
-        )
+        lr, bott = grex.bott.lr_product, grex.bott.bott
+        monkeypatch.setattr(grex.bott, "lr_product", lambda a, b: pairs.append((a, b)) or lr(a, b))
         monkeypatch.setattr(
             grex.bott, "bott", lambda box, nu: weights.append(nu) or bott(box, nu)
         )
@@ -261,18 +259,31 @@ class TestGramDedup:
                 for f in objects[: stop(i)]
             }
 
+        def memoized(read):
+            # the twisted weights nu + t of the expanded pairs at the twists
+            # the Weyl bounds keep, each once
+            twists = {}
+            for a, b, t in read:
+                twists.setdefault((a, b), set()).add(t)
+            out = set()
+            for (a, b), ts in twists.items():
+                bounds = lr_bounds(dualize(a), b)
+                kept = ts & set(_weyl_twists(box, *bounds, sum(b) - sum(a), min(ts), max(ts)))
+                out |= {twist(nu, t) for t in kept for nu in lr_product(dualize(a), b)}
+            return out
+
         # violations only: of the lower triangle and the diagonal, only the
-        # diagonal pairs (a, a) keep a twist that the Weyl bounds cannot rule
-        # out, and there every twisted weight but the trivial one lies on an
-        # acyclicity interval
+        # diagonal pairs (a, a) keep a twist that the Weyl bounds cannot rule out
+        lower = triples(lambda i: i + 1)
         assert gram(objects, mode="full_ext", violations_only=True).violations == ()
-        diagonal = {(dualize(a), a) for a, _, _ in triples(lambda i: i + 1)}
+        diagonal = {(dualize(a), a) for a, _, _ in lower}
         assert sorted(pairs) == sorted(diagonal)
-        assert weights == [(0, 0, 0, 0)]
+        assert sorted(weights) == sorted(memoized(lower))
+        assert len(weights) == 16
 
         # the full table: one expansion per weight pair with a non-acyclic
-        # term at a twist read, and bott once on each twisted weight the dot
-        # action calls non-acyclic, and on no other
+        # term at a twist read, and bott once on each twisted weight of it
+        # at a kept twist
         pairs.clear()
         weights.clear()
         full = triples(lambda i: None)
@@ -280,14 +291,13 @@ class TestGramDedup:
         assert len(full) == 1300
         cohomological = {
             (a, b, t): [nu for nu in lr_product(dualize(a), b)
-                        if bott_oracle(box, tuple(x + t for x in nu)) is not None]
+                        if bott_oracle(box, twist(nu, t)) is not None]
             for a, b, t in full
         }
         expanded = {(dualize(a), b) for (a, b, _), nus in cohomological.items() if nus}
         assert sorted(pairs) == sorted(expanded)
-        twisted = {tuple(x + t for x in nu) for (_, _, t), nus in cohomological.items()
-                   for nu in nus}
-        assert sorted(weights) == sorted(twisted)
+        assert sorted(weights) == sorted(memoized(full))
+        assert len(weights) == 318
 
     def test_jobs_starts_no_pool(self, monkeypatch):
         import multiprocessing
