@@ -31,12 +31,20 @@ m < 0.  Its agreement with the generic Littlewood-Richardson + dot-action
 route is part of the test suite.
 
 Pairings come in rows: row (a, t) holds chi(Sigma^a U*(t), Sigma^kappa U*)
-for every basis kappa and is built once, by one walk over the kappa that
-contain a + t carrying one fraction-free (Bareiss) elimination; every other
-kappa pairs to 0.  No pivoting is needed, as every pivot is a skew Schur
-value at 1^n, so at least 1 (`_Ctx.pairing_row`).  The Kapranov Gram matrix
-is the t = 0 rows, and a combination of bundles is zero in K_0 when the sum
-of its rows is, which is what the staircase checks hammer on.
+for every basis kappa and is built once; every kappa that does not contain
+a + t pairs to 0.  The matrix reads only the differences lam_i - a_j, so
+the row of a with m = a_{k-1} > 0 is the row of (a - m, min(t + m, 0)),
+translated by max(t + m, 0), and is gathered from it (`_Ctx.row`).  A row
+with a_{k-1} = 0 is one depth-first walk over the kappa containing a + t,
+top row first, carrying one fraction-free (Bareiss) elimination.  No
+pivoting is needed, as every pivot is a skew Schur value at 1^n, so at
+least 1.  Below each node of depth k-2 the determinant is linear in the
+last row, and its cofactors follow from the pivot rows by back
+substitution, exactly, since they are integer minors orthogonal to those
+rows; every last row of that node is then one dot product with them
+(`_Ctx.pairing_row`).  The Kapranov Gram matrix is the t = 0 rows, and a
+combination of bundles is zero in K_0 when the sum of its rows is, which
+is what the staircase checks hammer on.
 
 All per-box state lives on one context, `_ctx(box)`, and only the box used
 last is kept, so a sweep over many boxes frees each one when it moves on.
@@ -61,6 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter, mul
 
 from .bott import TwistedSchur, euler_char
 from .diagrams import (
@@ -98,59 +107,118 @@ class _Ctx:
         self.index = {w: i for i, w in enumerate(self.weights)}
         self.chis: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}  # (a, t) -> row
         self.h = [1]  # h[m] = h_m(1^n) = C(n+m-1, m), grown on demand
+        self.shifts: dict[int, itemgetter] = {}  # s -> gather of the translate by s
         self.twisted: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}  # (w, i) -> T^i e_w
 
     def row(self, a: tuple[int, ...], t: int) -> tuple[int, ...]:
-        """chi(Sigma^a U*(t), Sigma^kappa U*) for every basis kappa, in order."""
+        """chi(Sigma^a U*(t), Sigma^kappa U*) for every basis kappa, in order.
+
+        Only rows with a_{k-1} = 0 are walked.  The Jacobi-Trudi matrix reads
+        lam_i - a_j only, so with m = a_{k-1} > 0 the row of (a, t) is that of
+        (a - m, t0), t0 = min(t + m, 0), translated by s = t + m - t0: entry
+        kappa is entry kappa - s of it, and 0 where kappa_{k-1} < s, as then
+        kappa does not contain a + t.
+        """
         key = (a, t)
         r = self.chis.get(key)
         if r is None:
-            r = self.chis[key] = self.pairing_row(a, t)
+            m = a[-1]
+            if m:
+                t0 = min(t + m, 0)
+                r = self.row(tuple(x - m for x in a), t0)
+                if s := t + m - t0:
+                    r = self.shift(s)(r + (0,))
+            else:
+                r = self.pairing_row(a, t)
+            self.chis[key] = r
         return r
+
+    def shift(self, s: int) -> itemgetter:
+        """Gathers the translate by s of a row with a 0 appended: entry kappa
+        reads entry kappa - s, or the appended 0 if kappa_{k-1} < s."""
+        g = self.shifts.get(s)
+        if g is None:
+            zero, index = len(self.weights), self.index
+            g = self.shifts[s] = itemgetter(
+                *(index[tuple(x - s for x in w)] if w[-1] >= s else zero for w in self.weights)
+            )
+        return g
 
     def pairing_row(self, a: tuple[int, ...], t: int) -> tuple[int, ...]:
         """s_{lam/a}(1^n), lam = kappa(-t), over the basis: a in the box, t <= 0.
 
-        Walks the kappa containing a + t depth-first, bottom row first.  Depth
-        i adds row i of the row- and column-reversed Jacobi-Trudi matrix,
-        h_{lam_{k-1-i} - a_{k-1-j} + i - j}, and reduces it by Bareiss steps
-        against the pivot rows of the nodes above, so its i-th entry is the
-        leading (i+1)-minor and a leaf's is the determinant.  That minor is
-        the bottom-right one of the Jacobi-Trudi matrix, with m = k-1-i
-        s_{lam_{>=m}/a_{>=m}}(1^n) for a valid skew shape of at most k < n
-        rows: it counts at least one tableau, so no pivoting is needed, and
-        a zero pivot raises AssertionError.
+        Walks the kappa containing a + t depth-first, top row first.  Depth i
+        adds row i of the Jacobi-Trudi matrix, h_{lam_i - a_j - i + j}, and
+        reduces it by Bareiss steps against the pivot rows p_r of the nodes
+        above, so its i-th entry is the leading (i+1)-minor: with m = i+1,
+        s_{lam_{<m}/a_{<m}}(1^n) for a valid skew shape of at most k < n rows.
+        It counts at least one tableau, so no pivoting is needed, and a zero
+        pivot raises AssertionError.
+
+        The leaves are the last row, kappa_{k-1} from max(a_{k-1} + t, 0) to
+        kappa_{k-2}, and sit at consecutive basis indices.  Below one parent
+        the determinant is C . x, x the last row and C its cofactors.  C is
+        orthogonal to the first k-1 rows, so to every p_r, a combination of
+        them that is zero before column r.  C_{k-1} is the last pivot
+        p_{k-2}[k-2], so C_{k-2} = -p_{k-2}[k-1], and back substitution gives
+        C_r = -(sum_{j>r} p_r[j] C_j) / p_r[r], an exact division as each C_r
+        is an integer minor.  The leaves of one parent are then one dot
+        product each with slices of h.  Every leaf is s_{lam/a}(1^n) of a
+        valid skew shape, so a value below 1, or a division with a
+        remainder, raises AssertionError.
         """
         k, n, width = self.box.k, self.box.n, self.box.width
         h = self.h
         for m in range(len(h), width - t + k):
             h.append(h[-1] * (n + m - 1) // m)
-        off = [x + j for j, x in enumerate(reversed(a))]  # a_{k-1-j} + j
+        # h_m at hp[m + pad] for every m the walk reads, 0 for m < 0
+        pad = width + k
+        hp = [0] * pad + h
+        off = [x - j for j, x in enumerate(a)]  # a_j - j
         index = self.index
         out = [0] * len(self.weights)
         pivots: list[list[int]] = []  # the reduced rows of the nodes above
+        lo_last = max(a[-1] + t, 0)
+        starts = [pad - t - (k - 1) - o for o in off]  # hp index of the last row at kappa = 0
 
-        def walk(i: int, lo: int, tail: tuple[int, ...]) -> None:
-            leaf = i == k - 1
-            for c in range(max(lo, off[i] - i + t), width + 1):
-                top = c - t + i  # lam_{k-1-i} + i
-                x = [h[d] if (d := top - o) >= 0 else 0 for o in off]
+        def leaves(hi: int, prefix: tuple[int, ...]) -> None:
+            cof = [0] * (k - 2) + [-pivots[-1][-1], pivots[-1][-2]] if pivots else [1]
+            for r in range(k - 3, -1, -1):
+                p = pivots[r]
+                c, rem = divmod(-sum(map(mul, p[r + 1 :], cof[r + 1 :])), p[r])
+                if rem:
+                    raise AssertionError(f"inexact cofactor at row {r} for a={a}, t={t}")
+                cof[r] = c
+            cols = [hp[s + lo_last : s + hi + 1] for s in starts]
+            vals = [sum(map(mul, cof, x)) for x in zip(*cols)]
+            if min(vals) < 1:
+                raise AssertionError(f"Jacobi-Trudi leaf below 1 for a={a}, t={t}")
+            start = index[(*prefix, lo_last)]
+            out[start : start + len(vals)] = vals
+
+        def walk(i: int, hi: int, prefix: tuple[int, ...]) -> None:
+            for c in range(max(a[i] + t, 0), hi + 1):
+                top = pad + c - t - i  # pad + lam_i - i
+                x = [hp[top - o] for o in off]
                 prev = 1
                 for r, p in enumerate(pivots):
                     xr, pr = x[r], p[r]
                     for j in range(r + 1, k):
                         x[j] = (pr * x[j] - xr * p[j]) // prev
                     prev = pr
-                if leaf:
-                    out[index[(c, *tail)]] = x[i]
-                    continue
                 if not x[i]:
                     raise AssertionError(f"zero Jacobi-Trudi pivot at row {i} for a={a}, t={t}")
                 pivots.append(x)
-                walk(i + 1, c, (c, *tail))
+                if i < k - 2:
+                    walk(i + 1, c, (*prefix, c))
+                else:
+                    leaves(c, (*prefix, c))
                 pivots.pop()
 
-        walk(0, 0, ())
+        if k == 1:
+            leaves(width, ())
+        else:
+            walk(0, width, ())
         return tuple(out)
 
     @cached_property

@@ -28,7 +28,7 @@ from grex.ktheory import (
 )
 from grex.lefschetz import fenced_block, fonarev, gram, primitive_block
 from grex.staircase import build_staircase, build_theta_staircase, is_k_exact
-from oracles import dimension_oracle, ext_table_oracle, residual_oracle
+from oracles import dimension_oracle, ext_table_oracle, jacobi_trudi_oracle, residual_oracle
 
 
 def ts(w, t, box):
@@ -123,6 +123,55 @@ class TestChiPair:
         ctx.h = [1, 0, 0, 0, 0]
         with pytest.raises(AssertionError, match="zero Jacobi-Trudi pivot"):
             ctx.row((1, 1), 0)
+
+    def test_leaf_below_one_raises(self):
+        # the same corrupt table on G(1,4): no pivots, and every leaf
+        # kappa_1 > 0 reads h_m = 0, which no valid skew shape gives
+        ctx = _Ctx(Box(1, 4))
+        ctx.h = [1, 0, 0, 0, 0]
+        with pytest.raises(AssertionError, match="leaf below 1"):
+            ctx.row((0,), 0)
+
+    @staticmethod
+    def check_row_against_oracles(ctx, a, t):
+        box = ctx.box
+        row = ctx.row(a, t)
+        for kappa, got in zip(ctx.weights, row, strict=True):
+            lam = tuple(x - t for x in kappa)
+            assert got == jacobi_trudi_oracle(box.n, a, lam), (a, t, kappa)
+            assert got == euler_char(ts(a, t, box), ts(kappa, 0, box)), (a, t, kappa)
+
+    @pytest.mark.parametrize(
+        "k,n,a,t,base",
+        [
+            # a_{k-1} = m > 0 and t + m > 0: the t = 0 row of a - m, translated by t + m
+            (4, 8, (3, 2, 2, 1), 0, ((2, 1, 1, 0), 0)),
+            (7, 10, (3, 3, 2, 2, 2, 2, 2), -1, ((1, 1, 0, 0, 0, 0, 0), 0)),
+            (12, 14, (2, 2) + (1,) * 10, 0, ((1, 1) + (0,) * 10, 0)),
+            # t + m < 0: the very row of (a - m, t + m), no translation
+            (4, 8, (3, 2, 2, 1), -2, ((2, 1, 1, 0), -1)),
+            (7, 10, (2, 2, 2, 1, 1, 1, 1), -3, ((1, 1, 1, 0, 0, 0, 0), -2)),
+            (12, 14, (2,) * 9 + (1,) * 3, -2, ((1,) * 9 + (0,) * 3, -1)),
+        ],
+    )
+    def test_gathered_row_against_oracles(self, monkeypatch, k, n, a, t, base):
+        walked = []
+        walk = _Ctx.pairing_row
+        monkeypatch.setattr(
+            _Ctx, "pairing_row", lambda self, a, t: walked.append((a, t)) or walk(self, a, t)
+        )
+        ctx = _Ctx(Box(k, n))
+        self.check_row_against_oracles(ctx, a, t)
+        assert walked == [base]
+        assert (ctx.row(a, t) is ctx.row(*base)) == (t + a[-1] <= 0)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_one_row_box_against_oracles(self, n):
+        # k = 1: no pivots, the cofactor vector is (1) and a leaf is h_m itself
+        ctx = _Ctx(Box(1, n))
+        for a in ctx.weights:
+            for t in range(-3, 1):
+                self.check_row_against_oracles(ctx, a, t)
 
     def test_g25_gram_values(self):
         g = kapranov_gram(Box(2, 5))
@@ -233,9 +282,12 @@ class TestContext:
         monkeypatch.setattr(_Ctx, "pairing_row", recorded)
         self.check_staircases(box)
         assert _ctx(box) is ctx
-        # the 35 staircases of G(4,8) need 105 distinct rows
-        assert len(built) == len(set(built)) == 105
-        assert set(built) == set(ctx.chis)
+        # the 35 staircases of G(4,8) need 105 distinct rows; the 70 with
+        # a_{k-1} = 0 are walked, the rest gathered from them
+        assert len(built) == len(set(built)) == 70
+        assert all(a[-1] == 0 for a, _ in built)
+        assert set(built) <= set(ctx.chis)
+        assert len(ctx.chis) == 105
 
     def test_gram_is_the_untwisted_rows(self):
         # one copy: the Gram rows are the cached pairing rows themselves
