@@ -1,13 +1,22 @@
 """Sheaf cohomology of twisted Schur bundles on G(k,n) by Bott-Borel-Weil.
 
 `bott` is Bott-Borel-Weil in closed form for Sigma^nu U* on G(k,n).  With
-v_i = nu_i + n-1-i, the entries v_1 > ... > v_k sit ahead of the tail
-n-k-1, ..., 0 of nu + rho, rho = (n-1, ..., 0).  So the bundle is acyclic
-exactly when some v_i lies in [0, n-k).  Otherwise, with j = #{v_i >= n-k},
-sorting moves the k-j negative v_i past the n-k tail entries: the degree is
-(n-k)(k-j), and the GL(n) weight is
+v_r = nu_r + n-1-r (rows from 0), the entries v_0 > ... > v_{k-1} sit ahead
+of the tail n-k-1, ..., 0 of nu + rho, rho = (n-1, ..., 0).  So the bundle
+is acyclic exactly when some v_r lies in [0, n-k).  Otherwise, with
+j = #{v_r >= n-k}, sorting moves the k-j negative v_r past the n-k tail
+entries: the degree is (n-k)(k-j), and the GL(n) weight is
 
-    (nu_1, ..., nu_j, (j-k)^{n-k}, nu_{j+1}+n-k, ..., nu_k+n-k).
+    (nu_0, ..., nu_{j-1}, (j-k)^{n-k}, nu_j+n-k, ..., nu_{k-1}+n-k).
+
+Read as a test on the twist d of Sigma^nu U*(d), this is the row test:
+the bundle is not acyclic exactly when, for some j in 0..k, nu_r + d >= r+1-k
+on the rows r < j and nu_r + d <= r-n on the rows r >= j.  Both bounds
+strictly increase in r and nu weakly decreases, so only rows j-1 and j
+matter: j-k-nu_{j-1} <= d <= j-n-nu_j.  For every weight with
+lower <= nu <= upper the same j needs j-k-upper_{j-1} <= d <= j-n-lower_j.
+`_row_spans` computes these k+1 intervals, and both `bott` (on the one
+weight nu at d = 0) and `_ext_tables` (on Weyl's bounds) read them.
 
 The generic dot action (padded weight, repeated-entry test, inversion count,
 sort) lives only in `tests/oracles.py`, as the reference `bott` is checked
@@ -18,12 +27,10 @@ through the Littlewood-Richardson expansion of Sigma^dual(a) (x) Sigma^b.
 `_ext_tables` is the one routine that does so, for every twist a caller asks
 at once: `ext_table` asks for one twist with a fresh memo, and
 `lefschetz.gram` for all the twists of a weight pair, with one memo of Bott
-outcomes by twisted weight for the whole Gram check.  Before it expands,
-`_weyl_twists` reads the row test of `bott` from a box of weights instead of
-one weight: given Weyl's bounds `schur.lr_bounds` on the LR support and its
-fixed size, it keeps every twist at which some weight of that box could be
-non-acyclic.  The other twists are zero without expanding, and a weight pair
-left with none is not expanded at all; every (nu, t) of the one expansion
+outcomes by twisted weight for the whole Gram check.  Before it expands, it
+reads the row spans of Weyl's bounds `schur.lr_bounds` on the LR support:
+a twist outside every span is zero without expanding, and a weight pair left
+with none is not expanded at all; every (nu, t) of the one expansion
 otherwise goes to `bott` through the memo.  Nothing here keeps state between
 calls.
 
@@ -34,7 +41,7 @@ from the Weyl dimension formula `schur.dimension` of that GL(n) weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .diagrams import Box
 from .schur import check_weight, dimension, dualize, lr_bounds, lr_product
@@ -133,89 +140,46 @@ class ExtTable:
         return f"ExtTable({self.dims!r})"
 
 
+def _row_spans(
+    box: Box, lower: tuple[int, ...], upper: tuple[int, ...], lo: int, hi: int
+) -> list[tuple[int, int]]:
+    """For j = 0..k, the interval (first, last) of twists d in [lo, hi] with
+    d >= j-k-upper[j-1] (if j > 0) and d <= j-n-lower[j] (if j < k); empty
+    when first > last.  Every d at which Sigma^nu U*(d) is not acyclic, for
+    a weight lower <= nu <= upper, lies in the span of its j."""
+    k, n = box.k, box.n
+    return [
+        (max(lo, j - k - upper[j - 1]) if j else lo, min(hi, j - n - lower[j]) if j < k else hi)
+        for j in range(k + 1)
+    ]
+
+
 def bott(box: Box, nu: tuple[int, ...]) -> BottOutcome:
     """Cohomology of Sigma^nu U* on G(k,n): at most one non-vanishing degree,
     by the closed form in the module docstring."""
     nu = check_weight(nu)
-    k, n, w = box.k, box.n, box.width
+    k, w = box.k, box.width
     if len(nu) != k:
         raise ValueError(f"weight length {len(nu)} does not match k={k}")
-    v = [x + n - 1 - i for i, x in enumerate(nu)]
-    # v strictly decreases, so v[j] is its largest entry below n-k
-    j = sum(1 for x in v if x >= w)
-    if j < k and v[j] >= 0:
-        return _ACYCLIC
-    gln = nu[:j] + (j - k,) * w + tuple(x + w for x in nu[j:])
-    return BottOutcome(w * (k - j), gln, dimension(gln, n))
-
-
-def _least_twist(breaks: list[int], slack: int) -> int:
-    """The least integer d with sum(max(0, x - d) for x in breaks) <= slack,
-    for slack >= 0 and breaks not empty."""
-    breaks = sorted(breaks, reverse=True)
-    total = 0
-    for m, x in enumerate(breaks, 1):
-        total += x
-        # on [breaks[m], breaks[m-1]] the sum is total - m*d
-        if m == len(breaks) or total - m * breaks[m] > slack:
-            return -((slack - total) // m)
-
-
-def _weyl_twists(
-    box: Box, lower: tuple[int, ...], upper: tuple[int, ...], size: int, lo: int, hi: int
-) -> Iterator[int]:
-    """The twists d in [lo, hi], ascending, at which some integer vector nu with
-    lower <= nu <= upper and |nu| = size passes the row test of `bott` for
-    Sigma^nu U*(d): for some j in 0..k, nu_r + d >= r+1-k on the rows r < j and
-    nu_r + d <= r-n on the rows r >= j.  Every twist where some weight of that
-    box is not acyclic is among them.  For each j they form one interval, cut
-    by each row alone and by the sum on each side of j."""
-    k = box.k
-    tops = [r + 1 - k for r in range(k)]
-    bottoms = [r - box.n for r in range(k)]
-    below, above = size - sum(lower), sum(upper) - size
-    if below < 0 or above < 0 or any(x > y for x, y in zip(lower, upper)):
-        return
-    # row r < j alone needs d >= tops[r] - upper[r], row r >= j needs
-    # d <= bottoms[r] - lower[r]; lasts[j] is the least of the latter
-    lasts = [hi] * (k + 1)
-    for r in range(k - 1, -1, -1):
-        lasts[r] = min(lasts[r + 1], bottoms[r] - lower[r])
-    spans = []
-    first = lo
-    for j in range(k + 1):
-        if j > 0:
-            first = max(first, tops[j - 1] - upper[j - 1])
-        if first > lasts[j]:
-            continue
-        start, end = first, lasts[j]
-        if j > 0:
-            # sum of max(lower_r, tops_r - d) over r < j, plus lower beyond, <= size
-            start = max(start, _least_twist([tops[r] - lower[r] for r in range(j)], below))
-        if j < k:
-            # sum of min(upper_r, bottoms_r - d) over r >= j, plus upper before, >= size
-            end = min(end, -_least_twist([upper[r] - bottoms[r] for r in range(j, k)], above))
-        if start <= end:
-            spans.append((start, end))
-    d = lo
-    for start, end in sorted(spans):
-        yield from range(max(d, start), end + 1)
-        d = max(d, end + 1)
+    # for one weight the spans are disjoint: first_{j+1} - last_j = n-k+1
+    for j, (first, last) in enumerate(_row_spans(box, nu, nu, 0, 0)):
+        if first <= last:
+            gln = nu[:j] + (j - k,) * w + tuple(x + w for x in nu[j:])
+            return BottOutcome(w * (k - j), gln, dimension(gln, box.n))
+    return _ACYCLIC
 
 
 def _ext_tables(
     box: Box, a: tuple[int, ...], b: tuple[int, ...], ts: Iterable[int], outcomes: dict
 ) -> dict[int, ExtTable]:
     """{t: Ext^*(Sigma^a U*, Sigma^b U*(t))} for the t in ts where it is not zero.
-    One LR expansion of Sigma^dual(a) (x) Sigma^b serves every twist that
-    `_weyl_twists` keeps, and none runs if it keeps none; `outcomes` memoizes
+    One LR expansion of Sigma^dual(a) (x) Sigma^b serves every twist in a row
+    span of its Weyl bounds, and none runs if no twist is; `outcomes` memoizes
     `bott` by twisted weight for as long as the caller keeps it."""
     wanted = set(ts)
     dual = dualize(a)
-    lower, upper = lr_bounds(dual, b)
-    kept = wanted.intersection(
-        _weyl_twists(box, lower, upper, sum(b) - sum(a), min(wanted), max(wanted))
-    )
+    spans = _row_spans(box, *lr_bounds(dual, b), min(wanted), max(wanted))
+    kept = wanted.intersection(d for first, last in spans for d in range(first, last + 1))
     dims: dict[int, dict[int, int]] = {t: {} for t in kept}
     if kept:
         for nu, mult in lr_product(dual, b).items():

@@ -368,12 +368,15 @@ def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool
 
     Tested by summing the pairing rows of the terms: the pairings against
     every basis object determine a class uniquely (the Gram matrix is
-    uni-triangular).  Every bundle, with a positive twist absorbed into its
-    weight, must have its weight inside the box; otherwise ValueError.
+    uni-triangular).  Every bundle must live on the box and, with a positive
+    twist absorbed into its weight, have its weight inside it; otherwise
+    ValueError.
     """
     ctx = _ctx(box)
     total = [0] * len(ctx.weights)
     for coef, bundle in terms:
+        if bundle.box != box:
+            raise ValueError(f"bundle {bundle} lives on a different box")
         if coef == 0:
             continue
         r = bundle.reduced()

@@ -27,14 +27,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .bott import ExtTable, TwistedSchur, _ext_tables
-from .diagrams import (
-    Box,
-    BoxedDiagram,
-    enumerate_diagrams,
-    is_minimal_upper_triangular,
-    orbit_length,
-    orbits,
-)
+from .diagrams import Box, BoxedDiagram, enumerate_diagrams, orbit_of, orbits
 
 __all__ = [
     "CollectionObject",
@@ -129,7 +122,12 @@ def fenced_block(
     """Members of the primitive block containing mu (plus) or contained in mu (minus)."""
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    if not is_minimal_upper_triangular(mu) or orbit_length(box, mu.parts) == box.n:
+    if mu.box != box:
+        raise ValueError(f"{mu} lives on a different box")
+    # the representative is upper triangular, so mu is minimal upper
+    # triangular exactly when it is the representative
+    orb = orbit_of(mu)
+    if orb.representative != mu or orb.length == box.n:
         raise ValueError(f"{mu} is not a short minimal upper triangular diagram")
     out = []
     for obj in primitive_block(box):

@@ -149,6 +149,8 @@ def membership_ledger(
     primitive block (minimal upper triangular with a full orbit), and
     satisfies the containment the fenced slots demand.
     """
+    if mu.box != box:
+        raise ValueError(f"{mu} lives on a different box")
     period = orbit_of(mu).length  # n/d; slots span twists 1-n/d .. 0
     primitive = {obj.bundle.weight for obj in primitive_block(box)}
     assignments = []

@@ -341,6 +341,34 @@ class TestFreshInterpreter:
         ]
         assert found == []
 
+    def test_library_has_no_unused_imports(self):
+        # a name imported into a module must be read there or exported by __all__
+        import ast
+        import pathlib
+
+        files = sorted(pathlib.Path(grex.__file__).parent.glob("*.py"))
+        files = [path for path in files if path.name != "__init__.py"]
+        assert files
+        unused = []
+        for path in files:
+            tree = ast.parse(path.read_text(), str(path))
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        imported[name] = node.lineno
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+                ):
+                    used |= set(ast.literal_eval(node.value))
+            unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+        assert unused == []
+
     def test_optimized_mode_keeps_checks_and_output(self):
         # python -O strips assert statements; the report must not depend on them
         argv = ["-m", "grex.cli", "report", "--k", "3", "--n", "6", "--format", "json"]

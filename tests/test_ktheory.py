@@ -617,6 +617,14 @@ class TestZeroCombination:
         with pytest.raises(ValueError):
             is_zero_combination(box, [(1, ts((3, 0), 0, box))])
 
+    def test_bundle_on_another_box_rejected(self):
+        # a bundle of G(3,7) read on G(3,6) came back as a nonzero class, and
+        # one of G(2,6) failed the basis lookup with KeyError
+        box = Box(3, 6)
+        for other in (Box(3, 7), Box(2, 6)):
+            with pytest.raises(ValueError):
+                is_zero_combination(box, [(1, ts((1,) + (0,) * (other.k - 1), 0, other))])
+
     def test_out_of_box_zero_combination_rejected(self):
         # [S^(3,0)U*] = 4 e_(0,0) - 6 e_(1,0) + 4 e_(2,0) by class_of, so this
         # combination vanishes; the pairing rows cannot say so for (3,0)

@@ -126,6 +126,11 @@ class TestPrimitiveAndFenced:
         with pytest.raises(ValueError):
             fenced_block(box, BoxedDiagram((2, 1, 0), box), "sideways")
 
+    def test_fenced_rejects_other_box(self):
+        # (2,1,0) is short and minimal on G(3,6); its G(3,7) twin came back as ()
+        with pytest.raises(ValueError):
+            fenced_block(Box(3, 6), BoxedDiagram((2, 1, 0), Box(3, 7)), "plus")
+
 
 class TestGram:
     def test_p2_euler_matrix(self):
@@ -240,7 +245,7 @@ class TestGramDedup:
             gram(kapranov(Box(1, 3)).objects, mode="euler", violations_only=True)
 
     def test_one_lr_product_per_pair_and_one_bott_per_weight(self, monkeypatch):
-        from grex.bott import _weyl_twists
+        from grex.bott import _row_spans
         from grex.schur import dualize, lr_bounds, lr_product, twist
 
         pairs, weights = [], []
@@ -268,7 +273,8 @@ class TestGramDedup:
             out = set()
             for (a, b), ts in twists.items():
                 bounds = lr_bounds(dualize(a), b)
-                kept = ts & set(_weyl_twists(box, *bounds, sum(b) - sum(a), min(ts), max(ts)))
+                spans = _row_spans(box, *bounds, min(ts), max(ts))
+                kept = ts & {d for first, last in spans for d in range(first, last + 1)}
                 out |= {twist(nu, t) for t in kept for nu in lr_product(dualize(a), b)}
             return out
 
@@ -298,6 +304,36 @@ class TestGramDedup:
         assert sorted(pairs) == sorted(expanded)
         assert sorted(weights) == sorted(memoized(full))
         assert len(weights) == 318
+
+    @pytest.mark.parametrize("k,n", [(4, 10), (5, 9), (7, 10)])
+    def test_violations_only_expands_exactly_the_cohomological_pairs(self, monkeypatch, k, n):
+        # the row spans of the Weyl bounds lose nothing here: a weight pair is
+        # expanded exactly when some term of a* (x) b is non-acyclic at one of
+        # the twists read, by the dot action
+        from grex.schur import dualize, lr_product, twist
+
+        pairs = []
+        lr = grex.bott.lr_product
+        monkeypatch.setattr(grex.bott, "lr_product", lambda a, b: pairs.append((a, b)) or lr(a, b))
+        box = Box(k, n)
+        objects = fonarev(box).objects
+        assert gram(objects, mode="full_ext", violations_only=True).violations == ()
+        read: dict[tuple, set[int]] = {}
+        for i, e in enumerate(objects):
+            for f in objects[: i + 1]:
+                key = (e.bundle.weight, f.bundle.weight)
+                read.setdefault(key, set()).add(f.bundle.twist - e.bundle.twist)
+        expanded = {
+            (dualize(a), b)
+            for (a, b), ts in read.items()
+            if any(
+                bott_oracle(box, twist(nu, t)) is not None
+                for nu in lr_product(dualize(a), b)
+                for t in ts
+            )
+        }
+        assert expanded
+        assert sorted(pairs) == sorted(expanded)
 
     def test_jobs_starts_no_pool(self, monkeypatch):
         import multiprocessing

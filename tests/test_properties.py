@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grex.bott import TwistedSchur, _weyl_twists, bott, euler_char, ext_table
+from grex.bott import TwistedSchur, _row_spans, bott, euler_char, ext_table
 from grex.diagrams import Box, enumerate_diagrams
 from grex.ktheory import _bareiss_det, _ctx, _sparse_det, class_of, euler_pairing, twist_class
 from grex.schur import dualize, lr_bounds, twist
@@ -101,11 +101,13 @@ def twist_ranges(draw):
 @settings(PROPERTY, max_examples=300)
 @given(twist_ranges())
 def test_cohomological_twists_against_dot_action(case):
-    # on the one-weight box lower = upper = nu the twist test is exact: it
-    # keeps exactly the twists the dot action calls non-acyclic
+    # on the one-weight box lower = upper = nu the row spans are exact and
+    # ascending: read in order of j, they list exactly the twists the dot
+    # action calls non-acyclic, each once
     box, nu, lo, hi = case
     want = [d for d in range(lo, hi + 1) if bott_oracle(box, twist(nu, d)) is not None]
-    assert list(_weyl_twists(box, nu, nu, sum(nu), lo, hi)) == want
+    spans = _row_spans(box, nu, nu, lo, hi)
+    assert [d for first, last in spans for d in range(first, last + 1)] == want
 
 
 @st.composite
@@ -129,7 +131,7 @@ def test_lr_bounds_hold_on_the_oracle_expansion(pair):
 
 @pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (3, 7), (4, 8)])
 def test_weyl_twists_drop_only_acyclic_twists(k, n):
-    # wherever the twist test drops d for a pair (a, b) of diagrams, every
+    # wherever the row spans drop d for a pair (a, b) of diagrams, every
     # term of the oracle's a* (x) b is acyclic at d by the dot action
     box = Box(k, n)
     diagrams = [d.parts for d in enumerate_diagrams(box, "all")]
@@ -138,7 +140,8 @@ def test_weyl_twists_drop_only_acyclic_twists(k, n):
     for a in diagrams:
         for b in diagrams:
             alpha = dualize(a)
-            kept = set(_weyl_twists(box, *lr_bounds(alpha, b), sum(b) - sum(a), -n, n))
+            spans = _row_spans(box, *lr_bounds(alpha, b), -n, n)
+            kept = {d for first, last in spans for d in range(first, last + 1)}
             key = tuple(sorted((twist(alpha, -alpha[-1]), twist(b, -b[-1]))))
             if key not in expansions:
                 expansions[key] = lr_product_oracle(*key)

@@ -139,6 +139,13 @@ class TestMembershipLedger:
         assert ledger.assignments == tuple((i, "a(-1)") for i in expected)
         assert len(ledger.unassigned) == len(diagrams) - len(expected)
 
+    def test_rejects_mu_of_another_box(self):
+        # the period was read from mu's own box, not from the ledger's
+        box = Box(3, 6)
+        mu = BoxedDiagram((2, 1, 0), Box(3, 9))
+        with pytest.raises(ValueError):
+            membership_ledger(box, mu, [((0, 0, 0), -1)])
+
 
 class TestAppendixTables:
     def test_base_case(self):
