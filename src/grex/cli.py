@@ -231,14 +231,19 @@ def cmd_fullness(args) -> int:
 def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
     """Run every verification stage; failures are recorded, never raised.
 
-    `jobs` is accepted and ignored: every stage runs in this process.
+    A stage whose check raises AssertionError, RuntimeError or ValueError is
+    recorded as failed, with the message under "error".  `jobs` is accepted
+    and ignored: every stage runs in this process.
     """
 
     stages: dict[str, dict] = {}
 
     def run(name, fn):
         t0 = time.perf_counter()
-        stages[name] = fn()
+        try:
+            stages[name] = fn()
+        except (AssertionError, RuntimeError, ValueError) as exc:
+            stages[name] = {"verdict": "fail", "error": str(exc)}
         if timings is not None:
             timings[name] = time.perf_counter() - t0
 

@@ -32,18 +32,14 @@ route is part of the test suite.
 
 Pairings come in rows: row (a, t) holds chi(Sigma^a U*(t), Sigma^kappa U*)
 for every basis kappa and is built once; every kappa that does not contain
-a + t pairs to 0.  The matrix reads only the differences lam_i - a_j, so
-the row of a with m = a_{k-1} > 0 is the row of (a - m, min(t + m, 0)),
-translated by max(t + m, 0), and is gathered from it (`_Ctx.row`).  A row
-with a_{k-1} = 0 is one depth-first walk over the kappa containing a + t,
-top row first, carrying one fraction-free (Bareiss) elimination.  No
-pivoting is needed, as every pivot is a skew Schur value at 1^n, so at
-least 1.  Below each node of depth k-2 the determinant is linear in the
-last row, and its cofactors follow from the pivot rows by back
-substitution, exactly, since they are integer minors orthogonal to those
-rows; every last row of that node is then one dot product with them
-(`_Ctx.pairing_row`).  The Kapranov Gram matrix is the t = 0 rows, and a
-combination of bundles is zero in K_0 when the sum of its rows is, which
+a + t pairs to 0.  As Sigma^{a+m} U*(t) = Sigma^a U*(t+m), a row is kept
+under the normal form of its bundle, the weight ending in 0 (`_Ctx.row`).
+A normal form with a positive twist is a translate of the t = 0 row.  Any
+other is one depth-first walk over the kappa containing a + t, top row
+first, carrying one fraction-free (Bareiss) elimination, and every last
+row below a node is one dot product with cofactors found from its pivot
+rows (`_Ctx.pairing_row`).  The Kapranov Gram matrix is the t = 0 rows, and
+a combination of bundles is zero in K_0 when the sum of its rows is, which
 is what the staircase checks hammer on.
 
 All per-box state lives on one context, `_ctx(box)`, and only the box used
@@ -111,26 +107,21 @@ class _Ctx:
         self.twisted: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}  # (w, i) -> T^i e_w
 
     def row(self, a: tuple[int, ...], t: int) -> tuple[int, ...]:
-        """chi(Sigma^a U*(t), Sigma^kappa U*) for every basis kappa, in order.
+        """chi(Sigma^a U*(t), Sigma^kappa U*) for every basis kappa, in order,
+        where a_0 + t and a_0 - a_{k-1} are at most n-k.
 
-        Only rows with a_{k-1} = 0 are walked.  The Jacobi-Trudi matrix reads
-        lam_i - a_j only, so with m = a_{k-1} > 0 the row of (a, t) is that of
-        (a - m, t0), t0 = min(t + m, 0), translated by s = t + m - t0: entry
-        kappa is entry kappa - s of it, and 0 where kappa_{k-1} < s, as then
-        kappa does not contain a + t.
+        The row is stored once, under the normal form (a - m, t + m),
+        m = a_{k-1}.  With s = t + m > 0 it is the row of (a - m, 0)
+        translated by s: entry kappa is entry kappa - s of it, and 0 where
+        kappa_{k-1} < s, as then kappa does not contain a + t.  Otherwise it
+        is walked.
         """
-        key = (a, t)
-        r = self.chis.get(key)
+        if m := a[-1]:
+            a, t = tuple(x - m for x in a), t + m
+        r = self.chis.get((a, t))
         if r is None:
-            m = a[-1]
-            if m:
-                t0 = min(t + m, 0)
-                r = self.row(tuple(x - m for x in a), t0)
-                if s := t + m - t0:
-                    r = self.shift(s)(r + (0,))
-            else:
-                r = self.pairing_row(a, t)
-            self.chis[key] = r
+            r = self.shift(t)(self.row(a, 0) + (0,)) if t > 0 else self.pairing_row(a, t)
+            self.chis[a, t] = r
         return r
 
     def shift(self, s: int) -> itemgetter:
@@ -145,7 +136,8 @@ class _Ctx:
         return g
 
     def pairing_row(self, a: tuple[int, ...], t: int) -> tuple[int, ...]:
-        """s_{lam/a}(1^n), lam = kappa(-t), over the basis: a in the box, t <= 0.
+        """s_{lam/a}(1^n), lam = kappa(-t), over the basis: a in the box with
+        a_{k-1} = 0, t <= 0.
 
         Walks the kappa containing a + t depth-first, top row first.  Depth i
         adds row i of the Jacobi-Trudi matrix, h_{lam_i - a_j - i + j}, and
@@ -155,9 +147,9 @@ class _Ctx:
         It counts at least one tableau, so no pivoting is needed, and a zero
         pivot raises AssertionError.
 
-        The leaves are the last row, kappa_{k-1} from max(a_{k-1} + t, 0) to
-        kappa_{k-2}, and sit at consecutive basis indices.  Below one parent
-        the determinant is C . x, x the last row and C its cofactors.  C is
+        Depth k-1 is the leaves: the last row, kappa_{k-1} from 0 to
+        kappa_{k-2}, at consecutive basis indices.  Below one parent the
+        determinant is C . x, x the last row and C its cofactors.  C is
         orthogonal to the first k-1 rows, so to every p_r, a combination of
         them that is zero before column r.  C_{k-1} is the last pivot
         p_{k-2}[k-2], so C_{k-2} = -p_{k-2}[k-1], and back substitution gives
@@ -178,7 +170,6 @@ class _Ctx:
         index = self.index
         out = [0] * len(self.weights)
         pivots: list[list[int]] = []  # the reduced rows of the nodes above
-        lo_last = max(a[-1] + t, 0)
         starts = [pad - t - (k - 1) - o for o in off]  # hp index of the last row at kappa = 0
 
         def leaves(hi: int, prefix: tuple[int, ...]) -> None:
@@ -189,14 +180,16 @@ class _Ctx:
                 if rem:
                     raise AssertionError(f"inexact cofactor at row {r} for a={a}, t={t}")
                 cof[r] = c
-            cols = [hp[s + lo_last : s + hi + 1] for s in starts]
+            cols = [hp[s : s + hi + 1] for s in starts]
             vals = [sum(map(mul, cof, x)) for x in zip(*cols)]
             if min(vals) < 1:
                 raise AssertionError(f"Jacobi-Trudi leaf below 1 for a={a}, t={t}")
-            start = index[(*prefix, lo_last)]
+            start = index[(*prefix, 0)]
             out[start : start + len(vals)] = vals
 
         def walk(i: int, hi: int, prefix: tuple[int, ...]) -> None:
+            if i == k - 1:
+                return leaves(hi, prefix)
             for c in range(max(a[i] + t, 0), hi + 1):
                 top = pad + c - t - i  # pad + lam_i - i
                 x = [hp[top - o] for o in off]
@@ -209,16 +202,10 @@ class _Ctx:
                 if not x[i]:
                     raise AssertionError(f"zero Jacobi-Trudi pivot at row {i} for a={a}, t={t}")
                 pivots.append(x)
-                if i < k - 2:
-                    walk(i + 1, c, (*prefix, c))
-                else:
-                    leaves(c, (*prefix, c))
+                walk(i + 1, c, (*prefix, c))
                 pivots.pop()
 
-        if k == 1:
-            leaves(width, ())
-        else:
-            walk(0, width, ())
+        walk(0, width, ())
         return tuple(out)
 
     @cached_property
@@ -368,9 +355,8 @@ def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool
 
     Tested by summing the pairing rows of the terms: the pairings against
     every basis object determine a class uniquely (the Gram matrix is
-    uni-triangular).  Every bundle must live on the box and, with a positive
-    twist absorbed into its weight, have its weight inside it; otherwise
-    ValueError.
+    uni-triangular).  Every bundle must live on the box and fit the pairing
+    rows (`_Ctx.row`); otherwise ValueError.
     """
     ctx = _ctx(box)
     total = [0] * len(ctx.weights)
@@ -379,14 +365,8 @@ def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool
             raise ValueError(f"bundle {bundle} lives on a different box")
         if coef == 0:
             continue
-        r = bundle.reduced()
-        w, t = r.weight, r.twist
-        if t > 0:
-            # re-absorb a positive twist into the weight; the single-degree
-            # pairing argument needs t <= (n-k) - w_1, which then holds
-            w = tuple(x + t for x in w)
-            t = 0
-        if w[0] > box.width:
+        w, t = bundle.weight, bundle.twist
+        if max(w[0] + t, w[0] - w[-1]) > box.width:
             raise ValueError(f"bundle {bundle} does not fit the pairing fast path")
         # every kappa containing w + t is lexicographically at least
         # max(w + t, 0), so the row is zero before that basis index

@@ -230,6 +230,36 @@ class TestReport:
         assert len(checked) == 4
         assert len({id(sc) for sc in checked}) == 4
 
+    def test_raising_residual_check_recorded(self, capsys, monkeypatch):
+        # the primitive block reversed is not semiorthogonal, and the residual
+        # check's ValueError once escaped as the invalid-input exit code 2
+        from grex import ktheory
+
+        block = ktheory.primitive_block
+        monkeypatch.setattr(ktheory, "primitive_block", lambda box: tuple(reversed(block(box))))
+        code, out, _ = run(capsys, "report", "--k", "3", "--n", "6", "--format", "json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["pass"] is False
+        residual = data["stages"]["residual"]
+        assert residual["verdict"] == "fail"
+        assert "not semiorthogonal" in residual["error"]
+        assert data["stages"]["fullness"]["verdict"] == "pass"
+
+    def test_raising_staircase_check_recorded(self, capsys, monkeypatch):
+        # a theta staircase term that fails its check raised RuntimeError
+        # out of the report
+        from grex import staircase
+
+        monkeypatch.setattr(staircase, "is_minimal_upper_triangular", lambda d: False)
+        code, out, _ = run(capsys, "report", "--k", "2", "--n", "4", "--format", "json")
+        assert code == 1
+        data = json.loads(out)
+        stage = data["stages"]["staircase"]
+        assert stage == {"verdict": "fail", "error": stage["error"]}
+        assert "not minimal upper triangular" in stage["error"]
+        assert data["stages"]["residual"]["verdict"] == "pass"
+
     def test_round_trip(self, capsys):
         _, out, _ = run(capsys, "report", "--k", "2", "--n", "4", "--format", "json")
         data = json.loads(out)
@@ -273,7 +303,10 @@ class TestGoldenOutput:
     three, before it skipped the weight pairs that the Weyl bounds on the LR
     support prove acyclic at every twist it reads.  The G(6,12) orbits,
     minimal_upper diagrams and Fonarev collection pin the one orbit
-    classification that every minimal, short and primitive selection reads."""
+    classification that every minimal, short and primitive selection reads.
+    The G(7,10) and G(1,5) reports and the G(3,9) theta staircase were
+    recorded before the pairing rows were stored under the normal form of
+    their bundle; they pin the walks of the one-row and the tallest box."""
 
     @pytest.mark.parametrize(
         "argv,digest",
@@ -312,12 +345,19 @@ class TestGoldenOutput:
              "a5b04f68d02ce092eebc47541d62c58d5b0edc6005ed708f81b5f6f97f8d001a"),
             (("report", "--k", "4", "--n", "11"),
              "fb57ccfd423448f35e339913aa283bf4757ffe3bd88da2e00344c14f5a43ae53"),
+            (("report", "--k", "7", "--n", "10"),
+             "8469f9d367dd720983fb5aaf52b9de511ef98cd7b7f8b91552a18572ea27ad2a"),
+            (("report", "--k", "1", "--n", "5"),
+             "eef8e1501c1cf69362658a526ec421eb4afcd6aaaa80703e77d5fdff955b4ddf"),
+            (("staircase", "--k", "3", "--n", "9", "--theta"),
+             "15764de23f3cc7a5af48d636e474aa0561a09b021d65b4fcf0009e9434b0f96e"),
         ],
         ids=["report_g36", "report_g48", "gram_fonarev_g48", "gram_kapranov_g36",
              "orbits_g48", "diagrams_short_g612", "residual_g48", "collection_g612",
              "diagrams_minimal_g612", "orbits_g612", "report_g410", "report_g59",
              "ext_two_anchor_g24", "ext_three_terms_g36", "gram_fonarev_euler_g59",
-             "gram_kapranov_g49", "report_g411"],
+             "gram_kapranov_g49", "report_g411", "report_g710", "report_g15",
+             "staircase_theta_g39"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

@@ -269,9 +269,6 @@ class TestContext:
         assert alive[0].box == Box(4, 8)
 
     def test_no_pairing_computed_twice(self, monkeypatch):
-        box = Box(4, 8)
-        _ctx.cache_clear()
-        ctx = _ctx(box)
         built = []
         build = _Ctx.pairing_row
 
@@ -280,20 +277,28 @@ class TestContext:
             return build(self, a, t)
 
         monkeypatch.setattr(_Ctx, "pairing_row", recorded)
-        self.check_staircases(box)
-        assert _ctx(box) is ctx
-        # the 35 staircases of G(4,8) need 105 distinct rows; the 70 with
-        # a_{k-1} = 0 are walked, the rest gathered from them
-        assert len(built) == len(set(built)) == 70
-        assert all(a[-1] == 0 for a, _ in built)
-        assert set(built) <= set(ctx.chis)
-        assert len(ctx.chis) == 105
+        # the work per box, without a clock: the staircases of the box need
+        # `rows` distinct rows; the `walked` ones with a_{k-1} = 0 and t <= 0
+        # are walked, the rest translated from them
+        for k, n, walked, rows in [
+            (1, 5, 2, 6), (2, 6, 10, 20), (3, 9, 56, 112), (4, 8, 70, 105), (7, 10, 168, 204)
+        ]:
+            box = Box(k, n)
+            _ctx.cache_clear()
+            ctx = _ctx(box)
+            built.clear()
+            self.check_staircases(box)
+            assert _ctx(box) is ctx
+            assert len(built) == len(set(built)) == walked, box
+            assert all(a[-1] == 0 and t <= 0 for a, t in built)
+            assert set(built) <= set(ctx.chis)
+            assert len(ctx.chis) == rows, box
 
     def test_gram_is_the_untwisted_rows(self):
         # one copy: the Gram rows are the cached pairing rows themselves
         ctx = _ctx(Box(3, 6))
         g = kapranov_gram(ctx.box)
-        assert all(row is ctx.chis[(w, 0)] for row, w in zip(g, ctx.weights, strict=True))
+        assert all(row is ctx.row(w, 0) for row, w in zip(g, ctx.weights, strict=True))
 
 
 class TestTwistClass:
@@ -613,9 +618,14 @@ class TestZeroCombination:
         assert not is_zero_combination(box, combo)
 
     def test_out_of_box_weight_rejected(self):
+        # a bundle fits when w_0 + t and w_0 - w_{k-1} are at most n-k
         box = Box(2, 4)
-        with pytest.raises(ValueError):
-            is_zero_combination(box, [(1, ts((3, 0), 0, box))])
+        for w, t in [((3, 0), 0), ((2, 1), 1), ((3, 0), -1)]:
+            with pytest.raises(ValueError):
+                is_zero_combination(box, [(1, ts(w, t, box))])
+        # S^(3,1)U*(-1) = S^(2,0)U* sits on the boundary; S^(1,1)U*(-1) = O
+        assert not is_zero_combination(box, [(1, ts((3, 1), -1, box))])
+        assert is_zero_combination(box, [(1, ts((1, 1), -1, box)), (-1, ts((0, 0), 0, box))])
 
     def test_bundle_on_another_box_rejected(self):
         # a bundle of G(3,7) read on G(3,6) came back as a nonzero class, and

@@ -153,26 +153,33 @@ def test_weyl_twists_drop_only_acyclic_twists(k, n):
 
 @st.composite
 def rows(draw):
-    """A box, a diagram a of it and a twist -3 <= t <= 0."""
+    """A box, a diagram a of it, a twist -3 <= t <= (n-k) - a_0, so that
+    a + t fits the box, and a determinant shift -2 <= c <= 2."""
     box = draw(boxes())
-    a = draw(st.lists(st.integers(0, box.width), min_size=box.k, max_size=box.k))
-    return box, tuple(sorted(a, reverse=True)), draw(st.integers(-3, 0))
+    a = tuple(sorted(draw(st.lists(st.integers(0, box.width), min_size=box.k, max_size=box.k)),
+                     reverse=True))
+    return box, a, draw(st.integers(-3, box.width - a[0])), draw(st.integers(-2, 2))
 
 
 @PROPERTY
 @given(rows())
 def test_pairing_row_against_jacobi_trudi(case):
-    # every entry is one Jacobi-Trudi determinant, positive exactly on the
-    # kappa with a inside kappa - t
-    box, a, t = case
+    # every entry is one Jacobi-Trudi determinant for t <= 0, and chi by
+    # LR + Bott for t > 0, positive exactly on the kappa with a inside kappa - t
+    box, a, t, c = case
     ctx = _ctx(box)
     row = ctx.row(a, t)
+    # S^(a+c)U*(t-c) is the same bundle, so it is the same stored row
+    assert ctx.row(tuple(x + c for x in a), t - c) is row
     # the least kappa containing a + t starts the row, which is zero before it
     lo = ctx.index[tuple(max(x + t, 0) for x in a)]
     assert not any(row[:lo]) and row[lo] > 0
     for kappa, got in zip(ctx.weights, row, strict=True):
         lam = tuple(x - t for x in kappa)
-        assert got == jacobi_trudi_oracle(box.n, a, lam), (kappa, got)
+        if t > 0:
+            assert got == euler_char(TwistedSchur(a, t, box), TwistedSchur(kappa, 0, box))
+        else:
+            assert got == jacobi_trudi_oracle(box.n, a, lam), (kappa, got)
         assert (got > 0) == all(x <= y for x, y in zip(a, lam)), (kappa, got)
 
 
