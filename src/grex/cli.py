@@ -1,8 +1,10 @@
 """Command-line front end emitting machine-readable verification reports.
 
-Exit codes: 0 = pass/informational, 1 = a mathematical check failed,
-2 = invalid input.  JSON goes to stdout, diagnostics and timings to stderr.
---jobs and GREX_JOBS are validated but start no processes.
+Exit codes: 0 = pass/informational, 1 = a mathematical check failed (a
+verdict, or a check that raised), 2 = invalid input, including a box with
+C(n,k) above the size guard, without --force, on any command but ext.
+JSON goes to stdout, diagnostics and timings to stderr.  --jobs and
+GREX_JOBS are validated but start no processes.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from .staircase import (
 SIZE_GUARD = 3003
 
 
-def _fail(msg: str) -> int:
+def _fail(msg: str, code: int = 2) -> int:
     print(f"error: {msg}", file=sys.stderr)
-    return 2
+    return code
 
 
 def _emit(payload, args, *, csv_rows=None) -> None:
@@ -104,8 +106,23 @@ def _box_from(args) -> Box:
     return Box(args.k, args.n)
 
 
-def cmd_diagrams(args) -> int:
+def _guarded_box(args) -> Box:
+    """The box of a command that enumerates it: C(n,k) above the size guard
+    exits 2 unless --force is given."""
     box = _box_from(args)
+    size = comb(box.n, box.k)
+    if size > SIZE_GUARD and not args.force:
+        raise SystemExit(
+            _fail(
+                f"C({box.n},{box.k}) = {size} exceeds the size guard {SIZE_GUARD}; "
+                "pass --force to run anyway"
+            )
+        )
+    return box
+
+
+def cmd_diagrams(args) -> int:
+    box = _guarded_box(args)
     diagrams = enumerate_diagrams(box, args.selection)
     payload = {
         "box": box.to_json(),
@@ -118,7 +135,7 @@ def cmd_diagrams(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    box = _box_from(args)
+    box = _guarded_box(args)
     orbs = orbits(box)
     payload = {
         "box": box.to_json(),
@@ -137,7 +154,7 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_collection(args) -> int:
-    box = _box_from(args)
+    box = _guarded_box(args)
     coll = fonarev(box) if args.style == "fonarev" else kapranov(box)
     payload = coll.to_json()
     payload["style"] = args.style
@@ -168,7 +185,7 @@ def cmd_ext(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    box = _box_from(args)
+    box = _guarded_box(args)
     coll = fonarev(box) if args.style == "fonarev" else kapranov(box)
     result = gram(coll.objects, mode=args.mode)
     payload = {
@@ -185,7 +202,7 @@ def cmd_gram(args) -> int:
 
 
 def cmd_staircase(args) -> int:
-    box = _box_from(args)
+    box = _guarded_box(args)
     if args.theta:
         if box.n % box.k != 0 or box.k < 2 or box.n // box.k < 2:
             return _fail("--theta needs n = k*m with k >= 2 and m >= 2")
@@ -209,7 +226,7 @@ def cmd_staircase(args) -> int:
 
 
 def cmd_residual(args) -> int:
-    box = _box_from(args)
+    box = _guarded_box(args)
     report = residual_report(box)
     payload = report.to_json()
     ok = report.gram_is_identity and report.tau_all_ok
@@ -221,7 +238,7 @@ def cmd_residual(args) -> int:
 
 
 def cmd_fullness(args) -> int:
-    box = _box_from(args)
+    box = _guarded_box(args)
     det = fullness_determinant(box)
     payload = {"box": box.to_json(), "det": det, "abs_det_is_one": abs(det) == 1}
     _emit(payload, args)
@@ -366,13 +383,7 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
 
 
 def cmd_report(args) -> int:
-    box = _box_from(args)
-    size = comb(box.n, box.k)
-    if size > SIZE_GUARD and not args.force:
-        return _fail(
-            f"C({box.n},{box.k}) = {size} exceeds the size guard {SIZE_GUARD}; "
-            "pass --force to run anyway"
-        )
+    box = _guarded_box(args)
     timings: dict[str, float] = {}
     payload = full_report(box, timings=timings)
     for name, dt in timings.items():
@@ -381,13 +392,15 @@ def cmd_report(args) -> int:
     return 0 if payload["pass"] else 1
 
 
-def _add_common(sub, *, jobs=True, csv=False):
+def _add_common(sub, *, jobs=True, csv=False, guard=True):
     # csv only where there is a matrix to write; elsewhere argparse rejects it
     sub.add_argument("--k", type=int, required=False)
     sub.add_argument("--n", type=int, required=False)
     formats = ("json", "csv", "pretty") if csv else ("json", "pretty")
     sub.add_argument("--format", choices=formats, default="json")
     sub.add_argument("--output", default=None, help="write output to a file")
+    if guard:
+        sub.add_argument("--force", action="store_true", help="ignore the size guard")
     if jobs:
         # None means "not given": main() then reads GREX_JOBS
         sub.add_argument("--jobs", type=int, default=None)
@@ -415,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_collection)
 
     p = subs.add_parser("ext", help="Ext table between two twisted Schur bundles")
-    _add_common(p, jobs=False)
+    _add_common(p, jobs=False, guard=False)
     p.add_argument("--lambda", dest="lam", type=_parse_parts, default=None)
     p.add_argument("--mu", type=_parse_parts, default=None)
     p.add_argument("--twist", type=int, default=0, help="twist of the target bundle")
@@ -444,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("report", help="run every verification stage")
     _add_common(p)
-    p.add_argument("--force", action="store_true", help="ignore the size guard")
     p.set_defaults(fn=cmd_report)
 
     return parser
@@ -474,6 +486,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except ValueError as exc:
         return _fail(str(exc))
+    except (AssertionError, RuntimeError) as exc:
+        # a check that raises is a failed verdict, as in full_report
+        return _fail(str(exc), 1)
 
 
 if __name__ == "__main__":

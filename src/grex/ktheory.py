@@ -34,13 +34,17 @@ Pairings come in rows: row (a, t) holds chi(Sigma^a U*(t), Sigma^kappa U*)
 for every basis kappa and is built once; every kappa that does not contain
 a + t pairs to 0.  As Sigma^{a+m} U*(t) = Sigma^a U*(t+m), a row is kept
 under the normal form of its bundle, the weight ending in 0 (`_Ctx.row`).
-A normal form with a positive twist is a translate of the t = 0 row.  Any
-other is one depth-first walk over the kappa containing a + t, top row
+A normal form with a positive twist is a translate of the t = 0 row.  The
+t = 0 row is one depth-first walk over the kappa containing a, top row
 first, carrying one fraction-free (Bareiss) elimination, and every last
 row below a node is one dot product with cofactors found from its pivot
-rows (`_Ctx.pairing_row`).  The Kapranov Gram matrix is the t = 0 rows, and
-a combination of bundles is zero in K_0 when the sum of its rows is, which
-is what the staircase checks hammer on.
+rows (`_Ctx.pairing_row`).  For t < 0, entry kappa is s_{(kappa-t)/a}(1^n),
+which is entry kappa+1 of the row (a, t+1) whenever kappa_0 < n-k, as then
+kappa+1 is in the box.  Lexicographic order puts those kappa first, so
+they are gathered from the row one twist up, and the walk visits only the
+kappa with a full top row, kappa_0 = n-k.  The Kapranov Gram matrix is the
+t = 0 rows, and a combination of bundles is zero in K_0 when the sum of its
+rows is, which is what the staircase checks hammer on.
 
 All per-box state lives on one context, `_ctx(box)`, and only the box used
 last is kept, so a sweep over many boxes frees each one when it moves on.
@@ -104,6 +108,8 @@ class _Ctx:
         self.chis: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}  # (a, t) -> row
         self.h = [1]  # h[m] = h_m(1^n) = C(n+m-1, m), grown on demand
         self.shifts: dict[int, itemgetter] = {}  # s -> gather of the translate by s
+        # the first basis index with kappa_0 = n-k: C(n,k) - C(n-1,k-1)
+        self.tail = self.index[(box.width,) + (0,) * (box.k - 1)]
         self.twisted: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}  # (w, i) -> T^i e_w
 
     def row(self, a: tuple[int, ...], t: int) -> tuple[int, ...]:
@@ -113,31 +119,53 @@ class _Ctx:
         The row is stored once, under the normal form (a - m, t + m),
         m = a_{k-1}.  With s = t + m > 0 it is the row of (a - m, 0)
         translated by s: entry kappa is entry kappa - s of it, and 0 where
-        kappa_{k-1} < s, as then kappa does not contain a + t.  Otherwise it
-        is walked.
+        kappa_{k-1} < s, as then kappa does not contain a + t.  With t = 0
+        it is walked.
+
+        With t < 0, entry kappa is s_{(kappa-t)/a}(1^n), and so is entry
+        kappa+1 of the row (a, t+1) whenever kappa+1 is a box diagram, that
+        is, kappa_0 < n-k.  The basis is in lexicographic order, so those
+        kappa come first, before `self.tail`: that part is gathered from the
+        row one twist up, and only the kappa with kappa_0 = n-k are walked.
+        The missing rows of a, from t = 0 or the lowest one stored down to
+        t, are built in that order by one loop, so a deep twist needs no
+        deep recursion.
         """
         if m := a[-1]:
             a, t = tuple(x - m for x in a), t + m
         r = self.chis.get((a, t))
-        if r is None:
-            r = self.shift(t)(self.row(a, 0) + (0,)) if t > 0 else self.pairing_row(a, t)
-            self.chis[a, t] = r
+        if r is None and t > 0:
+            r = self.chis[a, t] = self.shift(t)(self.row(a, 0) + (0,))
+        elif r is None:
+            top = t + 1  # the stored row to gather from; none at top = 1
+            while top <= 0 and (a, top) not in self.chis:
+                top += 1
+            r = self.chis.get((a, top))
+            for s in range(top - 1, t - 1, -1):
+                w = self.pairing_row(a, s)
+                if s < 0:
+                    w = self.shift(-1)(r + (0,))[: self.tail] + w[self.tail :]
+                r = self.chis[a, s] = w
         return r
 
     def shift(self, s: int) -> itemgetter:
         """Gathers the translate by s of a row with a 0 appended: entry kappa
-        reads entry kappa - s, or the appended 0 if kappa_{k-1} < s."""
+        reads entry kappa - s where that is a box diagram, and the appended 0
+        otherwise (for s > 0, where kappa_{k-1} < s; for s < 0, where
+        kappa_0 - s > n-k)."""
         g = self.shifts.get(s)
         if g is None:
             zero, index = len(self.weights), self.index
             g = self.shifts[s] = itemgetter(
-                *(index[tuple(x - s for x in w)] if w[-1] >= s else zero for w in self.weights)
+                *(index.get(tuple(x - s for x in w), zero) for w in self.weights)
             )
         return g
 
     def pairing_row(self, a: tuple[int, ...], t: int) -> tuple[int, ...]:
         """s_{lam/a}(1^n), lam = kappa(-t), over the basis: a in the box with
-        a_{k-1} = 0, t <= 0.
+        a_{k-1} = 0, t <= 0.  For t < 0 and k >= 2 only the kappa with
+        kappa_0 = n-k are walked, and the row is 0 before them; `row`
+        gathers the others from the row one twist up.
 
         Walks the kappa containing a + t depth-first, top row first.  Depth i
         adds row i of the Jacobi-Trudi matrix, h_{lam_i - a_j - i + j}, and
@@ -187,10 +215,10 @@ class _Ctx:
             start = index[(*prefix, 0)]
             out[start : start + len(vals)] = vals
 
-        def walk(i: int, hi: int, prefix: tuple[int, ...]) -> None:
+        def walk(i: int, lo: int, hi: int, prefix: tuple[int, ...]) -> None:
             if i == k - 1:
                 return leaves(hi, prefix)
-            for c in range(max(a[i] + t, 0), hi + 1):
+            for c in range(lo, hi + 1):
                 top = pad + c - t - i  # pad + lam_i - i
                 x = [hp[top - o] for o in off]
                 prev = 1
@@ -202,10 +230,10 @@ class _Ctx:
                 if not x[i]:
                     raise AssertionError(f"zero Jacobi-Trudi pivot at row {i} for a={a}, t={t}")
                 pivots.append(x)
-                walk(i + 1, c, (*prefix, c))
+                walk(i + 1, max(a[i + 1] + t, 0), c, (*prefix, c))
                 pivots.pop()
 
-        walk(0, width, ())
+        walk(0, width if t < 0 else a[0], width, ())
         return tuple(out)
 
     @cached_property

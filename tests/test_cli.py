@@ -173,6 +173,86 @@ class TestValidation:
         assert run(capsys, "diagrams", "--k", "2", "--n", "4")[0] == 0
 
 
+class TestSizeGuard:
+    """One guard for every command that enumerates the box: C(n,k) > 3003
+    exits 2 unless --force is given.  `ext` builds no basis and is unguarded."""
+
+    def test_huge_box_refused_without_enumerating(self, capsys, monkeypatch):
+        import grex.cli as cli
+
+        called = []
+        monkeypatch.setattr(cli, "enumerate_diagrams", lambda *args: called.append(args))
+        code, out, err = run(capsys, "diagrams", "--k", "30", "--n", "60")
+        assert code == 2
+        assert out == "" and not called
+        assert "size guard" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orbits"],
+            ["collection"],
+            ["gram"],
+            ["staircase", "--theta"],
+            ["residual"],
+            ["fullness"],
+            ["report"],
+        ],
+    )
+    def test_every_enumerating_command(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--k", "7", "--n", "14")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: C(14,7) = 3432 exceeds the size guard 3003")
+
+    def test_force(self, capsys):
+        code, out, _ = run(capsys, "diagrams", "--k", "7", "--n", "14", "--force")
+        assert code == 0
+        assert json.loads(out)["count"] == 3432
+
+    def test_ext_unguarded(self, capsys):
+        zero = ",".join(["0"] * 30)
+        code, out, _ = run(capsys, "ext", "--k", "30", "--n", "60", "--lambda", zero, "--mu", zero)
+        assert code == 0
+        assert json.loads(out)["euler"] == 1
+        assert run(capsys, "ext", "--k", "30", "--n", "60", "--force")[0] == 2
+
+
+class TestRaisingCheck:
+    """A check that raises is a failed verdict: `error: ...` on stderr and
+    exit 1, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["staircase", "--k", "2", "--n", "4", "--lambda", "2,1"],
+            ["residual", "--k", "3", "--n", "6"],
+        ],
+    )
+    def test_pairing_row_raises(self, capsys, monkeypatch, argv):
+        from grex import ktheory
+
+        def corrupt(self, a, t):
+            raise AssertionError(f"Jacobi-Trudi leaf below 1 for a={a}, t={t}")
+
+        monkeypatch.setattr(ktheory._Ctx, "pairing_row", corrupt)
+        ktheory._ctx.cache_clear()  # no row stored before the patch
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: Jacobi-Trudi leaf below 1")
+        assert "Traceback" not in err
+
+    def test_theta_term_raises(self, capsys, monkeypatch):
+        from grex import staircase
+
+        monkeypatch.setattr(staircase, "is_minimal_upper_triangular", lambda d: False)
+        code, out, err = run(capsys, "staircase", "--k", "2", "--n", "4", "--theta")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "not minimal upper triangular" in err
+
+
 class TestFullness:
     def test_g24(self, capsys):
         code, out, _ = run(capsys, "fullness", "--k", "2", "--n", "4", "--format", "json")

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import chain
 
 import pytest
 
@@ -94,6 +95,15 @@ class TestChiPair:
             assert got == euler_char(ts(a, -20, box), ts(kappa, 0, box))
             assert got > 0
 
+    def test_twist_deeper_than_the_recursion_limit(self):
+        # row(a, t) gathers from the rows t+1, ..., 0 of a, built by a loop:
+        # a twist deeper than the interpreter's stack still gives the row
+        ctx = _Ctx(Box(2, 4))
+        t = -sys.getrecursionlimit()
+        for kappa, got in zip(ctx.weights, ctx.row((1, 0), t), strict=True):
+            assert got == jacobi_trudi_oracle(4, (1, 0), tuple(x - t for x in kappa)), kappa
+        assert sum(key[0] == (1, 0) for key in ctx.chis) == 1 - t
+
     def test_empty_skew_shape(self):
         assert chi(_ctx(Box(2, 5)), (2, 1), 0, (2, 1)) == 1
         assert chi(_ctx(Box(3, 7)), (3, 3, 2), -1, (2, 2, 1)) == 1
@@ -148,7 +158,8 @@ class TestChiPair:
             (4, 8, (3, 2, 2, 1), 0, ((2, 1, 1, 0), 0)),
             (7, 10, (3, 3, 2, 2, 2, 2, 2), -1, ((1, 1, 0, 0, 0, 0, 0), 0)),
             (12, 14, (2, 2) + (1,) * 10, 0, ((1, 1) + (0,) * 10, 0)),
-            # t + m < 0: the very row of (a - m, t + m), no translation
+            # t + m < 0: the very row of (a - m, t + m), no translation; its
+            # kappa with kappa_0 < n-k are gathered from the row one twist up
             (4, 8, (3, 2, 2, 1), -2, ((2, 1, 1, 0), -1)),
             (7, 10, (2, 2, 2, 1, 1, 1, 1), -3, ((1, 1, 1, 0, 0, 0, 0), -2)),
             (12, 14, (2,) * 9 + (1,) * 3, -2, ((1,) * 9 + (0,) * 3, -1)),
@@ -162,7 +173,8 @@ class TestChiPair:
         )
         ctx = _Ctx(Box(k, n))
         self.check_row_against_oracles(ctx, a, t)
-        assert walked == [base]
+        # the chain (a - m, 0), (a - m, -1), ..., down to the stored row
+        assert walked == [(base[0], s) for s in range(0, base[1] - 1, -1)]
         assert (ctx.row(a, t) is ctx.row(*base)) == (t + a[-1] <= 0)
 
     @pytest.mark.parametrize("n", [2, 5])
@@ -273,15 +285,21 @@ class TestContext:
         build = _Ctx.pairing_row
 
         def recorded(self, a, t):
-            built.append((a, t))
-            return build(self, a, t)
+            r = build(self, a, t)
+            built.append((a, t, r))
+            return r
 
         monkeypatch.setattr(_Ctx, "pairing_row", recorded)
         # the work per box, without a clock: the staircases of the box need
         # `rows` distinct rows; the `walked` ones with a_{k-1} = 0 and t <= 0
-        # are walked, the rest translated from them
-        for k, n, walked, rows in [
-            (1, 5, 2, 6), (2, 6, 10, 20), (3, 9, 56, 112), (4, 8, 70, 105), (7, 10, 168, 204)
+        # are walked, the rest translated from them, and the walks return
+        # `entries` nonzero entries in all
+        for k, n, walked, rows, entries in [
+            (1, 5, 2, 6, 10),
+            (2, 6, 10, 20, 80),
+            (3, 9, 56, 112, 2058),
+            (4, 8, 70, 105, 2352),
+            (7, 10, 168, 204, 10332),
         ]:
             box = Box(k, n)
             _ctx.cache_clear()
@@ -289,10 +307,15 @@ class TestContext:
             built.clear()
             self.check_staircases(box)
             assert _ctx(box) is ctx
-            assert len(built) == len(set(built)) == walked, box
-            assert all(a[-1] == 0 and t <= 0 for a, t in built)
-            assert set(built) <= set(ctx.chis)
+            keys = [(a, t) for a, t, _ in built]
+            assert len(keys) == len(set(keys)) == walked, box
+            assert all(a[-1] == 0 and t <= 0 for a, t in keys)
+            assert set(keys) <= set(ctx.chis)
             assert len(ctx.chis) == rows, box
+            assert sum(map(bool, chain.from_iterable(r for *_, r in built))) == entries, box
+            # below the top row a twisted walk visits only kappa_0 = n-k
+            if k >= 2:
+                assert not any(any(r[: ctx.tail]) for _, t, r in built if t < 0)
 
     def test_gram_is_the_untwisted_rows(self):
         # one copy: the Gram rows are the cached pairing rows themselves

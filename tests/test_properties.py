@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from grex.bott import TwistedSchur, _row_spans, bott, euler_char, ext_table
 from grex.diagrams import Box, enumerate_diagrams
-from grex.ktheory import _bareiss_det, _ctx, _sparse_det, class_of, euler_pairing, twist_class
+from grex.ktheory import _bareiss_det, _ctx, _Ctx, _sparse_det, class_of, euler_pairing, twist_class
 from grex.schur import dualize, lr_bounds, twist
 from oracles import bott_oracle, dimension_oracle, jacobi_trudi_oracle, lr_product_oracle
 
@@ -181,6 +181,25 @@ def test_pairing_row_against_jacobi_trudi(case):
         else:
             assert got == jacobi_trudi_oracle(box.n, a, lam), (kappa, got)
         assert (got > 0) == all(x <= y for x, y in zip(a, lam)), (kappa, got)
+
+
+@st.composite
+def twisted_rows(draw):
+    """A box, a diagram a of it and a twist -4 <= t <= -1."""
+    box = draw(boxes())
+    a = draw(st.sampled_from([d.parts for d in enumerate_diagrams(box, "all")]))
+    return box, a, draw(st.integers(-4, -1))
+
+
+@PROPERTY
+@given(twisted_rows())
+def test_twisted_row_from_an_empty_store(case):
+    # a fresh context: the row of (a, t) gathers from the chain of rows
+    # (a, t+1), ..., (a, 0), which it builds on the way
+    box, a, t = case
+    ctx = _Ctx(box)
+    for kappa, got in zip(ctx.weights, ctx.row(a, t), strict=True):
+        assert got == jacobi_trudi_oracle(box.n, a, tuple(x - t for x in kappa)), (kappa, got)
 
 
 @st.composite
