@@ -227,7 +227,11 @@ def cmd_staircase(args) -> int:
 
 def cmd_residual(args) -> int:
     box = _guarded_box(args)
-    report = residual_report(box)
+    try:
+        report = residual_report(box)
+    except ValueError as exc:
+        # a chain that fails the semiorthogonality check is a failed verdict
+        return _fail(str(exc), 1)
     payload = report.to_json()
     ok = report.gram_is_identity and report.tau_all_ok
     ok = ok and len(report.residual_classes) == residual_rank(box)

@@ -19,37 +19,55 @@ Euler-pairing route below, so they do not verify the twist built from them.
 Pairings of the form chi(Sigma^a U*(t), Sigma^kappa U*) with t <= 0 and both
 diagrams in the box sit in a single cohomological degree, so they reduce to
 LR coefficients weighted by GL(n) dimensions, which sum to a skew Schur
-function at the point 1^n.  By the Jacobi-Trudi identity (Macdonald,
-*Symmetric Functions*, I.(5.4)), with lam = kappa(-t):
+function at the point 1^n (Macdonald, *Symmetric Functions*, I.(5.4)):
 
     chi(Sigma^a U*(t), Sigma^kappa U*) = sum_pi c^lam_{a, pi} dim_n(pi)
-                                       = s_{lam/a}(1^n)
-                                       = det[h_{lam_i - a_j - i + j}(1^n)],
-
-a k x k integer determinant with h_m(1^n) = C(n+m-1, m) and h_m = 0 for
-m < 0.  Its agreement with the generic Littlewood-Richardson + dot-action
-route is part of the test suite.
+                                       = s_{lam/a}(1^n),   lam = kappa - t.
 
 Pairings come in rows: row (a, t) holds chi(Sigma^a U*(t), Sigma^kappa U*)
-for every basis kappa and is built once; every kappa that does not contain
-a + t pairs to 0.  As Sigma^{a+m} U*(t) = Sigma^a U*(t+m), a row is kept
-under the normal form of its bundle, the weight ending in 0 (`_Ctx.row`).
-A normal form with a positive twist is a translate of the t = 0 row.  The
-t = 0 row is one depth-first walk over the kappa containing a, top row
-first, carrying one fraction-free (Bareiss) elimination, and every last
-row below a node is one dot product with cofactors found from its pivot
-rows (`_Ctx.pairing_row`).  For t < 0, entry kappa is s_{(kappa-t)/a}(1^n),
-which is entry kappa+1 of the row (a, t+1) whenever kappa_0 < n-k, as then
-kappa+1 is in the box.  Lexicographic order puts those kappa first, so
-they are gathered from the row one twist up, and the walk visits only the
-kappa with a full top row, kappa_0 = n-k.  The Kapranov Gram matrix is the
-t = 0 rows, and a combination of bundles is zero in K_0 when the sum of its
-rows is, which is what the staircase checks hammer on.
+for every basis kappa.  As Sigma^{a+m} U*(t) = Sigma^a U*(t+m), a row is
+kept under the normal form of its bundle, the weight ending in 0
+(`_Ctx.row`).  Skew shapes are translation invariant, so for a normal form
+with t >= -1 entry kappa is s_{(kappa+1)/sigma}(1^n), where sigma = a + t + 1
+is a diagram of the box one column wider (for t > 0 both sides vanish
+unless sigma is inside kappa + 1).
+
+All those rows are one table, G = H^n over the wider box.  By the branching
+rule s_{lam/sigma}(x, y) = sum_nu s_{nu/sigma}(x) s_{lam/nu}(y), and as
+s_{nu/sigma}(1) is 1 when nu/sigma is a horizontal strip and 0 otherwise,
+s_{lam/sigma}(1^n) counts the chains of n horizontal strips from sigma to
+lam: entry (sigma, lam) of H^n, where H[sigma, nu] = 1 when
+sigma_j <= nu_j <= sigma_{j-1} for every row j (nu_0 bounded by the box).
+Each range is fixed once the rows above are, so H is the product of k
+one-row suffix sums, top row first: X[sigma] += X[sigma + e_j] over sigma
+in reverse lexicographic order.  From the unit rows X[sigma] = e_{sigma-1}
+(0 where sigma_{k-1} = 0), n rounds of the k sums leave the row of sigma
+in X[sigma], by additions alone (`_Ctx.table`).
+
+X[sigma] is one Python int that packs its row at B bits per field, entry
+kappa at bit B kappa.  Every entry, and every partial sum on the way, is at
+most M = s_R(1^{n+2k}), R = ((n-k+1)^k): by the branching rule in k more
+variables, twice, s_{lam/sigma}(1^n) <= s_lam(1^{n+k}) <= s_R(1^{n+2k}),
+as s_sigma(1^k) >= 1 and s_{R/lam}(1^k) >= 1 (R has k rows).  So no field
+carries, and a combination of rows with sum |coef| = S has fields of
+absolute value at most S M.  When 2^(B-1) > S M its packed sum is 0 exactly
+when every field is: the lowest nonzero field kappa leaves a nonzero
+remainder mod 2^(B (kappa+1)).  So `is_zero_combination` sums coef times
+the packed rows as big integers, widening the table first when its fields
+are too narrow.  The first width admits S <= 2^n, which covers the
+staircase of every lam with a full first row (coefficients +-1 and
++-C(n, c) for distinct 0 < c < n).  The Kapranov Gram matrix is the t = 0
+rows.
+
+A normal form with t <= -2 needs sigma outside the wider box.  Its row is
+one Jacobi-Trudi determinant det[h_{lam_i - a_j - i + j}(1^n)] per entry,
+lam = kappa - t and h_m(1^n) = C(n+m-1, m), by `_bareiss_det`; it is stored
+as one row, and its largest entry joins M in the width test.
 
 All per-box state lives on one context, `_ctx(box)`, and only the box used
 last is kept, so a sweep over many boxes frees each one when it moves on.
 The context holds the basis diagrams, the sparse twist matrix, one store of
-twisted classes T^i e_lam and the pairing rows.
+twisted classes T^i e_lam, the packed table and the unpacked rows.
 
 Inside the module a class is sparse, {basis index: coefficient}: the twist,
 the pairing sum x_i G[i][j] y_j over nonzeros and the checked Gram-Schmidt
@@ -69,16 +87,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter, mul
+from math import comb
 
 from .bott import TwistedSchur, euler_char
 from .diagrams import (
     Box,
     BoxedDiagram,
+    _ascending_parts,
     enumerate_diagrams,
     orbits,
 )
 from .lefschetz import fonarev, primitive_block
+from .schur import dimension
 
 __all__ = [
     "KClass",
@@ -97,6 +117,13 @@ __all__ = [
 KClass = tuple[int, ...]
 
 
+def _normal(a: tuple[int, ...], t: int) -> tuple[tuple[int, ...], int]:
+    """Sigma^a U*(t) as Sigma^{a-m} U*(t+m), m = a_{k-1}: the weight ends in 0."""
+    if m := a[-1]:
+        return tuple(x - m for x in a), t + m
+    return a, t
+
+
 class _Ctx:
     """Everything K_0 keeps for one box.  `_ctx` holds one box at a time."""
 
@@ -106,135 +133,102 @@ class _Ctx:
         self.weights = tuple(d.parts for d in self.diagrams)
         self.index = {w: i for i, w in enumerate(self.weights)}
         self.chis: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}  # (a, t) -> row
-        self.h = [1]  # h[m] = h_m(1^n) = C(n+m-1, m), grown on demand
-        self.shifts: dict[int, itemgetter] = {}  # s -> gather of the translate by s
-        # the first basis index with kappa_0 = n-k: C(n,k) - C(n-1,k-1)
-        self.tail = self.index[(box.width,) + (0,) * (box.k - 1)]
+        # the sources sigma of the table: the box one column wider
+        self.sources = {s: i for i, s in enumerate(_ascending_parts(box.k, box.width + 1))}
+        # M, the bound on every table entry, and the field width B in bits
+        self.bound = dimension((box.width + 1,) * box.k, box.n + 2 * box.k)
+        self.bits = 0
+        self.widen(self.bound << box.n)
         self.twisted: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}  # (w, i) -> T^i e_w
 
     def row(self, a: tuple[int, ...], t: int) -> tuple[int, ...]:
         """chi(Sigma^a U*(t), Sigma^kappa U*) for every basis kappa, in order,
         where a_0 + t and a_0 - a_{k-1} are at most n-k.
 
-        The row is stored once, under the normal form (a - m, t + m),
-        m = a_{k-1}.  With s = t + m > 0 it is the row of (a - m, 0)
-        translated by s: entry kappa is entry kappa - s of it, and 0 where
-        kappa_{k-1} < s, as then kappa does not contain a + t.  With t = 0
-        it is walked.
-
-        With t < 0, entry kappa is s_{(kappa-t)/a}(1^n), and so is entry
-        kappa+1 of the row (a, t+1) whenever kappa+1 is a box diagram, that
-        is, kappa_0 < n-k.  The basis is in lexicographic order, so those
-        kappa come first, before `self.tail`: that part is gathered from the
-        row one twist up, and only the kappa with kappa_0 = n-k are walked.
-        The missing rows of a, from t = 0 or the lowest one stored down to
-        t, are built in that order by one loop, so a deep twist needs no
-        deep recursion.
+        The row is stored once, under the normal form (a', t') of the bundle.
+        With t' >= -1 it is entry sigma = a' + t' + 1 of the table G = H^n,
+        n rounds of k one-row suffix sums over the box one column wider,
+        unpacked: entry kappa is s_{(kappa+1)/sigma}(1^n), at most
+        M = s_R(1^{n+2k}) < 2^(B-1), so no B-bit field carries.  With
+        t' <= -2 it is one Jacobi-Trudi determinant per entry (`deep_row`).
         """
-        if m := a[-1]:
-            a, t = tuple(x - m for x in a), t + m
+        a, t = _normal(a, t)
         r = self.chis.get((a, t))
-        if r is None and t > 0:
-            r = self.chis[a, t] = self.shift(t)(self.row(a, 0) + (0,))
-        elif r is None:
-            top = t + 1  # the stored row to gather from; none at top = 1
-            while top <= 0 and (a, top) not in self.chis:
-                top += 1
-            r = self.chis.get((a, top))
-            for s in range(top - 1, t - 1, -1):
-                w = self.pairing_row(a, s)
-                if s < 0:
-                    w = self.shift(-1)(r + (0,))[: self.tail] + w[self.tail :]
-                r = self.chis[a, s] = w
+        if r is None:
+            if t >= -1:
+                # every kappa containing a + t is lexicographically at least
+                # max(a + t, 0), so the row is zero before that basis index
+                lo = self.index[tuple(max(x + t, 0) for x in a)]
+                size = self.bits // 8
+                raw = self.packed(a, t).to_bytes(size * len(self.weights), "little")
+                r = (0,) * lo + tuple(
+                    int.from_bytes(raw[i : i + size], "little")
+                    for i in range(lo * size, len(raw), size)
+                )
+            else:
+                r = self.deep_row(a, t)
+            self.chis[a, t] = r
         return r
 
-    def shift(self, s: int) -> itemgetter:
-        """Gathers the translate by s of a row with a 0 appended: entry kappa
-        reads entry kappa - s where that is a box diagram, and the appended 0
-        otherwise (for s > 0, where kappa_{k-1} < s; for s < 0, where
-        kappa_0 - s > n-k)."""
-        g = self.shifts.get(s)
-        if g is None:
-            zero, index = len(self.weights), self.index
-            g = self.shifts[s] = itemgetter(
-                *(index.get(tuple(x - s for x in w), zero) for w in self.weights)
-            )
-        return g
+    def deep_row(self, a: tuple[int, ...], t: int) -> tuple[int, ...]:
+        """det[h_{lam_i - a_j - i + j}(1^n)], lam = kappa - t, for every basis kappa."""
+        n = self.box.n
 
-    def pairing_row(self, a: tuple[int, ...], t: int) -> tuple[int, ...]:
-        """s_{lam/a}(1^n), lam = kappa(-t), over the basis: a in the box with
-        a_{k-1} = 0, t <= 0.  For t < 0 and k >= 2 only the kappa with
-        kappa_0 = n-k are walked, and the row is 0 before them; `row`
-        gathers the others from the row one twist up.
+        def h(m: int) -> int:
+            return comb(n + m - 1, m) if m >= 0 else 0
 
-        Walks the kappa containing a + t depth-first, top row first.  Depth i
-        adds row i of the Jacobi-Trudi matrix, h_{lam_i - a_j - i + j}, and
-        reduces it by Bareiss steps against the pivot rows p_r of the nodes
-        above, so its i-th entry is the leading (i+1)-minor: with m = i+1,
-        s_{lam_{<m}/a_{<m}}(1^n) for a valid skew shape of at most k < n rows.
-        It counts at least one tableau, so no pivoting is needed, and a zero
-        pivot raises AssertionError.
+        return tuple(
+            _bareiss_det([[h(x - t - y - i + j) for j, y in enumerate(a)] for i, x in enumerate(kappa)])
+            for kappa in self.weights
+        )
 
-        Depth k-1 is the leaves: the last row, kappa_{k-1} from 0 to
-        kappa_{k-2}, at consecutive basis indices.  Below one parent the
-        determinant is C . x, x the last row and C its cofactors.  C is
-        orthogonal to the first k-1 rows, so to every p_r, a combination of
-        them that is zero before column r.  C_{k-1} is the last pivot
-        p_{k-2}[k-2], so C_{k-2} = -p_{k-2}[k-1], and back substitution gives
-        C_r = -(sum_{j>r} p_r[j] C_j) / p_r[r], an exact division as each C_r
-        is an integer minor.  The leaves of one parent are then one dot
-        product each with slices of h.  Every leaf is s_{lam/a}(1^n) of a
-        valid skew shape, so a value below 1, or a division with a
-        remainder, raises AssertionError.
-        """
-        k, n, width = self.box.k, self.box.n, self.box.width
-        h = self.h
-        for m in range(len(h), width - t + k):
-            h.append(h[-1] * (n + m - 1) // m)
-        # h_m at hp[m + pad] for every m the walk reads, 0 for m < 0
-        pad = width + k
-        hp = [0] * pad + h
-        off = [x - j for j, x in enumerate(a)]  # a_j - j
-        index = self.index
-        out = [0] * len(self.weights)
-        pivots: list[list[int]] = []  # the reduced rows of the nodes above
-        starts = [pad - t - (k - 1) - o for o in off]  # hp index of the last row at kappa = 0
+    def packed(self, a: tuple[int, ...], t: int) -> int:
+        """The row of a normal form (a, t) packed at the table's width B."""
+        if t >= -1:
+            return self.table[self.sources[tuple(x + t + 1 for x in a)]]
+        size = self.bits // 8
+        return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in self.row(a, t)), "little")
 
-        def leaves(hi: int, prefix: tuple[int, ...]) -> None:
-            cof = [0] * (k - 2) + [-pivots[-1][-1], pivots[-1][-2]] if pivots else [1]
-            for r in range(k - 3, -1, -1):
-                p = pivots[r]
-                c, rem = divmod(-sum(map(mul, p[r + 1 :], cof[r + 1 :])), p[r])
-                if rem:
-                    raise AssertionError(f"inexact cofactor at row {r} for a={a}, t={t}")
-                cof[r] = c
-            cols = [hp[s : s + hi + 1] for s in starts]
-            vals = [sum(map(mul, cof, x)) for x in zip(*cols)]
-            if min(vals) < 1:
-                raise AssertionError(f"Jacobi-Trudi leaf below 1 for a={a}, t={t}")
-            start = index[(*prefix, 0)]
-            out[start : start + len(vals)] = vals
+    def widen(self, peak: int) -> None:
+        """Make 2^(B-1) > peak with B whole bytes, rebuilding the table if B grows."""
+        bits = -(-(peak.bit_length() + 1) // 8) * 8
+        if bits > self.bits:
+            self.bits = bits
+            self.__dict__.pop("table", None)
 
-        def walk(i: int, lo: int, hi: int, prefix: tuple[int, ...]) -> None:
-            if i == k - 1:
-                return leaves(hi, prefix)
-            for c in range(lo, hi + 1):
-                top = pad + c - t - i  # pad + lam_i - i
-                x = [hp[top - o] for o in off]
-                prev = 1
-                for r, p in enumerate(pivots):
-                    xr, pr = x[r], p[r]
-                    for j in range(r + 1, k):
-                        x[j] = (pr * x[j] - xr * p[j]) // prev
-                    prev = pr
-                if not x[i]:
-                    raise AssertionError(f"zero Jacobi-Trudi pivot at row {i} for a={a}, t={t}")
-                pivots.append(x)
-                walk(i + 1, max(a[i + 1] + t, 0), c, (*prefix, c))
-                pivots.pop()
-
-        walk(0, width if t < 0 else a[0], width, ())
+    @cached_property
+    def strips(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each row j, the source pairs (sigma, sigma + e_j), sigma in
+        reverse lexicographic order: one suffix sum of H's factorisation."""
+        sources = self.sources
+        out = []
+        for j in range(self.box.k):
+            pairs = []
+            for s, i in reversed(sources.items()):
+                up = sources.get((*s[:j], s[j] + 1, *s[j + 1 :]))
+                if up is not None:
+                    pairs.append((i, up))
+            out.append(tuple(pairs))
         return tuple(out)
+
+    @cached_property
+    def table(self) -> list[int]:
+        """The packed rows of every sigma of the wider box, at width B."""
+        return self.build_table()
+
+    def build_table(self) -> list[int]:
+        """X[sigma] = the packed row of sigma at width B: G = H^n by n rounds
+        of the k one-row suffix sums, from the unit rows e_{sigma-1}."""
+        bits, index = self.bits, self.index
+        x = [
+            1 << bits * index[tuple(v - 1 for v in s)] if s[-1] else 0 for s in self.sources
+        ]
+        strips = self.strips
+        for _ in range(self.box.n):
+            for pairs in strips:
+                for i, up in pairs:
+                    x[i] += x[up]
+        return x
 
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
@@ -383,11 +377,15 @@ def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool
 
     Tested by summing the pairing rows of the terms: the pairings against
     every basis object determine a class uniquely (the Gram matrix is
-    uni-triangular).  Every bundle must live on the box and fit the pairing
-    rows (`_Ctx.row`); otherwise ValueError.
+    uni-triangular).  The rows are summed packed, as big integers, at a
+    field width B with 2^(B-1) > sum |coef| times the largest entry any of
+    them can hold, so the total is 0 exactly when every pairing is.  Every
+    bundle must live on the box and fit the pairing rows (`_Ctx.row`);
+    otherwise ValueError.
     """
     ctx = _ctx(box)
-    total = [0] * len(ctx.weights)
+    keys = []
+    weight, peak = 0, ctx.bound
     for coef, bundle in terms:
         if bundle.box != box:
             raise ValueError(f"bundle {bundle} lives on a different box")
@@ -396,11 +394,13 @@ def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool
         w, t = bundle.weight, bundle.twist
         if max(w[0] + t, w[0] - w[-1]) > box.width:
             raise ValueError(f"bundle {bundle} does not fit the pairing fast path")
-        # every kappa containing w + t is lexicographically at least
-        # max(w + t, 0), so the row is zero before that basis index
-        lo = ctx.index[tuple(max(x + t, 0) for x in w)]
-        total[lo:] = [s + coef * v for s, v in zip(total[lo:], ctx.row(w, t)[lo:])]
-    return not any(total)
+        w, t = _normal(w, t)
+        if t < -1:
+            peak = max(peak, *ctx.row(w, t))
+        keys.append((coef, w, t))
+        weight += abs(coef)
+    ctx.widen(weight * peak)
+    return not sum(coef * ctx.packed(w, t) for coef, w, t in keys)
 
 
 @dataclass(frozen=True)

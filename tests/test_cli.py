@@ -230,18 +230,32 @@ class TestRaisingCheck:
         ],
     )
     def test_pairing_row_raises(self, capsys, monkeypatch, argv):
+        # every pairing row is read from the per-box table, so a builder that
+        # raises fails both the staircase check and the residual chain check
         from grex import ktheory
 
-        def corrupt(self, a, t):
-            raise AssertionError(f"Jacobi-Trudi leaf below 1 for a={a}, t={t}")
+        def corrupt(self):
+            raise AssertionError(f"corrupt pairing table on {self.box}")
 
-        monkeypatch.setattr(ktheory._Ctx, "pairing_row", corrupt)
-        ktheory._ctx.cache_clear()  # no row stored before the patch
+        monkeypatch.setattr(ktheory._Ctx, "build_table", corrupt)
+        ktheory._ctx.cache_clear()  # no table built before the patch
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: Jacobi-Trudi leaf below 1")
+        assert err.startswith("error: corrupt pairing table")
         assert "Traceback" not in err
+
+    def test_non_semiorthogonal_residual_chain(self, capsys, monkeypatch):
+        # the primitive block reversed fails the semiorthogonality check: a
+        # failed verdict (exit 1), as in `report`, not invalid input (exit 2)
+        from grex import ktheory
+
+        block = ktheory.primitive_block
+        monkeypatch.setattr(ktheory, "primitive_block", lambda box: tuple(reversed(block(box))))
+        code, out, err = run(capsys, "residual", "--k", "3", "--n", "6")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: projectors") and "not semiorthogonal" in err
 
     def test_theta_term_raises(self, capsys, monkeypatch):
         from grex import staircase

@@ -5,12 +5,11 @@ import os
 import random
 import subprocess
 import sys
-from itertools import chain
 
 import pytest
 
 from grex.bott import TwistedSchur, euler_char
-from grex.diagrams import Box, enumerate_diagrams, orbit_length, residual_rank, theta
+from grex.diagrams import Box, BoxedDiagram, enumerate_diagrams, orbit_length, residual_rank, theta
 from grex import ktheory
 from grex.ktheory import (
     _bareiss_det,
@@ -87,7 +86,7 @@ class TestChiPair:
             assert got == euler_char(ts(a, t, box), ts(kappa, 0, box)), (a, t, kappa)
 
     def test_deep_twist(self):
-        # h_m(1^n) is tabulated on demand; a deep twist needs large m
+        # a normal form with t <= -2 is one Jacobi-Trudi determinant per entry
         box = Box(2, 5)
         ctx = _ctx(box)
         for a, kappa in [((3, 1), (0, 0)), ((0, 0), (3, 3)), ((2, 2), (1, 0))]:
@@ -96,13 +95,14 @@ class TestChiPair:
             assert got > 0
 
     def test_twist_deeper_than_the_recursion_limit(self):
-        # row(a, t) gathers from the rows t+1, ..., 0 of a, built by a loop:
-        # a twist deeper than the interpreter's stack still gives the row
+        # a deep twist is one row of determinants, not a chain of rows: the
+        # store holds the one row of (1, 0), and no table is built for it
         ctx = _Ctx(Box(2, 4))
         t = -sys.getrecursionlimit()
         for kappa, got in zip(ctx.weights, ctx.row((1, 0), t), strict=True):
             assert got == jacobi_trudi_oracle(4, (1, 0), tuple(x - t for x in kappa)), kappa
-        assert sum(key[0] == (1, 0) for key in ctx.chis) == 1 - t
+        assert list(ctx.chis) == [((1, 0), t)]
+        assert "table" not in ctx.__dict__
 
     def test_empty_skew_shape(self):
         assert chi(_ctx(Box(2, 5)), (2, 1), 0, (2, 1)) == 1
@@ -126,21 +126,47 @@ class TestChiPair:
         assert got > 0
         assert got == euler_char(ts(a, -1, box), ts(kappa, 0, box))
 
-    def test_zero_pivot_raises(self):
-        # a corrupt table with h_m = 0 for m >= 1 zeroes the pivot of every
-        # kappa_1 > a_1; that is a verdict, not a ZeroDivisionError
-        ctx = _Ctx(Box(2, 4))
-        ctx.h = [1, 0, 0, 0, 0]
-        with pytest.raises(AssertionError, match="zero Jacobi-Trudi pivot"):
-            ctx.row((1, 1), 0)
+    @pytest.fixture
+    def plant(self, monkeypatch):
+        """plant(a, t) makes every table built from then on add 1 to field
+        kappa = a + t of the entry sigma = a + t + 1, that is, to
+        chi(Sigma^a U*(t), Sigma^(a+t) U*); no context built with it outlives
+        the test."""
+        _ctx.cache_clear()
+        yield lambda a, t: self.corrupt_tables(monkeypatch, a, t)
+        _ctx.cache_clear()
 
-    def test_leaf_below_one_raises(self):
-        # the same corrupt table on G(1,4): no pivots, and every leaf
-        # kappa_1 > 0 reads h_m = 0, which no valid skew shape gives
-        ctx = _Ctx(Box(1, 4))
-        ctx.h = [1, 0, 0, 0, 0]
-        with pytest.raises(AssertionError, match="leaf below 1"):
-            ctx.row((0,), 0)
+    @staticmethod
+    def corrupt_tables(monkeypatch, a, t):
+        build = _Ctx.build_table
+
+        def corrupt(self):
+            x = build(self)
+            kappa = tuple(v + t for v in a)
+            x[self.sources[tuple(v + 1 for v in kappa)]] += 1 << self.bits * self.index[kappa]
+            return x
+
+        monkeypatch.setattr(_Ctx, "build_table", corrupt)
+
+    def test_corrupt_field_fails_the_gram_check(self, plant):
+        # the Gram diagonal reads one field per row; a planted 2 there is a
+        # verdict of the check, not a wrong Gram matrix
+        plant((1, 1), 0)
+        ctx = _ctx(Box(2, 4))
+        assert ctx.row((1, 1), 0)[ctx.index[1, 1]] == 2
+        with pytest.raises(AssertionError, match="Gram diagonal is not 1 at \\(1, 1\\)"):
+            kapranov_gram(ctx.box)
+
+    @pytest.mark.parametrize("k,n,lam", [(2, 4, (2, 1)), (3, 7, (4, 2, 1)), (1, 3, (2,))])
+    def test_corrupt_field_fails_a_staircase(self, plant, k, n, lam):
+        # the head Sigma^lam U* of the staircase reads field lam of entry
+        # lam + 1, which no other term reads: the planted 1 is left over
+        box = Box(k, n)
+        sc = build_staircase(box, BoxedDiagram(lam, box))
+        assert is_k_exact(sc)
+        plant(lam, 0)
+        _ctx.cache_clear()
+        assert not is_k_exact(sc)
 
     @staticmethod
     def check_row_against_oracles(ctx, a, t):
@@ -154,32 +180,32 @@ class TestChiPair:
     @pytest.mark.parametrize(
         "k,n,a,t,base",
         [
-            # a_{k-1} = m > 0 and t + m > 0: the t = 0 row of a - m, translated by t + m
+            # a_{k-1} = m > 0 and t + m > 0: the normal form (a - m, t + m)
+            # is read from the table, and is not the t = 0 row of a - m
             (4, 8, (3, 2, 2, 1), 0, ((2, 1, 1, 0), 0)),
             (7, 10, (3, 3, 2, 2, 2, 2, 2), -1, ((1, 1, 0, 0, 0, 0, 0), 0)),
             (12, 14, (2, 2) + (1,) * 10, 0, ((1, 1) + (0,) * 10, 0)),
-            # t + m < 0: the very row of (a - m, t + m), no translation; its
-            # kappa with kappa_0 < n-k are gathered from the row one twist up
+            # t + m < 0: the very row of the normal form (a - m, t + m), from
+            # the table at t + m = -1 and by determinants at t + m = -2
             (4, 8, (3, 2, 2, 1), -2, ((2, 1, 1, 0), -1)),
             (7, 10, (2, 2, 2, 1, 1, 1, 1), -3, ((1, 1, 1, 0, 0, 0, 0), -2)),
             (12, 14, (2,) * 9 + (1,) * 3, -2, ((1,) * 9 + (0,) * 3, -1)),
         ],
     )
     def test_gathered_row_against_oracles(self, monkeypatch, k, n, a, t, base):
-        walked = []
-        walk = _Ctx.pairing_row
-        monkeypatch.setattr(
-            _Ctx, "pairing_row", lambda self, a, t: walked.append((a, t)) or walk(self, a, t)
-        )
+        builds = []
+        build = _Ctx.build_table
+        monkeypatch.setattr(_Ctx, "build_table", lambda self: builds.append(1) or build(self))
         ctx = _Ctx(Box(k, n))
         self.check_row_against_oracles(ctx, a, t)
-        # the chain (a - m, 0), (a - m, -1), ..., down to the stored row
-        assert walked == [(base[0], s) for s in range(0, base[1] - 1, -1)]
+        # one table for a normal form with t + m >= -1, none for a deeper one
+        assert len(builds) == (t + a[-1] >= -1)
+        assert list(ctx.chis) == [(tuple(x - a[-1] for x in a), t + a[-1])]
         assert (ctx.row(a, t) is ctx.row(*base)) == (t + a[-1] <= 0)
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_one_row_box_against_oracles(self, n):
-        # k = 1: no pivots, the cofactor vector is (1) and a leaf is h_m itself
+        # k = 1: the table is one suffix sum per round, and an entry is h_m itself
         ctx = _Ctx(Box(1, n))
         for a in ctx.weights:
             for t in range(-3, 1):
@@ -281,41 +307,35 @@ class TestContext:
         assert alive[0].box == Box(4, 8)
 
     def test_no_pairing_computed_twice(self, monkeypatch):
-        built = []
-        build = _Ctx.pairing_row
-
-        def recorded(self, a, t):
-            r = build(self, a, t)
-            built.append((a, t, r))
-            return r
-
-        monkeypatch.setattr(_Ctx, "pairing_row", recorded)
-        # the work per box, without a clock: the staircases of the box need
-        # `rows` distinct rows; the `walked` ones with a_{k-1} = 0 and t <= 0
-        # are walked, the rest translated from them, and the walks return
-        # `entries` nonzero entries in all
-        for k, n, walked, rows, entries in [
-            (1, 5, 2, 6, 10),
-            (2, 6, 10, 20, 80),
-            (3, 9, 56, 112, 2058),
-            (4, 8, 70, 105, 2352),
-            (7, 10, 168, 204, 10332),
+        builds, read = [], []
+        build, packed = _Ctx.build_table, _Ctx.packed
+        monkeypatch.setattr(_Ctx, "build_table", lambda self: builds.append(1) or build(self))
+        monkeypatch.setattr(
+            _Ctx, "packed", lambda self, a, t: read.append((a, t)) or packed(self, a, t)
+        )
+        # the work per box, without a clock: the staircases of the box build
+        # one table by `additions` = n * sum_j |pairs_j| big-integer sums,
+        # read it at `rows` distinct normal forms, all with t >= -1, and
+        # unpack no row
+        for k, n, rows, additions in [
+            (1, 5, 6, 25),
+            (2, 6, 20, 180),
+            (3, 9, 112, 2268),
+            (4, 8, 105, 2240),
+            (7, 10, 204, 8400),
         ]:
             box = Box(k, n)
             _ctx.cache_clear()
             ctx = _ctx(box)
-            built.clear()
+            builds.clear()
+            read.clear()
             self.check_staircases(box)
             assert _ctx(box) is ctx
-            keys = [(a, t) for a, t, _ in built]
-            assert len(keys) == len(set(keys)) == walked, box
-            assert all(a[-1] == 0 and t <= 0 for a, t in keys)
-            assert set(keys) <= set(ctx.chis)
-            assert len(ctx.chis) == rows, box
-            assert sum(map(bool, chain.from_iterable(r for *_, r in built))) == entries, box
-            # below the top row a twisted walk visits only kappa_0 = n-k
-            if k >= 2:
-                assert not any(any(r[: ctx.tail]) for _, t, r in built if t < 0)
+            assert len(builds) == 1, box
+            assert box.n * sum(map(len, ctx.strips)) == additions, box
+            assert len(set(read)) == rows, box
+            assert all(a[-1] == 0 and t >= -1 for a, t in read)
+            assert not ctx.chis
 
     def test_gram_is_the_untwisted_rows(self):
         # one copy: the Gram rows are the cached pairing rows themselves
@@ -667,3 +687,45 @@ class TestZeroCombination:
                  (6, ts((1, 0), 0, box)), (-4, ts((2, 0), 0, box))]
         with pytest.raises(ValueError):
             is_zero_combination(box, combo)
+
+    def test_huge_coefficients(self):
+        # 2^300 times a staircase needs fields far wider than the first
+        # width: the call widens the table, and one unit off is still seen
+        box = Box(3, 6)
+        combo = build_staircase(box, BoxedDiagram((3, 1, 0), box)).k_class_combination()
+        big = [(c << 300, e) for c, e in combo]
+        _ctx.cache_clear()
+        bits = _ctx(box).bits
+        assert is_zero_combination(box, big)
+        assert _ctx(box).bits > bits + 300
+        big[-1] = (big[-1][0] + 1, big[-1][1])
+        assert not is_zero_combination(box, big)
+        assert is_zero_combination(box, combo)
+
+    def test_deep_twist_entries_above_the_bound(self):
+        # a normal form with t <= -2 is no table row, and its entries may
+        # exceed M and even the first width: the call widens to its peak
+        box = Box(2, 4)
+        _ctx.cache_clear()
+        ctx = _ctx(box)
+        deep = ts((1, 0), -300, box)
+        peak = max(ctx.row((1, 0), -300))
+        assert peak > ctx.bound and peak >> ctx.bits
+        # S^(2,1)U*(-301) is the same bundle as S^(1,0)U*(-300)
+        assert is_zero_combination(box, [(1, deep), (-1, ts((2, 1), -301, box))])
+        assert peak < 1 << ctx.bits - 1
+        assert not is_zero_combination(box, [(1, deep)])
+        assert not is_zero_combination(box, [(1, deep), (-1, ts((1, 0), -299, box))])
+
+    def test_too_narrow_fields_would_alias(self):
+        # on P^1 the rows of O and O(1) are (1, 2) and (0, 1), so these
+        # coefficients give the fields (2^B, -1): a nonzero class whose
+        # packed sum at the first width B is 2^B - 2^B = 0
+        box = Box(1, 2)
+        _ctx.cache_clear()
+        ctx = _ctx(box)
+        b = ctx.bits
+        combo = [(1 << b, ts((0,), 0, box)), (-1 - (1 << b + 1), ts((1,), 0, box))]
+        assert sum(c * ctx.packed(e.weight, e.twist) for c, e in combo) == 0
+        assert not is_zero_combination(box, combo)
+        assert ctx.bits > b

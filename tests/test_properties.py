@@ -6,7 +6,7 @@ Examples are derandomized, so every run draws the same cases.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grex.bott import TwistedSchur, _row_spans, bott, euler_char, ext_table
@@ -194,12 +194,39 @@ def twisted_rows(draw):
 @PROPERTY
 @given(twisted_rows())
 def test_twisted_row_from_an_empty_store(case):
-    # a fresh context: the row of (a, t) gathers from the chain of rows
-    # (a, t+1), ..., (a, 0), which it builds on the way
+    # a fresh context: the row of (a, t) is read from a table built for it,
+    # or made by determinants for a normal form with t <= -2
     box, a, t = case
     ctx = _Ctx(box)
     for kappa, got in zip(ctx.weights, ctx.row(a, t), strict=True):
         assert got == jacobi_trudi_oracle(box.n, a, tuple(x - t for x in kappa)), (kappa, got)
+
+
+@st.composite
+def table_rows(draw):
+    """A box with k <= 5 and n <= 10, a diagram a of it and a twist
+    -4 <= t <= 2 with a_0 + t <= n-k."""
+    box = draw(st.sampled_from([Box(k, n) for n in range(2, 11) for k in range(1, min(n, 6))]))
+    a = draw(st.sampled_from([d.parts for d in enumerate_diagrams(box, "all")]))
+    return box, a, draw(st.integers(-4, min(2, box.width - a[0])))
+
+
+@PROPERTY
+@given(table_rows())
+@example((Box(1, 6), (2,), -1))
+@example((Box(1, 7), (0,), 2))
+@example((Box(5, 10), (2, 2, 1, 1, 1), -2))
+def test_table_rows_against_jacobi_trudi(case):
+    # every entry against one Jacobi-Trudi determinant over the rationals;
+    # with t > 0 the determinant of lam = kappa - t is 0 unless lam contains a
+    box, a, t = case
+    ctx = _Ctx(box)
+    row = ctx.row(a, t)
+    for kappa, got in zip(ctx.weights, row, strict=True):
+        assert got == jacobi_trudi_oracle(box.n, a, tuple(x - t for x in kappa)), (kappa, got)
+    # a table row is at most M, and the first field width holds 2^n times M
+    if t + a[-1] >= -1:
+        assert max(row) <= ctx.bound and ctx.bound << box.n < 1 << ctx.bits - 1
 
 
 @st.composite
