@@ -53,7 +53,15 @@ __all__ = [
     "bott",
     "ext_table",
     "euler_char",
+    "normal_form",
 ]
+
+
+def normal_form(weight: tuple[int, ...], twist: int) -> tuple[tuple[int, ...], int]:
+    """Sigma^w U*(t) as Sigma^{w-m} U*(t+m), m = w_{k-1}: the weight ends in 0."""
+    if m := weight[-1]:
+        return tuple(x - m for x in weight), twist + m
+    return weight, twist
 
 
 @dataclass(frozen=True)
@@ -72,11 +80,8 @@ class TwistedSchur:
             )
 
     def reduced(self) -> "TwistedSchur":
-        """Equivalent presentation whose weight has last entry 0."""
-        m = self.weight[-1]
-        if m == 0:
-            return self
-        return TwistedSchur(tuple(x - m for x in self.weight), self.twist + m, self.box)
+        """Equivalent presentation whose weight has last entry 0 (`normal_form`)."""
+        return TwistedSchur(*normal_form(self.weight, self.twist), self.box)
 
     def to_json(self) -> dict:
         return {"weight": list(self.weight), "twist": self.twist}

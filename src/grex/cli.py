@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -65,6 +66,14 @@ def _emit(payload, args, *, csv_rows=None) -> None:
             raise SystemExit(_fail(f"cannot write {args.output}: {exc.strerror}"))
     else:
         sys.stdout.write(text)
+
+
+def _check_output(path: str) -> None:
+    """Exit 2 before any work if --output is a directory or lies in a missing one."""
+    if os.path.isdir(path):
+        raise SystemExit(_fail(f"cannot write {path}: {os.strerror(errno.EISDIR)}"))
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise SystemExit(_fail(f"cannot write {path}: {os.strerror(errno.ENOENT)}"))
 
 
 def _pretty(payload, indent: int = 0) -> str:
@@ -485,6 +494,8 @@ def main(argv=None) -> int:
         elif args.jobs < 1:
             return _fail(f"--jobs must be at least 1, got {args.jobs}")
     try:
+        if args.output:
+            _check_output(args.output)
         return args.fn(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .bott import TwistedSchur, ext_table
+from .bott import TwistedSchur, ext_table, normal_form
 from .diagrams import (
     Box,
     BoxedDiagram,
@@ -188,13 +188,13 @@ def build_theta_staircase(k: int, m: int) -> tuple[StaircaseComplex, MembershipL
     raw = build_staircase(box, lam)
     terms = []
     for t in raw.terms:
-        bundle = TwistedSchur(t.mu.parts, 1 - m, box).reduced()
-        alpha = BoxedDiagram(bundle.weight, box)
+        weight, twist = normal_form(t.mu.parts, 1 - m)
+        alpha = BoxedDiagram(weight, box)
         if not is_minimal_upper_triangular(alpha):
             raise RuntimeError(
                 f"theta staircase term {alpha} is not minimal upper triangular"
             )
-        terms.append(StaircaseTerm(t.c, alpha, bundle.twist))
+        terms.append(StaircaseTerm(t.c, alpha, twist))
     head = TwistedSchur(raw.head.weight, raw.head.twist + 1 - m, box).reduced()
     tail = TwistedSchur(raw.tail.weight, raw.tail.twist + 1 - m, box).reduced()
     sc = StaircaseComplex(box=box, head=head, terms=tuple(terms), tail=tail)
@@ -310,7 +310,6 @@ def g48_sequence_check() -> G48Report:
     middle = []
     for summands in G48_SEQUENCE[1:-1]:
         for factors, w, t in summands:
-            reduced = TwistedSchur(w, t, box).reduced()
-            middle.append((reduced.weight, reduced.twist))
+            middle.append(normal_form(w, t))
     ledger = membership_ledger(box, mu, middle)
     return G48Report(k_exact=k_exact, adjacency=tuple(adjacency), ledger=ledger)

@@ -371,6 +371,26 @@ class TestReport:
         assert out == ""
         assert "csv" in err
 
+    @pytest.mark.parametrize("target", ["missing/out.json", "."])
+    def test_unwritable_output_rejected_before_any_stage(
+        self, tmp_path, capsys, monkeypatch, target
+    ):
+        # a missing directory or a directory as the file used to fail only
+        # after every stage had run
+        import grex.cli as cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the report ran before the output path was rejected")
+
+        monkeypatch.setattr(cli, "full_report", no_work)
+        path = tmp_path / target
+        code, out, err = run(capsys, "report", "--k", "2", "--n", "4", "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write")
+        assert "timing" not in err
+        assert not (tmp_path / "missing").exists()
+
     def test_ext_path_keeps_no_module_state(self):
         import importlib
 
@@ -502,6 +522,35 @@ class TestFreshInterpreter:
                     used |= set(ast.literal_eval(node.value))
             unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
         assert unused == []
+
+    def test_library_has_no_unreferenced_private_names(self):
+        # a module-level _name defined in grex must be read somewhere in grex
+        import ast
+        import pathlib
+
+        files = sorted(pathlib.Path(grex.__file__).parent.glob("*.py"))
+        assert files
+        defined, read = {}, set()
+        for path in files:
+            tree = ast.parse(path.read_text(), str(path))
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                for name in names:
+                    if name.startswith("_") and not name.startswith("__"):
+                        defined[name] = f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+        unread = [f"{where} {name}" for name, where in defined.items() if name not in read]
+        assert unread == []
 
     def test_optimized_mode_keeps_checks_and_output(self):
         # python -O strips assert statements; the report must not depend on them

@@ -603,8 +603,11 @@ class TestFullness:
         entries = gram(fonarev(box).objects, "euler").entries
         assert fullness_determinant(box) ** 2 == _bareiss_det([list(r) for r in entries])
 
-    @pytest.mark.parametrize("k,n", [(4, 8), (4, 10), (5, 10)])
+    @pytest.mark.parametrize(
+        "k,n", [(k, n) for n in range(2, 11) for k in range(1, n)] + [(4, 11)]
+    )
     def test_fonarev_needs_no_fallback(self, k, n, monkeypatch):
+        # each Fonarev row, in collection order, has a +-1 entry to pivot on
         def refuse(m):
             raise AssertionError("dense fallback taken")
 
@@ -625,6 +628,7 @@ class TestSparseDet:
             ([[0, 1], [1, 0]], -1, 0),  # odd permutation
             ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1, 0),  # even permutation
             ([[0, -1, 0], [0, 0, 1], [1, 0, 0]], -1, 0),
+            ([[2, 3, 0], [1, 0, 0], [0, 0, 1]], -3, 1),  # row 0 deferred, later rows pivot
         ],
     )
     def test_planted(self, m, det, dense_calls, monkeypatch):
