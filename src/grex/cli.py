@@ -3,8 +3,9 @@
 Exit codes: 0 = pass/informational, 1 = a mathematical check failed (a
 verdict, or a check that raised), 2 = invalid input, including a box with
 C(n,k) above the size guard, without --force, on any command but ext.
-JSON goes to stdout, diagnostics and timings to stderr.  --jobs and
-GREX_JOBS are validated but start no processes.
+JSON goes to stdout; diagnostics, and the stage timings and peak RSS of
+`report`, to stderr.  --jobs and GREX_JOBS are validated but start no
+processes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import errno
 import io
 import json
 import os
+import resource
 import sys
 import time
 from math import comb
@@ -24,13 +26,13 @@ from .diagrams import (
     SELECTIONS,
     Box,
     BoxedDiagram,
+    _non_minimal_upper,
     enumerate_diagrams,
-    non_minimal_upper,
     orbits,
     residual_rank,
 )
-from .ktheory import fullness_determinant, residual_report
-from .lefschetz import fonarev, gram, kapranov, primitive_block
+from .ktheory import _ctx, fullness_determinant, residual_report
+from .lefschetz import fonarev, gram, kapranov
 from .staircase import (
     appendix_table_check,
     build_staircase,
@@ -264,9 +266,14 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
     A stage whose check raises AssertionError, RuntimeError or ValueError is
     recorded as failed, with the message under "error".  `jobs` is accepted
     and ignored: every stage runs in this process.
+
+    The stages read the box's orbits, Fonarev collection, primitive block
+    and full-first-row staircases from the per-box context of `ktheory`, so
+    each is computed once per report.
     """
 
     stages: dict[str, dict] = {}
+    ctx = _ctx(box)
 
     def run(name, fn):
         t0 = time.perf_counter()
@@ -278,9 +285,9 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
             timings[name] = time.perf_counter() - t0
 
     def stage_diagrams():
-        all_d = enumerate_diagrams(box, "all")
-        lengths = [orb.length for orb in orbits(box)]
-        minimal = enumerate_diagrams(box, "minimal_upper")
+        all_d = ctx.diagrams
+        lengths = [orb.length for orb in ctx.orbits]
+        minimal = [orb.representative for orb in ctx.orbits]
         rank_m = residual_rank(box)
         rank_b = sum(o for o in lengths if o < box.n)
         ok = (
@@ -297,16 +304,15 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
             "orbit_lengths": sorted(lengths, reverse=True),
             "residual_rank": rank_m,
             "residual_rank_brute_force": rank_b,
-            "non_minimal_upper": [d.to_json() for d in non_minimal_upper(box)],
+            "non_minimal_upper": [d.to_json() for d in _non_minimal_upper(all_d, ctx.orbits)],
         }
 
     def stage_collection():
-        coll = fonarev(box)
-        minimal = enumerate_diagrams(box, "minimal_upper")
+        coll = ctx.fonarev
         ok = (
             len(coll.objects) == comb(box.n, box.k)
-            and coll.support_partition[0] == len(minimal)
-            and coll.support_partition[-1] == len(primitive_block(box))
+            and coll.support_partition[0] == len(ctx.orbits)
+            and coll.support_partition[-1] == len(ctx.block)
         )
         return {
             "verdict": "pass" if ok else "fail",
@@ -315,8 +321,7 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
         }
 
     def stage_gram():
-        coll = fonarev(box)
-        result = gram(coll.objects, mode="full_ext", violations_only=True)
+        result = gram(ctx.fonarev.objects, mode="full_ext", violations_only=True)
         return {
             "verdict": "pass" if not result.violations else "fail",
             "violation_count": len(result.violations),
@@ -324,13 +329,10 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
         }
 
     def stage_staircase():
-        lams = [d for d in enumerate_diagrams(box, "all") if d.parts[0] == box.width]
-        failures = [
-            d.to_json() for d in lams if not is_k_exact(build_staircase(box, d))
-        ]
+        failures = [d.to_json() for d, sc in ctx.staircases.items() if not is_k_exact(sc)]
         out = {
             "verdict": "pass" if not failures else "fail",
-            "staircases_checked": len(lams),
+            "staircases_checked": len(ctx.staircases),
             "k_exact_failures": failures,
         }
         m = box.n // box.k if box.n % box.k == 0 else 0
@@ -401,6 +403,9 @@ def cmd_report(args) -> int:
     payload = full_report(box, timings=timings)
     for name, dt in timings.items():
         print(f"timing {name}: {dt:.2f}s", file=sys.stderr)
+    # ru_maxrss is in KB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak_rss_mb: {peak:.1f}", file=sys.stderr)
     _emit(payload, args)
     return 0 if payload["pass"] else 1
 

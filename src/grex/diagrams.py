@@ -13,6 +13,8 @@ all apply `_step`, and nothing else encodes the action.
 sorted by the minimal upper triangular representative lambda, each with its
 length o(lambda).  Every minimal, short (o < n) and primitive (o = n)
 selection reads it, here and in `lefschetz`, `ktheory` and `staircase`.
+`grex report` walks it once per box: the per-box context of `ktheory` keeps
+the tuple, and the report's selections read that.
 """
 
 from __future__ import annotations
@@ -263,5 +265,11 @@ def theta(k: int, m: int) -> BoxedDiagram:
 
 def non_minimal_upper(box: Box) -> list[BoxedDiagram]:
     """Upper triangular diagrams that are not their orbit's representative."""
-    reps = {orb.representative for orb in orbits(box)}
-    return [d for d in enumerate_diagrams(box, "upper") if d not in reps]
+    return _non_minimal_upper(enumerate_diagrams(box, "all"), orbits(box))
+
+
+def _non_minimal_upper(diagrams, orbs) -> list[BoxedDiagram]:
+    """`non_minimal_upper` from the box's diagrams, in lexicographic order,
+    and its orbits."""
+    reps = {orb.representative for orb in orbs}
+    return [d for d in diagrams if is_upper_triangular(d) and d not in reps]

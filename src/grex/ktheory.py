@@ -13,8 +13,11 @@ staircase resolution of Sigma^lam U*, twisted by O(1), gives
     [Sigma^lam U*(1)] = -sum_{(c, Sigma^mu U*(s))} c e_{mu+s+1}
 
 over its non-head terms, and every mu+s+1 is a box diagram.  So
-[Sigma^lam U*(i)] = T^i e_lam for i >= 0.  The staircase checks stay on the
-Euler-pairing route below, so they do not verify the twist built from them.
+[Sigma^lam U*(i)] = T^i e_lam for i >= 0.  The twist and the staircase
+checks read one shared `StaircaseComplex` per lam (`_Ctx.staircases`), but
+the checks stay on the Euler-pairing route below: the twist reads the
+complex's terms, while a check sums their packed pairing rows, so it does
+not verify the twist built from them.
 
 Pairings of the form chi(Sigma^a U*(t), Sigma^kappa U*) with t <= 0 and both
 diagrams in the box sit in a single cohomological degree, so they reduce to
@@ -68,7 +71,15 @@ as one row, and its largest entry joins M in the width test.
 All per-box state lives on one context, `_ctx(box)`, and only the box used
 last is kept, so a sweep over many boxes frees each one when it moves on.
 The context holds the basis diagrams, the sparse twist matrix, one store of
-twisted classes T^i e_lam, the packed table and the unpacked rows.
+twisted classes T^i e_lam, the packed table and the unpacked rows.  It also
+holds the skeleton that `grex report` verifies, each computed once per box
+and read only: `orbits`, the tuple `orbits(box)`; `fonarev` and `block`, the
+Fonarev collection and the primitive block built from that tuple; and
+`staircases`, a read-only map from each diagram lam with a full first row to
+its `build_staircase` complex, which the staircase checks read and `twist`
+reads (and then drops).  `pair` fetches Gram row i when it first meets a
+nonzero at i, checking its unit diagonal then; the dense `gram`, every row
+at once, is only for `kapranov_gram` and `class_of`.
 
 Inside the module a class is sparse, {basis index: coefficient}: the twist,
 the pairing sum x_i G[i][j] y_j over nonzeros and the checked Gram-Schmidt
@@ -88,20 +99,27 @@ row is deferred; that is measured, not proven.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
+from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 from .bott import TwistedSchur, euler_char, normal_form
 from .diagrams import (
     Box,
     BoxedDiagram,
+    Orbit,
     _ascending_parts,
     enumerate_diagrams,
     orbits,
 )
-from .lefschetz import fonarev, primitive_block
+from .lefschetz import CollectionObject, LefschetzCollection, _fonarev, _primitive_block
 from .schur import dimension
+
+if TYPE_CHECKING:
+    from .staircase import StaircaseComplex
 
 __all__ = [
     "KClass",
@@ -136,6 +154,35 @@ class _Ctx:
         self.bits = 0
         self.widen(self.bound << box.n)
         self.twisted: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}  # (w, i) -> T^i e_w
+        self.gram_rows: dict[int, tuple[int, ...]] = {}  # i -> Gram row i, diagonal checked
+
+    @cached_property
+    def orbits(self) -> tuple[Orbit, ...]:
+        """`orbits(box)`: the one orbit pass of the box."""
+        return tuple(orbits(self.box))
+
+    @cached_property
+    def fonarev(self) -> LefschetzCollection:
+        """`fonarev(box)`, from the orbits above."""
+        return _fonarev(self.box, self.orbits)
+
+    @cached_property
+    def block(self) -> tuple[CollectionObject, ...]:
+        """`primitive_block(box)`, from the orbits above."""
+        return _primitive_block(self.box, self.orbits)
+
+    @cached_property
+    def staircases(self) -> Mapping[BoxedDiagram, StaircaseComplex]:
+        """The staircase of every basis diagram with a full first row, read
+        only: the staircase checks and `twist` read the same complexes.
+        `twist` drops the map once built, as the report reads no staircase
+        after it; a later read builds it again."""
+        from .staircase import build_staircase  # staircase imports this module
+
+        width = self.box.width
+        return MappingProxyType(
+            {d: build_staircase(self.box, d) for d in self.diagrams if d.parts[0] == width}
+        )
 
     def row(self, a: tuple[int, ...], t: int) -> tuple[int, ...]:
         """chi(Sigma^a U*(t), Sigma^kappa U*) for every basis kappa, in order,
@@ -226,19 +273,23 @@ class _Ctx:
                     x[i] += x[up]
         return x
 
+    def gram_row(self, i: int) -> tuple[int, ...]:
+        """Row i of the Kapranov Gram matrix, its unit diagonal checked on first read."""
+        r = self.gram_rows.get(i)
+        if r is None:
+            r = self.row(self.weights[i], 0)
+            if r[i] != 1:
+                raise AssertionError(f"Kapranov Gram diagonal is not 1 at {self.weights[i]}")
+            self.gram_rows[i] = r
+        return r
+
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        rows = tuple(self.row(a, 0) for a in self.weights)
-        for i, a in enumerate(self.weights):
-            if rows[i][i] != 1:
-                raise AssertionError(f"Kapranov Gram diagonal is not 1 at {a}")
-        return rows
+        return tuple(self.gram_row(i) for i in range(len(self.weights)))
 
     @cached_property
     def twist(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Column lam: the class of Sigma^lam U*(1) as sparse (row, coefficient) pairs."""
-        from .staircase import build_staircase  # staircase imports this module
-
         index = self.index
         cols = []
         for d in self.diagrams:
@@ -246,10 +297,11 @@ class _Ctx:
                 cols.append(((index[tuple(x + 1 for x in d.parts)], 1),))
                 continue
             col: dict[int, int] = {}
-            for coef, e in build_staircase(self.box, d).k_class_combination()[1:]:
+            for coef, e in self.staircases[d].k_class_combination()[1:]:
                 i = index[tuple(x + e.twist + 1 for x in e.weight)]
                 col[i] = col.get(i, 0) - coef
             cols.append(tuple(col.items()))
+        self.__dict__.pop("staircases", None)
         return tuple(cols)
 
     def twisted_class(self, w: tuple[int, ...], i: int) -> dict[int, int]:
@@ -269,10 +321,12 @@ class _Ctx:
         return {i: v for i, v in out.items() if v}
 
     def pair(self, x: dict[int, int], y: dict[int, int]) -> int:
-        """The Euler form sum x_i G[i][j] y_j over the nonzeros of x and y."""
+        """The Euler form sum x_i G[i][j] y_j over the nonzeros of x and y,
+        reading only the Gram rows of x."""
+        rows = self.gram_rows
         total = 0
         for i, xi in x.items():
-            gi = self.gram[i]
+            gi = rows.get(i) or self.gram_row(i)
             total += xi * sum(gi[j] * yj for j, yj in y.items())
         return total
 
@@ -445,8 +499,8 @@ def residual_report(box: Box) -> ResidualReport:
     and must cycle the classes, closing up to the sign (-1)^(k(n-k)/d).
     """
     ctx = _ctx(box)
-    block = [obj.bundle.weight for obj in primitive_block(box)]
-    shorts = [(orb.representative, orb.length) for orb in orbits(box) if orb.length < box.n]
+    block = [obj.bundle.weight for obj in ctx.block]
+    shorts = [(orb.representative, orb.length) for orb in ctx.orbits if orb.length < box.n]
     o_max = max((o for _, o in shorts), default=0)
     chain = [ctx.twisted_class(w, j) for j in range(o_max) for w in block]
     ctx.check_semiorthogonal(chain)
@@ -580,9 +634,9 @@ def fullness_determinant(box: Box) -> int:
     collection order, which the no-fallback measurements rest on; the result
     is the exact integer, sign included, whether or not the fallback runs.
     """
-    collection = fonarev(box)
-    twisted = _ctx(box).twisted_class
-    rows = [dict(twisted(obj.bundle.weight, obj.bundle.twist)) for obj in collection.objects]
-    if len(rows) != len(basis(box)):
+    ctx = _ctx(box)
+    twisted = ctx.twisted_class
+    rows = [dict(twisted(obj.bundle.weight, obj.bundle.twist)) for obj in ctx.fonarev.objects]
+    if len(rows) != len(ctx.diagrams):
         raise AssertionError("Fonarev collection size does not match rank of K_0")
     return _sparse_det(rows)

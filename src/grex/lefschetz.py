@@ -3,7 +3,10 @@ subblocks, and Gram/semiorthogonality verification.
 
 Fonarev's collection takes the minimal upper triangular diagrams and repeats
 each one at twists 0 .. o(lambda)-1, both read from `orbits(box)`; the
-support partition is the conjugate of the orbit-length multiset.
+support partition is the conjugate of the orbit-length multiset.  The
+collection and the primitive block are built from a given orbit tuple
+(`_fonarev`, `_primitive_block`), so the per-box context of `ktheory` builds
+both from its one orbit pass.
 Verification in `gram` is data, not control flow: violations are collected
 and returned, never raised.
 
@@ -23,11 +26,12 @@ violations-only call reads only the lower triangle and the diagonal.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Literal
 
 from .bott import ExtTable, TwistedSchur, _ext_tables
-from .diagrams import Box, BoxedDiagram, enumerate_diagrams, orbit_of, orbits
+from .diagrams import Box, BoxedDiagram, Orbit, enumerate_diagrams, orbit_of, orbits
 
 __all__ = [
     "CollectionObject",
@@ -92,7 +96,11 @@ def kapranov(box: Box) -> LefschetzCollection:
 def fonarev(box: Box) -> LefschetzCollection:
     """Sigma^lam U*(i) for minimal upper triangular lam and 0 <= i < o(lam),
     ordered by twist block and lexicographically inside each block."""
-    orbs = orbits(box)
+    return _fonarev(box, orbits(box))
+
+
+def _fonarev(box: Box, orbs: Sequence[Orbit]) -> LefschetzCollection:
+    """`fonarev(box)` from the box's orbits, as `orbits(box)` returns them."""
     objs = []
     support = []
     for i in range(box.n):
@@ -109,9 +117,14 @@ def fonarev(box: Box) -> LefschetzCollection:
 
 def primitive_block(box: Box) -> tuple[CollectionObject, ...]:
     """The full-orbit minimal upper triangular bundles at twist 0."""
+    return _primitive_block(box, orbits(box))
+
+
+def _primitive_block(box: Box, orbs: Sequence[Orbit]) -> tuple[CollectionObject, ...]:
+    """`primitive_block(box)` from the box's orbits, as `orbits(box)` returns them."""
     return tuple(
         CollectionObject(TwistedSchur(orb.representative.parts, 0, box), 0)
-        for orb in orbits(box)
+        for orb in orbs
         if orb.length == box.n
     )
 

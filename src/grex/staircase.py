@@ -12,6 +12,11 @@ left of abscissa n-k-i and drops the rest onto the shifted path, i.e.
 Only computable necessary conditions of exactness are checked: the
 alternating sum of classes vanishes, and consecutive terms admit degree-0
 maps.  No differentials are constructed.
+
+`build_staircase` is pure.  The theta staircase, the appendix tables and the
+membership ledger read the per-box context of `ktheory` instead: its one
+staircase per full-first-row diagram (which the twist in K_0 reads too) and
+its primitive block.
 """
 
 from __future__ import annotations
@@ -28,8 +33,7 @@ from .diagrams import (
     orbit_of,
     theta,
 )
-from .ktheory import is_zero_combination
-from .lefschetz import primitive_block
+from .ktheory import _ctx, is_zero_combination
 from .schur import dimension
 
 __all__ = [
@@ -152,7 +156,7 @@ def membership_ledger(
     if mu.box != box:
         raise ValueError(f"{mu} lives on a different box")
     period = orbit_of(mu).length  # n/d; slots span twists 1-n/d .. 0
-    primitive = {obj.bundle.weight for obj in primitive_block(box)}
+    primitive = {obj.bundle.weight for obj in _ctx(box).block}
     assignments = []
     unassigned = []
     for idx, (w, t) in enumerate(middle):
@@ -185,7 +189,7 @@ def build_theta_staircase(k: int, m: int) -> tuple[StaircaseComplex, MembershipL
     th = theta(k, m)
     box = th.box
     lam = BoxedDiagram(tuple(x + (m - 1) for x in th.parts), box)
-    raw = build_staircase(box, lam)
+    raw = _ctx(box).staircases[lam]
     terms = []
     for t in raw.terms:
         weight, twist = normal_form(t.mu.parts, 1 - m)
@@ -217,7 +221,7 @@ def appendix_table_check(box: Box, a: int, b: int) -> bool:
         raise ValueError(f"need b >= m, got b={b} < m={m}")
     if a - b > m - 1:
         raise ValueError(f"need a-b <= m-1, got a-b={a - b}")
-    sc = build_staircase(box, BoxedDiagram((w, a, b), box))
+    sc = _ctx(box).staircases[BoxedDiagram((w, a, b), box)]
     got = [t.mu.parts for t in sc.terms]
     expected: list[tuple[int, int, int]] = []
     for i in range(1, w - a + 1):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -249,9 +250,12 @@ class TestRaisingCheck:
         # the primitive block reversed fails the semiorthogonality check: a
         # failed verdict (exit 1), as in `report`, not invalid input (exit 2)
         from grex import ktheory
+        from grex.lefschetz import primitive_block
 
-        block = ktheory.primitive_block
-        monkeypatch.setattr(ktheory, "primitive_block", lambda box: tuple(reversed(block(box))))
+        # the report reads the block from the per-box context
+        reversed_block = property(lambda self: tuple(reversed(primitive_block(self.box))))
+        monkeypatch.setattr(ktheory._Ctx, "block", reversed_block)
+        ktheory._ctx.cache_clear()  # no block read before the patch
         code, out, err = run(capsys, "residual", "--k", "3", "--n", "6")
         assert code == 1
         assert out == ""
@@ -328,9 +332,12 @@ class TestReport:
         # the primitive block reversed is not semiorthogonal, and the residual
         # check's ValueError once escaped as the invalid-input exit code 2
         from grex import ktheory
+        from grex.lefschetz import primitive_block
 
-        block = ktheory.primitive_block
-        monkeypatch.setattr(ktheory, "primitive_block", lambda box: tuple(reversed(block(box))))
+        # the report reads the block from the per-box context
+        reversed_block = property(lambda self: tuple(reversed(primitive_block(self.box))))
+        monkeypatch.setattr(ktheory._Ctx, "block", reversed_block)
+        ktheory._ctx.cache_clear()  # no block read before the patch
         code, out, _ = run(capsys, "report", "--k", "3", "--n", "6", "--format", "json")
         assert code == 1
         data = json.loads(out)
@@ -388,8 +395,21 @@ class TestReport:
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot write")
-        assert "timing" not in err
+        assert "timing" not in err and "peak_rss_mb" not in err
         assert not (tmp_path / "missing").exists()
+
+    def test_peak_rss_after_the_timings(self, capsys):
+        import resource
+
+        code, out, err = run(capsys, "report", "--k", "2", "--n", "4", "--format", "json")
+        assert code == 0
+        *timings, last = err.splitlines()
+        stages = json.loads(out)["stages"]
+        assert [line.split(":")[0] for line in timings] == [f"timing {s}" for s in stages]
+        name, value = last.split(": ")
+        assert name == "peak_rss_mb"
+        # ru_maxrss only grows, and is in KB on Linux
+        assert 0 < float(value) <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 + 0.1
 
     def test_ext_path_keeps_no_module_state(self):
         import importlib
@@ -406,6 +426,81 @@ class TestReport:
                     continue
                 assert not (isinstance(value, dict) and value), f"{name}.{attr}"
                 assert not hasattr(value, "cache_info"), f"{name}.{attr}"
+
+
+class TestOnePassPerBox:
+    """`full_report` computes the orbits, the Fonarev collection, the
+    primitive block and the full-first-row staircases once per box, on the
+    per-box context of `ktheory`, which keeps only the box used last."""
+
+    def test_one_build_per_staircase(self, monkeypatch):
+        from grex import diagrams, lefschetz, staircase
+        from grex.cli import full_report
+        from grex.diagrams import Box
+        from grex.ktheory import _ctx
+
+        builds, walks, collections = [], [], []
+        build, walk = staircase.build_staircase, diagrams._orbit_parts
+        post_init = lefschetz.LefschetzCollection.__post_init__
+        monkeypatch.setattr(staircase, "build_staircase", lambda *a: builds.append(1) or build(*a))
+        monkeypatch.setattr(diagrams, "_orbit_parts", lambda *a: walks.append(1) or walk(*a))
+        monkeypatch.setattr(
+            lefschetz.LefschetzCollection,
+            "__post_init__",
+            lambda self: collections.append(1) or post_init(self),
+        )
+        _ctx.cache_clear()
+        full_report(Box(4, 10))
+        # one staircase per lam with lam_1 = n-k: C(9,3) = 84, not 168 when
+        # the staircase stage and the twist each built them; one orbit pass,
+        # 22 walks for the 22 orbits, as fonarev and primitive_block (which
+        # would walk them again) are built from it; one Fonarev collection
+        assert len(builds) == comb(9, 3) == 84
+        assert len(walks) == 22
+        assert len(collections) <= 1
+
+    @staticmethod
+    def fresh(box):
+        probe = (
+            "import json, sys\n"
+            "from grex.cli import full_report\n"
+            "from grex.diagrams import Box\n"
+            f"print(json.dumps(full_report(Box({box.k}, {box.n}))))\n"
+        )
+        out = run_python("-c", probe)
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout)
+
+    def test_box_switches_match_a_fresh_interpreter(self):
+        import weakref
+
+        from grex.cli import full_report
+        from grex.diagrams import Box
+        from grex.ktheory import _ctx
+
+        a, b = Box(4, 10), Box(3, 6)
+        first = full_report(a)
+        ref = weakref.ref(_ctx(a))
+        second = full_report(b)
+        assert ref() is None  # the context of A is freed when B's is made
+        third = full_report(a)
+        fresh_a, fresh_b = self.fresh(a), self.fresh(b)
+        assert first == third == fresh_a
+        assert second == fresh_b
+
+    def test_shared_objects_are_read_only(self):
+        import dataclasses
+
+        from grex.diagrams import Box
+        from grex.ktheory import _ctx
+
+        ctx = _ctx(Box(3, 6))
+        assert type(ctx.orbits) is tuple and type(ctx.block) is tuple
+        lam = next(iter(ctx.staircases))
+        with pytest.raises(TypeError):
+            ctx.staircases[lam] = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.fonarev.objects = ()
 
 
 class TestGoldenOutput:

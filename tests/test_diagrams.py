@@ -23,6 +23,7 @@ from grex.diagrams import (
     residual_rank,
     theta,
 )
+from grex.ktheory import _ctx
 from grex.lefschetz import CollectionObject, LefschetzCollection, fonarev, primitive_block
 from oracles import word_period
 
@@ -196,9 +197,16 @@ class TestOneStepRule:
         walks.clear()
         assert len(orbits(box)) == len(walks) == 80
         walks.clear()
+        _ctx.cache_clear()
         full_report(Box(4, 8))
-        assert len(walks) == 126  # 298 when every selection walked per diagram, 150 when
-        # residual_report called fenced_block once per short diagram
+        # one orbit pass, kept on the per-box context: 10 walks for the 10
+        # orbits of G(4,8).  Then 6 single-diagram walks: the theta staircase
+        # checks each of its 4 middle terms with is_minimal_upper_triangular,
+        # and the theta and G(4,8) ledgers each read o(mu) by orbit_of.
+        # 298 when every selection walked per diagram, 150 when
+        # residual_report called fenced_block once per short diagram, 126
+        # when each stage called orbits(box) (10 passes) itself.
+        assert len(walks) == 10 + 6
 
 
 def _check_per_diagram_route(box, diagrams):

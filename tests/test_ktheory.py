@@ -157,6 +157,17 @@ class TestChiPair:
         with pytest.raises(AssertionError, match="Gram diagonal is not 1 at \\(1, 1\\)"):
             kapranov_gram(ctx.box)
 
+    def test_corrupt_field_fails_a_pairing(self, plant):
+        # a pairing reads Gram row i on first use, and checks its diagonal
+        # then, with the message of the full Gram check; a pairing that does
+        # not read row i does not see the planted 2
+        plant((1, 1), 0)
+        box = Box(2, 4)
+        i = _ctx(box).index[1, 1]
+        assert euler_pairing(box, unit(box, 0), unit(box, i)) == 6  # dim Lambda^2 C^4
+        with pytest.raises(AssertionError, match="Gram diagonal is not 1 at \\(1, 1\\)"):
+            euler_pairing(box, unit(box, i), unit(box, 0))
+
     @pytest.mark.parametrize("k,n,lam", [(2, 4, (2, 1)), (3, 7, (4, 2, 1)), (1, 3, (2,))])
     def test_corrupt_field_fails_a_staircase(self, plant, k, n, lam):
         # the head Sigma^lam U* of the staircase reads field lam of entry
@@ -337,6 +348,18 @@ class TestContext:
             assert all(a[-1] == 0 and t >= -1 for a, t in read)
             assert not ctx.chis
 
+    @pytest.mark.parametrize("k,n,touched", [(3, 9, 30), (4, 10, 111)])
+    def test_residual_reads_only_the_gram_rows_it_touches(self, k, n, touched):
+        # the pairings fetch Gram row i when a class with a nonzero at i is
+        # first paired; the dense Gram matrix is never unpacked
+        box = Box(k, n)
+        _ctx.cache_clear()
+        residual_report(box)
+        ctx = _ctx(box)
+        assert len(ctx.gram_rows) == touched < len(ctx.weights)
+        assert "gram" not in vars(ctx)
+        assert all(r is ctx.row(ctx.weights[i], 0) for i, r in ctx.gram_rows.items())
+
     def test_gram_is_the_untwisted_rows(self):
         # one copy: the Gram rows are the cached pairing rows themselves
         ctx = _ctx(Box(3, 6))
@@ -497,8 +520,9 @@ class TestResidualReport:
         probe = (
             "from grex import ktheory\n"
             "from grex.diagrams import Box\n"
-            "block = ktheory.primitive_block\n"
-            "ktheory.primitive_block = lambda box: tuple(reversed(block(box)))\n"
+            "from grex.lefschetz import primitive_block\n"
+            "block = property(lambda self: tuple(reversed(primitive_block(self.box))))\n"
+            "ktheory._Ctx.block = block  # the per-box context supplies the block\n"
             "try:\n"
             "    ktheory.residual_report(Box(3, 6))\n"
             "except ValueError as exc:\n"
