@@ -48,20 +48,26 @@ in reverse lexicographic order.  From the unit rows X[sigma] = e_{sigma-1}
 (0 where sigma_{k-1} = 0), n rounds of the k sums leave the row of sigma
 in X[sigma], by additions alone (`_Ctx.table`).
 
-X[sigma] is one Python int that packs its row at B bits per field, entry
-kappa at bit B kappa.  Every entry, and every partial sum on the way, is at
+X[sigma] is one Python int that packs its row at B bits per field, high
+field first: with N = C(n,k) basis diagrams, entry kappa sits at bit
+B (N-1-kappa).  Every kappa with kappa + 1 containing sigma contains
+max(sigma - 1, 0), so row sigma is zero before the basis index lo of that
+diagram, and its int has at most B (N - lo) bits: the zero fields are high
+limbs that Python never stores, and every suffix-sum addition and every sum
+of rows works on the support alone.  Every entry, and every partial sum on
+the way, is at
 most M = s_R(1^{n+2k}), R = ((n-k+1)^k): by the branching rule in k more
 variables, twice, s_{lam/sigma}(1^n) <= s_lam(1^{n+k}) <= s_R(1^{n+2k}),
 as s_sigma(1^k) >= 1 and s_{R/lam}(1^k) >= 1 (R has k rows).  So no field
 carries, and a combination of rows with sum |coef| = S has fields of
 absolute value at most S M.  When 2^(B-1) > S M its packed sum is 0 exactly
-when every field is: the lowest nonzero field kappa leaves a nonzero
-remainder mod 2^(B (kappa+1)).  So `is_zero_combination` sums coef times
-the packed rows as big integers, widening the table first when its fields
-are too narrow.  The first width admits S <= 2^n, which covers the
-staircase of every lam with a full first row (coefficients +-1 and
-+-C(n, c) for distinct 0 < c < n).  The Kapranov Gram matrix is the t = 0
-rows.
+when every field is: the nonzero field of lowest order, the largest such
+kappa, leaves a nonzero remainder mod 2^(B (N-kappa)).  So
+`is_zero_combination` sums coef times the packed rows as big integers,
+widening the table first when its fields are too narrow.  The first width
+admits S <= 2^n, which covers the staircase of every lam with a full first
+row (coefficients +-1 and +-C(n, c) for distinct 0 < c < n).  The Kapranov
+Gram matrix is the t = 0 rows.
 
 A normal form with t <= -2 needs sigma outside the wider box.  Its row is
 one Jacobi-Trudi determinant det[h_{lam_i - a_j - i + j}(1^n)] per entry,
@@ -192,8 +198,10 @@ class _Ctx:
         With t' >= -1 it is entry sigma = a' + t' + 1 of the table G = H^n,
         n rounds of k one-row suffix sums over the box one column wider,
         unpacked: entry kappa is s_{(kappa+1)/sigma}(1^n), at most
-        M = s_R(1^{n+2k}) < 2^(B-1), so no B-bit field carries.  With
-        t' <= -2 it is one Jacobi-Trudi determinant per entry (`deep_row`).
+        M = s_R(1^{n+2k}) < 2^(B-1), so no B-bit field carries.  The int
+        holds the fields lo..N-1 only, high field first, and only those are
+        converted.  With t' <= -2 it is one Jacobi-Trudi determinant per
+        entry (`deep_row`).
         """
         a, t = normal_form(a, t)
         r = self.chis.get((a, t))
@@ -203,10 +211,9 @@ class _Ctx:
                 # max(a + t, 0), so the row is zero before that basis index
                 lo = self.index[tuple(max(x + t, 0) for x in a)]
                 size = self.bits // 8
-                raw = self.packed(a, t).to_bytes(size * len(self.weights), "little")
+                raw = self.packed(a, t).to_bytes(size * (len(self.weights) - lo), "big")
                 r = (0,) * lo + tuple(
-                    int.from_bytes(raw[i : i + size], "little")
-                    for i in range(lo * size, len(raw), size)
+                    int.from_bytes(raw[i : i + size], "big") for i in range(0, len(raw), size)
                 )
             else:
                 r = self.deep_row(a, t)
@@ -226,11 +233,12 @@ class _Ctx:
         )
 
     def packed(self, a: tuple[int, ...], t: int) -> int:
-        """The row of a normal form (a, t) packed at the table's width B."""
+        """The row of a normal form (a, t) packed at the table's width B, high
+        field first: entry kappa at bit B (N-1-kappa)."""
         if t >= -1:
             return self.table[self.sources[tuple(x + t + 1 for x in a)]]
         size = self.bits // 8
-        return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in self.row(a, t)), "little")
+        return int.from_bytes(b"".join(v.to_bytes(size, "big") for v in self.row(a, t)), "big")
 
     def widen(self, peak: int) -> None:
         """Make 2^(B-1) > peak with B whole bytes, rebuilding the table if B grows."""
@@ -261,10 +269,13 @@ class _Ctx:
 
     def build_table(self) -> list[int]:
         """X[sigma] = the packed row of sigma at width B: G = H^n by n rounds
-        of the k one-row suffix sums, from the unit rows e_{sigma-1}."""
-        bits, index = self.bits, self.index
+        of the k one-row suffix sums, from the unit rows e_{sigma-1}, each
+        at bit B (N-1-index[sigma-1]).  Row sigma is zero before the basis
+        index lo of max(sigma - 1, 0) (`row`), so X[sigma] < 2^(B (N - lo))."""
+        bits, index, top = self.bits, self.index, len(self.weights) - 1
         x = [
-            1 << bits * index[tuple(v - 1 for v in s)] if s[-1] else 0 for s in self.sources
+            1 << bits * (top - index[tuple(v - 1 for v in s)]) if s[-1] else 0
+            for s in self.sources
         ]
         strips = self.strips
         for _ in range(self.box.n):

@@ -15,8 +15,8 @@ maps.  No differentials are constructed.
 
 `build_staircase` is pure.  The theta staircase, the appendix tables and the
 membership ledger read the per-box context of `ktheory` instead: its one
-staircase per full-first-row diagram (which the twist in K_0 reads too) and
-its primitive block.
+staircase per full-first-row diagram (which the twist in K_0 reads too), its
+orbits and its primitive block.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .diagrams import (
     Box,
     BoxedDiagram,
     cyclic_step,
-    is_minimal_upper_triangular,
-    orbit_of,
     theta,
 )
 from .ktheory import _ctx, is_zero_combination
@@ -155,8 +153,10 @@ def membership_ledger(
     """
     if mu.box != box:
         raise ValueError(f"{mu} lives on a different box")
-    period = orbit_of(mu).length  # n/d; slots span twists 1-n/d .. 0
-    primitive = {obj.bundle.weight for obj in _ctx(box).block}
+    ctx = _ctx(box)
+    # n/d; slots span twists 1-n/d .. 0
+    period = next(orb.length for orb in ctx.orbits if mu in orb.members)
+    primitive = {obj.bundle.weight for obj in ctx.block}
     assignments = []
     unassigned = []
     for idx, (w, t) in enumerate(middle):
@@ -181,20 +181,22 @@ def build_theta_staircase(k: int, m: int) -> tuple[StaircaseComplex, MembershipL
 
     Builds the staircase of theta(m-1), twists everything by O(1-m), and
     renormalizes each term to a box diagram with its residual twist.  Every
-    middle diagram must be minimal upper triangular; a failure falsifies the
-    construction and raises.
+    middle diagram must be minimal upper triangular, the representative of
+    its orbit; a failure falsifies the construction and raises.
     """
     if k < 2 or m < 2:
         raise ValueError("theta staircase needs k >= 2 and m >= 2")
     th = theta(k, m)
     box = th.box
     lam = BoxedDiagram(tuple(x + (m - 1) for x in th.parts), box)
-    raw = _ctx(box).staircases[lam]
+    ctx = _ctx(box)
+    raw = ctx.staircases[lam]
+    minimal = {orb.representative for orb in ctx.orbits}
     terms = []
     for t in raw.terms:
         weight, twist = normal_form(t.mu.parts, 1 - m)
         alpha = BoxedDiagram(weight, box)
-        if not is_minimal_upper_triangular(alpha):
+        if alpha not in minimal:
             raise RuntimeError(
                 f"theta staircase term {alpha} is not minimal upper triangular"
             )

@@ -262,9 +262,12 @@ class TestRaisingCheck:
         assert err.startswith("error: projectors") and "not semiorthogonal" in err
 
     def test_theta_term_raises(self, capsys, monkeypatch):
-        from grex import staircase
+        # the theta staircase tests its terms against the orbit
+        # representatives of the per-box context: with none, every term fails
+        from grex import ktheory
 
-        monkeypatch.setattr(staircase, "is_minimal_upper_triangular", lambda d: False)
+        monkeypatch.setattr(ktheory._Ctx, "orbits", property(lambda self: ()))
+        ktheory._ctx.cache_clear()  # no orbits read before the patch
         code, out, err = run(capsys, "staircase", "--k", "2", "--n", "4", "--theta")
         assert code == 1
         assert out == ""
@@ -349,10 +352,17 @@ class TestReport:
 
     def test_raising_staircase_check_recorded(self, capsys, monkeypatch):
         # a theta staircase term that fails its check raised RuntimeError
-        # out of the report
+        # out of the report.  Planted by moving every theta term to the full
+        # box, which is no orbit representative; the other stages read the
+        # orbits unchanged
         from grex import staircase
+        from grex.bott import normal_form
 
-        monkeypatch.setattr(staircase, "is_minimal_upper_triangular", lambda d: False)
+        def full_box(w, t):
+            weight, twist = normal_form(w, t)
+            return (2,) * len(weight), twist
+
+        monkeypatch.setattr(staircase, "normal_form", full_box)
         code, out, _ = run(capsys, "report", "--k", "2", "--n", "4", "--format", "json")
         assert code == 1
         data = json.loads(out)

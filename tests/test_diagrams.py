@@ -200,13 +200,13 @@ class TestOneStepRule:
         _ctx.cache_clear()
         full_report(Box(4, 8))
         # one orbit pass, kept on the per-box context: 10 walks for the 10
-        # orbits of G(4,8).  Then 6 single-diagram walks: the theta staircase
-        # checks each of its 4 middle terms with is_minimal_upper_triangular,
-        # and the theta and G(4,8) ledgers each read o(mu) by orbit_of.
-        # 298 when every selection walked per diagram, 150 when
-        # residual_report called fenced_block once per short diagram, 126
-        # when each stage called orbits(box) (10 passes) itself.
-        assert len(walks) == 10 + 6
+        # orbits of G(4,8), and no other.  The theta staircase tests its
+        # middle terms against the orbit representatives, and the ledgers
+        # read o(mu) from the orbits.  298 when every selection walked per
+        # diagram, 150 when residual_report called fenced_block once per
+        # short diagram, 126 when each stage called orbits(box) (10 passes)
+        # itself, 16 when the theta terms and ledgers walked their own orbits.
+        assert len(walks) == 10
 
 
 def _check_per_diagram_route(box, diagrams):

@@ -130,20 +130,24 @@ class TestChiPair:
     def plant(self, monkeypatch):
         """plant(a, t) makes every table built from then on add 1 to field
         kappa = a + t of the entry sigma = a + t + 1, that is, to
-        chi(Sigma^a U*(t), Sigma^(a+t) U*); no context built with it outlives
-        the test."""
+        chi(Sigma^a U*(t), Sigma^(a+t) U*); plant(a, t, kappa) adds it to
+        field kappa of that entry instead.  No context built with it
+        outlives the test."""
         _ctx.cache_clear()
-        yield lambda a, t: self.corrupt_tables(monkeypatch, a, t)
+        yield lambda a, t, kappa=None: self.corrupt_tables(monkeypatch, a, t, kappa)
         _ctx.cache_clear()
 
     @staticmethod
-    def corrupt_tables(monkeypatch, a, t):
+    def corrupt_tables(monkeypatch, a, t, kappa=None):
         build = _Ctx.build_table
+        sigma = tuple(v + t + 1 for v in a)
+        if kappa is None:
+            kappa = tuple(v - 1 for v in sigma)
 
         def corrupt(self):
             x = build(self)
-            kappa = tuple(v + t for v in a)
-            x[self.sources[tuple(v + 1 for v in kappa)]] += 1 << self.bits * self.index[kappa]
+            field = len(self.weights) - 1 - self.index[kappa]  # high field first
+            x[self.sources[sigma]] += 1 << self.bits * field
             return x
 
         monkeypatch.setattr(_Ctx, "build_table", corrupt)
@@ -178,6 +182,27 @@ class TestChiPair:
         plant(lam, 0)
         _ctx.cache_clear()
         assert not is_k_exact(sc)
+
+    @pytest.mark.parametrize("k,n,lam", [(2, 4, (2, 1)), (3, 7, (4, 2, 1)), (1, 3, (2,))])
+    def test_corrupt_lowest_order_field_fails_a_staircase(self, plant, k, n, lam):
+        # field kappa = the full box is the lowest-order one, bits 0..B-1 of
+        # every entry: the zero test's proof starts from it
+        box = Box(k, n)
+        sc = build_staircase(box, BoxedDiagram(lam, box))
+        plant(lam, 0, (box.width,) * k)
+        assert not is_k_exact(sc)
+
+    @pytest.mark.parametrize("k,n", [(2, 4), (4, 8), (5, 9)])
+    def test_rows_stop_at_their_support(self, k, n):
+        # row sigma is zero before the basis index lo of sigma - 1, and the
+        # high-field-first layout keeps those zero fields out of its int
+        ctx = _Ctx(Box(k, n))
+        size = ctx.bits * len(ctx.weights)
+        for s, i in ctx.sources.items():
+            lo = ctx.index[tuple(max(v - 1, 0) for v in s)]
+            x = ctx.table[i]
+            assert x >= 0
+            assert x.bit_length() <= size - ctx.bits * lo, s
 
     @staticmethod
     def check_row_against_oracles(ctx, a, t):
@@ -746,14 +771,15 @@ class TestZeroCombination:
         assert not is_zero_combination(box, [(1, deep), (-1, ts((1, 0), -299, box))])
 
     def test_too_narrow_fields_would_alias(self):
-        # on P^1 the rows of O and O(1) are (1, 2) and (0, 1), so these
-        # coefficients give the fields (2^B, -1): a nonzero class whose
-        # packed sum at the first width B is 2^B - 2^B = 0
+        # on P^1 the rows of O and O(1) are (1, 2) and (0, 1), packed high
+        # field first as 2^B + 2 and 1, so these coefficients give the
+        # fields (-1, 2^B): a nonzero class whose packed sum at the first
+        # width B is -(2^B + 2) + (2^B + 2) = 0
         box = Box(1, 2)
         _ctx.cache_clear()
         ctx = _ctx(box)
         b = ctx.bits
-        combo = [(1 << b, ts((0,), 0, box)), (-1 - (1 << b + 1), ts((1,), 0, box))]
+        combo = [(-1, ts((0,), 0, box)), ((1 << b) + 2, ts((1,), 0, box))]
         assert sum(c * ctx.packed(e.weight, e.twist) for c, e in combo) == 0
         assert not is_zero_combination(box, combo)
         assert ctx.bits > b
