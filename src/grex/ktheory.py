@@ -83,16 +83,30 @@ and read only: `orbits`, the tuple `orbits(box)`; `fonarev` and `block`, the
 Fonarev collection and the primitive block built from that tuple; and
 `staircases`, a read-only map from each diagram lam with a full first row to
 its `build_staircase` complex, which the staircase checks read and `twist`
-reads (and then drops).  `pair` fetches Gram row i when it first meets a
-nonzero at i, checking its unit diagonal then; the dense `gram`, every row
-at once, is only for `kapranov_gram` and `class_of`.
+reads (and then drops).  The dense `gram`, every t = 0 row unpacked and its
+diagonal checked, is only for `kapranov_gram` and `class_of`.
 
 Inside the module a class is sparse, {basis index: coefficient}: the twist,
-the pairing sum x_i G[i][j] y_j over nonzeros and the checked Gram-Schmidt
-projection act on that form.  Every residual projector list is a subsequence
-of the chain T^j e_lam, lam in the primitive block and j below the longest
-short orbit.  Semiorthogonality passes to subsequences, so `residual_report`
-checks that chain once, then projects.
+the pairing and the checked Gram-Schmidt projection act on that form.  A
+pairing reads the Gram rows packed.  Gram row i is the table entry
+kappa_i + 1, so the covector x^T G of a class x is one big-integer sum of
+coef times packed rows (`covector`), and x^T G y is a dot product over the
+nonzeros of y alone.  Each row read checks the unit diagonal in O(1): row i
+holds the fields i..N-1 only, so its diagonal field is 1 exactly when the
+int has B (N-1-i) + 1 bits.  The covector's fields may be negative, so the
+sum is biased by 2^(B-1) in every field and decoded by one `to_bytes`.  With
+sum |coef| = S, every field is at most S M in absolute value, and when
+S M < 2^(B-1) every biased field lies in [0, 2^B): nothing borrows, and each
+field is its own pairing plus 2^(B-1).  A class with a larger S is decoded in
+base-D digit levels, each within that bound, and recombined exactly, so a
+pairing never widens or rebuilds the table.
+
+Every residual projector list is a subsequence of the chain T^j e_lam, lam
+in the primitive block and j below the longest short orbit.
+Semiorthogonality passes to subsequences, so `residual_report` checks that
+chain once, decoding each member's covector once, and then projects by
+chain position, reading those covectors; the residual Gram decodes one more
+covector per residual class.
 
 The fullness determinant is det of the Fonarev classes T^i e_lam in this
 basis, a sparse matrix rich in +-1 entries.  It is eliminated over Z row by
@@ -108,7 +122,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 from math import comb
+from operator import add, mul
+from struct import Struct
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -160,7 +177,6 @@ class _Ctx:
         self.bits = 0
         self.widen(self.bound << box.n)
         self.twisted: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}  # (w, i) -> T^i e_w
-        self.gram_rows: dict[int, tuple[int, ...]] = {}  # i -> Gram row i, diagonal checked
 
     @cached_property
     def orbits(self) -> tuple[Orbit, ...]:
@@ -246,6 +262,7 @@ class _Ctx:
         if bits > self.bits:
             self.bits = bits
             self.__dict__.pop("table", None)
+            self.__dict__.pop("decoder", None)
 
     @cached_property
     def strips(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -284,19 +301,68 @@ class _Ctx:
                     x[i] += x[up]
         return x
 
-    def gram_row(self, i: int) -> tuple[int, ...]:
-        """Row i of the Kapranov Gram matrix, its unit diagonal checked on first read."""
-        r = self.gram_rows.get(i)
-        if r is None:
-            r = self.row(self.weights[i], 0)
+    @cached_property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """The Kapranov Gram matrix, every t = 0 row unpacked, its unit diagonal checked."""
+        rows = tuple(self.row(w, 0) for w in self.weights)
+        for i, r in enumerate(rows):
             if r[i] != 1:
                 raise AssertionError(f"Kapranov Gram diagonal is not 1 at {self.weights[i]}")
-            self.gram_rows[i] = r
+        return rows
+
+    def gram_packed(self, i: int) -> int:
+        """Gram row i packed, read from the table with its unit diagonal checked:
+        the row holds the fields i..N-1 only, so its highest field is the
+        diagonal, at bit B (N-1-i), and it is 1 exactly when that is the top bit."""
+        r = self.packed(self.weights[i], 0)
+        if r.bit_length() != self.bits * (len(self.weights) - 1 - i) + 1:
+            raise AssertionError(f"Kapranov Gram diagonal is not 1 at {self.weights[i]}")
         return r
 
     @cached_property
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.gram_row(i) for i in range(len(self.weights)))
+    def decoder(self) -> tuple[int, Struct]:
+        """The bias 2^(B-1) in each of the N fields, and the Struct that splits
+        N packed fields into their bytes, high field first."""
+        size, top = self.bits // 8, len(self.weights)
+        return int.from_bytes((b"\x80" + bytes(size - 1)) * top, "big"), Struct(f"{size}s" * top)
+
+    def covector(self, x: dict[int, int]) -> list[int]:
+        """x^T G, the pairings chi(x, e_kappa) for every basis kappa, in order.
+
+        One biased sum of the packed Gram rows of x per level, decoded by one
+        `to_bytes` (module docstring).  A level holds sum |coef| <= cap =
+        (2^(B-1) - 1) // M.  A class above that is split into base-D digit
+        levels, D = cap // len(x) + 1, each with sum |digit| <= len(x) (D - 1)
+        <= cap; as cap >= 2^n >= C(n,k) >= len(x), D >= 2.  Every field before
+        the least index lo of x is 0 (G is upper triangular), so only the
+        fields lo..N-1 are converted.
+        """
+        top = len(self.weights)
+        if not x:
+            return [0] * top
+        half, lo = 1 << self.bits - 1, min(x)
+        cap = (half - 1) // self.bound
+        rows = {i: self.gram_packed(i) for i in x}
+        levels, base = [x], 1
+        if sum(map(abs, x.values())) > cap:
+            levels, base = [], cap // len(x) + 1
+            while x:
+                level, rest = {}, {}
+                for i, c in x.items():
+                    q, r = divmod(abs(c), base)
+                    if r:
+                        level[i] = r if c > 0 else -r
+                    if q:
+                        rest[i] = q if c > 0 else -q
+                levels.append(level)
+                x = rest
+        (bias, fields), out = self.decoder, None
+        for level in reversed(levels):
+            total = sum(c * rows[i] for i, c in level.items()) + bias
+            raw = fields.unpack(total.to_bytes(fields.size, "big"))
+            digits = [v - half for v in map(int.from_bytes, islice(raw, lo, None))]
+            out = digits if out is None else [base * v + d for v, d in zip(out, digits)]
+        return [0] * lo + out
 
     @cached_property
     def twist(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -331,37 +397,42 @@ class _Ctx:
                 out[i] = out.get(i, 0) + xj * c
         return {i: v for i, v in out.items() if v}
 
-    def pair(self, x: dict[int, int], y: dict[int, int]) -> int:
-        """The Euler form sum x_i G[i][j] y_j over the nonzeros of x and y,
-        reading only the Gram rows of x."""
-        rows = self.gram_rows
-        total = 0
-        for i, xi in x.items():
-            gi = rows.get(i) or self.gram_row(i)
-            total += xi * sum(gi[j] * yj for j, yj in y.items())
-        return total
+    def check_semiorthogonal(self, projectors: list[dict[int, int]]) -> list[list[int]]:
+        """Raise ValueError unless the list is Euler-unitriangular; return the
+        covectors of the projectors, each decoded once.
 
-    def check_semiorthogonal(self, projectors: list[dict[int, int]]) -> None:
-        """Raise ValueError unless the list is Euler-unitriangular."""
+        chi(e_j, e_i) for every j >= i is sum_m c_m cov_j[m] over the
+        nonzeros c_m of e_i: one sum of column slices per projector.
+        """
+        covs = [self.covector(e) for e in projectors]
+        cols = {m: [cov[m] for cov in covs] for m in set().union(*projectors)}
         for i, e in enumerate(projectors):
-            if self.pair(e, e) != 1:
+            vals = [0] * (len(projectors) - i)
+            for m, c in e.items():
+                vals = list(map(add, vals, map(c.__mul__, islice(cols[m], i, None))))
+            if vals[0] != 1:
                 raise ValueError(f"projector {i} is not exceptional (chi(e,e) != 1)")
-            for j in range(i + 1, len(projectors)):
-                if self.pair(projectors[j], e) != 0:
-                    raise ValueError(
-                        f"projectors {j} > {i} are not semiorthogonal; check the ordering"
-                    )
+            vals[0] = 0
+            if any(vals):
+                j = next(j for j, v in enumerate(vals) if v)
+                raise ValueError(
+                    f"projectors {i + j} > {i} are not semiorthogonal; check the ordering"
+                )
+        return covs
 
-    def project(self, projectors: list[dict[int, int]], x: dict[int, int]) -> dict[int, int]:
-        """Gram-Schmidt x against a checked semiorthogonal list, last projector
-        first, and check that the result is left-orthogonal to every projector."""
+    def project(
+        self, projectors: list[dict[int, int]], covectors: list[list[int]], x: dict[int, int]
+    ) -> dict[int, int]:
+        """Gram-Schmidt x against a checked semiorthogonal list, given the
+        covectors of its projectors, last projector first, and check that the
+        result is left-orthogonal to every projector."""
         y = dict(x)
-        for e in reversed(projectors):
-            if c := self.pair(e, y):
+        for e, cov in zip(reversed(projectors), reversed(covectors)):
+            if c := _dot(cov, y):
                 for i, v in e.items():
                     y[i] = y.get(i, 0) - c * v
         y = {i: v for i, v in y.items() if v}
-        if any(self.pair(e, y) for e in projectors):
+        if any(_dot(cov, y) for cov in covectors):
             raise AssertionError("mutation lost orthogonality")
         return y
 
@@ -373,6 +444,11 @@ class _Ctx:
 
     def dense(self, x: dict[int, int]) -> KClass:
         return tuple(x.get(i, 0) for i in range(len(self.weights)))
+
+
+def _dot(covector: list[int], y: dict[int, int]) -> int:
+    """x^T G y from the covector of x, over the nonzeros of y."""
+    return sum(map(mul, map(covector.__getitem__, y), y.values()))
 
 
 @lru_cache(maxsize=1)
@@ -412,7 +488,7 @@ def class_of(e: TwistedSchur) -> KClass:
 def euler_pairing(box: Box, x: KClass, y: KClass) -> int:
     """Bilinear Euler form x^T G y on coordinate vectors."""
     ctx = _ctx(box)
-    return ctx.pair(ctx.sparse(x), ctx.sparse(y))
+    return _dot(ctx.covector(ctx.sparse(x)), ctx.sparse(y))
 
 
 def twist_class(box: Box, x: KClass) -> KClass:
@@ -429,8 +505,8 @@ def mutate_left(box: Box, projectors: list[KClass], x: KClass) -> KClass:
     """
     ctx = _ctx(box)
     es = [ctx.sparse(e) for e in projectors]
-    ctx.check_semiorthogonal(es)
-    return ctx.dense(ctx.project(es, ctx.sparse(x)))
+    covs = ctx.check_semiorthogonal(es)
+    return ctx.dense(ctx.project(es, covs, ctx.sparse(x)))
 
 
 def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool:
@@ -508,31 +584,35 @@ def residual_report(box: Box) -> ResidualReport:
     twists 0..i-1 followed by the mu-contained part of the block at twist i.
     The induced polarization acts as x -> mutate(primitive block, x (x) O(1))
     and must cycle the classes, closing up to the sign (-1)^(k(n-k)/d).
+
+    Every projector list is read from one checked chain by position, with the
+    covectors its check decoded; the residual Gram decodes one covector per
+    residual class.
     """
     ctx = _ctx(box)
     block = [obj.bundle.weight for obj in ctx.block]
     shorts = [(orb.representative, orb.length) for orb in ctx.orbits if orb.length < box.n]
     o_max = max((o for _, o in shorts), default=0)
     chain = [ctx.twisted_class(w, j) for j in range(o_max) for w in block]
-    ctx.check_semiorthogonal(chain)
+    covs = ctx.check_semiorthogonal(chain)
+    width = len(block)
     sign_exponents = tuple(box.k * (box.n - box.k) // (box.n // o) for _, o in shorts)
     residual: list[dict[int, int]] = []
     tau_ok: list[bool] = []
     for (mu, o), sign_exp in zip(shorts, sign_exponents):
-        inside = [w for w in block if mu.contains(BoxedDiagram(w, box))]
-        fs = [
-            ctx.project(
-                chain[: i * len(block)] + [ctx.twisted_class(w, i) for w in inside],
-                ctx.twisted_class(mu.parts, i),
-            )
-            for i in range(o)
-        ]
+        inside = [p for p, w in enumerate(block) if mu.contains(BoxedDiagram(w, box))]
+        fs = []
+        for i in range(o):
+            # chain positions: the block at twists 0..i-1, then its part inside mu at twist i
+            picks = [*range(i * width), *(i * width + p for p in inside)]
+            x = ctx.twisted_class(mu.parts, i)
+            fs.append(ctx.project([chain[q] for q in picks], [covs[q] for q in picks], x))
         residual.extend(fs)
         sign = -1 if sign_exp % 2 else 1
-        polarized = [ctx.project(chain[: len(block)], ctx.apply_twist(x)) for x in fs]
+        polarized = [ctx.project(chain[:width], covs[:width], ctx.apply_twist(x)) for x in fs]
         tau_ok.append(polarized == fs[1:] + [{j: sign * v for j, v in fs[0].items()}])
 
-    gram = tuple(tuple(ctx.pair(x, y) for y in residual) for x in residual)
+    gram = tuple(tuple(_dot(c, y) for y in residual) for c in map(ctx.covector, residual))
     return ResidualReport(
         box=box,
         short_diagrams=tuple(shorts),

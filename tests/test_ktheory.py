@@ -162,15 +162,42 @@ class TestChiPair:
             kapranov_gram(ctx.box)
 
     def test_corrupt_field_fails_a_pairing(self, plant):
-        # a pairing reads Gram row i on first use, and checks its diagonal
-        # then, with the message of the full Gram check; a pairing that does
-        # not read row i does not see the planted 2
+        # a pairing reads the packed Gram rows of its first class and checks
+        # each diagonal, with the message of the full Gram check; a pairing
+        # that does not read row i does not see the planted 2
         plant((1, 1), 0)
         box = Box(2, 4)
         i = _ctx(box).index[1, 1]
         assert euler_pairing(box, unit(box, 0), unit(box, i)) == 6  # dim Lambda^2 C^4
         with pytest.raises(AssertionError, match="Gram diagonal is not 1 at \\(1, 1\\)"):
             euler_pairing(box, unit(box, i), unit(box, 0))
+
+    def test_corrupt_diagonal_fails_the_residual_stage(self, plant):
+        # every covector reads its Gram rows from the table and checks each
+        # diagonal: a 2 planted on the diagonal of row (1,1,1), which only the
+        # chain member e_(1,1,1) of G(3,6) reads, stops the residual stage,
+        # and a pairing reads it only when its first class has a nonzero there
+        plant((1, 1, 1), 0)
+        box = Box(3, 6)
+        with pytest.raises(AssertionError, match="Gram diagonal is not 1 at \\(1, 1, 1\\)"):
+            residual_report(box)
+        i = _ctx(box).index[1, 1, 1]
+        assert euler_pairing(box, unit(box, 0), unit(box, i)) == 20  # dim Lambda^3 C^6
+        with pytest.raises(AssertionError, match="Gram diagonal is not 1 at \\(1, 1, 1\\)"):
+            euler_pairing(box, unit(box, i), unit(box, 0))
+
+    def test_corrupt_off_diagonal_field_fails_the_chain_check(self, plant):
+        # on G(3,9) chain member 9 has a nonzero at (1,1,1) and member 3 one
+        # at (2,0,0): a 1 planted in field (2,0,0) of Gram row (1,1,1), where
+        # the true entry is 0, breaks chi(member 9, member 3) = 0
+        box = Box(3, 9)
+        assert residual_report(box).gram_is_identity
+        plant((1, 1, 1), 0, (2, 0, 0))
+        _ctx.cache_clear()
+        ctx = _ctx(box)
+        assert ctx.gram_packed(ctx.index[1, 1, 1])  # the diagonal still reads 1
+        with pytest.raises(ValueError, match="not semiorthogonal"):
+            residual_report(box)
 
     @pytest.mark.parametrize("k,n,lam", [(2, 4, (2, 1)), (3, 7, (4, 2, 1)), (1, 3, (2,))])
     def test_corrupt_field_fails_a_staircase(self, plant, k, n, lam):
@@ -324,6 +351,57 @@ class TestEulerPairing:
                 )
                 assert euler_pairing(box, x, y) == dense
 
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """A fresh context whose table builds are counted."""
+        calls = []
+        build = _Ctx.build_table
+        monkeypatch.setattr(_Ctx, "build_table", lambda self: calls.append(self.bits) or build(self))
+        _ctx.cache_clear()
+        yield calls
+        _ctx.cache_clear()
+
+    def test_zero_class(self, builds):
+        # a zero class has no terms: its covector is zero, not a division by
+        # its term count
+        box = Box(3, 6)
+        ctx = _ctx(box)
+        bits, zero = ctx.bits, (0,) * len(ctx.weights)
+        for i in (0, 7, len(zero) - 1):
+            assert euler_pairing(box, zero, unit(box, i)) == 0
+            assert euler_pairing(box, unit(box, i), zero) == 0
+        assert euler_pairing(box, zero, zero) == 0
+        primitive = [unit(box, ctx.index[w]) for w in ((0, 0, 0), (1, 0, 0), (1, 1, 0))]
+        assert mutate_left(box, primitive, zero) == zero
+        assert mutate_left(box, [], zero) == zero
+        assert ctx.bits == bits and builds == [bits]
+
+    @pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (4, 8)])
+    def test_huge_coefficients_against_dense_product(self, builds, k, n):
+        # sum |coef| far past the decode bound: the covector is decoded in
+        # digit levels, at the table's first width, and equals x^T G
+        box = Box(k, n)
+        ctx = _ctx(box)
+        bits = ctx.bits
+        g = kapranov_gram(box)
+        size = len(g)
+        cap = ((1 << bits - 1) - 1) // ctx.bound  # the largest sum |coef| of one level
+        rng = random.Random(k * n)
+        huge = 1 << 300
+        classes = [
+            tuple(rng.choice((0, 0, 0, rng.randint(-huge, huge))) for _ in range(size)),  # sparse
+            tuple(rng.randint(-huge, huge) for _ in range(size)),  # dense
+            tuple((-1) ** i * huge for i in range(size)),
+            tuple(rng.randint(-9, 9) for _ in range(size)),  # dense, one level
+            (cap,) + (0,) * (size - 1),  # one level, at the bound
+            (cap, -1) + (0,) * (size - 2),  # two levels, just past it
+        ]
+        for x in classes:
+            for y in classes:
+                dense = sum(x[i] * g[i][j] * y[j] for i in range(size) for j in range(size))
+                assert euler_pairing(box, x, y) == dense
+        assert ctx.bits == bits and builds == [bits]
+
 
 class TestContext:
     """One per-box context, kept for the box used last."""
@@ -373,17 +451,35 @@ class TestContext:
             assert all(a[-1] == 0 and t >= -1 for a, t in read)
             assert not ctx.chis
 
-    @pytest.mark.parametrize("k,n,touched", [(3, 9, 30), (4, 10, 111)])
-    def test_residual_reads_only_the_gram_rows_it_touches(self, k, n, touched):
-        # the pairings fetch Gram row i when a class with a nonzero at i is
-        # first paired; the dense Gram matrix is never unpacked
+    @pytest.mark.parametrize(
+        "k,n,chain,classes", [(3, 9, 27, 3), (4, 8, 32, 6), (4, 10, 100, 10), (6, 12, 450, 24)]
+    )
+    def test_residual_decodes_one_covector_per_class(self, monkeypatch, k, n, chain, classes):
+        # the residual stage reads Gram rows packed from the table: it unpacks
+        # no row, builds the table once at its first width, and decodes the
+        # covector of each chain member once, then of each residual class
+        # once for the residual Gram
         box = Box(k, n)
+        builds, decoded = [], []
+        build, covector = _Ctx.build_table, _Ctx.covector
+        monkeypatch.setattr(_Ctx, "build_table", lambda self: builds.append(self.bits) or build(self))
+        monkeypatch.setattr(
+            _Ctx, "covector", lambda self, x: decoded.append(dict(x)) or covector(self, x)
+        )
         _ctx.cache_clear()
-        residual_report(box)
         ctx = _ctx(box)
-        assert len(ctx.gram_rows) == touched < len(ctx.weights)
+        bits = ctx.bits
+        report = residual_report(box)
+        assert ctx.bits == bits and builds == [bits]
+        assert not any(t == 0 for _, t in ctx.chis)
         assert "gram" not in vars(ctx)
-        assert all(r is ctx.row(ctx.weights[i], 0) for i, r in ctx.gram_rows.items())
+        assert len(report.residual_classes) == classes
+        assert len(decoded) == chain + classes
+        block = [obj.bundle.weight for obj in ctx.block]
+        assert decoded[:chain] == [
+            ctx.twisted_class(w, j) for j in range(chain // len(block)) for w in block
+        ]
+        assert [ctx.dense(x) for x in decoded[chain:]] == list(report.residual_classes)
 
     def test_gram_is_the_untwisted_rows(self):
         # one copy: the Gram rows are the cached pairing rows themselves
@@ -526,7 +622,9 @@ class TestResidualReport:
         lists = []
         project = _Ctx.project
         monkeypatch.setattr(
-            _Ctx, "project", lambda self, ps, x: lists.append(ps) or project(self, ps, x)
+            _Ctx,
+            "project",
+            lambda self, ps, covs, x: lists.append(ps) or project(self, ps, covs, x),
         )
         report = residual_report(box)
         ctx, width, pos = ktheory._ctx(box), len(primitive_block(box)), 0
