@@ -60,19 +60,22 @@ most M = s_R(1^{n+2k}), R = ((n-k+1)^k): by the branching rule in k more
 variables, twice, s_{lam/sigma}(1^n) <= s_lam(1^{n+k}) <= s_R(1^{n+2k}),
 as s_sigma(1^k) >= 1 and s_{R/lam}(1^k) >= 1 (R has k rows).  So no field
 carries, and a combination of rows with sum |coef| = S has fields of
-absolute value at most S M.  When 2^(B-1) > S M its packed sum is 0 exactly
-when every field is: the nonzero field of lowest order, the largest such
-kappa, leaves a nonzero remainder mod 2^(B (N-kappa)).  So
-`is_zero_combination` sums coef times the packed rows as big integers,
-widening the table first when its fields are too narrow.  The first width
-admits S <= 2^n, which covers the staircase of every lam with a full first
-row (coefficients +-1 and +-C(n, c) for distinct 0 < c < n).  The Kapranov
-Gram matrix is the t = 0 rows.
+absolute value at most S M.  The width is fixed per box: B is the least
+whole number of bytes with 2^(B-1) > 2^n M, and the table is built once at
+it.  A packed sum with S <= cap = (2^(B-1) - 1) // M is 0 exactly when every
+field is: the nonzero field of lowest order, the largest such kappa, leaves
+a nonzero remainder mod 2^(B (N-kappa)).  So `is_zero_combination` sums coef
+times the packed rows as big integers when S <= cap and every term is a
+table row; cap >= 2^n covers the staircase of every lam with a full first
+row (coefficients +-1 and +-C(n, c) for distinct 0 < c < n).  Any other
+combination takes the slow path: its terms are merged by row, the table
+rows decoded exactly (`_Ctx.decode`, below), the deep rows added unpacked,
+and every field tested.  The Kapranov Gram matrix is the t = 0 rows.
 
 A normal form with t <= -2 needs sigma outside the wider box.  Its row is
 one Jacobi-Trudi determinant det[h_{lam_i - a_j - i + j}(1^n)] per entry,
 lam = kappa - t and h_m(1^n) = C(n+m-1, m), by `_bareiss_det`; it is stored
-as one row, and its largest entry joins M in the width test.
+as one row, unpacked, and its entries may exceed M.
 
 All per-box state lives on one context, `_ctx(box)`, and only the box used
 last is kept, so a sweep over many boxes frees each one when it moves on.
@@ -93,13 +96,14 @@ kappa_i + 1, so the covector x^T G of a class x is one big-integer sum of
 coef times packed rows (`covector`), and x^T G y is a dot product over the
 nonzeros of y alone.  Each row read checks the unit diagonal in O(1): row i
 holds the fields i..N-1 only, so its diagonal field is 1 exactly when the
-int has B (N-1-i) + 1 bits.  The covector's fields may be negative, so the
-sum is biased by 2^(B-1) in every field and decoded by one `to_bytes`.  With
-sum |coef| = S, every field is at most S M in absolute value, and when
-S M < 2^(B-1) every biased field lies in [0, 2^B): nothing borrows, and each
-field is its own pairing plus 2^(B-1).  A class with a larger S is decoded in
-base-D digit levels, each within that bound, and recombined exactly, so a
-pairing never widens or rebuilds the table.
+int has B (N-1-i) + 1 bits.  One reader, `_Ctx.decode`, turns any sum of
+distinct table rows into its fields; the covector, an unpacked table row
+and the slow path of `is_zero_combination` all go through it.  The fields
+may be negative, so the sum is biased by 2^(B-1) in every field and decoded
+by one `to_bytes`.  With sum |coef| = S <= cap, every field is at most
+S M < 2^(B-1) in absolute value, so every biased field lies in [0, 2^B):
+nothing borrows, and each field is its own value plus 2^(B-1).  A larger S
+is decoded in base-D digit levels, each within cap, and recombined exactly.
 
 Every residual projector list is a subsequence of the chain T^j e_lam, lam
 in the primitive block and j below the longest short orbit.
@@ -172,10 +176,16 @@ class _Ctx:
         self.chis: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}  # (a, t) -> row
         # the sources sigma of the table: the box one column wider
         self.sources = {s: i for i, s in enumerate(_ascending_parts(box.k, box.width + 1))}
-        # M, the bound on every table entry, and the field width B in bits
+        # M, the bound on every table entry; the field width B, whole bytes
+        # with 2^(B-1) > 2^n M; cap, the largest sum |coef| one packed sum
+        # holds; and the decoder: the bias 2^(B-1) in each of the N fields,
+        # and the Struct that splits N packed fields into their bytes
         self.bound = dimension((box.width + 1,) * box.k, box.n + 2 * box.k)
-        self.bits = 0
-        self.widen(self.bound << box.n)
+        self.bits = -(-((self.bound << box.n).bit_length() + 1) // 8) * 8
+        self.cap = ((1 << self.bits - 1) - 1) // self.bound
+        size, top = self.bits // 8, len(self.weights)
+        self.bias = int.from_bytes((b"\x80" + bytes(size - 1)) * top, "big")
+        self.fields = Struct(f"{size}s" * top)
         self.twisted: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}  # (w, i) -> T^i e_w
 
     @cached_property
@@ -216,23 +226,13 @@ class _Ctx:
         unpacked: entry kappa is s_{(kappa+1)/sigma}(1^n), at most
         M = s_R(1^{n+2k}) < 2^(B-1), so no B-bit field carries.  The int
         holds the fields lo..N-1 only, high field first, and only those are
-        converted.  With t' <= -2 it is one Jacobi-Trudi determinant per
-        entry (`deep_row`).
+        converted (`decode`).  With t' <= -2 it is one Jacobi-Trudi
+        determinant per entry (`deep_row`).
         """
         a, t = normal_form(a, t)
         r = self.chis.get((a, t))
         if r is None:
-            if t >= -1:
-                # every kappa containing a + t is lexicographically at least
-                # max(a + t, 0), so the row is zero before that basis index
-                lo = self.index[tuple(max(x + t, 0) for x in a)]
-                size = self.bits // 8
-                raw = self.packed(a, t).to_bytes(size * (len(self.weights) - lo), "big")
-                r = (0,) * lo + tuple(
-                    int.from_bytes(raw[i : i + size], "big") for i in range(0, len(raw), size)
-                )
-            else:
-                r = self.deep_row(a, t)
+            r = tuple(self.decode([(1, self.packed(a, t))])) if t >= -1 else self.deep_row(a, t)
             self.chis[a, t] = r
         return r
 
@@ -249,20 +249,9 @@ class _Ctx:
         )
 
     def packed(self, a: tuple[int, ...], t: int) -> int:
-        """The row of a normal form (a, t) packed at the table's width B, high
-        field first: entry kappa at bit B (N-1-kappa)."""
-        if t >= -1:
-            return self.table[self.sources[tuple(x + t + 1 for x in a)]]
-        size = self.bits // 8
-        return int.from_bytes(b"".join(v.to_bytes(size, "big") for v in self.row(a, t)), "big")
-
-    def widen(self, peak: int) -> None:
-        """Make 2^(B-1) > peak with B whole bytes, rebuilding the table if B grows."""
-        bits = -(-(peak.bit_length() + 1) // 8) * 8
-        if bits > self.bits:
-            self.bits = bits
-            self.__dict__.pop("table", None)
-            self.__dict__.pop("decoder", None)
+        """The table row of a normal form (a, t) with t >= -1, packed at width
+        B, high field first: entry kappa at bit B (N-1-kappa)."""
+        return self.table[self.sources[tuple(x + t + 1 for x in a)]]
 
     @cached_property
     def strips(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -303,12 +292,11 @@ class _Ctx:
 
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        """The Kapranov Gram matrix, every t = 0 row unpacked, its unit diagonal checked."""
-        rows = tuple(self.row(w, 0) for w in self.weights)
-        for i, r in enumerate(rows):
-            if r[i] != 1:
-                raise AssertionError(f"Kapranov Gram diagonal is not 1 at {self.weights[i]}")
-        return rows
+        """The Kapranov Gram matrix, every t = 0 row unpacked, its unit
+        diagonal checked by `gram_packed`."""
+        for i in range(len(self.weights)):
+            self.gram_packed(i)
+        return tuple(self.row(w, 0) for w in self.weights)
 
     def gram_packed(self, i: int) -> int:
         """Gram row i packed, read from the table with its unit diagonal checked:
@@ -319,50 +307,50 @@ class _Ctx:
             raise AssertionError(f"Kapranov Gram diagonal is not 1 at {self.weights[i]}")
         return r
 
-    @cached_property
-    def decoder(self) -> tuple[int, Struct]:
-        """The bias 2^(B-1) in each of the N fields, and the Struct that splits
-        N packed fields into their bytes, high field first."""
-        size, top = self.bits // 8, len(self.weights)
-        return int.from_bytes((b"\x80" + bytes(size - 1)) * top, "big"), Struct(f"{size}s" * top)
+    def decode(self, terms: list[tuple[int, int]]) -> list[int]:
+        """sum coef * row over (coef, packed row) terms of distinct table rows,
+        every field exactly, in basis order.
 
-    def covector(self, x: dict[int, int]) -> list[int]:
-        """x^T G, the pairings chi(x, e_kappa) for every basis kappa, in order.
-
-        One biased sum of the packed Gram rows of x per level, decoded by one
-        `to_bytes` (module docstring).  A level holds sum |coef| <= cap =
-        (2^(B-1) - 1) // M.  A class above that is split into base-D digit
-        levels, D = cap // len(x) + 1, each with sum |digit| <= len(x) (D - 1)
-        <= cap; as cap >= 2^n >= C(n,k) >= len(x), D >= 2.  Every field before
-        the least index lo of x is 0 (G is upper triangular), so only the
-        fields lo..N-1 are converted.
+        One biased sum per level, decoded by one `to_bytes` (module
+        docstring).  A level holds sum |coef| <= cap.  Terms above that are
+        split into base-D digit levels, D = cap // len(terms) + 1, each with
+        sum |digit| <= len(terms) (D - 1) <= cap, and recombined exactly.
+        The rows are distinct, so len(terms) <= C(n+1,k) <= 2^n <= cap and
+        D >= 2.  A row int of b bits holds the fields lo..N-1 only, where
+        lo = N - ceil(b / B), so every field before the least lo of the
+        terms is 0, and only the fields from it on are converted.
         """
         top = len(self.weights)
-        if not x:
+        if not terms:
             return [0] * top
-        half, lo = 1 << self.bits - 1, min(x)
-        cap = (half - 1) // self.bound
-        rows = {i: self.gram_packed(i) for i in x}
-        levels, base = [x], 1
-        if sum(map(abs, x.values())) > cap:
-            levels, base = [], cap // len(x) + 1
-            while x:
-                level, rest = {}, {}
-                for i, c in x.items():
-                    q, r = divmod(abs(c), base)
-                    if r:
-                        level[i] = r if c > 0 else -r
+        half = 1 << self.bits - 1
+        lo = top - -(-max(r.bit_length() for _, r in terms) // self.bits)
+        levels, base = [terms], 1
+        if sum(abs(c) for c, _ in terms) > self.cap:
+            levels, base = [], self.cap // len(terms) + 1
+            while terms:
+                level, rest = [], []
+                for c, r in terms:
+                    q, d = divmod(abs(c), base)
+                    if d:
+                        level.append((d if c > 0 else -d, r))
                     if q:
-                        rest[i] = q if c > 0 else -q
+                        rest.append((q if c > 0 else -q, r))
                 levels.append(level)
-                x = rest
-        (bias, fields), out = self.decoder, None
+                terms = rest
+        out = None
         for level in reversed(levels):
-            total = sum(c * rows[i] for i, c in level.items()) + bias
-            raw = fields.unpack(total.to_bytes(fields.size, "big"))
+            total = sum(c * r for c, r in level) + self.bias
+            raw = self.fields.unpack(total.to_bytes(self.fields.size, "big"))
             digits = [v - half for v in map(int.from_bytes, islice(raw, lo, None))]
             out = digits if out is None else [base * v + d for v, d in zip(out, digits)]
         return [0] * lo + out
+
+    def covector(self, x: dict[int, int]) -> list[int]:
+        """x^T G, the pairings chi(x, e_kappa) for every basis kappa, in order:
+        the `decode` of the packed Gram rows of x, each read once.  The rows
+        are distinct, at most C(n,k) <= 2^n <= cap of them, so D >= 2."""
+        return self.decode([(c, self.gram_packed(i)) for i, c in x.items()])
 
     @cached_property
     def twist(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -514,30 +502,39 @@ def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool
 
     Tested by summing the pairing rows of the terms: the pairings against
     every basis object determine a class uniquely (the Gram matrix is
-    uni-triangular).  The rows are summed packed, as big integers, at a
-    field width B with 2^(B-1) > sum |coef| times the largest entry any of
-    them can hold, so the total is 0 exactly when every pairing is.  Every
-    bundle must live on the box and fit the pairing rows (`_Ctx.row`);
-    otherwise ValueError.
+    uni-triangular).  When every term is a table row and sum |coef| <= cap,
+    the rows are summed packed, as big integers, and the total is 0 exactly
+    when every pairing is.  Otherwise the terms are merged by row, the table
+    rows decoded exactly (`_Ctx.decode`), the deep rows (t <= -2) added
+    unpacked, and every field tested.  Every bundle must live on the box and
+    fit the pairing rows (`_Ctx.row`), whatever its coefficient; otherwise
+    ValueError.
     """
     ctx = _ctx(box)
     keys = []
-    weight, peak = 0, ctx.bound
+    weight, deep = 0, False
     for coef, bundle in terms:
         if bundle.box != box:
             raise ValueError(f"bundle {bundle} lives on a different box")
-        if coef == 0:
-            continue
         w, t = bundle.weight, bundle.twist
         if max(w[0] + t, w[0] - w[-1]) > box.width:
-            raise ValueError(f"bundle {bundle} does not fit the pairing fast path")
+            raise ValueError(f"bundle {bundle} does not fit the pairing rows")
+        if coef == 0:
+            continue
         w, t = normal_form(w, t)
-        if t < -1:
-            peak = max(peak, *ctx.row(w, t))
         keys.append((coef, w, t))
         weight += abs(coef)
-    ctx.widen(weight * peak)
-    return not sum(coef * ctx.packed(w, t) for coef, w, t in keys)
+        deep = deep or t < -1
+    if not deep and weight <= ctx.cap:
+        return not sum(coef * ctx.packed(w, t) for coef, w, t in keys)
+    merged: dict[tuple[tuple[int, ...], int], int] = {}
+    for coef, w, t in keys:
+        merged[w, t] = merged.get((w, t), 0) + coef
+    total = ctx.decode([(c, ctx.packed(w, t)) for (w, t), c in merged.items() if c and t >= -1])
+    for (w, t), c in merged.items():
+        if t < -1:
+            total = list(map(add, total, map(c.__mul__, ctx.row(w, t))))
+    return not any(total)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,17 @@ def unit(box, index):
     return tuple(1 if i == index else 0 for i in range(n))
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """A fresh context whose table builds are counted, each by its width."""
+    calls = []
+    build = _Ctx.build_table
+    monkeypatch.setattr(_Ctx, "build_table", lambda self: calls.append(self.bits) or build(self))
+    _ctx.cache_clear()
+    yield calls
+    _ctx.cache_clear()
+
+
 class TestKapranovGram:
     @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 6)])
     def test_matches_general_euler_path(self, k, n):
@@ -351,16 +362,6 @@ class TestEulerPairing:
                 )
                 assert euler_pairing(box, x, y) == dense
 
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        """A fresh context whose table builds are counted."""
-        calls = []
-        build = _Ctx.build_table
-        monkeypatch.setattr(_Ctx, "build_table", lambda self: calls.append(self.bits) or build(self))
-        _ctx.cache_clear()
-        yield calls
-        _ctx.cache_clear()
-
     def test_zero_class(self, builds):
         # a zero class has no terms: its covector is zero, not a division by
         # its term count
@@ -450,6 +451,22 @@ class TestContext:
             assert len(set(read)) == rows, box
             assert all(a[-1] == 0 and t >= -1 for a, t in read)
             assert not ctx.chis
+
+    @pytest.mark.parametrize("k,n", [(3, 9), (4, 8)])
+    def test_report_builds_one_table_at_one_width(self, builds, k, n):
+        # the theta staircase of G(3,9) and the ten-term fixture of G(4,8)
+        # read deep rows (t <= -2), so their checks take the slow path of
+        # is_zero_combination: the whole report still builds one table, at
+        # the width the context set up
+        from grex.cli import full_report
+
+        box = Box(k, n)
+        ctx = _ctx(box)
+        bits = ctx.bits
+        assert full_report(box)["pass"]
+        assert _ctx(box) is ctx
+        assert any(t < -1 for _, t in ctx.chis)
+        assert ctx.bits == bits and builds == [bits]
 
     @pytest.mark.parametrize(
         "k,n,chain,classes", [(3, 9, 27, 3), (4, 8, 32, 6), (4, 10, 100, 10), (6, 12, 450, 24)]
@@ -812,11 +829,13 @@ class TestZeroCombination:
         assert not is_zero_combination(box, combo)
 
     def test_out_of_box_weight_rejected(self):
-        # a bundle fits when w_0 + t and w_0 - w_{k-1} are at most n-k
+        # a bundle fits when w_0 + t and w_0 - w_{k-1} are at most n-k,
+        # whatever its coefficient: a zero one is checked before it is skipped
         box = Box(2, 4)
-        for w, t in [((3, 0), 0), ((2, 1), 1), ((3, 0), -1)]:
-            with pytest.raises(ValueError):
-                is_zero_combination(box, [(1, ts(w, t, box))])
+        for w, t in [((3, 0), 0), ((2, 1), 1), ((3, 0), -1), ((9, 0), 0)]:
+            for coef in (1, 0):
+                with pytest.raises(ValueError):
+                    is_zero_combination(box, [(coef, ts(w, t, box))])
         # S^(3,1)U*(-1) = S^(2,0)U* sits on the boundary; S^(1,1)U*(-1) = O
         assert not is_zero_combination(box, [(1, ts((3, 1), -1, box))])
         assert is_zero_combination(box, [(1, ts((1, 1), -1, box)), (-1, ts((0, 0), 0, box))])
@@ -839,45 +858,46 @@ class TestZeroCombination:
         with pytest.raises(ValueError):
             is_zero_combination(box, combo)
 
-    def test_huge_coefficients(self):
-        # 2^300 times a staircase needs fields far wider than the first
-        # width: the call widens the table, and one unit off is still seen
+    def test_huge_coefficients(self, builds):
+        # 2^300 times a staircase is far past cap: the call decodes its rows
+        # in digit levels at the box's one width, and one unit off is still seen
         box = Box(3, 6)
         combo = build_staircase(box, BoxedDiagram((3, 1, 0), box)).k_class_combination()
         big = [(c << 300, e) for c, e in combo]
-        _ctx.cache_clear()
         bits = _ctx(box).bits
         assert is_zero_combination(box, big)
-        assert _ctx(box).bits > bits + 300
         big[-1] = (big[-1][0] + 1, big[-1][1])
         assert not is_zero_combination(box, big)
         assert is_zero_combination(box, combo)
+        assert _ctx(box).bits == bits and builds == [bits]
 
-    def test_deep_twist_entries_above_the_bound(self):
+    def test_deep_twist_entries_above_the_bound(self, builds):
         # a normal form with t <= -2 is no table row, and its entries may
-        # exceed M and even the first width: the call widens to its peak
+        # exceed M and even 2^B: the call adds its row unpacked, and the
+        # table rows beside it are decoded at the box's one width
         box = Box(2, 4)
-        _ctx.cache_clear()
         ctx = _ctx(box)
+        bits = ctx.bits
         deep = ts((1, 0), -300, box)
         peak = max(ctx.row((1, 0), -300))
         assert peak > ctx.bound and peak >> ctx.bits
         # S^(2,1)U*(-301) is the same bundle as S^(1,0)U*(-300)
-        assert is_zero_combination(box, [(1, deep), (-1, ts((2, 1), -301, box))])
-        assert peak < 1 << ctx.bits - 1
+        same = ts((2, 1), -301, box)
+        assert is_zero_combination(box, [(1, deep), (-1, same)])
         assert not is_zero_combination(box, [(1, deep)])
         assert not is_zero_combination(box, [(1, deep), (-1, ts((1, 0), -299, box))])
+        assert not is_zero_combination(box, [(1, deep), (-1, same), (1, ts((1, 0), 0, box))])
+        assert ctx.bits == bits and builds == [bits]
 
-    def test_too_narrow_fields_would_alias(self):
+    def test_too_narrow_fields_would_alias(self, builds):
         # on P^1 the rows of O and O(1) are (1, 2) and (0, 1), packed high
         # field first as 2^B + 2 and 1, so these coefficients give the
-        # fields (-1, 2^B): a nonzero class whose packed sum at the first
-        # width B is -(2^B + 2) + (2^B + 2) = 0
+        # fields (-1, 2^B): a nonzero class whose packed sum at the width B
+        # is -(2^B + 2) + (2^B + 2) = 0, which the slow path still sees
         box = Box(1, 2)
-        _ctx.cache_clear()
         ctx = _ctx(box)
         b = ctx.bits
         combo = [(-1, ts((0,), 0, box)), ((1 << b) + 2, ts((1,), 0, box))]
         assert sum(c * ctx.packed(e.weight, e.twist) for c, e in combo) == 0
         assert not is_zero_combination(box, combo)
-        assert ctx.bits > b
+        assert ctx.bits == b and builds == [b]

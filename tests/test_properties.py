@@ -5,13 +5,25 @@ four boxes, that the Gram check skips only acyclic twists.
 Examples are derandomized, so every run draws the same cases.
 """
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grex.bott import TwistedSchur, _row_spans, bott, euler_char, ext_table
-from grex.diagrams import Box, enumerate_diagrams
-from grex.ktheory import _bareiss_det, _ctx, _Ctx, _sparse_det, class_of, euler_pairing, twist_class
+from grex.diagrams import Box, BoxedDiagram, enumerate_diagrams
+from grex.ktheory import (
+    _bareiss_det,
+    _ctx,
+    _Ctx,
+    _sparse_det,
+    class_of,
+    euler_pairing,
+    is_zero_combination,
+    twist_class,
+)
+from grex.staircase import build_staircase
 from grex.schur import dualize, lr_bounds, twist
 from oracles import bott_oracle, dimension_oracle, jacobi_trudi_oracle, lr_product_oracle
 
@@ -227,6 +239,67 @@ def test_table_rows_against_jacobi_trudi(case):
     # a table row is at most M, and the first field width holds 2^n times M
     if t + a[-1] >= -1:
         assert max(row) <= ctx.bound and ctx.bound << box.n < 1 << ctx.bits - 1
+
+
+@st.composite
+def combinations(draw):
+    """A box, a combination of bundles Sigma^w U*(t), w a diagram of the box
+    and -4 <= t <= 1 with w_0 + t <= n-k, coefficients up to 2^200 in size,
+    and its negation split differently: each coefficient in two parts, each
+    on the bundle with its weight shifted by -2..2 and its twist back, plus
+    a multiple of the staircase of a diagram with a full first row, in a
+    drawn order."""
+    box = draw(boxes())
+    diagrams = [d.parts for d in enumerate_diagrams(box, "all")]
+    coefs = st.one_of(st.integers(-3, 3), st.integers(-(1 << 200), 1 << 200))
+    terms, negation = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        w = draw(st.sampled_from(diagrams))
+        t = draw(st.integers(-4, min(1, box.width - w[0])))
+        c, part = draw(coefs), draw(coefs)
+        terms.append((c, TwistedSchur(w, t, box)))
+        for p in (part, c - part):
+            m = draw(st.integers(-2, 2))
+            negation.append((-p, TwistedSchur(tuple(x + m for x in w), t - m, box)))
+    lam = draw(st.sampled_from([w for w in diagrams if w[0] == box.width]))
+    s = draw(coefs)
+    negation += [(s * c, e) for c, e in build_staircase(box, BoxedDiagram(lam, box)).k_class_combination()]
+    return box, terms, draw(st.permutations(negation))
+
+
+@lru_cache(maxsize=None)
+def oracle_row(box, w, t):
+    """chi(Sigma^w U*(t), Sigma^kappa U*) for every basis kappa, each one
+    Jacobi-Trudi determinant of s_{(kappa - t)/w}(1^n) by the oracle."""
+    return tuple(jacobi_trudi_oracle(box.n, w, tuple(x - t for x in d.parts))
+                 for d in enumerate_diagrams(box, "all"))
+
+
+def dense_sum(box, combo):
+    """sum coef * oracle row over the terms, each row keyed by its weight
+    shifted to end in 0, as a skew shape is translation invariant."""
+    total = [0] * len(oracle_row(box, (0,) * box.k, 0))
+    for c, e in combo:
+        row = oracle_row(box, tuple(x - e.weight[-1] for x in e.weight), e.twist + e.weight[-1])
+        total = [x + c * y for x, y in zip(total, row)]
+    return total
+
+
+@PROPERTY
+@given(combinations())
+@example((Box(1, 2), [(2**100 + i, TwistedSchur((1,), 0, Box(1, 2))) for i in range(20)],
+          [(-(20 * 2**100 + 190), TwistedSchur((1,), 0, Box(1, 2)))]))
+def test_zero_combination_against_dense_rows(case):
+    # the combination, the combination plus its negation (zero), and that
+    # with one coefficient moved by 1 (nonzero), against the dense oracle
+    # rows; the example's 20 copies of one row, far past cap, end only
+    # because the terms are merged by row before the digit levels
+    box, terms, negation = case
+    zero = terms + negation
+    nonzero = [(zero[0][0] + 1, zero[0][1]), *zero[1:]]
+    assert not any(dense_sum(box, zero)) and any(dense_sum(box, nonzero))
+    for combo in (terms, zero, nonzero):
+        assert is_zero_combination(box, combo) == (not any(dense_sum(box, combo)))
 
 
 @st.composite
