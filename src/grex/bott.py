@@ -15,8 +15,8 @@ on the rows r < j and nu_r + d <= r-n on the rows r >= j.  Both bounds
 strictly increase in r and nu weakly decreases, so only rows j-1 and j
 matter: j-k-nu_{j-1} <= d <= j-n-nu_j.  For every weight with
 lower <= nu <= upper the same j needs j-k-upper_{j-1} <= d <= j-n-lower_j.
-`_row_spans` computes these k+1 intervals, and both `bott` (on the one
-weight nu at d = 0) and `_ext_tables` (on Weyl's bounds) read them.
+`_row_spans` computes these k+1 intervals in one loop, and both `bott` (on
+the one weight nu at d = 0) and the Gram check (on Weyl's bounds) read them.
 
 The generic dot action (padded weight, repeated-entry test, inversion count,
 sort) lives only in `tests/oracles.py`, as the reference `bott` is checked
@@ -26,13 +26,25 @@ against.
 through the Littlewood-Richardson expansion of Sigma^dual(a) (x) Sigma^b.
 `_ext_tables` is the one routine that does so, for every twist a caller asks
 at once: `ext_table` asks for one twist with a fresh memo, and
-`lefschetz.gram` for all the twists of a weight pair, with one memo of Bott
-outcomes by twisted weight for the whole Gram check.  Before it expands, it
-reads the row spans of Weyl's bounds `schur.lr_bounds` on the LR support:
-a twist outside every span is zero without expanding, and a weight pair left
-with none is not expanded at all; every (nu, t) of the one expansion
-otherwise goes to `bott` through the memo.  Nothing here keeps state between
-calls.
+`lefschetz.gram` for the exact offsets of each weight pair whose row spans
+are live, with one `ExtMemo` (Bott outcomes by twisted weight, and counts of
+the work) for the whole Gram check.
+
+Every nu of the LR support is weakly decreasing, lies in Weyl's bounds
+lower <= nu <= upper (`schur.lr_bounds`) and has |nu| = |dual(a)| + |b|,
+the degree of the product.  For a twist d in the span of j, `_region_caps`
+intersects these facts with the row test of (d, j): the region left has one
+cap per row, or is empty.  The cut is exact.  A nu that is not acyclic at d,
+with index j, lies in the region of (d, j); so a nu outside every live
+region of a twist is acyclic at that twist, and a twist with no live region
+reads zero.  The one expansion runs only if some twist keeps a live region,
+capped row by row at the largest live cap (`lr_product(..., caps)`), and each
+of its terms goes to `bott` through the memo at each such twist.  On the
+lower triangle of every Fonarev collection checked (each box with n <= 14
+and C(n,k) <= 3003, and G(6,15), G(7,14), G(9,15)), the one live region of
+a diagonal pair (a, a) is d = 0, j = k, where |nu| = 0 and nu >= 0 force
+nu = 0: its expansion yields that one term, and Hom = k is computed from
+it, not assumed.  Nothing here keeps state between calls.
 
 `euler_char` is the alternating sum of that table.  Every dimension comes
 from the Weyl dimension formula `schur.dimension` of that GL(n) weight.
@@ -153,10 +165,16 @@ def _row_spans(
     when first > last.  Every d at which Sigma^nu U*(d) is not acyclic, for
     a weight lower <= nu <= upper, lies in the span of its j."""
     k, n = box.k, box.n
-    return [
-        (max(lo, j - k - upper[j - 1]) if j else lo, min(hi, j - n - lower[j]) if j < k else hi)
-        for j in range(k + 1)
-    ]
+    spans = []
+    first = lo
+    for j in range(k):
+        last = j - n - lower[j]
+        spans.append((first, last if last < hi else hi))
+        first = j + 1 - k - upper[j]
+        if first < lo:
+            first = lo
+    spans.append((first, hi))
+    return spans
 
 
 def bott(box: Box, nu: tuple[int, ...]) -> BottOutcome:
@@ -174,20 +192,70 @@ def bott(box: Box, nu: tuple[int, ...]) -> BottOutcome:
     return _ACYCLIC
 
 
+def _region_caps(
+    box: Box, lower: tuple[int, ...], upper: tuple[int, ...], size: int, d: int, j: int
+) -> list[int] | None:
+    """Row caps of the region of (d, j), for d in the row span of j: every
+    weakly decreasing nu with lower <= nu <= upper and |nu| = size for which
+    Sigma^nu U*(d) is not acyclic with index j has nu[r] <= caps[r].  None
+    when no such nu exists.
+
+    The row test bounds row j-1 below by j-k-d and row j above by j-n-d.
+    Since nu decreases, the first bound holds on every row above j-1 and the
+    second on every row below j; the Weyl bounds decrease too, so that is all
+    the propagation there is, and inside the span no row is left empty.
+    Then the size must lie between the sums of the bounds, and caps each row
+    at size minus the lower bounds of the others."""
+    above, below = j - box.k - d, j - box.n - d
+    lo = [max(x, above) for x in lower[:j]] + list(lower[j:])
+    hi = list(upper[:j]) + [min(y, below) for y in upper[j:]]
+    least = sum(lo)
+    if not least <= size <= sum(hi):
+        return None
+    return [min(y, size - least + x) for x, y in zip(lo, hi)]
+
+
+class ExtMemo:
+    """`bott` outcomes by twisted weight, shared by the `_ext_tables` calls a
+    caller makes, with counts of the work done through it: LR expansions,
+    the terms they yield, and Bott evaluations (one per memo entry)."""
+
+    __slots__ = ("outcomes", "expansions", "terms")
+
+    def __init__(self):
+        self.outcomes: dict[tuple[int, ...], BottOutcome] = {}
+        self.expansions = 0
+        self.terms = 0
+
+
 def _ext_tables(
-    box: Box, a: tuple[int, ...], b: tuple[int, ...], ts: Iterable[int], outcomes: dict
+    box: Box, a: tuple[int, ...], b: tuple[int, ...], ts: Iterable[int], memo: ExtMemo
 ) -> dict[int, ExtTable]:
     """{t: Ext^*(Sigma^a U*, Sigma^b U*(t))} for the t in ts where it is not zero.
-    One LR expansion of Sigma^dual(a) (x) Sigma^b serves every twist in a row
-    span of its Weyl bounds, and none runs if no twist is; `outcomes` memoizes
-    `bott` by twisted weight for as long as the caller keeps it."""
+    One LR expansion of Sigma^dual(a) (x) Sigma^b, capped to the live regions
+    of its Weyl bounds, serves every twist that has one, and none runs if no
+    twist has; every term goes to `bott` through `memo` at each such twist."""
     wanted = set(ts)
     dual = dualize(a)
-    spans = _row_spans(box, *lr_bounds(dual, b), min(wanted), max(wanted))
-    kept = wanted.intersection(d for first, last in spans for d in range(first, last + 1))
+    lower, upper = lr_bounds(dual, b)
+    size = sum(dual) + sum(b)
+    caps = None
+    kept = set()
+    for j, (first, last) in enumerate(_row_spans(box, lower, upper, min(wanted), max(wanted))):
+        for d in wanted:
+            if not first <= d <= last:
+                continue
+            row = _region_caps(box, lower, upper, size, d, j)
+            if row is not None:
+                kept.add(d)
+                caps = row if caps is None else [max(x, y) for x, y in zip(caps, row)]
     dims: dict[int, dict[int, int]] = {t: {} for t in kept}
     if kept:
-        for nu, mult in lr_product(dual, b).items():
+        terms = lr_product(dual, b, tuple(caps))
+        memo.expansions += 1
+        memo.terms += len(terms)
+        outcomes = memo.outcomes
+        for nu, mult in terms.items():
             for t, table in dims.items():
                 twisted = tuple(x + t for x in nu)
                 outcome = outcomes.get(twisted)
@@ -203,7 +271,7 @@ def ext_table(e: TwistedSchur, f: TwistedSchur) -> ExtTable:
     if e.box != f.box:
         raise ValueError("bundles live on different boxes")
     t = f.twist - e.twist
-    return _ext_tables(e.box, e.weight, f.weight, (t,), {}).get(t, ExtTable())
+    return _ext_tables(e.box, e.weight, f.weight, (t,), ExtMemo()).get(t, ExtTable())
 
 
 def euler_char(e: TwistedSchur, f: TwistedSchur) -> int:

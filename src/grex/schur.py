@@ -27,17 +27,27 @@ def dualize(w: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-x for x in reversed(w))
 
 
-def _lr_core(alpha: tuple[int, ...], beta: tuple[int, ...], k: int) -> dict:
+def _lr_core(
+    alpha: tuple[int, ...], beta: tuple[int, ...], k: int, caps: tuple[int, ...] | None = None
+) -> dict:
     """LR expansion of two non-negative weights of length k.
 
     Enumerates chains of horizontal strips (one strip per entry of the
     content) subject to the lattice condition
       (# cells of entry e in rows <= r)  <=  (# cells of entry e-1 in rows <= r-1),
     which is the prefix condition on the reverse reading word.
+
+    With `caps`, only the terms nu with nu[r] <= caps[r] on every row are
+    returned, each with its full multiplicity: rows only grow along a chain,
+    so a chain is cut as soon as a row passes its cap.
     """
     if sum(beta) > sum(alpha):
         alpha, beta = beta, alpha
     out: dict[tuple[int, ...], int] = {}
+    if caps is None:
+        caps = (sum(alpha) + sum(beta),) * k
+    elif any(x > c for x, c in zip(alpha, caps)):
+        return out
 
     def add_level(level: int, shape: tuple[int, ...], prevcum: tuple[int, ...]):
         if level == k or beta[level] == 0:
@@ -52,7 +62,9 @@ def _lr_core(alpha: tuple[int, ...], beta: tuple[int, ...], k: int) -> dict:
                 if rem == 0:
                     add_level(level + 1, tuple(acc), tuple(newcum))
                 return
-            hi = rem
+            hi = caps[r] - shape[r]
+            if rem < hi:
+                hi = rem
             if r > 0:
                 gap = shape[r - 1] - shape[r]
                 if gap < hi:
@@ -76,19 +88,24 @@ def _lr_core(alpha: tuple[int, ...], beta: tuple[int, ...], k: int) -> dict:
     return out
 
 
-def lr_product(a: tuple[int, ...], b: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+def lr_product(
+    a: tuple[int, ...], b: tuple[int, ...], caps: tuple[int, ...] | None = None
+) -> dict[tuple[int, ...], int]:
     """Expansion of Sigma^a (x) Sigma^b into GL(k) irreducibles.
 
     Entries may be negative; both factors are shifted into non-negative range
-    by determinant twists and every output is shifted back.
+    by determinant twists and every output is shifted back.  `caps`, off by
+    default, keeps only the terms nu with nu[r] <= caps[r] (see `_lr_core`).
     """
     a, b = check_weight(a), check_weight(b)
     if len(a) != len(b):
         raise ValueError(f"weights of different lengths: {a} vs {b}")
     sa = -a[-1] if a[-1] < 0 else 0
     sb = -b[-1] if b[-1] < 0 else 0
-    core = _lr_core(twist(a, sa), twist(b, sb), len(a))
     s = sa + sb
+    if caps is not None:
+        caps = twist(caps, s)
+    core = _lr_core(twist(a, sa), twist(b, sb), len(a), caps)
     return {twist(nu, -s): c for nu, c in core.items()} if s else core
 
 
@@ -107,9 +124,19 @@ def lr_bounds(
     2000).  Both bounds are weakly decreasing.
     """
     k = len(a)
-    upper = tuple(min(a[i] + b[r - i] for i in range(r + 1)) for r in range(k))
-    lower = tuple(max(a[i] + b[r + k - 1 - i] for i in range(r, k)) for r in range(k))
-    return lower, upper
+    lower, upper = [], []
+    for r in range(k):
+        hi = a[0] + b[r]
+        for i in range(1, r + 1):
+            if a[i] + b[r - i] < hi:
+                hi = a[i] + b[r - i]
+        upper.append(hi)
+        lo = a[r] + b[k - 1]
+        for i in range(r + 1, k):
+            if a[i] + b[r + k - 1 - i] > lo:
+                lo = a[i] + b[r + k - 1 - i]
+        lower.append(lo)
+    return tuple(lower), tuple(upper)
 
 
 def dimension(w: tuple[int, ...], m: int) -> int:

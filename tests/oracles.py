@@ -261,3 +261,48 @@ def residual_oracle(box: Box):
     classes = [dense(f) for f in residual]
     gram = tuple(tuple(pair(x, y) for y in classes) for x in classes)
     return tuple(tuple(c) for c in classes), gram, tuple(tau_ok)
+
+
+def uncut_gram(objects, mode: str = "euler", violations_only: bool = False):
+    """`lefschetz.gram` by the uncut route: the full `lr_product` of each
+    weight pair read, then `bott` on every term at every offset read, with no
+    Weyl skip and no region cut.  Ext depends only on (a, b, t-s), so each
+    weight pair is expanded once and each such triple resolved once;
+    everything else is per ordered pair."""
+    from grex.bott import ExtTable, bott
+    from grex.lefschetz import GramResult, Violation
+    from grex.schur import dualize, lr_product
+
+    bundles = [o.bundle for o in objects]
+    exts: dict = {}
+    expansions: dict = {}
+
+    def ext(e, f):
+        key = (e.weight, f.weight, f.twist - e.twist)
+        if key not in exts:
+            if key[:2] not in expansions:
+                expansions[key[:2]] = lr_product(dualize(e.weight), f.weight)
+            table: dict[int, int] = {}
+            for nu, mult in expansions[key[:2]].items():
+                out = bott(e.box, tuple(x + key[2] for x in nu))
+                if out.dim:
+                    table[out.degree] = table.get(out.degree, 0) + mult * out.dim
+            exts[key] = ExtTable(table)
+        return exts[key]
+
+    entries = ()
+    if not violations_only:
+        entries = tuple(tuple(ext(e, f).euler() for f in bundles) for e in bundles)
+    violations = []
+    if mode == "full_ext":
+        for i, e in enumerate(bundles):
+            for j in range(i):
+                table = ext(e, bundles[j])
+                violations += [Violation(i, j, d, table[d]) for d in sorted(table.dims)]
+            table = ext(e, e)
+            violations += [
+                Violation(i, i, d, table[d])
+                for d in sorted(set(table.dims) | {0})
+                if table[d] != (d == 0)
+            ]
+    return GramResult(entries=entries, violations=tuple(violations))

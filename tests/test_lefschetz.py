@@ -1,12 +1,13 @@
 """Collections: construction, support partitions, semiorthogonality."""
 
 import random
+from functools import cache
 from math import comb
 
 import pytest
 
 import grex.bott
-from grex.bott import TwistedSchur, euler_char, ext_table
+from grex.bott import TwistedSchur, ext_table
 from grex.diagrams import Box, BoxedDiagram, enumerate_diagrams
 from grex.lefschetz import (
     GramResult,
@@ -17,7 +18,7 @@ from grex.lefschetz import (
     kapranov,
     primitive_block,
 )
-from oracles import bott_oracle
+from oracles import bott_oracle, ext_table_oracle, uncut_gram
 
 
 class TestKapranov:
@@ -166,19 +167,31 @@ class TestGram:
             gram(kapranov(Box(1, 3)).objects, mode="fast")
 
 
+_oracle = cache(ext_table_oracle)  # by its exact arguments; callers only read
+
+
 def per_pair_gram(objects):
-    """`gram(objects, "full_ext")` with one Ext computation per ordered pair."""
+    """`gram(objects, "full_ext")` with one Ext computation per ordered pair,
+    by `ext_table_oracle`: the monomial character and the dot action, with
+    no LR expansion, no Weyl skip and no memo shared between pairs."""
     bundles = [o.bundle for o in objects]
-    entries = tuple(tuple(euler_char(e, f) for f in bundles) for e in bundles)
+
+    def ext(e, f):
+        return _oracle(e.box, e.weight, e.twist, f.weight, f.twist)
+
+    def euler(table):
+        return sum(v if d % 2 == 0 else -v for d, v in table.items())
+
+    entries = tuple(tuple(euler(ext(e, f)) for f in bundles) for e in bundles)
     violations = []
     for i, e in enumerate(bundles):
         for j in range(i):
-            table = ext_table(e, bundles[j])
-            violations += [Violation(i, j, d, table[d]) for d in sorted(table.dims)]
-        table = ext_table(e, e)
-        for d in sorted(set(table.dims) | {0}):
-            if table[d] != (1 if d == 0 else 0):
-                violations.append(Violation(i, i, d, table[d]))
+            table = ext(e, bundles[j])
+            violations += [Violation(i, j, d, table[d]) for d in sorted(table)]
+        table = ext(e, e)
+        for d in sorted(set(table) | {0}):
+            if table.get(d, 0) != (1 if d == 0 else 0):
+                violations.append(Violation(i, i, d, table.get(d, 0)))
     return entries, tuple(violations)
 
 
@@ -250,7 +263,9 @@ class TestGramDedup:
 
         pairs, weights = [], []
         lr, bott = grex.bott.lr_product, grex.bott.bott
-        monkeypatch.setattr(grex.bott, "lr_product", lambda a, b: pairs.append((a, b)) or lr(a, b))
+        monkeypatch.setattr(
+            grex.bott, "lr_product", lambda a, b, caps=None: pairs.append((a, b)) or lr(a, b, caps)
+        )
         monkeypatch.setattr(
             grex.bott, "bott", lambda box, nu: weights.append(nu) or bott(box, nu)
         )
@@ -279,17 +294,18 @@ class TestGramDedup:
             return out
 
         # violations only: of the lower triangle and the diagonal, only the
-        # diagonal pairs (a, a) keep a twist that the Weyl bounds cannot rule out
+        # diagonal pairs (a, a) keep a twist that the Weyl bounds cannot rule
+        # out, and the size |nu| = 0 leaves them one live region, t = 0 with
+        # every row at or above n-k, where nu = 0: bott runs once, on 0
         lower = triples(lambda i: i + 1)
         assert gram(objects, mode="full_ext", violations_only=True).violations == ()
         diagonal = {(dualize(a), a) for a, _, _ in lower}
         assert sorted(pairs) == sorted(diagonal)
-        assert sorted(weights) == sorted(memoized(lower))
-        assert len(weights) == 16
+        assert weights == [(0, 0, 0, 0)]
 
         # the full table: one expansion per weight pair with a non-acyclic
         # term at a twist read, and bott once on each twisted weight of it
-        # at a kept twist
+        # at a kept twist; the regions cut no term of the full table here
         pairs.clear()
         weights.clear()
         full = triples(lambda i: None)
@@ -314,7 +330,9 @@ class TestGramDedup:
 
         pairs = []
         lr = grex.bott.lr_product
-        monkeypatch.setattr(grex.bott, "lr_product", lambda a, b: pairs.append((a, b)) or lr(a, b))
+        monkeypatch.setattr(
+            grex.bott, "lr_product", lambda a, b, caps=None: pairs.append((a, b)) or lr(a, b, caps)
+        )
         box = Box(k, n)
         objects = fonarev(box).objects
         assert gram(objects, mode="full_ext", violations_only=True).violations == ()
@@ -349,6 +367,74 @@ class TestGramDedup:
         objs = kapranov(Box(2, 4)).objects[:1] + kapranov(Box(2, 5)).objects[:1]
         with pytest.raises(ValueError):
             gram(objs, mode="euler")
+
+
+def _collections(k, n):
+    objects = fonarev(Box(k, n)).objects
+    return {
+        "fonarev": objects,
+        "reversed": tuple(reversed(objects)),
+        "shuffled": _shuffled(objects, k * 100 + n),
+    }
+
+
+def assert_gram_matches_uncut(objects):
+    """`gram` against the uncut LR + Bott route in all three modes."""
+    full = uncut_gram(objects, "full_ext")
+    assert gram(objects, mode="full_ext") == full
+    assert gram(objects, mode="euler") == GramResult(entries=full.entries, violations=())
+    lower = gram(objects, mode="full_ext", violations_only=True)
+    assert lower == GramResult(entries=(), violations=full.violations)
+    return full
+
+
+class TestGramAgainstUncutRoute:
+    """The offset ranges, the row spans and the region cut lose nothing."""
+
+    @pytest.mark.parametrize("order", ["fonarev", "reversed", "shuffled"])
+    @pytest.mark.parametrize("k,n", [(3, 9), (4, 8), (4, 10), (5, 9), (7, 10)])
+    def test_collections(self, k, n, order):
+        full = assert_gram_matches_uncut(_collections(k, n)[order])
+        assert bool(full.violations) == (order != "fonarev")
+
+    def test_planted_off_diagonal_pair(self):
+        # swapping the first two twist blocks of Fonarev's G(4,8) puts
+        # Sigma^a U* after Sigma^b U*(1); some non-acyclic lower pairs have
+        # a != b, so their Ext lives off the diagonal of the weight pairs
+        first, second, *rest = fonarev(Box(4, 8)).blocks()
+        objects = second + first + [o for block in rest for o in block]
+        full = assert_gram_matches_uncut(objects)
+        assert any(
+            objects[v.i].bundle.weight != objects[v.j].bundle.weight for v in full.violations
+        )
+
+
+class TestGramCounters:
+    @pytest.mark.parametrize("k,n,pairs", [(4, 8, 10), (4, 11, 30)])
+    def test_fonarev_violations_only(self, k, n, pairs):
+        # every weight pair is read, only the diagonal ones have a live span,
+        # and each of their expansions yields its one term nu = 0, which bott
+        # then evaluates once at t = 0
+        result = gram(fonarev(Box(k, n)).objects, mode="full_ext", violations_only=True)
+        assert result.violations == ()
+        assert (result.pairs_read, result.pairs_live) == (pairs * pairs, pairs)
+        assert result.lr_expansions == result.lr_terms == pairs
+        assert result.bott_evaluations == 1
+
+    def test_full_table(self):
+        # the full G(4,8) table reads every pair at positive offsets too,
+        # where the off-diagonal pairs have Hom; the cut keeps all 395 terms
+        result = gram(fonarev(Box(4, 8)).objects, mode="full_ext")
+        counts = (result.pairs_read, result.pairs_live, result.lr_expansions, result.lr_terms)
+        assert counts == (100, 100, 100, 395)
+        assert result.bott_evaluations == 318
+
+    def test_counts_take_no_part_in_equality(self):
+        objects = fonarev(Box(3, 6)).objects
+        result = gram(objects, mode="full_ext")
+        assert result.pairs_read
+        assert result == GramResult(entries=result.entries, violations=result.violations)
+        assert gram((), mode="full_ext") == GramResult(entries=(), violations=())
 
 
 class TestPrimitiveTranslates:

@@ -1,6 +1,7 @@
 """Property tests on random boxes G(k,n) with n <= 8, on random pairs of
-weights and on random sparse integer matrices, and an exhaustive check, on
-four boxes, that the Gram check skips only acyclic twists.
+weights, on random object lists and on random sparse integer matrices, and
+an exhaustive check, on four boxes, that the Gram check skips only acyclic
+twists and cuts only acyclic terms.
 
 Examples are derandomized, so every run draws the same cases.
 """
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grex.bott import TwistedSchur, _row_spans, bott, euler_char, ext_table
+from grex.bott import TwistedSchur, _region_caps, _row_spans, bott, euler_char, ext_table
 from grex.diagrams import Box, BoxedDiagram, enumerate_diagrams
+from grex.lefschetz import CollectionObject, GramResult, gram
 from grex.ktheory import (
     _bareiss_det,
     _ctx,
@@ -24,8 +26,14 @@ from grex.ktheory import (
     twist_class,
 )
 from grex.staircase import build_staircase
-from grex.schur import dualize, lr_bounds, twist
-from oracles import bott_oracle, dimension_oracle, jacobi_trudi_oracle, lr_product_oracle
+from grex.schur import dualize, lr_bounds, lr_product, twist
+from oracles import (
+    bott_oracle,
+    dimension_oracle,
+    jacobi_trudi_oracle,
+    lr_product_oracle,
+    uncut_gram,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -141,26 +149,79 @@ def test_lr_bounds_hold_on_the_oracle_expansion(pair):
         assert all(lo <= x <= hi for lo, x, hi in zip(lower, nu, upper)), nu
 
 
+@settings(PROPERTY, max_examples=150)
+@given(weight_pairs(), st.data())
+def test_capped_lr_product_against_the_oracle(pair, data):
+    # the cut core keeps exactly the oracle's terms under the caps, with
+    # their multiplicities
+    alpha, beta = pair
+    caps = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=len(alpha), max_size=len(alpha))))
+    want = {
+        nu: c
+        for nu, c in lr_product_oracle(alpha, beta).items()
+        if all(x <= cap for x, cap in zip(nu, caps))
+    }
+    assert lr_product(alpha, beta, caps) == want
+
+
 @pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (3, 7), (4, 8)])
 def test_weyl_twists_drop_only_acyclic_twists(k, n):
-    # wherever the row spans drop d for a pair (a, b) of diagrams, every
-    # term of the oracle's a* (x) b is acyclic at d by the dot action
+    # wherever a term of the oracle's a* (x) b, for a pair (a, b) of
+    # diagrams, is not acyclic at d by the dot action, d lies in the row span
+    # of its index j, and the term lies under the caps of the region (d, j):
+    # so a twist outside every span, and a term outside every live region
+    # of a twist, are acyclic there
     box = Box(k, n)
     diagrams = [d.parts for d in enumerate_diagrams(box, "all")]
-    # the oracle's expansion, once per unordered pair up to determinant twists
+    # the oracle's expansion, once per unordered pair up to determinant
+    # twists, and its cohomology, once per twisted weight
     expansions = {}
+    cohomology = {}
     for a in diagrams:
         for b in diagrams:
             alpha = dualize(a)
-            spans = _row_spans(box, *lr_bounds(alpha, b), -n, n)
-            kept = {d for first, last in spans for d in range(first, last + 1)}
+            lower, upper = lr_bounds(alpha, b)
+            spans = _row_spans(box, lower, upper, -n, n)
             key = tuple(sorted((twist(alpha, -alpha[-1]), twist(b, -b[-1]))))
             if key not in expansions:
                 expansions[key] = lr_product_oracle(*key)
             terms = [twist(nu, alpha[-1] + b[-1]) for nu in expansions[key]]
+            regions = {}
             for d in range(-n, n + 1):
-                if d not in kept:
-                    assert all(bott_oracle(box, twist(nu, d)) is None for nu in terms), (a, b, d)
+                for nu in terms:
+                    weight = twist(nu, d)
+                    if weight not in cohomology:
+                        cohomology[weight] = bott_oracle(box, weight)
+                    if (out := cohomology[weight]) is None:
+                        continue
+                    j = k - out[0] // box.width
+                    first, last = spans[j]
+                    assert first <= d <= last, (a, b, d)
+                    if (d, j) not in regions:
+                        size = sum(alpha) + sum(b)
+                        regions[d, j] = _region_caps(box, lower, upper, size, d, j)
+                    caps = regions[d, j]
+                    assert caps is not None, (a, b, d, j)
+                    assert all(x <= cap for x, cap in zip(nu, caps)), (a, b, d, nu)
+
+
+@st.composite
+def object_lists(draw):
+    """A box with n <= 7 and one to eight objects Sigma^w U*(t) on it, in any
+    order, repeats allowed."""
+    box = draw(st.sampled_from([Box(k, n) for n in range(2, 8) for k in range(1, n)]))
+    bundle_list = draw(st.lists(bundles(box), min_size=1, max_size=8))
+    return [CollectionObject(e, 0) for e in bundle_list]
+
+
+@settings(PROPERTY, max_examples=80)
+@given(object_lists())
+def test_gram_against_uncut_route(objects):
+    full = uncut_gram(objects, "full_ext")
+    assert gram(objects, mode="full_ext") == full
+    assert gram(objects, mode="euler") == GramResult(entries=full.entries, violations=())
+    lower = gram(objects, mode="full_ext", violations_only=True)
+    assert lower == GramResult(entries=(), violations=full.violations)
 
 
 @st.composite
