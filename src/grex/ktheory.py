@@ -54,23 +54,31 @@ B (N-1-kappa).  Every kappa with kappa + 1 containing sigma contains
 max(sigma - 1, 0), so row sigma is zero before the basis index lo of that
 diagram, and its int has at most B (N - lo) bits: the zero fields are high
 limbs that Python never stores, and every suffix-sum addition and every sum
-of rows works on the support alone.  Every entry, and every partial sum on
-the way, is at
-most M = s_R(1^{n+2k}), R = ((n-k+1)^k): by the branching rule in k more
-variables, twice, s_{lam/sigma}(1^n) <= s_lam(1^{n+k}) <= s_R(1^{n+2k}),
-as s_sigma(1^k) >= 1 and s_{R/lam}(1^k) >= 1 (R has k rows).  So no field
-carries, and a combination of rows with sum |coef| = S has fields of
-absolute value at most S M.  The width is fixed per box: B is the least
-whole number of bytes with 2^(B-1) > 2^n M, and the table is built once at
-it.  A packed sum with S <= cap = (2^(B-1) - 1) // M is 0 exactly when every
-field is: the nonzero field of lowest order, the largest such kappa, leaves
-a nonzero remainder mod 2^(B (N-kappa)).  So `is_zero_combination` sums coef
-times the packed rows as big integers when S <= cap and every term is a
-table row; cap >= 2^n covers the staircase of every lam with a full first
-row (coefficients +-1 and +-C(n, c) for distinct 0 < c < n).  Any other
-combination takes the slow path: its terms are merged by row, the table
-rows decoded exactly (`_Ctx.decode`, below), the deep rows added unpacked,
-and every field tested.  The Kapranov Gram matrix is the t = 0 rows.
+of rows works on the support alone.
+
+Every field is bounded by M, the largest row sum of G, max_sigma (G 1)[sigma].
+It comes from the same n rounds of k suffix sums, run on one small int per
+source, 1 where sigma_{k-1} >= 1 and 0 elsewhere (`_Ctx.strip_product`), so
+it costs about 1/N of the table.  Every entry is nonnegative, so it is at
+most its row's sum, and so at most M.  Every partial sum on the way is at
+most its final entry: each strip is I plus a nonnegative matrix, so the
+strips still to come can only raise an entry.  So no field carries, and a
+combination of rows with sum |coef| = S has fields of absolute value at most
+S M.  The width is fixed per box: B is the least whole number of bytes with
+2^(B-1) > 2^n M, and the table is built once at it.  A packed sum with
+S <= cap = (2^(B-1) - 1) // M is 0 exactly when every field is: the nonzero
+field of lowest order, the largest such kappa, leaves a nonzero remainder
+mod 2^(B (N-kappa)).
+
+So the one zero test, `_vanishes`, behind `is_zero_combination` and the
+staircase checks, reads the row of each term Sigma^w U*(t) by its source
+sigma = w + t + 1, the source of its normal form too, and sums coef times
+the packed rows as big integers when S <= cap and every term is a table
+row; cap >= 2^n covers the staircase of every lam with a full first row
+(coefficients +-1 and +-C(n, c) for distinct 0 < c < n).  Any other
+combination takes the slow path: its table rows are merged by source and
+decoded exactly (`_Ctx.decode`, below), the deep rows added unpacked, and
+every field tested.  The Kapranov Gram matrix is the t = 0 rows.
 
 A normal form with t <= -2 needs sigma outside the wider box.  Its row is
 one Jacobi-Trudi determinant det[h_{lam_i - a_j - i + j}(1^n)] per entry,
@@ -98,9 +106,9 @@ nonzeros of y alone.  Each row read checks the unit diagonal in O(1): row i
 holds the fields i..N-1 only, so its diagonal field is 1 exactly when the
 int has B (N-1-i) + 1 bits.  One reader, `_Ctx.decode`, turns any sum of
 distinct table rows into its fields; the covector, an unpacked table row
-and the slow path of `is_zero_combination` all go through it.  The fields
-may be negative, so the sum is biased by 2^(B-1) in every field and decoded
-by one `to_bytes`.  With sum |coef| = S <= cap, every field is at most
+and the slow path of `_vanishes` all go through it.  The fields may be
+negative, so the sum is biased by 2^(B-1) in every field and decoded by
+one `to_bytes`.  With sum |coef| = S <= cap, every field is at most
 S M < 2^(B-1) in absolute value, so every biased field lies in [0, 2^B):
 nothing borrows, and each field is its own value plus 2^(B-1).  A larger S
 is decoded in base-D digit levels, each within cap, and recombined exactly.
@@ -143,7 +151,6 @@ from .diagrams import (
     orbits,
 )
 from .lefschetz import CollectionObject, LefschetzCollection, _fonarev, _primitive_block
-from .schur import dimension
 
 if TYPE_CHECKING:
     from .staircase import StaircaseComplex
@@ -176,11 +183,14 @@ class _Ctx:
         self.chis: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}  # (a, t) -> row
         # the sources sigma of the table: the box one column wider
         self.sources = {s: i for i, s in enumerate(_ascending_parts(box.k, box.width + 1))}
-        # M, the bound on every table entry; the field width B, whole bytes
-        # with 2^(B-1) > 2^n M; cap, the largest sum |coef| one packed sum
-        # holds; and the decoder: the bias 2^(B-1) in each of the N fields,
-        # and the Struct that splits N packed fields into their bytes
-        self.bound = dimension((box.width + 1,) * box.k, box.n + 2 * box.k)
+        # M, the largest row sum of the table, which bounds every entry and
+        # every partial sum of its build (module docstring): the strips
+        # applied to the row sums of the unit rows, 1 where sigma_{k-1} >= 1
+        # and 0 elsewhere; the field width B, whole bytes with
+        # 2^(B-1) > 2^n M; cap, the largest sum |coef| one packed sum holds;
+        # and the decoder: the bias 2^(B-1) in each of the N fields, and the
+        # Struct that splits N packed fields into their bytes
+        self.bound = max(self.strip_product([1 if s[-1] else 0 for s in self.sources]))
         self.bits = -(-((self.bound << box.n).bit_length() + 1) // 8) * 8
         self.cap = ((1 << self.bits - 1) - 1) // self.bound
         size, top = self.bits // 8, len(self.weights)
@@ -223,8 +233,8 @@ class _Ctx:
         The row is stored once, under the normal form (a', t') of the bundle.
         With t' >= -1 it is entry sigma = a' + t' + 1 of the table G = H^n,
         n rounds of k one-row suffix sums over the box one column wider,
-        unpacked: entry kappa is s_{(kappa+1)/sigma}(1^n), at most
-        M = s_R(1^{n+2k}) < 2^(B-1), so no B-bit field carries.  The int
+        unpacked: entry kappa is s_{(kappa+1)/sigma}(1^n), at most the
+        largest row sum M < 2^(B-1), so no B-bit field carries.  The int
         holds the fields lo..N-1 only, high field first, and only those are
         converted (`decode`).  With t' <= -2 it is one Jacobi-Trudi
         determinant per entry (`deep_row`).
@@ -274,15 +284,22 @@ class _Ctx:
         return self.build_table()
 
     def build_table(self) -> list[int]:
-        """X[sigma] = the packed row of sigma at width B: G = H^n by n rounds
-        of the k one-row suffix sums, from the unit rows e_{sigma-1}, each
-        at bit B (N-1-index[sigma-1]).  Row sigma is zero before the basis
-        index lo of max(sigma - 1, 0) (`row`), so X[sigma] < 2^(B (N - lo))."""
+        """X[sigma] = the packed row of sigma at width B: G = H^n applied to
+        the unit rows e_{sigma-1}, each at bit B (N-1-index[sigma-1]).  Row
+        sigma is zero before the basis index lo of max(sigma - 1, 0) (`row`),
+        so X[sigma] < 2^(B (N - lo))."""
         bits, index, top = self.bits, self.index, len(self.weights) - 1
-        x = [
+        units = [
             1 << bits * (top - index[tuple(v - 1 for v in s)]) if s[-1] else 0
             for s in self.sources
         ]
+        return self.strip_product(units)
+
+    def strip_product(self, x: list[int]) -> list[int]:
+        """H^n x, in place: n rounds of the k one-row suffix sums
+        x[sigma] += x[sigma + e_j], sigma in reverse lexicographic order, top
+        row first.  The table applies it to packed unit rows, the bound to
+        one row sum per source."""
         strips = self.strips
         for _ in range(self.box.n):
             for pairs in strips:
@@ -500,40 +517,52 @@ def mutate_left(box: Box, projectors: list[KClass], x: KClass) -> KClass:
 def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool:
     """Whether sum coef * [bundle] vanishes in K_0.
 
-    Tested by summing the pairing rows of the terms: the pairings against
-    every basis object determine a class uniquely (the Gram matrix is
-    uni-triangular).  When every term is a table row and sum |coef| <= cap,
-    the rows are summed packed, as big integers, and the total is 0 exactly
-    when every pairing is.  Otherwise the terms are merged by row, the table
-    rows decoded exactly (`_Ctx.decode`), the deep rows (t <= -2) added
-    unpacked, and every field tested.  Every bundle must live on the box and
+    Tested by summing the pairing rows of the terms (`_vanishes`): the
+    pairings against every basis object determine a class uniquely (the
+    Gram matrix is uni-triangular).  Every bundle must live on the box and
     fit the pairing rows (`_Ctx.row`), whatever its coefficient; otherwise
     ValueError.
     """
-    ctx = _ctx(box)
-    keys = []
-    weight, deep = 0, False
-    for coef, bundle in terms:
+    for _, bundle in terms:
         if bundle.box != box:
             raise ValueError(f"bundle {bundle} lives on a different box")
-        w, t = bundle.weight, bundle.twist
-        if max(w[0] + t, w[0] - w[-1]) > box.width:
-            raise ValueError(f"bundle {bundle} does not fit the pairing rows")
-        if coef == 0:
-            continue
-        w, t = normal_form(w, t)
-        keys.append((coef, w, t))
-        weight += abs(coef)
-        deep = deep or t < -1
+    return _vanishes(box, [(coef, e.weight, e.twist) for coef, e in terms])
+
+
+def _vanishes(box: Box, terms: list[tuple[int, tuple[int, ...], int]]) -> bool:
+    """Whether sum coef * [Sigma^w U*(t)] over the (coef, w, t) terms vanishes
+    in K_0: the one zero test, behind `is_zero_combination` and
+    `staircase.is_k_exact`, which builds no bundle per term.
+
+    A term with w_{k-1} + t >= -1 is the table row of its source
+    sigma = w + t + 1, the source of its normal form too, so no normal form
+    is taken.  When every term is a table row and sum |coef| <= cap, the
+    rows are summed packed, as big integers, and the total is 0 exactly
+    when every pairing is.  Otherwise the table rows are merged by source
+    and decoded exactly (`_Ctx.decode`), the deep rows (w_{k-1} + t < -1)
+    added unpacked (`_Ctx.row`), and every field tested.  Every term must
+    fit the pairing rows, whatever its coefficient; otherwise ValueError.
+    """
+    ctx = _ctx(box)
+    width, sources = box.width, ctx.sources
+    rows, deep, weight = [], [], 0
+    for coef, w, t in terms:
+        if max(w[0] + t, w[0] - w[-1]) > width:
+            raise ValueError(f"bundle {TwistedSchur(w, t, box)} does not fit the pairing rows")
+        if coef:
+            weight += abs(coef)
+            if w[-1] + t < -1:
+                deep.append((coef, w, t))
+            else:
+                rows.append((coef, sources[tuple(map((t + 1).__add__, w))]))
     if not deep and weight <= ctx.cap:
-        return not sum(coef * ctx.packed(w, t) for coef, w, t in keys)
-    merged: dict[tuple[tuple[int, ...], int], int] = {}
-    for coef, w, t in keys:
-        merged[w, t] = merged.get((w, t), 0) + coef
-    total = ctx.decode([(c, ctx.packed(w, t)) for (w, t), c in merged.items() if c and t >= -1])
-    for (w, t), c in merged.items():
-        if t < -1:
-            total = list(map(add, total, map(c.__mul__, ctx.row(w, t))))
+        return not sum(coef * ctx.table[i] for coef, i in rows)
+    merged: dict[int, int] = {}
+    for coef, i in rows:
+        merged[i] = merged.get(i, 0) + coef
+    total = ctx.decode([(c, ctx.table[i]) for i, c in merged.items() if c])
+    for coef, w, t in deep:
+        total = list(map(add, total, map(coef.__mul__, ctx.row(w, t))))
     return not any(total)
 
 

@@ -31,7 +31,7 @@ from .diagrams import (
     cyclic_step,
     theta,
 )
-from .ktheory import _ctx, is_zero_combination
+from .ktheory import _ctx, _vanishes, is_zero_combination
 from .schur import dimension
 
 __all__ = [
@@ -67,15 +67,27 @@ class StaircaseComplex:
     terms: tuple[StaircaseTerm, ...]
     tail: TwistedSchur
 
-    def k_class_combination(self) -> list[tuple[int, TwistedSchur]]:
-        """Signed class coefficients, head first; the whole sum must vanish."""
-        combo = [(1, self.head)]
+    def k_class_terms(self) -> list[tuple[int, tuple[int, ...], int]]:
+        """Signed class coefficients, head first, each with the weight and
+        twist of its term; the whole sum must vanish.  ValueError if a term
+        lives on another box than the complex."""
+        box = self.box
+        for e in (self.head, self.tail):
+            if e.box != box:
+                raise ValueError(f"bundle {e} lives on a different box")
+        combo = [(1, self.head.weight, self.head.twist)]
         sign = -1
         for t in self.terms:
-            combo.append((sign * comb(self.box.n, t.c), t.bundle()))
+            if t.mu.box != box:
+                raise ValueError(f"bundle {t.bundle()} lives on a different box")
+            combo.append((sign * comb(box.n, t.c), t.mu.parts, t.extra_twist))
             sign = -sign
-        combo.append((sign, self.tail))
+        combo.append((sign, self.tail.weight, self.tail.twist))
         return combo
+
+    def k_class_combination(self) -> list[tuple[int, TwistedSchur]]:
+        """Signed class coefficients, head first, with the bundle of each term."""
+        return [(c, TwistedSchur(w, t, self.box)) for c, w, t in self.k_class_terms()]
 
     def to_json(self, k_exact: bool | None = None) -> dict:
         if k_exact is None:
@@ -114,8 +126,10 @@ def build_staircase(box: Box, lam: BoxedDiagram) -> StaircaseComplex:
 
 
 def is_k_exact(sc: StaircaseComplex) -> bool:
-    """Whether the alternating sum of the classes of all terms vanishes in K_0."""
-    return is_zero_combination(sc.box, sc.k_class_combination())
+    """Whether the alternating sum of the classes of all terms vanishes in K_0:
+    the zero test of `is_zero_combination`, read from `k_class_terms`, with
+    no bundle built per term."""
+    return _vanishes(sc.box, sc.k_class_terms())
 
 
 @dataclass(frozen=True)

@@ -291,6 +291,67 @@ class TestChiPair:
         assert all(g[i][i] == 1 for i in range(10))
 
 
+class TestFieldWidth:
+    """The bound M, the largest row sum of the table, against routes that
+    share none of its code, and the width it gives."""
+
+    @pytest.mark.parametrize("k,n", [(k, n) for n in range(2, 8) for k in range(1, n)])
+    def test_bound_is_the_largest_row_sum(self, k, n):
+        # row sigma of the table holds s_{(kappa+1)/sigma}(1^n) for every
+        # basis kappa: its sum, one Jacobi-Trudi determinant per entry
+        ctx = _Ctx(Box(k, n))
+        lams = [tuple(v + 1 for v in kappa) for kappa in ctx.weights]
+        sums = [sum(jacobi_trudi_oracle(n, sigma, lam) for lam in lams) for sigma in ctx.sources]
+        assert ctx.bound == max(sums)
+
+    @pytest.mark.parametrize("k,n", [(3, 6), (4, 8)])
+    def test_partial_sums_stay_below_their_entries(self, k, n):
+        # the strips are I plus a nonnegative matrix, so every field of every
+        # row, after every strip of the build, is at most its final entry,
+        # and so at most the bound: no field ever carries into the next
+        ctx = _Ctx(Box(k, n))
+        bits, top = ctx.bits, len(ctx.weights)
+        mask = (1 << bits) - 1
+
+        def fields(r):
+            assert 0 <= r < 1 << bits * top
+            return [r >> bits * (top - 1 - i) & mask for i in range(top)]
+
+        snapshots, rows = [], []
+        strips, product = ctx.strips, ctx.strip_product
+
+        class Watched:
+            """The strips, with a snapshot of the rows after each one."""
+
+            def __iter__(self):
+                for pairs in strips:
+                    yield pairs
+                    snapshots.append([fields(r) for r in rows[0]])
+
+        ctx.strips = Watched()
+        ctx.strip_product = lambda x: rows.append(x) or product(x)
+        final = [fields(r) for r in ctx.build_table()]
+        assert len(snapshots) == n * k
+        assert snapshots[-1] == final
+        for snapshot in snapshots:
+            for row, last in zip(snapshot, final, strict=True):
+                assert all(v <= w for v, w in zip(row, last, strict=True))
+        assert max(map(max, final)) <= ctx.bound
+
+    @pytest.mark.parametrize("k,n", [(k, n) for n in range(2, 13) for k in range(1, n)])
+    def test_cap_covers_every_staircase(self, k, n):
+        # a staircase's sum |coef| is at most 2^n, which one packed sum holds
+        ctx = _Ctx(Box(k, n))
+        assert ctx.cap >= 1 << n
+        assert ctx.bound << n < 1 << ctx.bits - 1
+
+    @pytest.mark.parametrize("k,n,bits", [(4, 8, 40), (7, 10, 48), (6, 12, 72)])
+    def test_widths(self, k, n, bits):
+        # pinned, so that a return to the loose bound s_R(1^{n+2k}),
+        # R = ((n-k+1)^k), shows: it gives 56, 80 and 104
+        assert _Ctx(Box(k, n)).bits == bits
+
+
 class TestClassOf:
     def test_structure_sheaf_is_a_unit_vector(self):
         box = Box(3, 6)
@@ -423,14 +484,21 @@ class TestContext:
 
     def test_no_pairing_computed_twice(self, monkeypatch):
         builds, read = [], []
-        build, packed = _Ctx.build_table, _Ctx.packed
-        monkeypatch.setattr(_Ctx, "build_table", lambda self: builds.append(1) or build(self))
+        build = _Ctx.build_table
+
+        class Reads(list):
+            """A table that records the source of every row read."""
+
+            def __getitem__(self, i):
+                read.append(i)
+                return super().__getitem__(i)
+
         monkeypatch.setattr(
-            _Ctx, "packed", lambda self, a, t: read.append((a, t)) or packed(self, a, t)
+            _Ctx, "build_table", lambda self: builds.append(1) or Reads(build(self))
         )
         # the work per box, without a clock: the staircases of the box build
         # one table by `additions` = n * sum_j |pairs_j| big-integer sums,
-        # read it at `rows` distinct normal forms, all with t >= -1, and
+        # read it at `rows` distinct sources, one per normal form, and
         # unpack no row
         for k, n, rows, additions in [
             (1, 5, 6, 25),
@@ -449,7 +517,6 @@ class TestContext:
             assert len(builds) == 1, box
             assert box.n * sum(map(len, ctx.strips)) == additions, box
             assert len(set(read)) == rows, box
-            assert all(a[-1] == 0 and t >= -1 for a, t in read)
             assert not ctx.chis
 
     @pytest.mark.parametrize("k,n", [(3, 9), (4, 8)])

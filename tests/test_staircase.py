@@ -1,6 +1,8 @@
 """Staircase resolutions: the worked example, K-exactness, theta variants,
 appendix tables, and the G(4,8) fixture."""
 
+import dataclasses
+
 import pytest
 
 from grex.bott import TwistedSchur, ext_table
@@ -14,6 +16,8 @@ from grex.diagrams import (
 from grex.schur import dimension, dualize, twist
 from grex.staircase import (
     G48_SEQUENCE,
+    StaircaseComplex,
+    StaircaseTerm,
     appendix_table_check,
     build_staircase,
     build_theta_staircase,
@@ -61,6 +65,50 @@ class TestKExactness:
             assert is_k_exact(sc), lam
             for t in sc.terms:
                 assert 0 < t.c < n
+
+    def test_rejects_terms_off_the_pairing_rows(self):
+        # the check reads each term's row by its source, with no bundle built
+        # per term, and still validates every term like is_zero_combination
+        box = Box(3, 6)
+        sc = build_staircase(box, BoxedDiagram((3, 1, 0), box))
+        other = Box(3, 7)
+        moved = StaircaseTerm(sc.terms[0].c, BoxedDiagram(sc.terms[0].mu.parts, other), 0)
+        bad = [
+            (dataclasses.replace(sc, terms=(moved, *sc.terms[1:])), "lives on a different box"),
+            (dataclasses.replace(sc, tail=TwistedSchur((1, 0, 0), -1, other)), "different box"),
+            (dataclasses.replace(sc, head=TwistedSchur((3, 1, 0), 1, box)), "does not fit"),
+            (dataclasses.replace(sc, tail=TwistedSchur((4, 0, 0), -1, box)), "does not fit"),
+        ]
+        for wrong, message in bad:
+            with pytest.raises(ValueError, match=message):
+                is_k_exact(wrong)
+        # a term that does not fit is rejected whatever its coefficient:
+        # C(6, 7) = 0
+        zero = StaircaseTerm(7, BoxedDiagram((3, 0, 0), box), 1)
+        with pytest.raises(ValueError, match="does not fit"):
+            is_k_exact(dataclasses.replace(sc, terms=(*sc.terms, zero)))
+
+    @pytest.mark.parametrize("k,n", [(4, 8), (7, 10), (6, 12)])
+    def test_one_coefficient_moved_is_not_k_exact(self, monkeypatch, k, n):
+        # the boxes whose field width the exact bound shrinks most: moving any
+        # one coefficient of any staircase by 1 leaves that term's nonzero row
+        box = Box(k, n)
+        terms = StaircaseComplex.k_class_terms
+        for lam in staircases_of(box):
+            sc = build_staircase(box, lam)
+            for i in range(len(sc.terms) + 2):
+                for step in (1, -1):
+
+                    def moved(self, i=i, step=step):
+                        out = terms(self)
+                        c, w, t = out[i]
+                        out[i] = (c + step, w, t)
+                        return out
+
+                    monkeypatch.setattr(StaircaseComplex, "k_class_terms", moved)
+                    assert not is_k_exact(sc), (lam, i, step)
+            monkeypatch.setattr(StaircaseComplex, "k_class_terms", terms)
+            assert is_k_exact(sc), lam
 
     def test_hom_between_consecutive_terms(self):
         # differentials can exist: degree-0 maps are available throughout
