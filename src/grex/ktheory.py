@@ -87,14 +87,15 @@ as one row, unpacked, and its entries may exceed M.
 
 All per-box state lives on one context, `_ctx(box)`, and only the box used
 last is kept, so a sweep over many boxes frees each one when it moves on.
-The context holds the basis diagrams, the sparse twist matrix, one store of
-twisted classes T^i e_lam, the packed table and the unpacked rows.  It also
-holds the skeleton that `grex report` verifies, each computed once per box
-and read only: `orbits`, the tuple `orbits(box)`; `fonarev` and `block`, the
-Fonarev collection and the primitive block built from that tuple; and
-`staircases`, a read-only map from each diagram lam with a full first row to
-its `build_staircase` complex, which the staircase checks read and `twist`
-reads (and then drops).  The dense `gram`, every t = 0 row unpacked and its
+The context holds the basis diagrams, the sparse twist matrix, the packed
+table and the unpacked rows; each stage computes the classes T^i e_lam it
+reads, once per orbit (`_Ctx.twisted_classes`).  It also holds the skeleton
+that `grex report` verifies, each computed once per box and read only:
+`orbits`, the tuple `orbits(box)`; `fonarev` and `block`, the Fonarev
+collection and the primitive block built from that tuple; and `staircases`,
+a read-only map from each diagram lam with a full first row to its
+`build_staircase` complex, which the staircase checks read and `twist` reads
+(and then drops).  The dense `gram`, every t = 0 row unpacked and its
 diagonal checked, is only for `kapranov_gram` and `class_of`.
 
 Inside the module a class is sparse, {basis index: coefficient}: the twist,
@@ -196,7 +197,6 @@ class _Ctx:
         size, top = self.bits // 8, len(self.weights)
         self.bias = int.from_bytes((b"\x80" + bytes(size - 1)) * top, "big")
         self.fields = Struct(f"{size}s" * top)
-        self.twisted: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}  # (w, i) -> T^i e_w
 
     @cached_property
     def orbits(self) -> tuple[Orbit, ...]:
@@ -379,20 +379,19 @@ class _Ctx:
                 cols.append(((index[tuple(x + 1 for x in d.parts)], 1),))
                 continue
             col: dict[int, int] = {}
-            for coef, e in self.staircases[d].k_class_combination()[1:]:
-                i = index[tuple(x + e.twist + 1 for x in e.weight)]
+            for coef, w, t in self.staircases[d].k_class_terms()[1:]:
+                i = index[tuple(x + t + 1 for x in w)]
                 col[i] = col.get(i, 0) - coef
             cols.append(tuple(col.items()))
         self.__dict__.pop("staircases", None)
         return tuple(cols)
 
-    def twisted_class(self, w: tuple[int, ...], i: int) -> dict[int, int]:
-        """[Sigma^w U*(i)] = T^i e_w as {basis index: coefficient}, for a box
-        diagram w and i >= 0.  The dict is the stored one: copy it to change it."""
-        if (w, i) not in self.twisted:
-            c = {self.index[w]: 1} if i == 0 else self.apply_twist(self.twisted_class(w, i - 1))
-            self.twisted[w, i] = c
-        return self.twisted[w, i]
+    def twisted_classes(self, w: tuple[int, ...], count: int) -> list[dict[int, int]]:
+        """T^i e_w = [Sigma^w U*(i)] for 0 <= i < count, fresh sparse dicts: count - 1 twists."""
+        out = [{self.index[w]: 1}]
+        for _ in range(count - 1):
+            out.append(self.apply_twist(out[-1]))
+        return out[:count]
 
     def apply_twist(self, x: dict[int, int]) -> dict[int, int]:
         """The class of x (x) O(1)."""
@@ -619,7 +618,7 @@ def residual_report(box: Box) -> ResidualReport:
     block = [obj.bundle.weight for obj in ctx.block]
     shorts = [(orb.representative, orb.length) for orb in ctx.orbits if orb.length < box.n]
     o_max = max((o for _, o in shorts), default=0)
-    chain = [ctx.twisted_class(w, j) for j in range(o_max) for w in block]
+    chain = [c for level in zip(*(ctx.twisted_classes(w, o_max) for w in block)) for c in level]
     covs = ctx.check_semiorthogonal(chain)
     width = len(block)
     sign_exponents = tuple(box.k * (box.n - box.k) // (box.n // o) for _, o in shorts)
@@ -628,10 +627,9 @@ def residual_report(box: Box) -> ResidualReport:
     for (mu, o), sign_exp in zip(shorts, sign_exponents):
         inside = [p for p, w in enumerate(block) if mu.contains(BoxedDiagram(w, box))]
         fs = []
-        for i in range(o):
+        for i, x in enumerate(ctx.twisted_classes(mu.parts, o)):
             # chain positions: the block at twists 0..i-1, then its part inside mu at twist i
             picks = [*range(i * width), *(i * width + p for p in inside)]
-            x = ctx.twisted_class(mu.parts, i)
             fs.append(ctx.project([chain[q] for q in picks], [covs[q] for q in picks], x))
         residual.extend(fs)
         sign = -1 if sign_exp % 2 else 1
@@ -745,15 +743,17 @@ def fullness_determinant(box: Box) -> int:
     """det of the Fonarev classes in the Kapranov basis; |det| = 1 certifies
     that the collection spans K_0.
 
-    The classes T^i e_lam are sparse, and a quarter to a half of them are
-    basis vectors, so `_sparse_det` takes the determinant (of the transpose,
-    which has the same value) by elimination on +-1 pivots.  The rows go in
-    collection order, which the no-fallback measurements rest on; the result
-    is the exact integer, sign included, whether or not the fallback runs.
+    The classes T^i e_lam, one twist pass per orbit, are kept by nothing
+    else, so `_sparse_det` consumes them uncopied.  Sparse, a quarter to a
+    half of them basis vectors, they are eliminated on +-1 pivots (as the
+    transpose, of the same determinant) in collection order, which the
+    no-fallback measurements rest on; the result is exact, sign included,
+    fallback or not.
     """
     ctx = _ctx(box)
-    twisted = ctx.twisted_class
-    rows = [dict(twisted(obj.bundle.weight, obj.bundle.twist)) for obj in ctx.fonarev.objects]
+    lengths = {orb.representative.parts: orb.length for orb in ctx.orbits}
+    classes = {w: ctx.twisted_classes(w, o) for w, o in lengths.items()}
+    rows = [classes[obj.bundle.weight][obj.bundle.twist] for obj in ctx.fonarev.objects]
     if len(rows) != len(ctx.diagrams):
         raise AssertionError("Fonarev collection size does not match rank of K_0")
     return _sparse_det(rows)

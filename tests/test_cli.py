@@ -498,6 +498,34 @@ class TestOnePassPerBox:
         assert first == third == fresh_a
         assert second == fresh_b
 
+    def test_context_state_inventory(self):
+        # every per-box cache is named here: a new one has to be added on
+        # purpose, and no twisted class is kept after the report
+        from grex.cli import full_report
+        from grex.diagrams import Box
+        from grex.ktheory import _ctx
+
+        _ctx.cache_clear()
+        box = Box(4, 10)
+        full_report(box)
+        assert sorted(vars(_ctx(box))) == [
+            "bias", "bits", "block", "bound", "box", "cap", "chis", "diagrams", "fields",
+            "fonarev", "index", "orbits", "sources", "strips", "table", "twist", "weights",
+        ]
+
+    def test_report_unpacks_only_deep_rows(self):
+        # every row the report reads with t >= -1 stays packed in the table:
+        # the stored unpacked rows are the Jacobi-Trudi ones, t <= -2
+        from grex.cli import full_report
+        from grex.diagrams import Box
+        from grex.ktheory import _ctx
+
+        _ctx.cache_clear()
+        box = Box(4, 8)
+        full_report(box)
+        chis = _ctx(box).chis
+        assert chis and all(t <= -2 for _, t in chis)
+
     def test_shared_objects_are_read_only(self):
         import dataclasses
 
@@ -525,7 +553,10 @@ class TestGoldenOutput:
     classification that every minimal, short and primitive selection reads.
     The G(7,10) and G(1,5) reports and the G(3,9) theta staircase were
     recorded before the pairing rows were stored under the normal form of
-    their bundle; they pin the walks of the one-row and the tallest box."""
+    their bundle; they pin the walks of the one-row and the tallest box.  The
+    G(6,12) report is the smallest whose covectors take the multi-level
+    decode in bulk (101 of its 475 decodes exceed `cap`); it was recorded
+    while the context still stored every twisted class."""
 
     @pytest.mark.parametrize(
         "argv,digest",
@@ -570,13 +601,15 @@ class TestGoldenOutput:
              "eef8e1501c1cf69362658a526ec421eb4afcd6aaaa80703e77d5fdff955b4ddf"),
             (("staircase", "--k", "3", "--n", "9", "--theta"),
              "15764de23f3cc7a5af48d636e474aa0561a09b021d65b4fcf0009e9434b0f96e"),
+            (("report", "--k", "6", "--n", "12"),
+             "4e3f2212794a105bfd7c842f07181feee725d3f5f5455551c91022fc2b011373"),
         ],
         ids=["report_g36", "report_g48", "gram_fonarev_g48", "gram_kapranov_g36",
              "orbits_g48", "diagrams_short_g612", "residual_g48", "collection_g612",
              "diagrams_minimal_g612", "orbits_g612", "report_g410", "report_g59",
              "ext_two_anchor_g24", "ext_three_terms_g36", "gram_fonarev_euler_g59",
              "gram_kapranov_g49", "report_g411", "report_g710", "report_g15",
-             "staircase_theta_g39"],
+             "staircase_theta_g39", "report_g612"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -560,9 +561,9 @@ class TestContext:
         assert len(report.residual_classes) == classes
         assert len(decoded) == chain + classes
         block = [obj.bundle.weight for obj in ctx.block]
-        assert decoded[:chain] == [
-            ctx.twisted_class(w, j) for j in range(chain // len(block)) for w in block
-        ]
+        levels = chain // len(block)
+        per_weight = [ctx.twisted_classes(w, levels) for w in block]
+        assert decoded[:chain] == [c[j] for j in range(levels) for c in per_weight]
         assert [ctx.dense(x) for x in decoded[chain:]] == list(report.residual_classes)
 
     def test_gram_is_the_untwisted_rows(self):
@@ -599,7 +600,72 @@ class TestTwistClass:
         ctx = _ctx(box)
         for obj in fonarev(box).objects:
             e = obj.bundle
-            assert ctx.dense(ctx.twisted_class(e.weight, e.twist)) == class_of(e), e
+            x = ctx.twisted_classes(e.weight, e.twist + 1)[e.twist]
+            assert ctx.dense(x) == class_of(e), e
+
+
+@pytest.fixture
+def twists(monkeypatch):
+    """A fresh context whose calls of the one twist, `apply_twist`, are counted."""
+    calls = []
+    apply = _Ctx.apply_twist
+    monkeypatch.setattr(_Ctx, "apply_twist", lambda self, x: calls.append(1) or apply(self, x))
+    _ctx.cache_clear()
+    yield calls
+    _ctx.cache_clear()
+
+
+class TestTwistedClasses:
+    """Twisted classes are values: each stage computes the classes T^i e_lam
+    it reads, one twist pass per orbit, and the context keeps none of them."""
+
+    def test_fresh_values(self):
+        box = Box(3, 6)
+        ctx, w = _ctx(box), (1, 0, 0)
+        assert ctx.twisted_classes(w, 0) == []
+        first = ctx.twisted_classes(w, 4)
+        expected = [class_of(ts(w, i, box)) for i in range(4)]
+        assert [ctx.dense(x) for x in first] == expected
+        for x in first:
+            x.clear()
+        assert [ctx.dense(x) for x in ctx.twisted_classes(w, 4)] == expected
+
+    @pytest.mark.parametrize(
+        "k,n,calls", [(4, 8, 60), (4, 10, 188), (3, 9, 74), (5, 9, 112), (6, 12, 844)]
+    )
+    def test_fullness_twists_each_class_once(self, twists, k, n, calls):
+        # each orbit's class at twist 0 is a basis vector, and every other
+        # Fonarev class is one twist of the class before it, made once:
+        # C(n,k) classes less one per orbit
+        box = Box(k, n)
+        fullness_determinant(box)
+        assert len(twists) == calls == comb(n, k) - len(_ctx(box).orbits)
+
+    @pytest.mark.parametrize(
+        "k,n,calls", [(4, 8, 34), (4, 10, 98), (3, 9, 23), (5, 9, 0), (6, 12, 418)]
+    )
+    def test_residual_twist_count(self, twists, k, n, calls):
+        # the chain: o_max - 1 twists per block weight; each short mu: o - 1
+        # twists for its classes, then one per class for the polarization
+        box = Box(k, n)
+        residual_report(box)
+        ctx = _ctx(box)
+        shorts = [orb.length for orb in ctx.orbits if orb.length < n]
+        chain = len(ctx.block) * (max(shorts) - 1) if shorts else 0
+        assert len(twists) == calls == chain + sum(2 * o - 1 for o in shorts)
+
+    @pytest.mark.parametrize("k,n", [(4, 8), (3, 9), (4, 10)])
+    def test_no_stage_reads_a_consumed_row(self, k, n):
+        # `_sparse_det` consumes its rows: neither a second determinant nor a
+        # later residual stage may read one of them
+        box = Box(k, n)
+        _ctx.cache_clear()
+        expected = residual_report(box)
+        _ctx.cache_clear()
+        det = fullness_determinant(box)
+        assert abs(det) == 1
+        assert fullness_determinant(box) == det
+        assert residual_report(box) == expected
 
 
 def record_checks(monkeypatch):
@@ -716,7 +782,8 @@ class TestResidualReport:
         for mu, o in report.short_diagrams:
             fenced = [obj.bundle.weight for obj in fenced_block(box, mu, "minus")]
             for i in range(o):
-                assert lists[pos + i][i * width:] == [ctx.twisted_class(w, i) for w in fenced]
+                at_i = [ctx.twisted_classes(w, i + 1)[i] for w in fenced]
+                assert lists[pos + i][i * width:] == at_i
             pos += 2 * o  # o projections, then o polarized ones
         assert pos == len(lists)
 
@@ -810,7 +877,7 @@ def dense_fonarev_matrix(box):
     """Column j holds the class of the j-th Fonarev object."""
     ctx = _ctx(box)
     cols = [
-        ctx.dense(ctx.twisted_class(o.bundle.weight, o.bundle.twist))
+        ctx.dense(ctx.twisted_classes(o.bundle.weight, o.bundle.twist + 1)[-1])
         for o in fonarev(box).objects
     ]
     return [[c[i] for c in cols] for i in range(len(cols))]
