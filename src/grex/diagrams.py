@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, gcd
+from operator import ge
 
 __all__ = [
     "Box",
@@ -74,6 +75,15 @@ class Box:
         return Box(int(data["k"]), int(data["n"]))
 
 
+def _check_in_box(p: tuple[int, ...], k: int, width: int) -> None:
+    """ValueError unless p is a diagram of the k x width box: k weakly decreasing
+    parts in [0, width].  The one in-box test, of `BoxedDiagram` and `staircase`."""
+    if not (len(p) == k and p[-1] >= 0 and p[0] <= width and all(map(ge, p, p[1:]))):
+        if len(p) != k:
+            raise ValueError(f"diagram must have exactly {k} parts, got {p}")
+        raise ValueError(f"not a diagram in the {k}x{width} box: {p}")
+
+
 @dataclass(frozen=True)
 class BoxedDiagram:
     """A Young diagram inside a box, as a length-k weakly decreasing vector."""
@@ -82,12 +92,7 @@ class BoxedDiagram:
     box: Box
 
     def __post_init__(self):
-        k, w = self.box.k, self.box.width
-        p = self.parts
-        if len(p) != k:
-            raise ValueError(f"diagram must have exactly {k} parts, got {p}")
-        if any(p[i] < p[i + 1] for i in range(k - 1)) or p[-1] < 0 or p[0] > w:
-            raise ValueError(f"not a diagram in the {k}x{w} box: {p}")
+        _check_in_box(self.parts, self.box.k, self.box.width)
 
     @property
     def size(self) -> int:

@@ -14,10 +14,10 @@ staircase resolution of Sigma^lam U*, twisted by O(1), gives
 
 over its non-head terms, and every mu+s+1 is a box diagram.  So
 [Sigma^lam U*(i)] = T^i e_lam for i >= 0.  The twist and the staircase
-checks read one shared `StaircaseComplex` per lam (`_Ctx.staircases`), but
-the checks stay on the Euler-pairing route below: the twist reads the
-complex's terms, while a check sums their packed pairing rows, so it does
-not verify the twist built from them.
+checks read one shared tuple of term triples per lam (`_Ctx.staircases`),
+but the checks stay on the Euler-pairing route below: the twist reads the
+triples, while a check sums their packed pairing rows, so it does not
+verify the twist built from them.
 
 Pairings of the form chi(Sigma^a U*(t), Sigma^kappa U*) with t <= 0 and both
 diagrams in the box sit in a single cohomological degree, so they reduce to
@@ -93,10 +93,11 @@ reads, once per orbit (`_Ctx.twisted_classes`).  It also holds the skeleton
 that `grex report` verifies, each computed once per box and read only:
 `orbits`, the tuple `orbits(box)`; `fonarev` and `block`, the Fonarev
 collection and the primitive block built from that tuple; and `staircases`,
-a read-only map from each diagram lam with a full first row to its
-`build_staircase` complex, which the staircase checks read and `twist` reads
-(and then drops).  The dense `gram`, every t = 0 row unpacked and its
-diagonal checked, is only for `kapranov_gram` and `class_of`.
+a read-only map from each diagram lam with a full first row to the
+(coef, weight, twist) triples of its staircase, built with no complex, which
+the staircase checks read and `twist` reads (and then drops).  The dense
+`gram`, every t = 0 row unpacked and its diagonal checked, is only for
+`kapranov_gram` and `class_of`.
 
 Inside the module a class is sparse, {basis index: coefficient}: the twist,
 the pairing and the checked Gram-Schmidt projection act on that form.  A
@@ -140,7 +141,6 @@ from math import comb
 from operator import add, mul
 from struct import Struct
 from types import MappingProxyType
-from typing import TYPE_CHECKING
 
 from .bott import TwistedSchur, euler_char, normal_form
 from .diagrams import (
@@ -152,9 +152,6 @@ from .diagrams import (
     orbits,
 )
 from .lefschetz import CollectionObject, LefschetzCollection, _fonarev, _primitive_block
-
-if TYPE_CHECKING:
-    from .staircase import StaircaseComplex
 
 __all__ = [
     "KClass",
@@ -214,16 +211,16 @@ class _Ctx:
         return _primitive_block(self.box, self.orbits)
 
     @cached_property
-    def staircases(self) -> Mapping[BoxedDiagram, StaircaseComplex]:
-        """The staircase of every basis diagram with a full first row, read
-        only: the staircase checks and `twist` read the same complexes.
-        `twist` drops the map once built, as the report reads no staircase
-        after it; a later read builds it again."""
-        from .staircase import build_staircase  # staircase imports this module
+    def staircases(self) -> Mapping[BoxedDiagram, tuple[tuple[int, tuple[int, ...], int], ...]]:
+        """The term triples of the staircase of every basis diagram with a
+        full first row, read only: the staircase checks and `twist` read the
+        same triples.  `twist` drops the map once built, as the report reads
+        no staircase after it; a later read builds it again."""
+        from .staircase import _terms  # staircase imports this module
 
         width = self.box.width
         return MappingProxyType(
-            {d: build_staircase(self.box, d) for d in self.diagrams if d.parts[0] == width}
+            {d: _terms(self.box, d.parts) for d in self.diagrams if d.parts[0] == width}
         )
 
     def row(self, a: tuple[int, ...], t: int) -> tuple[int, ...]:
@@ -379,7 +376,7 @@ class _Ctx:
                 cols.append(((index[tuple(x + 1 for x in d.parts)], 1),))
                 continue
             col: dict[int, int] = {}
-            for coef, w, t in self.staircases[d].k_class_terms()[1:]:
+            for coef, w, t in self.staircases[d][1:]:
                 i = index[tuple(x + t + 1 for x in w)]
                 col[i] = col.get(i, 0) - coef
             cols.append(tuple(col.items()))

@@ -7,12 +7,14 @@ dicts mapping weight tuples to positive multiplicities.
 
 from __future__ import annotations
 
+from operator import ge
+
 __all__ = ["twist", "dualize", "lr_product", "lr_bounds", "dimension", "check_weight"]
 
 
 def check_weight(w: tuple[int, ...]) -> tuple[int, ...]:
     w = tuple(w)
-    if any(w[i] < w[i + 1] for i in range(len(w) - 1)):
+    if not all(map(ge, w, w[1:])):
         raise ValueError(f"weight is not weakly decreasing: {w}")
     return w
 

@@ -13,10 +13,10 @@ Only computable necessary conditions of exactness are checked: the
 alternating sum of classes vanishes, and consecutive terms admit degree-0
 maps.  No differentials are constructed.
 
-`build_staircase` is pure.  The theta staircase, the appendix tables and the
-membership ledger read the per-box context of `ktheory` instead: its one
-staircase per full-first-row diagram (which the twist in K_0 reads too), its
-orbits and its primitive block.
+`_jumps` is the one jump rule, on plain tuples: `build_staircase` builds its
+complex from it, and `_terms` the triples of `k_class_terms` with no complex,
+which `grex report` zero-tests and the twist in K_0 reads, one tuple per
+full-first-row diagram on the per-box context of `ktheory`.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ from .bott import TwistedSchur, ext_table, normal_form
 from .diagrams import (
     Box,
     BoxedDiagram,
+    _check_in_box,
     cyclic_step,
     theta,
 )
 from .ktheory import _ctx, _vanishes, is_zero_combination
-from .schur import dimension
+from .schur import check_weight, dimension
 
 __all__ = [
     "MembershipLedger",
@@ -44,6 +45,7 @@ __all__ = [
     "g48_sequence_check",
     "is_k_exact",
     "membership_ledger",
+    "terms_vanish",
 ]
 
 
@@ -101,28 +103,53 @@ class StaircaseComplex:
         }
 
 
-def build_staircase(box: Box, lam: BoxedDiagram) -> StaircaseComplex:
-    """The staircase resolution of Sigma^lam U* for lam with full first row."""
+def _jumps(box: Box, lam: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """The jump rule: (c_i, mu_i) of the middle terms of the staircase of the
+    diagram lam, i = 1..n-k.  ValueError unless lam has a full first row."""
     k, n = box.k, box.n
-    if lam.parts[0] != n - k:
+    if lam[0] != n - k:
         raise ValueError(f"staircase needs a full first row: lambda_1 = {n - k}")
-    shifted = cyclic_step(lam)  # (lam_2, ..., lam_k, 0)
-    red = tuple(x - 1 for x in shifted.parts)  # the path of lambda'(-1)
-    terms = []
-    size = lam.size
-    for i in range(1, n - k + 1):
-        x = n - k - i
-        mu = tuple(p if p <= x else max(x, red[r]) for r, p in enumerate(lam.parts))
+    red = (*(x - 1 for x in lam[1:]), -1)  # the path of lambda'(-1)
+    size = sum(lam)
+    out = []
+    for i, x in enumerate(range(n - k - 1, -1, -1), 1):  # x = n-k-i
+        mu = tuple([p if p <= x else x if x > r else r for p, r in zip(lam, red)])
         c = size - sum(mu)
         if not 0 < c < n:
             raise AssertionError(f"box count c_{i} = {c} escaped (0, n)")
-        terms.append(StaircaseTerm(c, BoxedDiagram(mu, box), 0))
+        out.append((c, mu))
+    return out
+
+
+def _terms(box: Box, lam: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """`build_staircase(box, lam).k_class_terms()` from the jump rule on plain
+    tuples, with no complex built: each middle mu tested in the box, the tail
+    (lam_2, ..., lam_k, 0) at twist -1 tested weakly decreasing."""
+    k, n, width = box.k, box.n, box.width
+    out, sign = [(1, lam, 0)], -1
+    for c, mu in _jumps(box, lam):
+        _check_in_box(mu, k, width)
+        out.append((sign * comb(n, c), mu, 0))
+        sign = -sign
+    out.append((sign, check_weight((*lam[1:], 0)), -1))
+    return tuple(out)
+
+
+def build_staircase(box: Box, lam: BoxedDiagram) -> StaircaseComplex:
+    """The staircase resolution of Sigma^lam U* for lam with full first row."""
+    terms = tuple(StaircaseTerm(c, BoxedDiagram(mu, box), 0) for c, mu in _jumps(box, lam.parts))
     return StaircaseComplex(
         box=box,
         head=TwistedSchur(lam.parts, 0, box),
-        terms=tuple(terms),
-        tail=TwistedSchur(shifted.parts, -1, box),
+        terms=terms,
+        tail=TwistedSchur(cyclic_step(lam).parts, -1, box),
     )
+
+
+def terms_vanish(box: Box, terms: tuple[tuple[int, tuple[int, ...], int], ...]) -> bool:
+    """Whether the (coef, weight, twist) triples of a staircase, as
+    `k_class_terms` lists them, vanish in K_0: `is_k_exact` with no complex."""
+    return _vanishes(box, terms)
 
 
 def is_k_exact(sc: StaircaseComplex) -> bool:
@@ -203,9 +230,8 @@ def build_theta_staircase(k: int, m: int) -> tuple[StaircaseComplex, MembershipL
     th = theta(k, m)
     box = th.box
     lam = BoxedDiagram(tuple(x + (m - 1) for x in th.parts), box)
-    ctx = _ctx(box)
-    raw = ctx.staircases[lam]
-    minimal = {orb.representative for orb in ctx.orbits}
+    raw = build_staircase(box, lam)
+    minimal = {orb.representative for orb in _ctx(box).orbits}
     terms = []
     for t in raw.terms:
         weight, twist = normal_form(t.mu.parts, 1 - m)
@@ -237,8 +263,7 @@ def appendix_table_check(box: Box, a: int, b: int) -> bool:
         raise ValueError(f"need b >= m, got b={b} < m={m}")
     if a - b > m - 1:
         raise ValueError(f"need a-b <= m-1, got a-b={a - b}")
-    sc = _ctx(box).staircases[BoxedDiagram((w, a, b), box)]
-    got = [t.mu.parts for t in sc.terms]
+    got = [mu for _, mu in _jumps(box, (w, a, b))]
     expected: list[tuple[int, int, int]] = []
     for i in range(1, w - a + 1):
         expected.append((w - i, a, b))

@@ -321,15 +321,21 @@ class TestReport:
 
     def test_each_staircase_checked_once(self, capsys, monkeypatch):
         import grex.cli as cli
+        from grex import staircase
 
-        checked = []
-        check = cli.is_k_exact
+        zero_tests, checked, builds = [], [], []
+        vanish, check, build = cli.terms_vanish, cli.is_k_exact, staircase.build_staircase
+        monkeypatch.setattr(
+            cli, "terms_vanish", lambda box, ts: zero_tests.append(ts[0][1]) or vanish(box, ts)
+        )
         monkeypatch.setattr(cli, "is_k_exact", lambda sc: checked.append(sc) or check(sc))
+        monkeypatch.setattr(staircase, "build_staircase", lambda *a: builds.append(a) or build(*a))
         code, _, _ = run(capsys, "report", "--k", "2", "--n", "4", "--format", "json")
         assert code == 0
-        # three full-first-row staircases and the theta staircase, once each
-        assert len(checked) == 4
-        assert len({id(sc) for sc in checked}) == 4
+        # the three full-first-row staircases are zero-tested once each, as
+        # triples; only the theta staircase is built and checked as a complex
+        assert sorted(zero_tests) == [(2, 0), (2, 1), (2, 2)]
+        assert len(checked) == len(builds) == 1
 
     def test_raising_residual_check_recorded(self, capsys, monkeypatch):
         # the primitive block reversed is not semiorthogonal, and the residual
@@ -349,6 +355,60 @@ class TestReport:
         assert residual["verdict"] == "fail"
         assert "not semiorthogonal" in residual["error"]
         assert data["stages"]["fullness"]["verdict"] == "pass"
+
+    @pytest.mark.parametrize("i,step", [(0, 1), (2, -1), (-1, 1)])
+    def test_planted_coefficient_fails_the_staircase_stage(self, capsys, monkeypatch, i, step):
+        # no honest box reaches k_exact_failures: move one coefficient of one
+        # lam's triples.  The twist reads the same triples, so only the
+        # staircase stage and the exit code are pinned
+        from grex import ktheory, staircase
+
+        lam, terms = (4, 3, 1, 0), staircase._terms
+
+        def planted(box, parts):
+            out = list(terms(box, parts))
+            if parts == lam:
+                c, w, t = out[i]
+                out[i] = (c + step, w, t)
+            return tuple(out)
+
+        monkeypatch.setattr(staircase, "_terms", planted)
+        ktheory._ctx.cache_clear()
+        try:
+            code, out, _ = run(capsys, "report", "--k", "4", "--n", "8", "--format", "json")
+        finally:
+            ktheory._ctx.cache_clear()  # drop the twist built from the planted triples
+        assert code == 1
+        stage = json.loads(out)["stages"]["staircase"]
+        assert stage["verdict"] == "fail"
+        assert stage["k_exact_failures"] == [list(lam)]
+        assert stage["staircases_checked"] == comb(7, 3)
+
+    def test_planted_weight_out_of_the_box_recorded(self, capsys, monkeypatch):
+        # a middle weight off the box would reach the zero test as a missing
+        # table source (KeyError); the in-box test stops it as a ValueError,
+        # which the stage records
+        from grex import ktheory, staircase
+
+        lam, jumps = (4, 3, 1, 0), staircase._jumps
+
+        def planted(box, parts):
+            out = jumps(box, parts)
+            if parts == lam:
+                c, mu = out[0]
+                out[0] = (c, mu[::-1])
+            return out
+
+        monkeypatch.setattr(staircase, "_jumps", planted)
+        ktheory._ctx.cache_clear()
+        try:
+            code, out, err = run(capsys, "report", "--k", "4", "--n", "8", "--format", "json")
+        finally:
+            ktheory._ctx.cache_clear()
+        assert code == 1
+        assert "Traceback" not in err
+        stage = json.loads(out)["stages"]["staircase"]
+        assert stage == {"verdict": "fail", "error": "not a diagram in the 4x4 box: (0, 1, 3, 3)"}
 
     def test_raising_staircase_check_recorded(self, capsys, monkeypatch):
         # a theta staircase term that fails its check raised RuntimeError
@@ -444,15 +504,19 @@ class TestOnePassPerBox:
     per-box context of `ktheory`, which keeps only the box used last."""
 
     def test_one_build_per_staircase(self, monkeypatch):
+        import grex.cli as cli
         from grex import diagrams, lefschetz, staircase
         from grex.cli import full_report
         from grex.diagrams import Box
         from grex.ktheory import _ctx
 
-        builds, walks, collections = [], [], []
-        build, walk = staircase.build_staircase, diagrams._orbit_parts
+        jumps, builds, checks, walks, collections = [], [], [], [], []
+        jump, build, check = staircase._jumps, staircase.build_staircase, cli.is_k_exact
+        walk = diagrams._orbit_parts
         post_init = lefschetz.LefschetzCollection.__post_init__
+        monkeypatch.setattr(staircase, "_jumps", lambda *a: jumps.append(a[1]) or jump(*a))
         monkeypatch.setattr(staircase, "build_staircase", lambda *a: builds.append(1) or build(*a))
+        monkeypatch.setattr(cli, "is_k_exact", lambda *a: checks.append(1) or check(*a))
         monkeypatch.setattr(diagrams, "_orbit_parts", lambda *a: walks.append(1) or walk(*a))
         monkeypatch.setattr(
             lefschetz.LefschetzCollection,
@@ -461,11 +525,14 @@ class TestOnePassPerBox:
         )
         _ctx.cache_clear()
         full_report(Box(4, 10))
-        # one staircase per lam with lam_1 = n-k: C(9,3) = 84, not 168 when
-        # the staircase stage and the twist each built them; one orbit pass,
-        # 22 walks for the 22 orbits, as fonarev and primitive_block (which
-        # would walk them again) are built from it; one Fonarev collection
-        assert len(builds) == comb(9, 3) == 84
+        # one jump rule run per lam with lam_1 = n-k: C(9,3) = 84, not 168
+        # when the staircase stage and the twist each ran it, and no complex
+        # built or checked, as G(4,10) has no theta staircase; one orbit
+        # pass, 22 walks for the 22 orbits, as fonarev and primitive_block
+        # (which would walk them again) are built from it; one Fonarev
+        # collection
+        assert len(jumps) == len(set(jumps)) == comb(9, 3) == 84
+        assert builds == checks == []
         assert len(walks) == 22
         assert len(collections) <= 1
 
@@ -556,7 +623,11 @@ class TestGoldenOutput:
     their bundle; they pin the walks of the one-row and the tallest box.  The
     G(6,12) report is the smallest whose covectors take the multi-level
     decode in bulk (101 of its 475 decodes exceed `cap`); it was recorded
-    while the context still stored every twisted class."""
+    while the context still stored every twisted class.  The last two were
+    recorded while the report still built a complex per staircase: the
+    G(3,9) report is the one small box with a theta staircase, appendix
+    cases and a residual stage, and the G(4,13) staircase, the README
+    example, pins the public complex route."""
 
     @pytest.mark.parametrize(
         "argv,digest",
@@ -603,13 +674,17 @@ class TestGoldenOutput:
              "15764de23f3cc7a5af48d636e474aa0561a09b021d65b4fcf0009e9434b0f96e"),
             (("report", "--k", "6", "--n", "12"),
              "4e3f2212794a105bfd7c842f07181feee725d3f5f5455551c91022fc2b011373"),
+            (("report", "--k", "3", "--n", "9"),
+             "7bee05821970d791ca9d786c6807f436cb8b3627d182caa5619afc9161487172"),
+            (("staircase", "--k", "4", "--n", "13", "--lambda", "9,8,5,2"),
+             "699c47e1ff5eeb969e1a20d88cab606e5bcaa3851ee9de156309b32629b262cb"),
         ],
         ids=["report_g36", "report_g48", "gram_fonarev_g48", "gram_kapranov_g36",
              "orbits_g48", "diagrams_short_g612", "residual_g48", "collection_g612",
              "diagrams_minimal_g612", "orbits_g612", "report_g410", "report_g59",
              "ext_two_anchor_g24", "ext_three_terms_g36", "gram_fonarev_euler_g59",
              "gram_kapranov_g49", "report_g411", "report_g710", "report_g15",
-             "staircase_theta_g39", "report_g612"],
+             "staircase_theta_g39", "report_g612", "report_g39", "staircase_g413"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

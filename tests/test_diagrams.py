@@ -300,12 +300,14 @@ class TestValidationAndJson:
             Box(4, 3)
 
     def test_bad_diagram(self):
-        with pytest.raises(ValueError):
-            BoxedDiagram((1, 2, 0), B36)
-        with pytest.raises(ValueError):
-            BoxedDiagram((4, 0, 0), B36)
-        with pytest.raises(ValueError):
-            BoxedDiagram((1, 0), B36)
+        # one in-box test, each of its four conditions with its message
+        for parts in [(1, 2, 0), (2, 1, -1), (4, 0, 0)]:
+            with pytest.raises(ValueError, match=r"^not a diagram in the 3x3 box: "):
+                BoxedDiagram(parts, B36)
+        for parts in [(1, 0), (), (3, 2, 1, 0)]:
+            with pytest.raises(ValueError, match=r"^diagram must have exactly 3 parts, got "):
+                BoxedDiagram(parts, B36)
+        assert BoxedDiagram((3, 3, 0), B36).parts == (3, 3, 0)
 
     def test_json(self):
         assert d((2, 1, 0)).to_json() == [2, 1, 0]

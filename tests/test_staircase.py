@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+import grex.staircase as staircase
 from grex.bott import TwistedSchur, ext_table
 from grex.diagrams import (
     Box,
@@ -13,6 +14,7 @@ from grex.diagrams import (
     is_minimal_upper_triangular,
     orbit_length,
 )
+from grex.ktheory import _ctx
 from grex.schur import dimension, dualize, twist
 from grex.staircase import (
     G48_SEQUENCE,
@@ -117,6 +119,53 @@ class TestKExactness:
         chain = [sc.tail] + [t.bundle() for t in reversed(sc.terms)] + [sc.head]
         for src, dst in zip(chain, chain[1:]):
             assert ext_table(src, dst)[0] > 0, (src, dst)
+
+
+class TestTermTriples:
+    """The report reads each staircase as the (coef, weight, twist) triples of
+    the jump rule, with no complex built; `build_staircase` runs the same
+    jump rule.  So this is a consistency pin, not an oracle: the zero test
+    keeps its Jacobi-Trudi oracle, the twist its LR + Bott route
+    (`test_fonarev_columns`), and the appendix check its three-phase table."""
+
+    def test_triples_are_the_complex_terms(self):
+        for n in range(2, 13):
+            for k in range(1, n):
+                box = Box(k, n)
+                triples = _ctx(box).staircases
+                lams = staircases_of(box)
+                assert list(triples) == lams
+                for lam in lams:
+                    assert triples[lam] == tuple(build_staircase(box, lam).k_class_terms()), lam
+
+    def test_one_reader_after_the_twist_builds_no_map(self):
+        box = Box(3, 9)
+        ctx = _ctx(box)
+        ctx.twist
+        assert "staircases" not in vars(ctx)
+        assert appendix_table_check(box, 4, 3)
+        sc, ledger = build_theta_staircase(3, 3)
+        assert is_k_exact(sc) and ledger.complete
+        assert _ctx(box) is ctx and "staircases" not in vars(ctx)
+
+    def test_middle_term_out_of_the_box(self, monkeypatch):
+        # the triples route tests each middle weight with the in-box test of
+        # BoxedDiagram, and the tail as a weight, with the same messages
+        box = Box(4, 8)
+        jumps = staircase._jumps
+        for bad in [(1, 2, 0, 0), (5, 1, 0, 0), (2, 1, 0, -1)]:
+            monkeypatch.setattr(staircase, "_jumps", lambda *a, bad=bad: [(3, bad), *jumps(*a)[1:]])
+            with pytest.raises(ValueError) as terms_error:
+                staircase._terms(box, (4, 3, 1, 0))
+            with pytest.raises(ValueError) as diagram_error:
+                build_staircase(box, BoxedDiagram((4, 3, 1, 0), box))
+            assert str(terms_error.value) == str(diagram_error.value)
+            assert str(terms_error.value) == f"not a diagram in the 4x4 box: {bad}"
+        monkeypatch.undo()
+        # (1,0,1) is no diagram, but its one middle term (0,0,0) is: only
+        # the tail (0,1,0) shows it
+        with pytest.raises(ValueError, match=r"^weight is not weakly decreasing: \(0, 1, 0\)"):
+            staircase._terms(Box(3, 4), (1, 0, 1))
 
 
 class TestThetaStaircase:
