@@ -13,11 +13,11 @@ staircase resolution of Sigma^lam U*, twisted by O(1), gives
     [Sigma^lam U*(1)] = -sum_{(c, Sigma^mu U*(s))} c e_{mu+s+1}
 
 over its non-head terms, and every mu+s+1 is a box diagram.  So
-[Sigma^lam U*(i)] = T^i e_lam for i >= 0.  The twist and the staircase
-checks read one shared tuple of term triples per lam (`_Ctx.staircases`),
-but the checks stay on the Euler-pairing route below: the twist reads the
-triples, while a check sums their packed pairing rows, so it does not
-verify the twist built from them.
+[Sigma^lam U*(i)] = T^i e_lam for i >= 0.  `grex report` checks T itself
+on the Euler-pairing route below: O(1) acts on K_0 by an automorphism and
+the head coefficient is 1, so [Sigma^lam U*] - sum T[kappa, lam]
+[Sigma^kappa U*(-1)] vanishes exactly when lam's staircase is K-exact, and
+merging terms only lowers its sum |coef|, which stays at most 2^n <= cap.
 
 Pairings of the form chi(Sigma^a U*(t), Sigma^kappa U*) with t <= 0 and both
 diagrams in the box sit in a single cohomological degree, so they reduce to
@@ -75,10 +75,10 @@ staircase checks, reads the row of each term Sigma^w U*(t) by its source
 sigma = w + t + 1, the source of its normal form too, and sums coef times
 the packed rows as big integers when S <= cap and every term is a table
 row; cap >= 2^n covers the staircase of every lam with a full first row
-(coefficients +-1 and +-C(n, c) for distinct 0 < c < n).  Any other
-combination takes the slow path: its table rows are merged by source and
-decoded exactly (`_Ctx.decode`, below), the deep rows added unpacked, and
-every field tested.  The Kapranov Gram matrix is the t = 0 rows.
+(coefficients +-1 and +-C(n, c) for distinct 0 < c < n), and so its column
+of T.  Any other combination takes the slow path: its table rows are merged
+by source and decoded exactly (`_Ctx.decode`, below), the deep rows added
+unpacked, and every field tested.  The Kapranov Gram matrix is the t = 0 rows.
 
 A normal form with t <= -2 needs sigma outside the wider box.  Its row is
 one Jacobi-Trudi determinant det[h_{lam_i - a_j - i + j}(1^n)] per entry,
@@ -91,11 +91,8 @@ The context holds the basis diagrams, the sparse twist matrix, the packed
 table and the unpacked rows; each stage computes the classes T^i e_lam it
 reads, once per orbit (`_Ctx.twisted_classes`).  It also holds the skeleton
 that `grex report` verifies, each computed once per box and read only:
-`orbits`, the tuple `orbits(box)`; `fonarev` and `block`, the Fonarev
-collection and the primitive block built from that tuple; and `staircases`,
-a read-only map from each diagram lam with a full first row to the
-(coef, weight, twist) triples of its staircase, built with no complex, which
-the staircase checks read and `twist` reads (and then drops).  The dense
+`orbits`, the tuple `orbits(box)`; and `fonarev` and `block`, the Fonarev
+collection and the primitive block built from that tuple.  The dense
 `gram`, every t = 0 row unpacked and its diagonal checked, is only for
 `kapranov_gram` and `class_of`.
 
@@ -133,14 +130,12 @@ row is deferred; that is measured, not proven.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
 from math import comb
 from operator import add, mul
 from struct import Struct
-from types import MappingProxyType
 
 from .bott import TwistedSchur, euler_char, normal_form
 from .diagrams import (
@@ -209,19 +204,6 @@ class _Ctx:
     def block(self) -> tuple[CollectionObject, ...]:
         """`primitive_block(box)`, from the orbits above."""
         return _primitive_block(self.box, self.orbits)
-
-    @cached_property
-    def staircases(self) -> Mapping[BoxedDiagram, tuple[tuple[int, tuple[int, ...], int], ...]]:
-        """The term triples of the staircase of every basis diagram with a
-        full first row, read only: the staircase checks and `twist` read the
-        same triples.  `twist` drops the map once built, as the report reads
-        no staircase after it; a later read builds it again."""
-        from .staircase import _terms  # staircase imports this module
-
-        width = self.box.width
-        return MappingProxyType(
-            {d: _terms(self.box, d.parts) for d in self.diagrams if d.parts[0] == width}
-        )
 
     def row(self, a: tuple[int, ...], t: int) -> tuple[int, ...]:
         """chi(Sigma^a U*(t), Sigma^kappa U*) for every basis kappa, in order,
@@ -368,19 +350,21 @@ class _Ctx:
 
     @cached_property
     def twist(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Column lam: the class of Sigma^lam U*(1) as sparse (row, coefficient) pairs."""
-        index = self.index
+        """Column lam: the class of Sigma^lam U*(1) as sparse (row, coefficient)
+        pairs, from lam's staircase if lam_1 = n-k (`staircase._terms`)."""
+        from .staircase import _terms  # staircase imports this module
+
+        box, index = self.box, self.index
         cols = []
-        for d in self.diagrams:
-            if d.parts[0] < self.box.width:
-                cols.append(((index[tuple(x + 1 for x in d.parts)], 1),))
+        for w in self.weights:
+            if w[0] < box.width:
+                cols.append(((index[tuple(x + 1 for x in w)], 1),))
                 continue
             col: dict[int, int] = {}
-            for coef, w, t in self.staircases[d][1:]:
-                i = index[tuple(x + t + 1 for x in w)]
+            for coef, mu, t in _terms(box, w)[1:]:
+                i = index[tuple(x + t + 1 for x in mu)]
                 col[i] = col.get(i, 0) - coef
             cols.append(tuple(col.items()))
-        self.__dict__.pop("staircases", None)
         return tuple(cols)
 
     def twisted_classes(self, w: tuple[int, ...], count: int) -> list[dict[int, int]]:

@@ -15,8 +15,9 @@ maps.  No differentials are constructed.
 
 `_jumps` is the one jump rule, on plain tuples: `build_staircase` builds its
 complex from it, and `_terms` the triples of `k_class_terms` with no complex,
-which `grex report` zero-tests and the twist in K_0 reads, one tuple per
-full-first-row diagram on the per-box context of `ktheory`.
+from which the twist T in K_0 is built.  `grex report` checks T itself
+(`_twist_columns_exact`): column lam untwisted is a relation exactly when
+lam's staircase is K-exact, with sum |coef| at most 2^n <= cap (`ktheory`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .diagrams import (
     Box,
     BoxedDiagram,
     _check_in_box,
-    cyclic_step,
+    _step,
     theta,
 )
 from .ktheory import _ctx, _vanishes, is_zero_combination
@@ -45,7 +46,6 @@ __all__ = [
     "g48_sequence_check",
     "is_k_exact",
     "membership_ledger",
-    "terms_vanish",
 ]
 
 
@@ -137,19 +137,28 @@ def _terms(box: Box, lam: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...], 
 
 def build_staircase(box: Box, lam: BoxedDiagram) -> StaircaseComplex:
     """The staircase resolution of Sigma^lam U* for lam with full first row."""
+    if lam.box != box:
+        raise ValueError(f"{lam} lives on a different box")
     terms = tuple(StaircaseTerm(c, BoxedDiagram(mu, box), 0) for c, mu in _jumps(box, lam.parts))
     return StaircaseComplex(
         box=box,
         head=TwistedSchur(lam.parts, 0, box),
         terms=terms,
-        tail=TwistedSchur(cyclic_step(lam).parts, -1, box),
+        tail=TwistedSchur(_step(lam.parts, box.width), -1, box),
     )
 
 
-def terms_vanish(box: Box, terms: tuple[tuple[int, tuple[int, ...], int], ...]) -> bool:
-    """Whether the (coef, weight, twist) triples of a staircase, as
-    `k_class_terms` lists them, vanish in K_0: `is_k_exact` with no complex."""
-    return _vanishes(box, terms)
+def _twist_columns_exact(box: Box) -> list[tuple[BoxedDiagram, bool]]:
+    """Each basis diagram lam with a full first row, in basis order, with
+    whether column lam of the twist T untwisted vanishes in K_0: exactly
+    when lam's staircase is K-exact (`ktheory` module docstring)."""
+    ctx = _ctx(box)
+    twist, weights = ctx.twist, ctx.weights
+    return [
+        (d, _vanishes(box, [(1, w, 0), *((-v, weights[j], -1) for j, v in twist[i])]))
+        for i, (d, w) in enumerate(zip(ctx.diagrams, weights))
+        if w[0] == box.width
+    ]
 
 
 def is_k_exact(sc: StaircaseComplex) -> bool:

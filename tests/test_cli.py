@@ -323,18 +323,21 @@ class TestReport:
         import grex.cli as cli
         from grex import staircase
 
+        theta_head = staircase.build_theta_staircase(2, 2)[0].k_class_terms()[0]
         zero_tests, checked, builds = [], [], []
-        vanish, check, build = cli.terms_vanish, cli.is_k_exact, staircase.build_staircase
+        vanish, check, build = staircase._vanishes, cli.is_k_exact, staircase.build_staircase
         monkeypatch.setattr(
-            cli, "terms_vanish", lambda box, ts: zero_tests.append(ts[0][1]) or vanish(box, ts)
+            staircase, "_vanishes", lambda box, ts: zero_tests.append(ts[0]) or vanish(box, ts)
         )
         monkeypatch.setattr(cli, "is_k_exact", lambda sc: checked.append(sc) or check(sc))
         monkeypatch.setattr(staircase, "build_staircase", lambda *a: builds.append(a) or build(*a))
         code, _, _ = run(capsys, "report", "--k", "2", "--n", "4", "--format", "json")
         assert code == 0
-        # the three full-first-row staircases are zero-tested once each, as
-        # triples; only the theta staircase is built and checked as a complex
-        assert sorted(zero_tests) == [(2, 0), (2, 1), (2, 2)]
+        # the three full-first-row columns of the twist are zero-tested once
+        # each, untwisted, head first; only the theta staircase is built and
+        # checked as a complex, by the same zero test
+        columns = [(1, (2, 0), 0), (1, (2, 1), 0), (1, (2, 2), 0)]
+        assert sorted(zero_tests) == sorted([*columns, theta_head])
         assert len(checked) == len(builds) == 1
 
     def test_raising_residual_check_recorded(self, capsys, monkeypatch):
@@ -356,10 +359,11 @@ class TestReport:
         assert "not semiorthogonal" in residual["error"]
         assert data["stages"]["fullness"]["verdict"] == "pass"
 
-    @pytest.mark.parametrize("i,step", [(0, 1), (2, -1), (-1, 1)])
+    @pytest.mark.parametrize("i,step", [(2, -1), (-1, 1)])
     def test_planted_coefficient_fails_the_staircase_stage(self, capsys, monkeypatch, i, step):
         # no honest box reaches k_exact_failures: move one coefficient of one
-        # lam's triples.  The twist reads the same triples, so only the
+        # lam's non-head triples, which the twist reads.  The stage checks
+        # that twist, and the later stages read it too, so only the
         # staircase stage and the exit code are pinned
         from grex import ktheory, staircase
 
@@ -378,6 +382,33 @@ class TestReport:
             code, out, _ = run(capsys, "report", "--k", "4", "--n", "8", "--format", "json")
         finally:
             ktheory._ctx.cache_clear()  # drop the twist built from the planted triples
+        assert code == 1
+        stage = json.loads(out)["stages"]["staircase"]
+        assert stage["verdict"] == "fail"
+        assert stage["k_exact_failures"] == [list(lam)]
+        assert stage["staircases_checked"] == comb(7, 3)
+
+    @pytest.mark.parametrize("entry", [0, -1])
+    def test_planted_twist_entry_fails_the_staircase_stage(self, capsys, entry):
+        # +1 on one entry of column lam of the twist T, the matrix that the
+        # residual and fullness stages read: the staircase stage checks T
+        # itself, so it fails for lam alone
+        from grex import ktheory
+        from grex.diagrams import Box
+
+        lam = (4, 3, 1, 0)
+        ktheory._ctx.cache_clear()
+        ctx = ktheory._ctx(Box(4, 8))
+        cols = list(ctx.twist)
+        col = list(cols[ctx.index[lam]])
+        row, v = col[entry]
+        col[entry] = (row, v + 1)
+        cols[ctx.index[lam]] = tuple(col)
+        vars(ctx)["twist"] = tuple(cols)
+        try:
+            code, out, _ = run(capsys, "report", "--k", "4", "--n", "8", "--format", "json")
+        finally:
+            ktheory._ctx.cache_clear()  # drop the planted twist
         assert code == 1
         stage = json.loads(out)["stages"]["staircase"]
         assert stage["verdict"] == "fail"
@@ -601,9 +632,6 @@ class TestOnePassPerBox:
 
         ctx = _ctx(Box(3, 6))
         assert type(ctx.orbits) is tuple and type(ctx.block) is tuple
-        lam = next(iter(ctx.staircases))
-        with pytest.raises(TypeError):
-            ctx.staircases[lam] = None
         with pytest.raises(dataclasses.FrozenInstanceError):
             ctx.fonarev.objects = ()
 

@@ -57,6 +57,16 @@ class TestWorkedExample:
         with pytest.raises(ValueError):
             build_staircase(box, BoxedDiagram((2, 1, 0), box))
 
+    def test_rejects_diagram_of_another_box(self):
+        # (2,0) has a full first row in the 2x2 box of G(2,4), but not in the
+        # 2x3 box it was made on, whose step rule gave the tail S(3,1)U*(-1)
+        # and a false verdict
+        with pytest.raises(ValueError, match=r"^\(2,0\) lives on a different box$"):
+            build_staircase(Box(2, 4), BoxedDiagram((2, 0), Box(2, 5)))
+        sc = build_staircase(Box(2, 4), BoxedDiagram((2, 0), Box(2, 4)))
+        assert sc.tail.weight == (0, 0) and sc.tail.twist == -1
+        assert is_k_exact(sc)
+
 
 class TestKExactness:
     @pytest.mark.parametrize("k,n", [(2, 4), (2, 6), (3, 6), (3, 7), (4, 8)])
@@ -122,31 +132,19 @@ class TestKExactness:
 
 
 class TestTermTriples:
-    """The report reads each staircase as the (coef, weight, twist) triples of
+    """The twist reads each staircase as the (coef, weight, twist) triples of
     the jump rule, with no complex built; `build_staircase` runs the same
     jump rule.  So this is a consistency pin, not an oracle: the zero test
     keeps its Jacobi-Trudi oracle, the twist its LR + Bott route
-    (`test_fonarev_columns`), and the appendix check its three-phase table."""
+    (`TestTwistClass`), and the appendix check its three-phase table."""
 
     def test_triples_are_the_complex_terms(self):
         for n in range(2, 13):
             for k in range(1, n):
                 box = Box(k, n)
-                triples = _ctx(box).staircases
-                lams = staircases_of(box)
-                assert list(triples) == lams
-                for lam in lams:
-                    assert triples[lam] == tuple(build_staircase(box, lam).k_class_terms()), lam
-
-    def test_one_reader_after_the_twist_builds_no_map(self):
-        box = Box(3, 9)
-        ctx = _ctx(box)
-        ctx.twist
-        assert "staircases" not in vars(ctx)
-        assert appendix_table_check(box, 4, 3)
-        sc, ledger = build_theta_staircase(3, 3)
-        assert is_k_exact(sc) and ledger.complete
-        assert _ctx(box) is ctx and "staircases" not in vars(ctx)
+                for lam in staircases_of(box):
+                    terms = build_staircase(box, lam).k_class_terms()
+                    assert staircase._terms(box, lam.parts) == tuple(terms), lam
 
     def test_middle_term_out_of_the_box(self, monkeypatch):
         # the triples route tests each middle weight with the in-box test of
@@ -166,6 +164,43 @@ class TestTermTriples:
         # the tail (0,1,0) shows it
         with pytest.raises(ValueError, match=r"^weight is not weakly decreasing: \(0, 1, 0\)"):
             staircase._terms(Box(3, 4), (1, 0, 1))
+
+
+class TestTwistColumns:
+    """The report's staircase check: column lam of the twist T, untwisted,
+    is a relation in K_0 exactly when lam's staircase is K-exact."""
+
+    def test_twist_columns_agree_with_the_complexes(self):
+        # against each staircase built as a complex, on every box with n <= 12
+        for n in range(2, 13):
+            for k in range(1, n):
+                box = Box(k, n)
+                lams = staircases_of(box)
+                got = staircase._twist_columns_exact(box)
+                assert got == [(lam, is_k_exact(build_staircase(box, lam))) for lam in lams]
+                assert all(exact for _, exact in got), box
+
+    @pytest.mark.parametrize("k,n", [(4, 8), (7, 10)])
+    def test_one_twist_entry_moved_fails_its_column(self, k, n):
+        # the boxes whose field width the exact bound shrinks most: moving any
+        # one entry of any full-first-row column of T by 1 fails that column
+        # alone
+        box = Box(k, n)
+        _ctx.cache_clear()
+        ctx = _ctx(box)
+        honest = ctx.twist
+        try:
+            for lam in staircases_of(box):
+                col = ctx.index[lam.parts]
+                for entry, (row, v) in enumerate(honest[col]):
+                    for step in (1, -1):
+                        moved = list(honest[col])
+                        moved[entry] = (row, v + step)
+                        vars(ctx)["twist"] = (*honest[:col], tuple(moved), *honest[col + 1 :])
+                        got = staircase._twist_columns_exact(box)
+                        assert [d for d, exact in got if not exact] == [lam], (lam, entry, step)
+        finally:
+            _ctx.cache_clear()
 
 
 class TestThetaStaircase:
