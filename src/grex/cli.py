@@ -31,7 +31,7 @@ from .diagrams import (
     orbits,
     residual_rank,
 )
-from .ktheory import _ctx, fullness_determinant, residual_report
+from .ktheory import _ctx, _fullness_sign, fullness_determinant, residual_report
 from .lefschetz import fonarev, gram, kapranov
 from .staircase import (
     _twist_columns_exact,
@@ -272,6 +272,12 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
     and twist matrix T from the per-box context of `ktheory`, so each is
     computed once per report; the staircase stage checks the T that the
     residual and fullness stages read.
+
+    When the Gram and staircase stages both pass, the Fonarev classes C
+    satisfy det(C)^2 = 1 (`ktheory` module docstring), and the fullness stage
+    reads det C mod 3 for its sign.  Otherwise, or when that residue is 0,
+    it eliminates over Z, as `grex fullness` and `grex residual` always do.
+    On a pass both routes give the same det, +-1.
     """
 
     stages: dict[str, dict] = {}
@@ -372,7 +378,13 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
         return out
 
     def stage_fullness():
-        det = fullness_determinant(box)
+        # both verdicts pass: det^2 = 1, so det mod 3 is the sign; 0 there
+        # means the stages contradict each other, and the exact route decides
+        det = 0
+        if stages["gram_fonarev"]["verdict"] == stages["staircase"]["verdict"] == "pass":
+            det = _fullness_sign(box)
+        if not det:
+            det = fullness_determinant(box)
         return {
             "verdict": "pass" if abs(det) == 1 else "fail",
             "det": det,

@@ -87,10 +87,6 @@ class StaircaseComplex:
         combo.append((sign, self.tail.weight, self.tail.twist))
         return combo
 
-    def k_class_combination(self) -> list[tuple[int, TwistedSchur]]:
-        """Signed class coefficients, head first, with the bundle of each term."""
-        return [(c, TwistedSchur(w, t, self.box)) for c, w, t in self.k_class_terms()]
-
     def to_json(self, k_exact: bool | None = None) -> dict:
         if k_exact is None:
             k_exact = is_k_exact(self)

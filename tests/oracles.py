@@ -306,3 +306,42 @@ def uncut_gram(objects, mode: str = "euler", violations_only: bool = False):
                 if table[d] != (d == 0)
             ]
     return GramResult(entries=entries, violations=tuple(violations))
+
+
+def signed_step(box: Box, parts: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """One step of the signed Z/n action: (sign, step(parts)), the sign
+    (-1)^(n-k) on a full first row and 1 elsewhere.  Read from
+    `diagrams._step` alone; mod p it is the column of T when p divides every
+    C(n, c) with 0 < c < n, as for n = p^a."""
+    from grex.diagrams import _step
+
+    sign = (-1) ** box.width if parts[0] == box.width else 1
+    return sign, _step(parts, box.width)
+
+
+def signed_step_det(box: Box) -> int:
+    """det S, where row (lam, i) of S, over the Fonarev objects in collection
+    order, is (-1)^((n-k) f) e_{step^i lam}, f the full first rows among the
+    first i steps: a signed permutation matrix, so its determinant is the
+    product of the signs times the sign of the permutation."""
+    from grex.diagrams import enumerate_diagrams
+    from grex.lefschetz import fonarev
+
+    index = {d.parts: i for i, d in enumerate(enumerate_diagrams(box, "all"))}
+    det, perm = 1, []
+    for obj in fonarev(box).objects:
+        parts = obj.bundle.weight
+        for _ in range(obj.bundle.twist):
+            sign, parts = signed_step(box, parts)
+            det *= sign
+        perm.append(index[parts])
+    if sorted(perm) != list(range(len(index))):
+        return 0
+    cycles, seen = 0, set()
+    for i in range(len(perm)):  # a permutation with c cycles has sign (-1)^(N-c)
+        if i not in seen:
+            cycles += 1
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return det * (-1) ** (len(perm) - cycles)

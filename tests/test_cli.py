@@ -29,6 +29,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The modulus of every `ktheory._sparse_det` call; None is the exact route."""
+    from grex import ktheory
+
+    calls, det = [], ktheory._sparse_det
+    monkeypatch.setattr(
+        ktheory, "_sparse_det", lambda rows, modulus=None: calls.append(modulus) or det(rows, modulus)
+    )
+    return calls
+
+
 class TestDiagramsAndOrbits:
     def test_diagrams_json(self, capsys):
         code, out, _ = run(
@@ -389,10 +401,11 @@ class TestReport:
         assert stage["staircases_checked"] == comb(7, 3)
 
     @pytest.mark.parametrize("entry", [0, -1])
-    def test_planted_twist_entry_fails_the_staircase_stage(self, capsys, entry):
+    def test_planted_twist_entry_fails_the_staircase_stage(self, capsys, entry, eliminations):
         # +1 on one entry of column lam of the twist T, the matrix that the
         # residual and fullness stages read: the staircase stage checks T
-        # itself, so it fails for lam alone
+        # itself, so it fails for lam alone, and the fullness stage takes
+        # the exact route
         from grex import ktheory
         from grex.diagrams import Box
 
@@ -414,6 +427,7 @@ class TestReport:
         assert stage["verdict"] == "fail"
         assert stage["k_exact_failures"] == [list(lam)]
         assert stage["staircases_checked"] == comb(7, 3)
+        assert eliminations == [None]
 
     def test_planted_weight_out_of_the_box_recorded(self, capsys, monkeypatch):
         # a middle weight off the box would reach the zero test as a missing
@@ -527,6 +541,63 @@ class TestReport:
                     continue
                 assert not (isinstance(value, dict) and value), f"{name}.{attr}"
                 assert not hasattr(value, "cache_info"), f"{name}.{attr}"
+
+
+class TestFullnessRoute:
+    """The report's fullness stage reads det C mod 3 only when the Gram and
+    staircase stages both pass; otherwise, and when that residue is 0, it
+    eliminates over Z, as `grex fullness` and `grex residual` always do."""
+
+    def report(self, capsys):
+        code, out, _ = run(capsys, "report", "--k", "4", "--n", "8", "--format", "json")
+        return code, json.loads(out)
+
+    def test_passing_report_takes_the_mod_3_route(self, capsys, eliminations):
+        code, data = self.report(capsys)
+        assert code == 0
+        assert data["stages"]["fullness"] == {"verdict": "pass", "det": -1}
+        assert eliminations == [3]
+
+    def test_planted_gram_violation_takes_the_exact_route(self, capsys, monkeypatch, eliminations):
+        import dataclasses
+
+        import grex.cli as cli
+        from grex.lefschetz import Violation
+
+        real = cli.gram
+
+        def planted(objects, **kwargs):
+            result = real(objects, **kwargs)
+            return dataclasses.replace(result, violations=(*result.violations, Violation(1, 0, 0, 1)))
+
+        monkeypatch.setattr(cli, "gram", planted)
+        code, data = self.report(capsys)
+        assert code == 1
+        assert data["stages"]["gram_fonarev"]["verdict"] == "fail"
+        assert data["stages"]["staircase"]["verdict"] == "pass"
+        assert data["stages"]["fullness"] == {"verdict": "pass", "det": -1}
+        assert eliminations == [None]
+
+    @pytest.mark.parametrize("k,n", [(4, 8), (4, 11)])
+    def test_zero_residue_falls_back_to_the_exact_route(self, capsys, monkeypatch, eliminations, k, n):
+        # both stages pass, so det mod 3 is never 0; forced to 0, the stage
+        # takes the exact determinant, and the payload is unchanged
+        import grex.cli as cli
+
+        argv = ("report", "--k", str(k), "--n", str(n), "--format", "json")
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0 and eliminations == [3]
+        eliminations.clear()
+        monkeypatch.setattr(cli, "_fullness_sign", lambda box: 0)
+        assert run(capsys, *argv)[:2] == (0, expected)
+        assert eliminations == [None]
+
+    @pytest.mark.parametrize("command", ["fullness", "residual"])
+    def test_commands_without_a_gram_stage_stay_exact(self, capsys, eliminations, command):
+        code, out, _ = run(capsys, command, "--k", "4", "--n", "8", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["fullness_det" if command == "residual" else "det"] == -1
+        assert eliminations == [None]
 
 
 class TestOnePassPerBox:

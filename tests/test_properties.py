@@ -324,7 +324,8 @@ def combinations(draw):
             negation.append((-p, TwistedSchur(tuple(x + m for x in w), t - m, box)))
     lam = draw(st.sampled_from([w for w in diagrams if w[0] == box.width]))
     s = draw(coefs)
-    negation += [(s * c, e) for c, e in build_staircase(box, BoxedDiagram(lam, box)).k_class_combination()]
+    sc = build_staircase(box, BoxedDiagram(lam, box))
+    negation += [(s * c, TwistedSchur(w, t, box)) for c, w, t in sc.k_class_terms()]
     return box, terms, draw(st.permutations(negation))
 
 
@@ -376,3 +377,10 @@ def sparse_matrices(draw):
 def test_sparse_det_against_bareiss(m):
     rows = [{j: v for j, v in enumerate(row) if v} for row in m]
     assert _sparse_det(rows) == _bareiss_det([list(row) for row in m])
+
+
+@settings(PROPERTY, max_examples=300)
+@given(sparse_matrices())
+def test_sparse_det_mod_3_against_bareiss(m):
+    rows = [{j: r for j, v in enumerate(row) if (r := (v + 1) % 3 - 1)} for row in m]
+    assert _sparse_det(rows, 3) == (_bareiss_det([list(row) for row in m]) + 1) % 3 - 1
