@@ -271,7 +271,10 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
     The stages read the box's orbits, Fonarev collection, primitive block
     and twist matrix T from the per-box context of `ktheory`, so each is
     computed once per report; the staircase stage checks the T that the
-    residual and fullness stages read.
+    residual and fullness stages read, all its full-first-row columns in one
+    transposed pass with no pairing table.  Only the theta staircase, the
+    residual stage and the G(4,8) fixture build the table, so a report with
+    gcd(k, n) = 1 builds none.
 
     When the Gram and staircase stages both pass, the Fonarev classes C
     satisfy det(C)^2 = 1 (`ktheory` module docstring), and the fullness stage

@@ -14,7 +14,7 @@ staircase resolution of Sigma^lam U*, twisted by O(1), gives
 
 over its non-head terms, and every mu+s+1 is a box diagram.  So
 [Sigma^lam U*(i)] = T^i e_lam for i >= 0.  `grex report` checks T itself
-on the Euler-pairing route below: O(1) acts on K_0 by an automorphism and
+by the batched zero test below: O(1) acts on K_0 by an automorphism and
 the head coefficient is 1, so [Sigma^lam U*] - sum T[kappa, lam]
 [Sigma^kappa U*(-1)] vanishes exactly when lam's staircase is K-exact, and
 merging terms only lowers its sum |coef|, which stays at most 2^n <= cap.
@@ -79,6 +79,28 @@ row; cap >= 2^n covers the staircase of every lam with a full first row
 of T.  Any other combination takes the slow path: its table rows are merged
 by source and decoded exactly (`_Ctx.decode`, below), the deep rows added
 unpacked, and every field tested.  The Kapranov Gram matrix is the t = 0 rows.
+
+A batch of relations needs no table.  The build is X = P U, with U the unit
+rows and P the product of the updates x[i] += x[up] of `strip_product`.  A
+relation c over the sources vanishes exactly when c^T G = (P^T c)^T U is 0,
+and row kappa + 1 of U is e_kappa (the rows with sigma_{k-1} = 0 are 0), so
+exactly when v = P^T c is 0 at every source kappa + 1.  P^T is the same
+updates transposed, v[up] += v[i], in the opposite order: n rounds of the
+strips from row k-1 to row 0, each pair list reversed
+(`_Ctx.strip_transpose`; the transposition principle, Buergisser, Clausen
+and Shokrollahi, *Algebraic Complexity Theory*, 13.1).  `_vanish_batch`
+packs relation q in field q at width B, so one pass over C(n+1,k) ints runs
+the whole batch.  The packed ints are exact and the pass is linear, so each
+one stays sum_q v_q[sigma] 2^(B q), even where a field outgrows 2^(B-1)
+part-way through.  Only the final read needs the bound: field q at kappa + 1
+is (c_q^T G)[kappa], at most S M < 2^(B-1) in absolute value when
+S = sum |coef| <= cap, as above.  So a read is 0 exactly when all its fields
+are, and a nonzero read, biased by 2^(B-1) per field and split by one
+`to_bytes` as in `decode`, names its failing relations.  A relation with a
+deep term or with S > cap is refused.  The report's staircase stage checks
+all C(n-1,k-1) full-first-row columns of T in one batch; the calls that
+check one relation each (`is_zero_combination`, `is_k_exact`, the theta
+staircase, the G(4,8) fixture) and the residual covectors read the table.
 
 A normal form with t <= -2 needs sigma outside the wider box.  Its row is
 one Jacobi-Trudi determinant det[h_{lam_i - a_j - i + j}(1^n)] per entry,
@@ -307,6 +329,19 @@ class _Ctx:
                 for i, up in pairs:
                     x[i] += x[up]
         return x
+
+    def strip_transpose(self, v: list[int]) -> list[int]:
+        """(H^T)^n v, in place: the exact transpose of `strip_product`, its
+        updates in the opposite order, each x[i] += x[up] taken as
+        v[up] += v[i]: n rounds of the strips from row k-1 to row 0, each
+        from its last pair to its first.  `_vanish_batch` applies it to one
+        packed field per relation."""
+        strips = self.strips[::-1]
+        for _ in range(self.box.n):
+            for pairs in strips:
+                for i, up in reversed(pairs):
+                    v[up] += v[i]
+        return v
 
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
@@ -572,6 +607,51 @@ def _vanishes(box: Box, terms: list[tuple[int, tuple[int, ...], int]]) -> bool:
     for coef, w, t in deep:
         total = list(map(add, total, map(coef.__mul__, ctx.row(w, t))))
     return not any(total)
+
+
+def _vanish_batch(
+    box: Box, relations: list[list[tuple[int, tuple[int, ...], int]]]
+) -> list[bool]:
+    """For each relation, a list of (coef, w, t) terms, whether
+    sum coef * [Sigma^w U*(t)] vanishes in K_0: the verdicts of `_vanishes`,
+    from one transposed pass and no table (module docstring).
+
+    Relation q is packed in field q at width B: each coef at bit B q of the
+    entry of its source sigma = w + t + 1.  After `strip_transpose`, field q
+    of the entry at kappa + 1 is (c_q^T G)[kappa], and the relation vanishes
+    exactly when that field is 0 at every basis kappa.  A read is 0 exactly
+    when all its fields are; a nonzero read is biased by 2^(B-1) in every
+    field and split by one `to_bytes`, which names its failing relations.
+
+    Every term must fit the pairing rows and be a table row
+    (w_{k-1} + t >= -1), and every relation must have sum |coef| <= cap,
+    whatever its coefficients; otherwise ValueError.
+    """
+    ctx = _ctx(box)
+    width, sources, bits = box.width, ctx.sources, ctx.bits
+    v = [0] * len(sources)
+    for q, terms in enumerate(relations):
+        shift, weight = bits * q, 0
+        for coef, w, t in terms:
+            if max(w[0] + t, w[0] - w[-1]) > width:
+                raise ValueError(f"bundle {TwistedSchur(w, t, box)} does not fit the pairing rows")
+            if w[-1] + t < -1:
+                raise ValueError(f"bundle {TwistedSchur(w, t, box)} is not a table row")
+            weight += abs(coef)
+            # a term at t = -1, as every column of T but its head, is its own source
+            v[sources[w if t == -1 else tuple(map((t + 1).__add__, w))]] += coef << shift
+        if weight > ctx.cap:
+            raise ValueError(f"relation {q} has sum |coef| = {weight} > cap = {ctx.cap}")
+    ctx.strip_transpose(v)
+    size, count = bits // 8, len(relations)
+    zero = bytes(size - 1) + b"\x80"  # the field 0 biased by 2^(B-1), little-endian
+    bias = int.from_bytes(zero * count, "little")
+    failed: set[int] = set()
+    for s, r in zip(sources, v):  # the sources with s_{k-1} >= 1 are the kappa + 1
+        if r and s[-1]:
+            raw = (r + bias).to_bytes(size * count, "little")
+            failed.update(q for q in range(count) if raw[q * size : (q + 1) * size] != zero)
+    return [q not in failed for q in range(count)]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,10 @@ maps.  No differentials are constructed.
 complex from it, and `_terms` the triples of `k_class_terms` with no complex,
 from which the twist T in K_0 is built.  `grex report` checks T itself
 (`_twist_columns_exact`): column lam untwisted is a relation exactly when
-lam's staircase is K-exact, with sum |coef| at most 2^n <= cap (`ktheory`).
+lam's staircase is K-exact, with sum |coef| at most 2^n <= cap, and all
+C(n-1,k-1) columns go to one transposed pass that builds no pairing table
+(`ktheory._vanish_batch`).  `is_k_exact` checks one complex against the
+table.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .diagrams import (
     _step,
     theta,
 )
-from .ktheory import _ctx, _vanishes, is_zero_combination
+from .ktheory import _ctx, _vanish_batch, _vanishes, is_zero_combination
 from .schur import check_weight, dimension
 
 __all__ = [
@@ -150,11 +153,11 @@ def _twist_columns_exact(box: Box) -> list[tuple[BoxedDiagram, bool]]:
     when lam's staircase is K-exact (`ktheory` module docstring)."""
     ctx = _ctx(box)
     twist, weights = ctx.twist, ctx.weights
-    return [
-        (d, _vanishes(box, [(1, w, 0), *((-v, weights[j], -1) for j, v in twist[i])]))
-        for i, (d, w) in enumerate(zip(ctx.diagrams, weights))
-        if w[0] == box.width
-    ]
+    full = [i for i, w in enumerate(weights) if w[0] == box.width]
+    verdicts = _vanish_batch(
+        box, [[(1, weights[i], 0), *((-v, weights[j], -1) for j, v in twist[i])] for i in full]
+    )
+    return [(ctx.diagrams[i], exact) for i, exact in zip(full, verdicts)]
 
 
 def is_k_exact(sc: StaircaseComplex) -> bool:

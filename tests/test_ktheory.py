@@ -1099,3 +1099,57 @@ class TestZeroCombination:
         assert sum(c * ctx.packed(e.weight, e.twist) for c, e in combo) == 0
         assert not is_zero_combination(box, combo)
         assert ctx.bits == b and builds == [b]
+
+
+class TestVanishBatch:
+    """The batched zero test: one transposed pass, one field per relation."""
+
+    def test_verdicts_without_a_table(self, builds):
+        # zero and nonzero relations side by side, the first and the last
+        # field among the failures, each named by its own field
+        box = Box(2, 4)
+        sc = build_staircase(box, BoxedDiagram((2, 1), box))
+        zero = sc.k_class_terms()
+        off = [(zero[0][0] - 1, *zero[0][1:]), *zero[1:]]
+        relations = [off, zero, [], [(3, (1, 1), -1), (-3, (0, 0), 0)], [(1, (1, 0), 0)]]
+        assert ktheory._vanish_batch(box, relations) == [False, True, True, True, False]
+        assert ktheory._vanish_batch(box, []) == []
+        assert builds == []
+        assert [ktheory._vanishes(box, r) for r in relations] == [False, True, True, True, False]
+
+    def test_bad_input_refused(self, builds):
+        # a deep term, a term off the pairing rows and a relation past cap
+        # are refused as ValueError, whatever their coefficients
+        box = Box(2, 4)
+        cap = _ctx(box).cap
+        good = [(1, (1, 0), 0)]
+        for bad in (
+            [(0, (1, 0), -2)],
+            [(1, (2, 1), -3)],
+            [(0, (3, 0), 0)],
+            [(cap, (1, 0), 0), (-1, (1, 0), 0)],
+        ):
+            with pytest.raises(ValueError):
+                ktheory._vanish_batch(box, [good, bad])
+        assert ktheory._vanish_batch(box, [[(cap, (1, 0), 0)]]) == [False]
+        assert builds == []
+
+    @pytest.mark.parametrize("k,n", [(1, 4), (2, 4), (2, 5)])
+    def test_dual_classes_fail_at_one_read(self, builds, k, n):
+        # the class x_i with x_i^T G = e_i, solved on the oracle's Gram
+        # matrix, pairs to zero with every basis kappa but kappa_i: each is
+        # seen at its one read, kappa_i + 1, whether or not kappa_i ends in 0,
+        # and named alone among zero relations
+        box = Box(k, n)
+        ws = _ctx(box).weights
+        g = [[jacobi_trudi_oracle(n, a, b) for b in ws] for a in ws]
+        duals = []
+        for i in range(len(ws)):
+            x = []
+            for j in range(len(ws)):
+                x.append((j == i) - sum(x[m] * g[m][j] for m in range(j)))
+            duals.append([(c, w, 0) for c, w in zip(x, ws) if c])
+        zero = [(1, ws[0], 0), (-1, (1,) * k, -1)]  # O = Sigma^(1..1)U*(-1)
+        batch = [r for d in duals for r in (zero, d)]
+        assert ktheory._vanish_batch(box, batch) == [True, False] * len(ws)
+        assert builds == []

@@ -20,6 +20,8 @@ from grex.ktheory import (
     _ctx,
     _Ctx,
     _sparse_det,
+    _vanish_batch,
+    _vanishes,
     class_of,
     euler_pairing,
     is_zero_combination,
@@ -362,6 +364,49 @@ def test_zero_combination_against_dense_rows(case):
     assert not any(dense_sum(box, zero)) and any(dense_sum(box, nonzero))
     for combo in (terms, zero, nonzero):
         assert is_zero_combination(box, combo) == (not any(dense_sum(box, combo)))
+
+
+@st.composite
+def relation_batches(draw):
+    """A box and a batch of 1 to 6 relations of table rows (w_{k-1} + t >= -1):
+    the staircase of a diagram with a full first row times -1, 0 or 1, plus
+    up to three terms and their negations on shifted weights, in a drawn
+    order, and in about half of them one coefficient moved by 1."""
+    box = draw(boxes())
+    diagrams = [d.parts for d in enumerate_diagrams(box, "all")]
+    full = [BoxedDiagram(w, box) for w in diagrams if w[0] == box.width]
+    batch = []
+    for _ in range(draw(st.integers(1, 6))):
+        s = draw(st.integers(-1, 1))
+        sc = build_staircase(box, draw(st.sampled_from(full)))
+        terms = [(s * c, w, t) for c, w, t in sc.k_class_terms()]
+        for _ in range(draw(st.integers(0, 3))):
+            w = draw(st.sampled_from(diagrams))
+            t = draw(st.integers(-1 - w[-1], box.width - w[0]))
+            c, m = draw(st.integers(-3, 3)), draw(st.integers(-2, 2))
+            terms += [(c, w, t), (-c, tuple(x + m for x in w), t - m)]
+        terms = draw(st.permutations(terms))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(terms) - 1))
+            c, w, t = terms[i]
+            terms[i] = (c + draw(st.sampled_from([-1, 1])), w, t)
+        batch.append(terms)
+    return box, batch
+
+
+@PROPERTY
+@given(relation_batches())
+def test_vanish_batch_against_dense_rows(case):
+    # each verdict of the one transposed pass against the dense oracle rows
+    # and against the table route, relation by relation: a nonzero field
+    # neither hides nor spills into its neighbours
+    box, batch = case
+    assert all(sum(abs(c) for c, _, _ in r) <= _ctx(box).cap for r in batch)
+    oracle = [
+        not any(dense_sum(box, [(c, TwistedSchur(w, t, box)) for c, w, t in r])) for r in batch
+    ]
+    assert _vanish_batch(box, batch) == oracle
+    assert [_vanishes(box, r) for r in batch] == oracle
 
 
 @st.composite
