@@ -245,10 +245,8 @@ def cmd_residual(args) -> int:
         # a chain that fails the semiorthogonality check is a failed verdict
         return _fail(str(exc), 1)
     payload = report.to_json()
-    ok = report.gram_is_identity and report.tau_all_ok
-    ok = ok and len(report.residual_classes) == residual_rank(box)
     payload["fullness_det"] = fullness_determinant(box)
-    payload["pass"] = ok
+    payload["pass"] = ok = report.passes
     _emit(payload, args, csv_rows=[list(r) for r in report.residual_gram])
     return 0 if ok else 1
 
@@ -367,17 +365,11 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
         return out
 
     def stage_residual():
-        rank = residual_rank(box)
-        if rank == 0:
+        if residual_rank(box) == 0:
             return {"verdict": "pass", "residual_rank": 0, "note": "residual rank is zero"}
         report = residual_report(box)
-        ok = (
-            report.gram_is_identity
-            and report.tau_all_ok
-            and len(report.residual_classes) == rank
-        )
         out = report.to_json()
-        out["verdict"] = "pass" if ok else "fail"
+        out["verdict"] = "pass" if report.passes else "fail"
         return out
 
     def stage_fullness():

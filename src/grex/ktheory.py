@@ -72,13 +72,15 @@ mod 2^(B (N-kappa)).
 
 So the one zero test, `_vanishes`, behind `is_zero_combination` and the
 staircase checks, reads the row of each term Sigma^w U*(t) by its source
-sigma = w + t + 1, the source of its normal form too, and sums coef times
-the packed rows as big integers when S <= cap and every term is a table
-row; cap >= 2^n covers the staircase of every lam with a full first row
-(coefficients +-1 and +-C(n, c) for distinct 0 < c < n), and so its column
-of T.  Any other combination takes the slow path: its table rows are merged
-by source and decoded exactly (`_Ctx.decode`, below), the deep rows added
-unpacked, and every field tested.  The Kapranov Gram matrix is the t = 0 rows.
+sigma = w + t + 1, the source of its normal form too (`_sources`, the one
+term reader, which also refuses a term that does not fit), and sums coef
+times the packed rows as big integers when S <= cap and every term is a
+table row; cap >= 2^n covers the staircase of every lam with a full first
+row (coefficients +-1 and +-C(n, c) for distinct 0 < c < n), and so its
+column of T.  Any other combination takes the slow path: its table rows are
+merged by source and decoded exactly (`_Ctx.decode`, below), the deep rows
+added unpacked, and every field tested.  The Kapranov Gram matrix is the
+t = 0 rows.
 
 A batch of relations needs no table.  The build is X = P U, with U the unit
 rows and P the product of the updates x[i] += x[up] of `strip_product`.  A
@@ -110,13 +112,14 @@ as one row, unpacked, and its entries may exceed M.
 All per-box state lives on one context, `_ctx(box)`, and only the box used
 last is kept, so a sweep over many boxes frees each one when it moves on.
 The context holds the basis diagrams, the sparse twist matrix, the packed
-table and the unpacked rows; each stage computes the classes T^i e_lam it
-reads, once per orbit (`_Ctx.twisted_classes`).  It also holds the skeleton
-that `grex report` verifies, each computed once per box and read only:
-`orbits`, the tuple `orbits(box)`; and `fonarev` and `block`, the Fonarev
-collection and the primitive block built from that tuple.  The dense
-`gram`, every t = 0 row unpacked and its diagonal checked, is only for
-`kapranov_gram` and `class_of`.
+table and the Jacobi-Trudi rows, the only rows it stores unpacked; each
+stage computes the classes T^i e_lam it reads, once per orbit, by the one
+twist loop (`_Ctx.twisted_classes`, exact or mod 3).  It also holds the
+skeleton that `grex report` verifies, each computed once per box and read
+only: `orbits`, the tuple `orbits(box)`; and `fonarev` and `block`, the
+Fonarev collection and the primitive block built from that tuple.  It holds
+no dense Gram matrix: `kapranov_gram` and `class_of` read Gram row i as the
+covector of e_i, as every pairing does.
 
 Inside the module a class is sparse, {basis index: coefficient}: the twist,
 the pairing and the checked Gram-Schmidt projection act on that form.  A
@@ -160,9 +163,9 @@ runs from a later object to an earlier one and each object has Hom = k, so
 G_F is unitriangular too.  Then det(C)^2 = det G_F / det G_K = 1, and for an
 odd prime p the residue of det C mod p, 1 or p - 1, fixes its sign.
 `_fullness_sign` takes p = 3.  It reduces T mod 3 once and builds the
-classes from it, one twist pass per orbit.  By Lucas's theorem 3 divides
-C(n, c) unless each base-3 digit of c is at most that of n, so most middle
-staircase terms vanish mod 3; for n = 3^a none is left, and T mod 3 is a
+classes from it by the same twist loop, one pass per orbit.  By Lucas's
+theorem 3 divides C(n, c) unless each base-3 digit of c is at most that of
+n, so most middle staircase terms vanish mod 3; for n = 3^a none is left, and T mod 3 is a
 signed permutation.  The one elimination loop, `_sparse_det`, then runs on
 least absolute residues -1, 0 and 1: every live entry is a pivot, and no
 row is deferred.  The report takes this route only when both of those
@@ -189,6 +192,7 @@ from .diagrams import (
     _ascending_parts,
     enumerate_diagrams,
     orbits,
+    residual_rank,
 )
 from .lefschetz import CollectionObject, LefschetzCollection, _fonarev, _primitive_block
 
@@ -217,7 +221,7 @@ class _Ctx:
         self.diagrams = tuple(enumerate_diagrams(box, "all"))
         self.weights = tuple(d.parts for d in self.diagrams)
         self.index = {w: i for i, w in enumerate(self.weights)}
-        self.chis: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}  # (a, t) -> row
+        self.chis: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}  # (a, t <= -2) -> row
         # the sources sigma of the table: the box one column wider
         self.sources = {s: i for i, s in enumerate(_ascending_parts(box.k, box.width + 1))}
         # M, the largest row sum of the table, which bounds every entry and
@@ -253,20 +257,21 @@ class _Ctx:
         """chi(Sigma^a U*(t), Sigma^kappa U*) for every basis kappa, in order,
         where a_0 + t and a_0 - a_{k-1} are at most n-k.
 
-        The row is stored once, under the normal form (a', t') of the bundle.
-        With t' >= -1 it is entry sigma = a' + t' + 1 of the table G = H^n,
-        n rounds of k one-row suffix sums over the box one column wider,
-        unpacked: entry kappa is s_{(kappa+1)/sigma}(1^n), at most the
-        largest row sum M < 2^(B-1), so no B-bit field carries.  The int
-        holds the fields lo..N-1 only, high field first, and only those are
-        converted (`decode`).  With t' <= -2 it is one Jacobi-Trudi
-        determinant per entry (`deep_row`).
+        It is read under the normal form (a', t') of the bundle.  With
+        t' >= -1 it is entry sigma = a' + t' + 1 of the table G = H^n, n
+        rounds of k one-row suffix sums over the box one column wider,
+        decoded and not stored: entry kappa is s_{(kappa+1)/sigma}(1^n), at
+        most the largest row sum M < 2^(B-1), so no B-bit field carries.
+        The int holds the fields lo..N-1 only, high field first, and only
+        those are converted (`decode`).  With t' <= -2 it is one Jacobi-Trudi
+        determinant per entry (`deep_row`), stored once in `chis`.
         """
         a, t = normal_form(a, t)
+        if t >= -1:
+            return tuple(self.decode([(1, self.packed(a, t))]))
         r = self.chis.get((a, t))
         if r is None:
-            r = tuple(self.decode([(1, self.packed(a, t))])) if t >= -1 else self.deep_row(a, t)
-            self.chis[a, t] = r
+            r = self.chis[a, t] = self.deep_row(a, t)
         return r
 
     def deep_row(self, a: tuple[int, ...], t: int) -> tuple[int, ...]:
@@ -284,7 +289,7 @@ class _Ctx:
     def packed(self, a: tuple[int, ...], t: int) -> int:
         """The table row of a normal form (a, t) with t >= -1, packed at width
         B, high field first: entry kappa at bit B (N-1-kappa)."""
-        return self.table[self.sources[tuple(x + t + 1 for x in a)]]
+        return self.table[_sources(self, [(1, a, t)])[0]]
 
     @cached_property
     def strips(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -342,14 +347,6 @@ class _Ctx:
                 for i, up in reversed(pairs):
                     v[up] += v[i]
         return v
-
-    @cached_property
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        """The Kapranov Gram matrix, every t = 0 row unpacked, its unit
-        diagonal checked by `gram_packed`."""
-        for i in range(len(self.weights)):
-            self.gram_packed(i)
-        return tuple(self.row(w, 0) for w in self.weights)
 
     def gram_packed(self, i: int) -> int:
         """Gram row i packed, read from the table with its unit diagonal checked:
@@ -424,16 +421,16 @@ class _Ctx:
             cols.append(tuple(col.items()))
         return tuple(cols)
 
-    def twisted_classes(self, w: tuple[int, ...], count: int) -> list[dict[int, int]]:
-        """T^i e_w = [Sigma^w U*(i)] for 0 <= i < count, fresh sparse dicts: count - 1 twists."""
+    def twisted_classes(
+        self, w: tuple[int, ...], count: int, twist=None, modulus: int | None = None
+    ) -> list[dict[int, int]]:
+        """T^i e_w = [Sigma^w U*(i)] for 0 <= i < count, fresh sparse dicts:
+        count - 1 twists; with a modulus, mod it, by the twist given mod it."""
+        twist = twist or self.twist
         out = [{self.index[w]: 1}]
         for _ in range(count - 1):
-            out.append(self.apply_twist(out[-1]))
+            out.append(_twist_sum(twist, out[-1], modulus))
         return out[:count]
-
-    def apply_twist(self, x: dict[int, int]) -> dict[int, int]:
-        """The class of x (x) O(1)."""
-        return {i: v for i, v in _twist_sum(self.twist, x).items() if v}
 
     def check_semiorthogonal(self, projectors: list[dict[int, int]]) -> list[list[int]]:
         """Raise ValueError unless the list is Euler-unitriangular; return the
@@ -484,13 +481,31 @@ class _Ctx:
         return tuple(x.get(i, 0) for i in range(len(self.weights)))
 
 
-def _twist_sum(twist, x: dict[int, int]) -> dict[int, int]:
-    """T x for the columns of a twist matrix as (row, coefficient) pairs,
-    zero entries included."""
+def _twist_sum(twist, x: dict[int, int], modulus: int | None = None) -> dict[int, int]:
+    """T x, its nonzeros, for the columns of a twist matrix as (row,
+    coefficient) pairs: the one twist step.  With an odd modulus, its
+    nonzero least absolute residues."""
     out: dict[int, int] = {}
     for j, xj in x.items():
         for i, c in twist[j]:
             out[i] = out.get(i, 0) + xj * c
+    return _residues(out, modulus) if modulus else {i: v for i, v in out.items() if v}
+
+
+def _sources(ctx: _Ctx, terms: list[tuple[int, tuple[int, ...], int]]) -> list[int | None]:
+    """The table source sigma = w + t + 1 of each (coef, w, t) term
+    Sigma^w U*(t), the source of its normal form too, or None for a deep
+    term (w_{k-1} + t < -1), whose row is no table entry.  ValueError unless
+    every term fits the pairing rows."""
+    width, sources, out = ctx.box.width, ctx.sources, []
+    for _, w, t in terms:
+        if max(w[0] + t, w[0] - w[-1]) > width:
+            raise ValueError(f"bundle {TwistedSchur(w, t, ctx.box)} does not fit the pairing rows")
+        if w[-1] + t < -1:
+            out.append(None)
+        else:
+            # a term at t = -1, as every column of T but its head, is its own source
+            out.append(sources[w if t == -1 else tuple(map((t + 1).__add__, w))])
     return out
 
 
@@ -510,27 +525,23 @@ def basis(box: Box) -> tuple[BoxedDiagram, ...]:
 
 
 def kapranov_gram(box: Box) -> tuple[tuple[int, ...], ...]:
-    """Gram matrix chi(Sigma^lam U*, Sigma^mu U*) over the basis; unit diagonal."""
-    return _ctx(box).gram
+    """Gram matrix chi(Sigma^lam U*, Sigma^mu U*) over the basis, read by `covector`."""
+    ctx = _ctx(box)
+    return tuple(tuple(ctx.covector({i: 1})) for i in range(len(ctx.weights)))
 
 
 def class_of(e: TwistedSchur) -> KClass:
-    """Coordinates of [E] in the Kapranov basis via the triangular solve."""
+    """Coordinates of [E] in the Kapranov basis via the triangular solve:
+    c_i = chi(e_i, E) - sum_{j > i} G[i, j] c_j, from the last basis index
+    down, each Gram row read through `covector`."""
     box = e.box
-    ws = _ctx(box).weights
-    n = len(ws)
-    b = [euler_char(TwistedSchur(w, 0, box), e) for w in ws]
-    g = kapranov_gram(box)
-    c = [0] * n
-    for i in range(n - 1, -1, -1):
-        s = b[i]
-        gi = g[i]
-        for j in range(i + 1, n):
-            cj = c[j]
-            if cj:
-                s -= gi[j] * cj
-        c[i] = s
-    return tuple(c)
+    ctx = _ctx(box)
+    c: dict[int, int] = {}
+    for i in range(len(ctx.weights) - 1, -1, -1):
+        b = euler_char(TwistedSchur(ctx.weights[i], 0, box), e)
+        if v := b - _dot(ctx.covector({i: 1}), c):
+            c[i] = v
+    return ctx.dense(c)
 
 
 def euler_pairing(box: Box, x: KClass, y: KClass) -> int:
@@ -542,7 +553,7 @@ def euler_pairing(box: Box, x: KClass, y: KClass) -> int:
 def twist_class(box: Box, x: KClass) -> KClass:
     """The class of x (x) O(1)."""
     ctx = _ctx(box)
-    return ctx.dense(ctx.apply_twist(ctx.sparse(x)))
+    return ctx.dense(_twist_sum(ctx.twist, ctx.sparse(x)))
 
 
 def mutate_left(box: Box, projectors: list[KClass], x: KClass) -> KClass:
@@ -587,17 +598,14 @@ def _vanishes(box: Box, terms: list[tuple[int, tuple[int, ...], int]]) -> bool:
     fit the pairing rows, whatever its coefficient; otherwise ValueError.
     """
     ctx = _ctx(box)
-    width, sources = box.width, ctx.sources
     rows, deep, weight = [], [], 0
-    for coef, w, t in terms:
-        if max(w[0] + t, w[0] - w[-1]) > width:
-            raise ValueError(f"bundle {TwistedSchur(w, t, box)} does not fit the pairing rows")
+    for (coef, w, t), i in zip(terms, _sources(ctx, terms)):
         if coef:
             weight += abs(coef)
-            if w[-1] + t < -1:
+            if i is None:
                 deep.append((coef, w, t))
             else:
-                rows.append((coef, sources[tuple(map((t + 1).__add__, w))]))
+                rows.append((coef, i))
     if not deep and weight <= ctx.cap:
         return not sum(coef * ctx.table[i] for coef, i in rows)
     merged: dict[int, int] = {}
@@ -628,18 +636,15 @@ def _vanish_batch(
     whatever its coefficients; otherwise ValueError.
     """
     ctx = _ctx(box)
-    width, sources, bits = box.width, ctx.sources, ctx.bits
+    sources, bits = ctx.sources, ctx.bits
     v = [0] * len(sources)
     for q, terms in enumerate(relations):
         shift, weight = bits * q, 0
-        for coef, w, t in terms:
-            if max(w[0] + t, w[0] - w[-1]) > width:
-                raise ValueError(f"bundle {TwistedSchur(w, t, box)} does not fit the pairing rows")
-            if w[-1] + t < -1:
+        for (coef, w, t), i in zip(terms, _sources(ctx, terms)):
+            if i is None:
                 raise ValueError(f"bundle {TwistedSchur(w, t, box)} is not a table row")
             weight += abs(coef)
-            # a term at t = -1, as every column of T but its head, is its own source
-            v[sources[w if t == -1 else tuple(map((t + 1).__add__, w))]] += coef << shift
+            v[i] += coef << shift
         if weight > ctx.cap:
             raise ValueError(f"relation {q} has sum |coef| = {weight} > cap = {ctx.cap}")
     ctx.strip_transpose(v)
@@ -675,6 +680,12 @@ class ResidualReport:
     @property
     def tau_all_ok(self) -> bool:
         return all(self.tau_orbit_ok)
+
+    @property
+    def passes(self) -> bool:
+        """The verdict of `grex residual` and of the report's residual stage."""
+        rank = residual_rank(self.box)
+        return self.gram_is_identity and self.tau_all_ok and len(self.residual_classes) == rank
 
     def to_json(self) -> dict:
         return {
@@ -722,7 +733,7 @@ def residual_report(box: Box) -> ResidualReport:
             fs.append(ctx.project([chain[q] for q in picks], [covs[q] for q in picks], x))
         residual.extend(fs)
         sign = -1 if sign_exp % 2 else 1
-        polarized = [ctx.project(chain[:width], covs[:width], ctx.apply_twist(x)) for x in fs]
+        polarized = [ctx.project(chain[:width], covs[:width], _twist_sum(ctx.twist, x)) for x in fs]
         tau_ok.append(polarized == fs[1:] + [{j: sign * v for j, v in fs[0].items()}])
 
     gram = tuple(tuple(_dot(c, y) for y in residual) for c in map(ctx.covector, residual))
@@ -848,17 +859,11 @@ def _fonarev_classes(box: Box, modulus: int | None = None) -> list[dict[int, int
     orbit's o(lam) classes from one twist pass.  With a modulus, T is reduced
     mod it once, and so is every class."""
     ctx = _ctx(box)
+    twist = ctx.twist
+    if modulus:
+        twist = [tuple(_residues(dict(col), modulus).items()) for col in twist]
     lengths = {orb.representative.parts: orb.length for orb in ctx.orbits}
-    if modulus is None:
-        classes = {w: ctx.twisted_classes(w, o) for w, o in lengths.items()}
-    else:
-        twist = [tuple(_residues(dict(col), modulus).items()) for col in ctx.twist]
-        classes = {}
-        for w, o in lengths.items():
-            orbit = [{ctx.index[w]: 1}]
-            for _ in range(o - 1):
-                orbit.append(_residues(_twist_sum(twist, orbit[-1]), modulus))
-            classes[w] = orbit
+    classes = {w: ctx.twisted_classes(w, o, twist, modulus) for w, o in lengths.items()}
     rows = [classes[obj.bundle.weight][obj.bundle.twist] for obj in ctx.fonarev.objects]
     if len(rows) != len(ctx.diagrams):
         raise AssertionError("Fonarev collection size does not match rank of K_0")

@@ -37,7 +37,7 @@ from .diagrams import (
     theta,
 )
 from .ktheory import _ctx, _vanish_batch, _vanishes, is_zero_combination
-from .schur import check_weight, dimension
+from .schur import dimension
 
 __all__ = [
     "MembershipLedger",
@@ -122,15 +122,16 @@ def _jumps(box: Box, lam: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
 
 def _terms(box: Box, lam: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...], int], ...]:
     """`build_staircase(box, lam).k_class_terms()` from the jump rule on plain
-    tuples, with no complex built: each middle mu tested in the box, the tail
-    (lam_2, ..., lam_k, 0) at twist -1 tested weakly decreasing."""
+    tuples, with no complex built: lam and each middle mu tested in the box,
+    and the tail at twist -1 by the step rule, as `build_staircase` takes it."""
     k, n, width = box.k, box.n, box.width
+    _check_in_box(lam, k, width)
     out, sign = [(1, lam, 0)], -1
     for c, mu in _jumps(box, lam):
         _check_in_box(mu, k, width)
         out.append((sign * comb(n, c), mu, 0))
         sign = -sign
-    out.append((sign, check_weight((*lam[1:], 0)), -1))
+    out.append((sign, _step(lam, width), -1))
     return tuple(out)
 
 

@@ -378,6 +378,23 @@ class TestReport:
         assert "not semiorthogonal" in residual["error"]
         assert data["stages"]["fullness"]["verdict"] == "pass"
 
+    def test_one_residual_verdict(self, capsys, monkeypatch):
+        # `grex residual` and the report's residual stage read one verdict,
+        # `ResidualReport.passes`: a rank it reads off by one fails both,
+        # while the diagrams stage, which reads its own rank, still passes
+        from grex import ktheory
+
+        rank = ktheory.residual_rank
+        monkeypatch.setattr(ktheory, "residual_rank", lambda box: rank(box) + 1)
+        code, out, _ = run(capsys, "residual", "--k", "3", "--n", "6", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["pass"] is False
+        code, out, _ = run(capsys, "report", "--k", "3", "--n", "6", "--format", "json")
+        assert code == 1
+        stages = json.loads(out)["stages"]
+        assert stages["residual"]["verdict"] == "fail"
+        assert stages["diagrams"]["verdict"] == "pass"
+
     @pytest.mark.parametrize("i,step", [(2, -1), (-1, 1)])
     def test_planted_coefficient_fails_the_staircase_stage(self, capsys, monkeypatch, i, step):
         # no honest box reaches k_exact_failures: move one coefficient of one

@@ -181,6 +181,14 @@ class TestChiPair:
         with pytest.raises(AssertionError, match="Gram diagonal is not 1 at \\(1, 1\\)"):
             kapranov_gram(ctx.box)
 
+    def test_corrupt_diagonal_fails_class_of(self, plant):
+        # class_of reads each Gram row through covector, which checks its
+        # diagonal: a 2 planted there stops the solve
+        plant((1, 1), 0)
+        box = Box(2, 4)
+        with pytest.raises(AssertionError, match="Gram diagonal is not 1 at \\(1, 1\\)"):
+            class_of(ts((0, 0), 0, box))
+
     def test_corrupt_field_fails_a_pairing(self, plant):
         # a pairing reads the packed Gram rows of its first class and checks
         # each diagonal, with the message of the full Gram check; a pairing
@@ -281,10 +289,12 @@ class TestChiPair:
         monkeypatch.setattr(_Ctx, "build_table", lambda self: builds.append(1) or build(self))
         ctx = _Ctx(Box(k, n))
         self.check_row_against_oracles(ctx, a, t)
-        # one table for a normal form with t + m >= -1, none for a deeper one
+        # one table for a normal form with t + m >= -1, none for a deeper one;
+        # a table row is decoded, not stored, and a deeper one is stored once
         assert len(builds) == (t + a[-1] >= -1)
-        assert list(ctx.chis) == [(tuple(x - a[-1] for x in a), t + a[-1])]
-        assert (ctx.row(a, t) is ctx.row(*base)) == (t + a[-1] <= 0)
+        normal = (tuple(x - a[-1] for x in a), t + a[-1])
+        assert list(ctx.chis) == ([normal] if t + a[-1] <= -2 else [])
+        assert (ctx.row(a, t) == ctx.row(*base)) == (t + a[-1] <= 0)
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_one_row_box_against_oracles(self, n):
@@ -575,10 +585,30 @@ class TestContext:
         assert [ctx.dense(x) for x in decoded[chain:]] == list(report.residual_classes)
 
     def test_gram_is_the_untwisted_rows(self):
-        # one copy: the Gram rows are the cached pairing rows themselves
+        # one reader: Gram row i is the covector of e_i, and the pairing row
+        # of its weight at t = 0, neither of them stored
         ctx = _ctx(Box(3, 6))
         g = kapranov_gram(ctx.box)
-        assert all(row is ctx.row(w, 0) for row, w in zip(g, ctx.weights, strict=True))
+        for i, (row, w) in enumerate(zip(g, ctx.weights, strict=True)):
+            assert row == ctx.row(w, 0) == tuple(ctx.covector({i: 1}))
+        assert not ctx.chis
+
+    @pytest.mark.parametrize("k,n", [(2, 5), (3, 6)])
+    def test_gram_readers_keep_no_rows(self, k, n):
+        # class_of and kapranov_gram read the Gram rows packed, through
+        # covector: the context keeps no dense Gram, and its row store holds
+        # the Jacobi-Trudi rows (t <= -2) alone
+        _ctx.cache_clear()
+        box = Box(k, n)
+        ctx = _ctx(box)
+        ctx.row(ctx.weights[0], -2)
+        ctx.row(ctx.weights[-1], -1)
+        kapranov_gram(box)
+        for d in basis(box)[:3]:
+            class_of(ts(d.parts, -1, box))
+        assert _ctx(box) is ctx
+        assert "gram" not in vars(ctx)
+        assert list(ctx.chis) == [(ctx.weights[0], -2)]
 
 
 class TestTwistClass:
@@ -614,10 +644,11 @@ class TestTwistClass:
 
 @pytest.fixture
 def twists(monkeypatch):
-    """A fresh context whose calls of the one twist, `apply_twist`, are counted."""
+    """A fresh context whose calls of the one twist step, `_twist_sum`, are
+    counted, exact and mod 3 alike."""
     calls = []
-    apply = _Ctx.apply_twist
-    monkeypatch.setattr(_Ctx, "apply_twist", lambda self, x: calls.append(1) or apply(self, x))
+    step = ktheory._twist_sum
+    monkeypatch.setattr(ktheory, "_twist_sum", lambda *a: calls.append(1) or step(*a))
     _ctx.cache_clear()
     yield calls
     _ctx.cache_clear()
@@ -644,10 +675,13 @@ class TestTwistedClasses:
     def test_fullness_twists_each_class_once(self, twists, k, n, calls):
         # each orbit's class at twist 0 is a basis vector, and every other
         # Fonarev class is one twist of the class before it, made once:
-        # C(n,k) classes less one per orbit
+        # C(n,k) classes less one per orbit, over Z and mod 3 alike
         box = Box(k, n)
-        fullness_determinant(box)
+        det = fullness_determinant(box)
         assert len(twists) == calls == comb(n, k) - len(_ctx(box).orbits)
+        twists.clear()
+        assert _fullness_sign(box) == det
+        assert len(twists) == calls
 
     @pytest.mark.parametrize(
         "k,n,calls", [(4, 8, 34), (4, 10, 98), (3, 9, 23), (5, 9, 0), (6, 12, 418)]

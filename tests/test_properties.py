@@ -244,8 +244,8 @@ def test_pairing_row_against_jacobi_trudi(case):
     box, a, t, c = case
     ctx = _ctx(box)
     row = ctx.row(a, t)
-    # S^(a+c)U*(t-c) is the same bundle, so it is the same stored row
-    assert ctx.row(tuple(x + c for x in a), t - c) is row
+    # S^(a+c)U*(t-c) is the same bundle, so it is the same row
+    assert ctx.row(tuple(x + c for x in a), t - c) == row
     # the least kappa containing a + t starts the row, which is zero before it
     lo = ctx.index[tuple(max(x + t, 0) for x in a)]
     assert not any(row[:lo]) and row[lo] > 0

@@ -147,8 +147,8 @@ class TestTermTriples:
                     assert staircase._terms(box, lam.parts) == tuple(terms), lam
 
     def test_middle_term_out_of_the_box(self, monkeypatch):
-        # the triples route tests each middle weight with the in-box test of
-        # BoxedDiagram, and the tail as a weight, with the same messages
+        # the triples route tests lam and each middle weight with the in-box
+        # test of BoxedDiagram, with the same messages
         box = Box(4, 8)
         jumps = staircase._jumps
         for bad in [(1, 2, 0, 0), (5, 1, 0, 0), (2, 1, 0, -1)]:
@@ -160,9 +160,9 @@ class TestTermTriples:
             assert str(terms_error.value) == str(diagram_error.value)
             assert str(terms_error.value) == f"not a diagram in the 4x4 box: {bad}"
         monkeypatch.undo()
-        # (1,0,1) is no diagram, but its one middle term (0,0,0) is: only
-        # the tail (0,1,0) shows it
-        with pytest.raises(ValueError, match=r"^weight is not weakly decreasing: \(0, 1, 0\)"):
+        # (1,0,1) is no diagram, though its one middle term (0,0,0) is: the
+        # triples route rejects it with the message of BoxedDiagram
+        with pytest.raises(ValueError, match=r"^not a diagram in the 3x1 box: \(1, 0, 1\)"):
             staircase._terms(Box(3, 4), (1, 0, 1))
 
 
