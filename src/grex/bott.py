@@ -18,6 +18,18 @@ lower <= nu <= upper the same j needs j-k-upper_{j-1} <= d <= j-n-lower_j.
 `_row_spans` computes these k+1 intervals in one loop, and both `bott` (on
 the one weight nu at d = 0) and the Gram check (on Weyl's bounds) read them.
 
+The Gram check first rejects most weight pairs without the bounds.  For
+Sigma^dual(a) (x) Sigma^b, Weyl's bounds are a max (lower) and a min (upper)
+of terms b_q - a_p, so any one term bounds them: with d_l = b_l - a_l,
+lower_0 = max d and upper_{k-1} = min d exactly, upper_{j-1} is at most both
+b_{j-1} - a_{k-1} and b_0 - a_{k-j}, and lower_j is at least both
+b_j - a_0 and b_{k-1} - a_{k-1-j}.  On twists [lo, hi], span 0 is live only
+if max d <= -n-lo, span k only if min d >= -hi, and a middle span j only if
+upper_{j-1} - lower_j >= n-k, upper_{j-1} >= j-k-hi and lower_j <= j-n-lo,
+each of which then holds with those terms in place of the bounds.
+`_spans_may_live` tests exactly these conditions in O(k), without computing
+the O(k^2) bounds: a pair it rejects has every row span empty.
+
 The generic dot action (padded weight, repeated-entry test, inversion count,
 sort) lives only in `tests/oracles.py`, as the reference `bott` is checked
 against.
@@ -175,6 +187,29 @@ def _row_spans(
             first = lo
     spans.append((first, hi))
     return spans
+
+
+def _spans_may_live(box: Box, a: tuple[int, ...], b: tuple[int, ...], lo: int, hi: int) -> bool:
+    """False when single Weyl terms prove every span of
+    `_row_spans(box, *lr_bounds(dualize(a), b), lo, hi)` empty, in O(k);
+    True when they cannot (module docstring)."""
+    k, n = box.k, box.n
+    d = [y - x for x, y in zip(a, b)]
+    if max(d) <= -n - lo or min(d) >= -hi:
+        return True
+    gap = n - k
+    a_first, a_last, b_first, b_last = a[0], a[-1], b[0], b[-1]
+    for j in range(1, k):
+        upper = b[j - 1] - a_last
+        lower = b[j] - a_first
+        if (
+            upper - lower >= gap
+            and upper >= j - k - hi
+            and lower <= j - n - lo
+            and (b_first - a[k - j]) - (b_last - a[k - 1 - j]) >= gap
+        ):
+            return True
+    return False
 
 
 def bott(box: Box, nu: tuple[int, ...]) -> BottOutcome:

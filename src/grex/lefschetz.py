@@ -16,21 +16,32 @@ and returned, never raised.
 
 which depends only on the triple (a, b, t-s).  Fonarev's collection repeats
 each weight at many twists, so `gram` groups the objects by weight and reads
-each weight pair once, in two steps.
-- It takes only the range [min, max] of the offsets t-s that the output
-  reads, and tests on it the row spans (`bott._row_spans`) of the Weyl
-  bounds `schur.lr_bounds` of dual(a) (x) b.  In the lower triangle the range
-  comes from prefix extrema of the column twists by index (`_offset_range`),
-  with no set built over rows x columns.  A pair with no live span reads zero
-  at every offset: on a Fonarev collection, every pair of the lower triangle
-  but the diagonal ones (90 of the 100 weight pairs of G(4,8)).
+each weight pair once, through tests of growing cost on the range
+[min, max] of the offsets t-s that the output reads.
+- A violations-only call reads only the lower triangle and the diagonal,
+  so it reads (a, b) exactly when b's first index is at most a's last.
+- `bott._spans_may_live` rejects a pair in O(k) by single terms of its
+  Weyl bounds, first on a range that holds for every column weight b: row
+  (i, s) of a reads twists t among the objects up to i (or all of them),
+  whose prefix min and max bound t-s.  No offset of the pair is computed.
+- A pair that passes takes its exact range, from the prefix extrema of its
+  column twists by index (`_lower_offset_range`, one bisection per row),
+  or in the full table from the extrema of the two weights' twists, with
+  no set built over rows x columns, and the same test runs on it.
+- Only a pair that passes both computes the Weyl bounds `schur.lr_bounds`
+  of dual(a) (x) b and tests its row spans (`bott._row_spans`) on the
+  exact range.  A pair with no live span reads zero at every offset: on a
+  Fonarev collection, every pair of the lower triangle but the diagonal
+  ones.  On G(4,8), 50 of its 100 weight pairs fail the first test, 40 the
+  second, and the 10 diagonal pairs pass the row spans; 42 of the 900
+  pairs of G(4,11) and 13 535 of the 112 225 of G(9,15) reach the bounds.
 - Only a live pair builds its exact offset set and goes to
   `bott._ext_tables`, which cuts its expansion to the live regions and
   resolves the terms by `bott` through one memo for the call.  That is 1300
   (a, b, t-s) triples for the 4900 ordered pairs of G(4,8) in the full table,
   and 70 in the lower triangle.
-A violations-only call reads only the lower triangle and the diagonal.
-`GramResult` carries the counts of this work.
+The single-term test and the row spans only skip pairs; `_ext_tables` still
+decides every pair they keep.  `GramResult` carries the counts of this work.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Literal
 
-from .bott import ExtMemo, ExtTable, TwistedSchur, _ext_tables, _row_spans
+from .bott import ExtMemo, ExtTable, TwistedSchur, _ext_tables, _row_spans, _spans_may_live
 from .diagrams import Box, BoxedDiagram, Orbit, enumerate_diagrams, orbit_of, orbits
 from .schur import dualize, lr_bounds
 
@@ -179,12 +190,14 @@ class Violation:
 @dataclass(frozen=True)
 class GramResult:
     """The Gram check's `entries` and `violations`, and counts of its work:
-    weight pairs read, pairs with a live row span, LR expansions, the terms
-    they yield, and Bott evaluations.  The counts take no part in equality."""
+    weight pairs read, pairs that pass the single-term test and reach the
+    Weyl bounds, pairs with a live row span, LR expansions, the terms they
+    yield, and Bott evaluations.  The counts take no part in equality."""
 
     entries: tuple[tuple[int, ...], ...]
     violations: tuple[Violation, ...]
     pairs_read: int = field(default=0, compare=False)
+    pairs_bounded: int = field(default=0, compare=False)
     pairs_live: int = field(default=0, compare=False)
     lr_expansions: int = field(default=0, compare=False)
     lr_terms: int = field(default=0, compare=False)
@@ -198,20 +211,15 @@ def _prefix_extrema(cols: list[tuple[int, int]]) -> tuple[list[int], list[int], 
     return [j for j, _ in cols], list(accumulate(twists, min)), list(accumulate(twists, max))
 
 
-def _offset_range(
-    rows: list[tuple[int, int]], cols: tuple[list[int], list[int], list[int]], lower_only: bool
-) -> tuple[int, int] | None:
+def _lower_offset_range(
+    rows: list[tuple[int, int]], cols: tuple[list[int], list[int], list[int]]
+) -> tuple[int, int]:
     """(min, max) of t-s over the (i, s) in rows and the (j, t) of the columns
-    `cols` (as `_prefix_extrema` returns them), with j <= i if `lower_only`;
-    None if no pair is read.  The columns a row reads are a prefix, so this
-    takes one bisection per row."""
+    `cols` (as `_prefix_extrema` returns them) with j <= i, when the first
+    column comes no later than the last row.  The columns a row reads are a
+    prefix, so this takes one bisection per row."""
     idx, least, most = cols
-    if lower_only:
-        ends = [(p - 1, s) for i, s in rows if (p := bisect_right(idx, i))]
-    else:
-        ends = [(len(idx) - 1, s) for _, s in rows]
-    if not ends:
-        return None
+    ends = [(p - 1, s) for i, s in rows if (p := bisect_right(idx, i))]
     return min(least[p] - s for p, s in ends), max(most[p] - s for p, s in ends)
 
 
@@ -227,9 +235,11 @@ def gram(
     In full_ext mode every pair below the diagonal is checked degree by
     degree and the diagonal must be exactly Hom = k; each failure becomes a
     Violation.  Ext^*(Sigma^a U*(s), Sigma^b U*(t)) depends only on
-    (a, b, t-s), so each weight pair (a, b) is read once: the row spans of
-    its Weyl bounds are tested on the range of the offsets t-s it reads, and
-    only a pair with a live span goes to `bott._ext_tables`, with its exact
+    (a, b, t-s), so each weight pair (a, b) is read once, through three
+    tests of growing cost: `bott._spans_may_live` on a range that bounds
+    every offset t-s that a reads, then on the exact range of the pair's
+    offsets, then the row spans of its Weyl bounds on that range.  Only a
+    pair with a live span goes to `bott._ext_tables`, with its exact
     offsets and one memo of Bott outcomes for the call.  `violations_only`
     (full_ext mode) reads only the lower triangle and the diagonal, and
     returns no `entries`.  `jobs` is ignored.
@@ -246,19 +256,38 @@ def gram(
     for i, e in enumerate(bundles):
         at.setdefault(e.weight, []).append((i, e.twist))
     extrema = {b: _prefix_extrema(cols) for b, cols in at.items()}
+    twists = {w: (mins[-1], maxs[-1]) for w, (_, mins, maxs) in extrema.items()}
+    _, least, most = _prefix_extrema([(i, e.twist) for i, e in enumerate(bundles)])
     memo = ExtMemo()
-    read = live = 0
-    tables = {}  # (a, b) -> {t-s: nonzero Ext table}, for every pair read
+    read = bounded = live = 0
+    tables = {}  # (a, b) -> {t-s: nonzero Ext table}, for every pair with a live span
     for a, rows in at.items():
         dual = dualize(a)
+        s_min, s_max = twists[a]
+        # a reads the objects up to index `reach`, at offsets t-s in [lo, hi]:
+        # row (i, s) reads those up to i, or all of them
+        if violations_only:
+            reach = rows[-1][0]
+            lo, hi = min(least[i] - s for i, s in rows), max(most[i] - s for i, s in rows)
+        else:
+            reach = len(bundles) - 1
+            lo, hi = least[-1] - s_max, most[-1] - s_min
         for b, cols in at.items():
-            offsets = _offset_range(rows, extrema[b], violations_only)
-            if offsets is None:
+            if cols[0][0] > reach:
                 continue
             read += 1
+            if not _spans_may_live(box, a, b, lo, hi):
+                continue
+            if violations_only:
+                offsets = _lower_offset_range(rows, extrema[b])
+            else:
+                t_min, t_max = twists[b]
+                offsets = t_min - s_max, t_max - s_min
+            if not _spans_may_live(box, a, b, *offsets):
+                continue
+            bounded += 1
             spans = _row_spans(box, *lr_bounds(dual, b), *offsets)
             if all(first > last for first, last in spans):
-                tables[a, b] = {}
                 continue
             live += 1
             ts = {t - s for i, s in rows for j, t in cols if not violations_only or j <= i}
@@ -267,7 +296,7 @@ def gram(
     if not violations_only:
         chi = {pair: {t: ext.euler() for t, ext in exts.items()} for pair, exts in tables.items()}
         entries = tuple(
-            tuple(chi[e.weight, f.weight].get(f.twist - e.twist, 0) for f in bundles)
+            tuple(chi.get((e.weight, f.weight), {}).get(f.twist - e.twist, 0) for f in bundles)
             for e in bundles
         )
     violations: list[Violation] = []
@@ -282,7 +311,7 @@ def gram(
                     for d in sorted(ext.dims)
                 ]
         for a, rows in at.items():
-            hom = tables[a, a].get(0, ExtTable())
+            hom = tables.get((a, a), {}).get(0, ExtTable())
             bad = [d for d in sorted(set(hom.dims) | {0}) if hom[d] != (d == 0)]
             violations += [Violation(i, i, d, hom[d]) for i, _ in rows for d in bad]
         violations.sort(key=lambda v: (v.i, v.j))
@@ -290,6 +319,7 @@ def gram(
         entries=entries,
         violations=tuple(violations),
         pairs_read=read,
+        pairs_bounded=bounded,
         pairs_live=live,
         lr_expansions=memo.expansions,
         lr_terms=memo.terms,

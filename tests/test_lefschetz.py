@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 import grex.bott
+import grex.lefschetz
 from grex.bott import TwistedSchur, ext_table
 from grex.diagrams import Box, BoxedDiagram, enumerate_diagrams
 from grex.lefschetz import (
@@ -410,23 +411,51 @@ class TestGramAgainstUncutRoute:
 
 
 class TestGramCounters:
-    @pytest.mark.parametrize("k,n,pairs", [(4, 8, 10), (4, 11, 30)])
-    def test_fonarev_violations_only(self, k, n, pairs):
-        # every weight pair is read, only the diagonal ones have a live span,
-        # and each of their expansions yields its one term nu = 0, which bott
-        # then evaluates once at t = 0
+    @pytest.mark.parametrize(
+        "k,n,pairs,bounded",
+        [
+            pytest.param(4, 8, 10, 10, id="4-8-10"),
+            pytest.param(4, 11, 30, 42, id="4-11-30"),
+            pytest.param(5, 9, 14, 28, id="5-9-14"),
+            pytest.param(7, 10, 12, 20, id="7-10-12"),
+            pytest.param(4, 10, 22, 24, id="4-10-22"),
+        ],
+    )
+    def test_fonarev_violations_only(self, k, n, pairs, bounded):
+        # every weight pair is read, the single-term test leaves `bounded`
+        # of them for the Weyl bounds, only the diagonal ones have a live
+        # span, and each of their expansions yields its one term nu = 0,
+        # which bott then evaluates once at t = 0
         result = gram(fonarev(Box(k, n)).objects, mode="full_ext", violations_only=True)
         assert result.violations == ()
-        assert (result.pairs_read, result.pairs_live) == (pairs * pairs, pairs)
+        counts = (result.pairs_read, result.pairs_bounded, result.pairs_live)
+        assert counts == (pairs * pairs, bounded, pairs)
         assert result.lr_expansions == result.lr_terms == pairs
         assert result.bott_evaluations == 1
 
+    @pytest.mark.parametrize("k,n,exact", [(4, 8, 50), (4, 11, 332)])
+    def test_exact_ranges_only_past_the_row_weight_range(self, monkeypatch, k, n, exact):
+        # the single-term test on each row weight's range rejects the other
+        # pairs before any offset of theirs is computed
+        calls = []
+        offset_range = grex.lefschetz._lower_offset_range
+        monkeypatch.setattr(
+            grex.lefschetz,
+            "_lower_offset_range",
+            lambda rows, cols: calls.append(1) or offset_range(rows, cols),
+        )
+        result = gram(fonarev(Box(k, n)).objects, mode="full_ext", violations_only=True)
+        assert len(calls) == exact
+        assert result.pairs_bounded < exact < result.pairs_read
+
     def test_full_table(self):
         # the full G(4,8) table reads every pair at positive offsets too,
-        # where the off-diagonal pairs have Hom; the cut keeps all 395 terms
+        # where the off-diagonal pairs have Hom, so every pair reaches the
+        # bounds and is live; the cut keeps all 395 terms
         result = gram(fonarev(Box(4, 8)).objects, mode="full_ext")
-        counts = (result.pairs_read, result.pairs_live, result.lr_expansions, result.lr_terms)
-        assert counts == (100, 100, 100, 395)
+        counts = (result.pairs_read, result.pairs_bounded, result.pairs_live)
+        assert counts == (100, 100, 100)
+        assert (result.lr_expansions, result.lr_terms) == (100, 395)
         assert result.bott_evaluations == 318
 
     def test_counts_take_no_part_in_equality(self):

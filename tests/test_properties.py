@@ -12,7 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grex.bott import TwistedSchur, _region_caps, _row_spans, bott, euler_char, ext_table
+from grex.bott import (
+    TwistedSchur,
+    _region_caps,
+    _row_spans,
+    _spans_may_live,
+    bott,
+    euler_char,
+    ext_table,
+)
 from grex.diagrams import Box, BoxedDiagram, enumerate_diagrams
 from grex.lefschetz import CollectionObject, GramResult, gram
 from grex.ktheory import (
@@ -166,6 +174,35 @@ def test_capped_lr_product_against_the_oracle(pair, data):
     assert lr_product(alpha, beta, caps) == want
 
 
+@st.composite
+def span_cases(draw):
+    """A box with k <= 6 and n <= k+9, two weakly decreasing weights of
+    length k with entries in [-2, n-k], and a twist range lo <= hi in
+    [-n, 2n].  Near the box, about one pair in ten has every span empty."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(k + 1, k + 9))
+    entries = st.lists(st.integers(-2, n - k), min_size=k, max_size=k)
+    a = tuple(sorted(draw(entries), reverse=True))
+    b = tuple(sorted(draw(entries), reverse=True))
+    lo = draw(st.integers(-n, n))
+    return Box(k, n), a, b, lo, lo + draw(st.integers(0, n))
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(span_cases())
+def test_single_term_test_rejects_only_dead_pairs(case):
+    # a pair that single Weyl terms reject has every row span of its Weyl
+    # bounds empty; spans 0 and k are decided exactly, by max d and min d
+    box, a, b, lo, hi = case
+    spans = _row_spans(box, *lr_bounds(dualize(a), b), lo, hi)
+    live = [first <= last for first, last in spans]
+    if not _spans_may_live(box, a, b, lo, hi):
+        assert not any(live)
+    d = [y - x for x, y in zip(a, b)]
+    assert live[0] == (max(d) <= -box.n - lo)
+    assert live[-1] == (min(d) >= -hi)
+
+
 @pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (3, 7), (4, 8)])
 def test_weyl_twists_drop_only_acyclic_twists(k, n):
     # wherever a term of the oracle's a* (x) b, for a pair (a, b) of
@@ -209,14 +246,23 @@ def test_weyl_twists_drop_only_acyclic_twists(k, n):
 
 @st.composite
 def object_lists(draw):
-    """A box with n <= 7 and one to eight objects Sigma^w U*(t) on it, in any
-    order, repeats allowed."""
+    """A box with n <= 7 and one to eight objects Sigma^w U*(t) on it, w a
+    diagram of the box and -n <= t <= n, up to two of them repeated, in any
+    order.  Twists on both sides of 0 make pairs live only in span 0 or
+    span k, and offset ranges with hi > 0, which Fonarev orders never reach."""
     box = draw(st.sampled_from([Box(k, n) for n in range(2, 8) for k in range(1, n)]))
-    bundle_list = draw(st.lists(bundles(box), min_size=1, max_size=8))
-    return [CollectionObject(e, 0) for e in bundle_list]
+    weights = st.lists(st.integers(0, box.width), min_size=box.k, max_size=box.k)
+    objects = st.builds(
+        lambda w, t: CollectionObject(TwistedSchur(tuple(sorted(w, reverse=True)), t, box), 0),
+        weights,
+        st.integers(-box.n, box.n),
+    )
+    distinct = draw(st.lists(objects, min_size=1, max_size=6))
+    repeated = draw(st.lists(st.sampled_from(distinct), max_size=2))
+    return draw(st.permutations(distinct + repeated))
 
 
-@settings(PROPERTY, max_examples=80)
+@settings(PROPERTY, max_examples=150)
 @given(object_lists())
 def test_gram_against_uncut_route(objects):
     full = uncut_gram(objects, "full_ext")
