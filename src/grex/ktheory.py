@@ -17,7 +17,7 @@ over its non-head terms, and every mu+s+1 is a box diagram.  So
 by the batched zero test below: O(1) acts on K_0 by an automorphism and
 the head coefficient is 1, so [Sigma^lam U*] - sum T[kappa, lam]
 [Sigma^kappa U*(-1)] vanishes exactly when lam's staircase is K-exact, and
-merging terms only lowers its sum |coef|, which stays at most 2^n <= cap.
+merging terms only lowers its sum |coef|, which stays at most 2^n.
 
 Pairings of the form chi(Sigma^a U*(t), Sigma^kappa U*) with t <= 0 and both
 diagrams in the box sit in a single cohomological degree, so they reduce to
@@ -64,45 +64,53 @@ most its row's sum, and so at most M.  Every partial sum on the way is at
 most its final entry: each strip is I plus a nonnegative matrix, so the
 strips still to come can only raise an entry.  So no field carries, and a
 combination of rows with sum |coef| = S has fields of absolute value at most
-S M.  The width is fixed per box: B is the least whole number of bytes with
-2^(B-1) > 2^n M, and the table is built once at it.  A packed sum with
-S <= cap = (2^(B-1) - 1) // M is 0 exactly when every field is: the nonzero
+S M.  The table's width is fixed per box: B is the least whole number of
+bytes with 2^(B-1) > 2^n M, and the table is built once at it.  A packed
+sum with S <= cap = (2^(B-1) - 1) // M is 0 exactly when every field is: the nonzero
 field of lowest order, the largest such kappa, leaves a nonzero remainder
 mod 2^(B (N-kappa)).
 
-So the one zero test, `_vanishes`, behind `is_zero_combination` and the
-staircase checks, reads the row of each term Sigma^w U*(t) by its source
+So the per-call zero test, `_vanishes`, behind `is_zero_combination` and
+`is_k_exact`, reads the row of each term Sigma^w U*(t) by its source
 sigma = w + t + 1, the source of its normal form too (`_sources`, the one
 term reader, which also refuses a term that does not fit), and sums coef
 times the packed rows as big integers when S <= cap and every term is a
 table row; cap >= 2^n covers the staircase of every lam with a full first
-row (coefficients +-1 and +-C(n, c) for distinct 0 < c < n), and so its
-column of T.  Any other combination takes the slow path: its table rows are
-merged by source and decoded exactly (`_Ctx.decode`, below), the deep rows
-added unpacked, and every field tested.  The Kapranov Gram matrix is the
-t = 0 rows.
+row (coefficients +-1 and +-C(n, c) for distinct 0 < c < n).  Any other
+combination takes the slow path, which builds no table: its table rows are
+one column of the transposed pass below, read exactly, the deep rows are
+added unpacked, and every field is tested.
 
-A batch of relations needs no table.  The build is X = P U, with U the unit
-rows and P the product of the updates x[i] += x[up] of `strip_product`.  A
-relation c over the sources vanishes exactly when c^T G = (P^T c)^T U is 0,
-and row kappa + 1 of U is e_kappa (the rows with sigma_{k-1} = 0 are 0), so
-exactly when v = P^T c is 0 at every source kappa + 1.  P^T is the same
-updates transposed, v[up] += v[i], in the opposite order: n rounds of the
-strips from row k-1 to row 0, each pair list reversed
-(`_Ctx.strip_transpose`; the transposition principle, Buergisser, Clausen
-and Shokrollahi, *Algebraic Complexity Theory*, 13.1).  `_vanish_batch`
-packs relation q in field q at width B, so one pass over C(n+1,k) ints runs
-the whole batch.  The packed ints are exact and the pass is linear, so each
-one stays sum_q v_q[sigma] 2^(B q), even where a field outgrows 2^(B-1)
-part-way through.  Only the final read needs the bound: field q at kappa + 1
-is (c_q^T G)[kappa], at most S M < 2^(B-1) in absolute value when
-S = sum |coef| <= cap, as above.  So a read is 0 exactly when all its fields
-are, and a nonzero read, biased by 2^(B-1) per field and split by one
-`to_bytes` as in `decode`, names its failing relations.  A relation with a
-deep term or with S > cap is refused.  The report's staircase stage checks
-all C(n-1,k-1) full-first-row columns of T in one batch; the calls that
-check one relation each (`is_zero_combination`, `is_k_exact`, the theta
-staircase, the G(4,8) fixture) and the residual covectors read the table.
+Nothing else reads the table.  The build is X = P U, with U the unit rows
+and P the product of the updates x[i] += x[up] of `strip_product`.  For a
+column c over the sources, c^T G = (P^T c)^T U, and row kappa + 1 of U is
+e_kappa (the rows with sigma_{k-1} = 0 are 0), so (c^T G)[kappa] is
+v = P^T c at the source kappa + 1.  P^T is the same updates transposed,
+v[up] += v[i], in the opposite order (`_Ctx.strip_transpose`; the
+transposition principle, Buergisser, Clausen and Shokrollahi, *Algebraic
+Complexity Theory*, 13.1).  The one pass, `_Ctx.transposed`, packs column
+q of a batch in field q at the batch's own width: with S the largest
+sum |coef| of a column, B is the least whole number of bytes with
+2^(B-1) > S M.  The packed ints are exact and the pass is linear, so each
+stays sum_q v_q[sigma] 2^(B q), even where a field outgrows 2^(B-1)
+part-way through.  Only the final read needs the bound: field q at
+kappa + 1 is (c_q^T G)[kappa], of absolute value at most S M < 2^(B-1).
+So a read is 0 exactly when all its fields are, and biased by 2^(B-1) per
+field it lies in [0, 2^B) in every field: nothing borrows, and one
+`to_bytes` splits it.
+
+A batch of one column needs no split: its int at kappa + 1 is its field,
+which `_Ctx.row` (t >= -1) and the slow path of `_vanishes` read.  Two
+readers split larger batches.  `_vanish_batch` gives the verdicts of
+`_vanishes` for a batch of relations, splitting only a nonzero read, which
+names its failing relations; the report's staircase stage sends all
+C(n-1,k-1) full-first-row columns of T in one batch.  `_Ctx.covector`
+returns every field: x^T G for each class x of a batch, placed at the
+sources kappa_i + 1.  A class read is guarded with no table layout to lean
+on: G is upper unitriangular, so x^T G is 0 before the least index i of x
+and x_i at i.  The classes are packed in the order of that index, earliest
+in the high fields, so at kappa those that start later hold the low fields:
+one test per read checks that they are 0, and they are not converted.
 
 A normal form with t <= -2 needs sigma outside the wider box.  Its row is
 one Jacobi-Trudi determinant det[h_{lam_i - a_j - i + j}(1^n)] per entry,
@@ -111,38 +119,28 @@ as one row, unpacked, and its entries may exceed M.
 
 All per-box state lives on one context, `_ctx(box)`, and only the box used
 last is kept, so a sweep over many boxes frees each one when it moves on.
-The context holds the basis diagrams, the sparse twist matrix, the packed
-table and the Jacobi-Trudi rows, the only rows it stores unpacked; each
-stage computes the classes T^i e_lam it reads, once per orbit, by the one
-twist loop (`_Ctx.twisted_classes`, exact or mod 3).  It also holds the
-skeleton that `grex report` verifies, each computed once per box and read
-only: `orbits`, the tuple `orbits(box)`; and `fonarev` and `block`, the
-Fonarev collection and the primitive block built from that tuple.  It holds
-no dense Gram matrix: `kapranov_gram` and `class_of` read Gram row i as the
-covector of e_i, as every pairing does.
+The context holds the basis diagrams, the sparse twist matrix, the
+Jacobi-Trudi rows, and the table once the fast path of `_vanishes` needs
+it, which no stage of `grex report` does; each stage computes the classes
+T^i e_lam it reads, once per orbit, by the one twist loop
+(`_Ctx.twisted_classes`, exact or mod 3).  It also holds the skeleton that
+`grex report` verifies, each computed once per box and read only:
+`orbits`, the tuple `orbits(box)`; and `fonarev` and `block`, the Fonarev
+collection and the primitive block built from that tuple.  It holds no
+dense Gram matrix: `kapranov_gram` and `class_of` read the Gram rows as
+the covectors of the unit classes, in one batch.
 
 Inside the module a class is sparse, {basis index: coefficient}: the twist,
-the pairing and the checked Gram-Schmidt projection act on that form.  A
-pairing reads the Gram rows packed.  Gram row i is the table entry
-kappa_i + 1, so the covector x^T G of a class x is one big-integer sum of
-coef times packed rows (`covector`), and x^T G y is a dot product over the
-nonzeros of y alone.  Each row read checks the unit diagonal in O(1): row i
-holds the fields i..N-1 only, so its diagonal field is 1 exactly when the
-int has B (N-1-i) + 1 bits.  One reader, `_Ctx.decode`, turns any sum of
-distinct table rows into its fields; the covector, an unpacked table row
-and the slow path of `_vanishes` all go through it.  The fields may be
-negative, so the sum is biased by 2^(B-1) in every field and decoded by
-one `to_bytes`.  With sum |coef| = S <= cap, every field is at most
-S M < 2^(B-1) in absolute value, so every biased field lies in [0, 2^B):
-nothing borrows, and each field is its own value plus 2^(B-1).  A larger S
-is decoded in base-D digit levels, each within cap, and recombined exactly.
+the pairing and the checked Gram-Schmidt projection act on that form.  The
+covector x^T G of a class is one read, and x^T G y is a dot product over
+the nonzeros of y alone.
 
 Every residual projector list is a subsequence of the chain T^j e_lam, lam
 in the primitive block and j below the longest short orbit.
 Semiorthogonality passes to subsequences, so `residual_report` checks that
-chain once, decoding each member's covector once, and then projects by
-chain position, reading those covectors; the residual Gram decodes one more
-covector per residual class.
+chain once, reading the covectors of all its members in one batch, and
+then projects by chain position, reading those covectors; the residual
+Gram reads the covectors of the residual classes in one more batch.
 
 The fullness determinant is det of the Fonarev classes T^i e_lam in this
 basis, a sparse matrix rich in +-1 entries.  It is eliminated over Z row by
@@ -153,33 +151,32 @@ with n <= 13 under the size guard, G(6,14), G(8,14) and G(5,15)) no Fonarev
 row is deferred; that is measured, not proven.
 
 Once `grex report` has checked the Ext groups and T, it needs only the sign.
-Let C be the matrix whose rows are the Fonarev classes, so that the Euler
-Gram matrix of the collection is G_F = C G_K C^T, with G_K the Kapranov one.
-G_K is upper unitriangular: row i holds the fields i..N-1 only, and its
-diagonal entry is s_{(kappa+1)/(kappa+1)}(1^n) = 1.  If the staircase stage
-passes, column lam of T is the class of Sigma^lam U*(1), so the rows of C
-are the classes of the Fonarev objects.  If the Gram stage passes, no Ext
-runs from a later object to an earlier one and each object has Hom = k, so
-G_F is unitriangular too.  Then det(C)^2 = det G_F / det G_K = 1, and for an
-odd prime p the residue of det C mod p, 1 or p - 1, fixes its sign.
-`_fullness_sign` takes p = 3.  It reduces T mod 3 once and builds the
-classes from it by the same twist loop, one pass per orbit.  By Lucas's
-theorem 3 divides C(n, c) unless each base-3 digit of c is at most that of
-n, so most middle staircase terms vanish mod 3; for n = 3^a none is left, and T mod 3 is a
-signed permutation.  The one elimination loop, `_sparse_det`, then runs on
-least absolute residues -1, 0 and 1: every live entry is a pivot, and no
-row is deferred.  The report takes this route only when both of those
-stages pass.  Otherwise it eliminates over Z, and so it does when the
-residue is 0, which would mean the two stages contradict each other.
-`grex fullness` and `grex residual` run no Gram stage, so they always
-eliminate over Z.
+Let C be the matrix whose rows are the Fonarev classes, so that the Euler Gram
+matrix of the collection is G_F = C G_K C^T, with G_K the Kapranov one.  G_K is
+upper unitriangular: its entry (i, kappa), s_{(kappa+1)/(kappa_i+1)}(1^n), is 0
+unless kappa contains kappa_i, and 1 at kappa = kappa_i.  If the staircase
+stage passes, column lam of T is the class of Sigma^lam U*(1), so the rows of C
+are the classes of the Fonarev objects.  If the Gram stage passes, no Ext runs
+from a later object to an earlier one and each object has Hom = k, so G_F is
+unitriangular too.  Then det(C)^2 = det G_F / det G_K = 1, and for an odd prime
+p the residue of det C mod p, 1 or p - 1, fixes its sign.  `_fullness_sign`
+takes p = 3.  It reduces T mod 3 once and builds the classes from it by the
+same twist loop, one pass per orbit.  By Lucas's theorem 3 divides C(n, c)
+unless each base-3 digit of c is at most that of n, so most middle staircase
+terms vanish mod 3; for n = 3^a none is left, and T mod 3 is a signed
+permutation.  The one elimination loop, `_sparse_det`, then runs on least
+absolute residues -1, 0 and 1: every live entry is a pivot, and no row is
+deferred.  The report takes this route only when both of those stages pass.
+Otherwise it eliminates over Z, and so it does when the residue is 0, which
+would mean the two stages contradict each other.  `grex fullness` and `grex
+residual` run no Gram stage, so they always eliminate over Z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import islice, zip_longest
 from math import comb
 from operator import add, mul
 from struct import Struct
@@ -227,16 +224,11 @@ class _Ctx:
         # M, the largest row sum of the table, which bounds every entry and
         # every partial sum of its build (module docstring): the strips
         # applied to the row sums of the unit rows, 1 where sigma_{k-1} >= 1
-        # and 0 elsewhere; the field width B, whole bytes with
-        # 2^(B-1) > 2^n M; cap, the largest sum |coef| one packed sum holds;
-        # and the decoder: the bias 2^(B-1) in each of the N fields, and the
-        # Struct that splits N packed fields into their bytes
+        # and 0 elsewhere; the table's width B, for sum |coef| = 2^n; and
+        # cap, the largest sum |coef| one packed sum of table rows holds
         self.bound = max(self.strip_product([1 if s[-1] else 0 for s in self.sources]))
-        self.bits = -(-((self.bound << box.n).bit_length() + 1) // 8) * 8
+        self.bits = _width(self.bound << box.n)
         self.cap = ((1 << self.bits - 1) - 1) // self.bound
-        size, top = self.bits // 8, len(self.weights)
-        self.bias = int.from_bytes((b"\x80" + bytes(size - 1)) * top, "big")
-        self.fields = Struct(f"{size}s" * top)
 
     @cached_property
     def orbits(self) -> tuple[Orbit, ...]:
@@ -258,17 +250,14 @@ class _Ctx:
         where a_0 + t and a_0 - a_{k-1} are at most n-k.
 
         It is read under the normal form (a', t') of the bundle.  With
-        t' >= -1 it is entry sigma = a' + t' + 1 of the table G = H^n, n
-        rounds of k one-row suffix sums over the box one column wider,
-        decoded and not stored: entry kappa is s_{(kappa+1)/sigma}(1^n), at
-        most the largest row sum M < 2^(B-1), so no B-bit field carries.
-        The int holds the fields lo..N-1 only, high field first, and only
-        those are converted (`decode`).  With t' <= -2 it is one Jacobi-Trudi
-        determinant per entry (`deep_row`), stored once in `chis`.
+        t' >= -1 it is row sigma = a' + t' + 1 of G = H^n over the box one
+        column wider, entry kappa s_{(kappa+1)/sigma}(1^n): the `transposed`
+        pass of the one column e_sigma, not stored.  With t' <= -2 it is one
+        Jacobi-Trudi determinant per entry (`deep_row`), stored once in `chis`.
         """
         a, t = normal_form(a, t)
         if t >= -1:
-            return tuple(self.decode([(1, self.packed(a, t))]))
+            return tuple(self.transposed([[(_sources(self, [(1, a, t)])[0], 1)]])[0])
         r = self.chis.get((a, t))
         if r is None:
             r = self.chis[a, t] = self.deep_row(a, t)
@@ -285,11 +274,6 @@ class _Ctx:
             _bareiss_det([[h(x - t - y - i + j) for j, y in enumerate(a)] for i, x in enumerate(kappa)])
             for kappa in self.weights
         )
-
-    def packed(self, a: tuple[int, ...], t: int) -> int:
-        """The table row of a normal form (a, t) with t >= -1, packed at width
-        B, high field first: entry kappa at bit B (N-1-kappa)."""
-        return self.table[_sources(self, [(1, a, t)])[0]]
 
     @cached_property
     def strips(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -308,14 +292,15 @@ class _Ctx:
 
     @cached_property
     def table(self) -> list[int]:
-        """The packed rows of every sigma of the wider box, at width B."""
+        """The packed rows of every sigma of the wider box, at width B: the
+        fast path of `_vanishes` alone reads them."""
         return self.build_table()
 
     def build_table(self) -> list[int]:
         """X[sigma] = the packed row of sigma at width B: G = H^n applied to
         the unit rows e_{sigma-1}, each at bit B (N-1-index[sigma-1]).  Row
-        sigma is zero before the basis index lo of max(sigma - 1, 0) (`row`),
-        so X[sigma] < 2^(B (N - lo))."""
+        sigma is zero before the basis index lo of max(sigma - 1, 0) (module
+        docstring), so X[sigma] < 2^(B (N - lo))."""
         bits, index, top = self.bits, self.index, len(self.weights) - 1
         units = [
             1 << bits * (top - index[tuple(v - 1 for v in s)]) if s[-1] else 0
@@ -339,8 +324,8 @@ class _Ctx:
         """(H^T)^n v, in place: the exact transpose of `strip_product`, its
         updates in the opposite order, each x[i] += x[up] taken as
         v[up] += v[i]: n rounds of the strips from row k-1 to row 0, each
-        from its last pair to its first.  `_vanish_batch` applies it to one
-        packed field per relation."""
+        from its last pair to its first.  `transposed` applies it to one
+        packed field per column."""
         strips = self.strips[::-1]
         for _ in range(self.box.n):
             for pairs in strips:
@@ -348,59 +333,66 @@ class _Ctx:
                     v[up] += v[i]
         return v
 
-    def gram_packed(self, i: int) -> int:
-        """Gram row i packed, read from the table with its unit diagonal checked:
-        the row holds the fields i..N-1 only, so its highest field is the
-        diagonal, at bit B (N-1-i), and it is 1 exactly when that is the top bit."""
-        r = self.packed(self.weights[i], 0)
-        if r.bit_length() != self.bits * (len(self.weights) - 1 - i) + 1:
-            raise AssertionError(f"Kapranov Gram diagonal is not 1 at {self.weights[i]}")
-        return r
+    def transposed(self, columns: list[list[tuple[int, int]]]) -> tuple[list[int], int]:
+        """The one pass: (H^T)^n of a batch of columns, each a list of
+        (source, coef), column q packed in field q, read at the sources
+        kappa + 1: one int per basis kappa, in order, and the width B.
 
-    def decode(self, terms: list[tuple[int, int]]) -> list[int]:
-        """sum coef * row over (coef, packed row) terms of distinct table rows,
-        every field exactly, in basis order.
+        B is the least whole number of bytes with 2^(B-1) > S M, S the
+        largest sum |coef| of a column, so field q at kappa + 1,
+        (c_q^T G)[kappa], lies strictly between -2^(B-1) and 2^(B-1) (module
+        docstring); the int of a batch of one column is that field itself.
+        The sources kappa + 1 come in basis order: both orders are
+        lexicographic, and kappa -> kappa + 1 keeps it, onto the sources with
+        sigma_{k-1} >= 1."""
+        weight = max((sum(abs(c) for _, c in column) for column in columns), default=0)
+        bits = _width(weight * self.bound)
+        v = [0] * len(self.sources)
+        for q, column in enumerate(columns):
+            shift = bits * q
+            for i, c in column:
+                v[i] += c << shift
+        return [r for r, s in zip(self.strip_transpose(v), self.sources) if s[-1]], bits
 
-        One biased sum per level, decoded by one `to_bytes` (module
-        docstring).  A level holds sum |coef| <= cap.  Terms above that are
-        split into base-D digit levels, D = cap // len(terms) + 1, each with
-        sum |digit| <= len(terms) (D - 1) <= cap, and recombined exactly.
-        The rows are distinct, so len(terms) <= C(n+1,k) <= 2^n <= cap and
-        D >= 2.  A row int of b bits holds the fields lo..N-1 only, where
-        lo = N - ceil(b / B), so every field before the least lo of the
-        terms is 0, and only the fields from it on are converted.
-        """
-        top = len(self.weights)
-        if not terms:
-            return [0] * top
-        half = 1 << self.bits - 1
-        lo = top - -(-max(r.bit_length() for _, r in terms) // self.bits)
-        levels, base = [terms], 1
-        if sum(abs(c) for c, _ in terms) > self.cap:
-            levels, base = [], self.cap // len(terms) + 1
-            while terms:
-                level, rest = [], []
-                for c, r in terms:
-                    q, d = divmod(abs(c), base)
-                    if d:
-                        level.append((d if c > 0 else -d, r))
-                    if q:
-                        rest.append((q if c > 0 else -q, r))
-                levels.append(level)
-                terms = rest
-        out = None
-        for level in reversed(levels):
-            total = sum(c * r for c, r in level) + self.bias
-            raw = self.fields.unpack(total.to_bytes(self.fields.size, "big"))
-            digits = [v - half for v in map(int.from_bytes, islice(raw, lo, None))]
-            out = digits if out is None else [base * v + d for v, d in zip(out, digits)]
-        return [0] * lo + out
-
-    def covector(self, x: dict[int, int]) -> list[int]:
-        """x^T G, the pairings chi(x, e_kappa) for every basis kappa, in order:
-        the `decode` of the packed Gram rows of x, each read once.  The rows
-        are distinct, at most C(n,k) <= 2^n <= cap of them, so D >= 2."""
-        return self.decode([(c, self.gram_packed(i)) for i, c in x.items()])
+    def covector(self, xs: list[dict[int, int]]) -> list[tuple[int, ...]]:
+        """x^T G for each class x of the batch, in order: the field reader
+        of one `transposed` pass of the x_i at kappa_i + 1.  A read skips the
+        zero fields before the least index i of its class and checks that
+        they are 0 and that field i is x_i (module docstring); AssertionError
+        names kappa_i otherwise."""
+        top, weights, count = len(self.weights), self.weights, len(xs)
+        if not count:
+            return []
+        lift = [i for i, s in enumerate(self.sources) if s[-1]]  # kappa -> kappa + 1
+        leads = [min(x, default=top) for x in xs]
+        # by least index: position p goes in field count-1-p, the earliest high
+        order = sorted(range(count), key=leads.__getitem__)
+        reads, bits = self.transposed(
+            [[(lift[i], c) for i, c in xs[q].items()] for q in reversed(order)]
+        )
+        size, half = bits // 8, 1 << bits - 1
+        bias = int.from_bytes((b"\x80" + bytes(size - 1)) * count, "big")
+        rows, live, unpack = [], 0, Struct("").unpack
+        for kappa, r in enumerate(reads):
+            start = live
+            while live < count and leads[order[live]] <= kappa:
+                live += 1
+            if live > start:
+                unpack = Struct(f"{size}s" * live).unpack
+            low = bits * (count - live)
+            if r & (1 << low) - 1:  # its lowest nonzero field: a class read before its start
+                i = leads[order[count - 1 - ((r & -r).bit_length() - 1) // bits]]
+                raise AssertionError(f"Kapranov Gram diagonal is not 1 at {weights[i]}")
+            raw = ((r + bias) >> low).to_bytes(size * live, "big")
+            row = [f - half for f in map(int.from_bytes, unpack(raw))]
+            if live > start and any(row[p] != xs[order[p]][kappa] for p in range(start, live)):
+                raise AssertionError(f"Kapranov Gram diagonal is not 1 at {weights[kappa]}")
+            rows.append(row)
+        del reads
+        out: list[tuple[int, ...]] = [(0,) * top] * count
+        for p, col in enumerate(zip_longest(*rows, fillvalue=0)):
+            out[order[p]] = col
+        return out
 
     @cached_property
     def twist(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -432,15 +424,15 @@ class _Ctx:
             out.append(_twist_sum(twist, out[-1], modulus))
         return out[:count]
 
-    def check_semiorthogonal(self, projectors: list[dict[int, int]]) -> list[list[int]]:
+    def check_semiorthogonal(self, projectors: list[dict[int, int]]) -> list[tuple[int, ...]]:
         """Raise ValueError unless the list is Euler-unitriangular; return the
-        covectors of the projectors, each decoded once.
+        covectors of the projectors, from one read.
 
         chi(e_j, e_i) for every j >= i is sum_m c_m cov_j[m] over the
         nonzeros c_m of e_i: one sum of column slices per projector.
         """
-        covs = [self.covector(e) for e in projectors]
-        cols = {m: [cov[m] for cov in covs] for m in set().union(*projectors)}
+        covs = self.covector(projectors)
+        cols = list(zip(*covs))
         for i, e in enumerate(projectors):
             vals = [0] * (len(projectors) - i)
             for m, c in e.items():
@@ -456,7 +448,7 @@ class _Ctx:
         return covs
 
     def project(
-        self, projectors: list[dict[int, int]], covectors: list[list[int]], x: dict[int, int]
+        self, projectors: list[dict[int, int]], covectors: list[tuple[int, ...]], x: dict[int, int]
     ) -> dict[int, int]:
         """Gram-Schmidt x against a checked semiorthogonal list, given the
         covectors of its projectors, last projector first, and check that the
@@ -492,6 +484,11 @@ def _twist_sum(twist, x: dict[int, int], modulus: int | None = None) -> dict[int
     return _residues(out, modulus) if modulus else {i: v for i, v in out.items() if v}
 
 
+def _width(bound: int) -> int:
+    """The least whole number of bytes B, in bits, with 2^(B-1) > bound."""
+    return -(-(bound.bit_length() + 1) // 8) * 8
+
+
 def _sources(ctx: _Ctx, terms: list[tuple[int, tuple[int, ...], int]]) -> list[int | None]:
     """The table source sigma = w + t + 1 of each (coef, w, t) term
     Sigma^w U*(t), the source of its normal form too, or None for a deep
@@ -509,7 +506,7 @@ def _sources(ctx: _Ctx, terms: list[tuple[int, tuple[int, ...], int]]) -> list[i
     return out
 
 
-def _dot(covector: list[int], y: dict[int, int]) -> int:
+def _dot(covector: tuple[int, ...], y: dict[int, int]) -> int:
     """x^T G y from the covector of x, over the nonzeros of y."""
     return sum(map(mul, map(covector.__getitem__, y), y.values()))
 
@@ -525,21 +522,23 @@ def basis(box: Box) -> tuple[BoxedDiagram, ...]:
 
 
 def kapranov_gram(box: Box) -> tuple[tuple[int, ...], ...]:
-    """Gram matrix chi(Sigma^lam U*, Sigma^mu U*) over the basis, read by `covector`."""
+    """Gram matrix chi(Sigma^lam U*, Sigma^mu U*) over the basis: the
+    covectors of the unit classes, from one read."""
     ctx = _ctx(box)
-    return tuple(tuple(ctx.covector({i: 1})) for i in range(len(ctx.weights)))
+    return tuple(ctx.covector([{i: 1} for i in range(len(ctx.weights))]))
 
 
 def class_of(e: TwistedSchur) -> KClass:
     """Coordinates of [E] in the Kapranov basis via the triangular solve:
     c_i = chi(e_i, E) - sum_{j > i} G[i, j] c_j, from the last basis index
-    down, each Gram row read through `covector`."""
+    down, with the Gram rows read as the covectors of the unit classes."""
     box = e.box
     ctx = _ctx(box)
+    gram = ctx.covector([{i: 1} for i in range(len(ctx.weights))])
     c: dict[int, int] = {}
     for i in range(len(ctx.weights) - 1, -1, -1):
         b = euler_char(TwistedSchur(ctx.weights[i], 0, box), e)
-        if v := b - _dot(ctx.covector({i: 1}), c):
+        if v := b - _dot(gram[i], c):
             c[i] = v
     return ctx.dense(c)
 
@@ -547,7 +546,7 @@ def class_of(e: TwistedSchur) -> KClass:
 def euler_pairing(box: Box, x: KClass, y: KClass) -> int:
     """Bilinear Euler form x^T G y on coordinate vectors."""
     ctx = _ctx(box)
-    return _dot(ctx.covector(ctx.sparse(x)), ctx.sparse(y))
+    return _dot(ctx.covector([ctx.sparse(x)])[0], ctx.sparse(y))
 
 
 def twist_class(box: Box, x: KClass) -> KClass:
@@ -592,10 +591,11 @@ def _vanishes(box: Box, terms: list[tuple[int, tuple[int, ...], int]]) -> bool:
     sigma = w + t + 1, the source of its normal form too, so no normal form
     is taken.  When every term is a table row and sum |coef| <= cap, the
     rows are summed packed, as big integers, and the total is 0 exactly
-    when every pairing is.  Otherwise the table rows are merged by source
-    and decoded exactly (`_Ctx.decode`), the deep rows (w_{k-1} + t < -1)
-    added unpacked (`_Ctx.row`), and every field tested.  Every term must
-    fit the pairing rows, whatever its coefficient; otherwise ValueError.
+    when every pairing is.  Otherwise, with no table, the table rows are
+    one column of a `_Ctx.transposed` pass, read exactly, the deep rows
+    (w_{k-1} + t < -1) are added unpacked (`_Ctx.row`), and every field is
+    tested.  Every term must fit the pairing rows, whatever its
+    coefficient; otherwise ValueError.
     """
     ctx = _ctx(box)
     rows, deep, weight = [], [], 0
@@ -605,13 +605,10 @@ def _vanishes(box: Box, terms: list[tuple[int, tuple[int, ...], int]]) -> bool:
             if i is None:
                 deep.append((coef, w, t))
             else:
-                rows.append((coef, i))
+                rows.append((i, coef))
     if not deep and weight <= ctx.cap:
-        return not sum(coef * ctx.table[i] for coef, i in rows)
-    merged: dict[int, int] = {}
-    for coef, i in rows:
-        merged[i] = merged.get(i, 0) + coef
-    total = ctx.decode([(c, ctx.table[i]) for i, c in merged.items() if c])
+        return not sum(coef * ctx.table[i] for i, coef in rows)
+    total = ctx.transposed([rows])[0]
     for coef, w, t in deep:
         total = list(map(add, total, map(coef.__mul__, ctx.row(w, t))))
     return not any(total)
@@ -624,36 +621,32 @@ def _vanish_batch(
     sum coef * [Sigma^w U*(t)] vanishes in K_0: the verdicts of `_vanishes`,
     from one transposed pass and no table (module docstring).
 
-    Relation q is packed in field q at width B: each coef at bit B q of the
-    entry of its source sigma = w + t + 1.  After `strip_transpose`, field q
-    of the entry at kappa + 1 is (c_q^T G)[kappa], and the relation vanishes
+    Relation q, each term at its source sigma = w + t + 1, is column q of
+    one `_Ctx.transposed` pass, at the batch's width B.  Field q of the
+    entry at kappa + 1 is then (c_q^T G)[kappa], and the relation vanishes
     exactly when that field is 0 at every basis kappa.  A read is 0 exactly
     when all its fields are; a nonzero read is biased by 2^(B-1) in every
     field and split by one `to_bytes`, which names its failing relations.
 
     Every term must fit the pairing rows and be a table row
-    (w_{k-1} + t >= -1), and every relation must have sum |coef| <= cap,
-    whatever its coefficients; otherwise ValueError.
+    (w_{k-1} + t >= -1), whatever its coefficient; otherwise ValueError.
     """
     ctx = _ctx(box)
-    sources, bits = ctx.sources, ctx.bits
-    v = [0] * len(sources)
-    for q, terms in enumerate(relations):
-        shift, weight = bits * q, 0
+    columns = []
+    for terms in relations:
+        column = []
         for (coef, w, t), i in zip(terms, _sources(ctx, terms)):
             if i is None:
                 raise ValueError(f"bundle {TwistedSchur(w, t, box)} is not a table row")
-            weight += abs(coef)
-            v[i] += coef << shift
-        if weight > ctx.cap:
-            raise ValueError(f"relation {q} has sum |coef| = {weight} > cap = {ctx.cap}")
-    ctx.strip_transpose(v)
+            column.append((i, coef))
+        columns.append(column)
+    reads, bits = ctx.transposed(columns)
     size, count = bits // 8, len(relations)
     zero = bytes(size - 1) + b"\x80"  # the field 0 biased by 2^(B-1), little-endian
     bias = int.from_bytes(zero * count, "little")
     failed: set[int] = set()
-    for s, r in zip(sources, v):  # the sources with s_{k-1} >= 1 are the kappa + 1
-        if r and s[-1]:
+    for r in reads:
+        if r:
             raw = (r + bias).to_bytes(size * count, "little")
             failed.update(q for q in range(count) if raw[q * size : (q + 1) * size] != zero)
     return [q not in failed for q in range(count)]
@@ -711,8 +704,8 @@ def residual_report(box: Box) -> ResidualReport:
     and must cycle the classes, closing up to the sign (-1)^(k(n-k)/d).
 
     Every projector list is read from one checked chain by position, with the
-    covectors its check decoded; the residual Gram decodes one covector per
-    residual class.
+    covectors its check read in one batch; the residual Gram reads the
+    residual classes in one more.
     """
     ctx = _ctx(box)
     block = [obj.bundle.weight for obj in ctx.block]
@@ -736,7 +729,7 @@ def residual_report(box: Box) -> ResidualReport:
         polarized = [ctx.project(chain[:width], covs[:width], _twist_sum(ctx.twist, x)) for x in fs]
         tau_ok.append(polarized == fs[1:] + [{j: sign * v for j, v in fs[0].items()}])
 
-    gram = tuple(tuple(_dot(c, y) for y in residual) for c in map(ctx.covector, residual))
+    gram = tuple(tuple(_dot(c, y) for y in residual) for c in ctx.covector(residual))
     return ResidualReport(
         box=box,
         short_diagrams=tuple(shorts),

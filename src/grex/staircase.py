@@ -17,10 +17,9 @@ maps.  No differentials are constructed.
 complex from it, and `_terms` the triples of `k_class_terms` with no complex,
 from which the twist T in K_0 is built.  `grex report` checks T itself
 (`_twist_columns_exact`): column lam untwisted is a relation exactly when
-lam's staircase is K-exact, with sum |coef| at most 2^n <= cap, and all
-C(n-1,k-1) columns go to one transposed pass that builds no pairing table
-(`ktheory._vanish_batch`).  `is_k_exact` checks one complex against the
-table.
+lam's staircase is K-exact, and all C(n-1,k-1) columns go to one
+transposed pass (`ktheory._vanish_batch`).  `is_k_exact` checks one
+complex by the per-call zero test (`ktheory._vanishes`).
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import combinations_with_replacement
 from math import comb
 
 from grex.diagrams import Box
@@ -131,6 +132,23 @@ def jacobi_trudi_oracle(n: int, a: tuple[int, ...], lam: tuple[int, ...]) -> int
     if det.denominator != 1:
         raise AssertionError(f"Jacobi-Trudi determinant {det} is not an integer")
     return int(det)
+
+
+@cache
+def gram_oracle(box: Box) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The box diagrams in lexicographic order and the Kapranov Gram matrix
+    over them, chi(Sigma^a U*, Sigma^b U*) = s_{b/a}(1^n), one Jacobi-Trudi
+    determinant per entry."""
+    ws = sorted(
+        tuple(reversed(c)) for c in combinations_with_replacement(range(box.n - box.k + 1), box.k)
+    )
+    return tuple(ws), tuple(tuple(jacobi_trudi_oracle(box.n, a, b) for b in ws) for a in ws)
+
+
+def covector_oracle(box: Box, x: dict[int, int]) -> tuple[int, ...]:
+    """x^T G for a class {basis index: coefficient}, on `gram_oracle`."""
+    g = gram_oracle(box)[1]
+    return tuple(sum(c * g[i][j] for i, c in x.items()) for j in range(len(g)))
 
 
 def bott_oracle(box: Box, nu: tuple[int, ...]):

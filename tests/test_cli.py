@@ -243,19 +243,30 @@ class TestRaisingCheck:
         ],
     )
     def test_pairing_row_raises(self, capsys, monkeypatch, argv):
-        # every pairing row is read from the per-box table, so a builder that
-        # raises fails both the staircase check and the residual chain check
+        # a staircase check reads the per-box table, so a builder that raises
+        # fails it; the residual chain check reads its covectors from one
+        # transposed pass, so a pass whose every read is doubled fails the
+        # guard on the first chain member's leading term
         from grex import ktheory
 
         def corrupt(self):
             raise AssertionError(f"corrupt pairing table on {self.box}")
 
-        monkeypatch.setattr(ktheory._Ctx, "build_table", corrupt)
+        def doubled(self, v):
+            return [2 * x for x in transpose(self, v)]
+
+        transpose = ktheory._Ctx.strip_transpose
+        if argv[0] == "staircase":
+            monkeypatch.setattr(ktheory._Ctx, "build_table", corrupt)
+            message = "error: corrupt pairing table"
+        else:
+            monkeypatch.setattr(ktheory._Ctx, "strip_transpose", doubled)
+            message = "error: Kapranov Gram diagonal is not 1 at (0, 0, 0)"
         ktheory._ctx.cache_clear()  # no table built before the patch
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: corrupt pairing table")
+        assert err.startswith(message)
         assert "Traceback" not in err
 
     def test_non_semiorthogonal_residual_chain(self, capsys, monkeypatch):
@@ -702,8 +713,8 @@ class TestOnePassPerBox:
         box = Box(4, 10)
         full_report(box)
         assert sorted(vars(_ctx(box))) == [
-            "bias", "bits", "block", "bound", "box", "cap", "chis", "diagrams", "fields",
-            "fonarev", "index", "orbits", "sources", "strips", "table", "twist", "weights",
+            "bits", "block", "bound", "box", "cap", "chis", "diagrams",
+            "fonarev", "index", "orbits", "sources", "strips", "twist", "weights",
         ]
 
     def test_report_unpacks_only_deep_rows(self):
@@ -744,9 +755,9 @@ class TestGoldenOutput:
     The G(7,10) and G(1,5) reports and the G(3,9) theta staircase were
     recorded before the pairing rows were stored under the normal form of
     their bundle; they pin the walks of the one-row and the tallest box.  The
-    G(6,12) report is the smallest whose covectors take the multi-level
-    decode in bulk (101 of its 475 decodes exceed `cap`); it was recorded
-    while the context still stored every twisted class.  The last two were
+    G(6,12) report is the smallest whose covectors went past the table's
+    `cap` in bulk (101 of its 475 classes); it was recorded while the
+    context still stored every twisted class.  The last two were
     recorded while the report still built a complex per staircase: the
     G(3,9) report is the one small box with a theta staircase, appendix
     cases and a residual stage, and the G(4,13) staircase, the README
@@ -852,6 +863,31 @@ class TestGoldenOutput:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("case", ["report_g39", "report_g48", "report_g410", "report_g612"])
+    def test_report_builds_no_table(self, capsys, monkeypatch, case):
+        # the staircase columns, the residual covectors and the slow path of
+        # the zero test all read transposed passes, and the theta staircases
+        # and the G(4,8) fixture read deep rows (t <= -2), so they take that
+        # slow path: a report that could not build the table still prints
+        # its digest
+        from grex import ktheory
+        from grex.diagrams import Box
+
+        def refuse(self):
+            raise AssertionError(f"pairing table built on {self.box}")
+
+        monkeypatch.setattr(ktheory._Ctx, "build_table", refuse)
+        ktheory._ctx.cache_clear()  # no table built before the patch
+        argv, digest = self.DIGESTS[case]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        # the only rows stored are those deep ones; G(4,10) has neither a
+        # theta staircase nor the fixture, and stores none
+        chis = ktheory._ctx(Box(int(argv[2]), int(argv[4]))).chis
+        assert all(t < -1 for _, t in chis)
+        assert bool(chis) == (case != "report_g410")
 
     @pytest.mark.parametrize("case", ["report_g411", "report_g59", "report_g710"])
     def test_coprime_report_builds_no_table(self, capsys, monkeypatch, case):

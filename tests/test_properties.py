@@ -39,7 +39,9 @@ from grex.staircase import build_staircase
 from grex.schur import dualize, lr_bounds, lr_product, twist
 from oracles import (
     bott_oracle,
+    covector_oracle,
     dimension_oracle,
+    gram_oracle,
     jacobi_trudi_oracle,
     lr_product_oracle,
     uncut_gram,
@@ -402,8 +404,8 @@ def dense_sum(box, combo):
 def test_zero_combination_against_dense_rows(case):
     # the combination, the combination plus its negation (zero), and that
     # with one coefficient moved by 1 (nonzero), against the dense oracle
-    # rows; the example's 20 copies of one row, far past cap, end only
-    # because the terms are merged by row before the digit levels
+    # rows; the example's 20 copies of one row, far past cap, are one
+    # column of one transposed pass, whose one field needs no split
     box, terms, negation = case
     zero = terms + negation
     nonzero = [(zero[0][0] + 1, zero[0][1]), *zero[1:]]
@@ -415,15 +417,16 @@ def test_zero_combination_against_dense_rows(case):
 @st.composite
 def relation_batches(draw):
     """A box and a batch of 1 to 6 relations of table rows (w_{k-1} + t >= -1):
-    the staircase of a diagram with a full first row times -1, 0 or 1, plus
-    up to three terms and their negations on shifted weights, in a drawn
-    order, and in about half of them one coefficient moved by 1."""
+    the staircase of a diagram with a full first row times -1, 0, 1 or a
+    factor that puts its sum |coef| far past the table's cap, plus up to
+    three terms and their negations on shifted weights, in a drawn order,
+    and in about half of them one coefficient moved by 1."""
     box = draw(boxes())
     diagrams = [d.parts for d in enumerate_diagrams(box, "all")]
     full = [BoxedDiagram(w, box) for w in diagrams if w[0] == box.width]
     batch = []
     for _ in range(draw(st.integers(1, 6))):
-        s = draw(st.integers(-1, 1))
+        s = draw(st.sampled_from([-1, 0, 1, 2**200 + 1, -(2**300)]))
         sc = build_staircase(box, draw(st.sampled_from(full)))
         terms = [(s * c, w, t) for c, w, t in sc.k_class_terms()]
         for _ in range(draw(st.integers(0, 3))):
@@ -440,19 +443,58 @@ def relation_batches(draw):
     return box, batch
 
 
+def _big_staircases():
+    """G(2,4): the staircase of (2,1) times 2^300, once as it is and once
+    with its head moved by 1, beside the staircase itself."""
+    box = Box(2, 4)
+    terms = build_staircase(box, BoxedDiagram((2, 1), box)).k_class_terms()
+    big = [(c << 300, w, t) for c, w, t in terms]
+    return box, [big, [(big[0][0] + 1, *big[0][1:]), *big[1:]], terms]
+
+
 @PROPERTY
 @given(relation_batches())
+@example(_big_staircases())
 def test_vanish_batch_against_dense_rows(case):
     # each verdict of the one transposed pass against the dense oracle rows
-    # and against the table route, relation by relation: a nonzero field
-    # neither hides nor spills into its neighbours
+    # and against the per-call route, relation by relation, within the
+    # table's cap or far past it: a nonzero field neither hides nor spills
+    # into its neighbours
     box, batch = case
-    assert all(sum(abs(c) for c, _, _ in r) <= _ctx(box).cap for r in batch)
     oracle = [
         not any(dense_sum(box, [(c, TwistedSchur(w, t, box)) for c, w, t in r])) for r in batch
     ]
     assert _vanish_batch(box, batch) == oracle
     assert [_vanishes(box, r) for r in batch] == oracle
+
+
+@st.composite
+def class_batches(draw):
+    """A box and a batch of 1 to 6 classes {basis index: coefficient}: zero
+    classes, classes with small coefficients, and classes whose sum |coef|
+    is far past the table's cap, in a drawn order."""
+    box = draw(boxes())
+    top = len(enumerate_diagrams(box, "all")) - 1
+    small, huge = st.integers(-3, 3), st.integers(-(2**300), 2**300)
+    classes = st.one_of(
+        st.just({}),
+        st.dictionaries(st.integers(0, top), small, max_size=6),
+        st.dictionaries(st.integers(0, top), st.one_of(small, huge), min_size=1, max_size=6),
+    )
+    batch = draw(st.lists(classes, min_size=1, max_size=6))
+    return box, [{i: c for i, c in x.items() if c} for x in batch]
+
+
+@PROPERTY
+@given(class_batches())
+@example((Box(3, 6), [{}, {0: 2**300, 19: -1}, {5: 1}, {}, {5: -(2**200), 0: 3}]))
+def test_covector_batch_against_oracle(case):
+    # one batched read, at the batch's own width, against x^T G on the
+    # oracle's Gram matrix, class by class, in the order given; the
+    # leading-term guard passes on every honest read
+    box, batch = case
+    assert _ctx(box).weights == gram_oracle(box)[0]
+    assert _ctx(box).covector(batch) == [covector_oracle(box, x) for x in batch]
 
 
 @st.composite
