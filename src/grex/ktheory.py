@@ -100,17 +100,16 @@ field it lies in [0, 2^B) in every field: nothing borrows, and one
 `to_bytes` splits it.
 
 A batch of one column needs no split: its int at kappa + 1 is its field,
-which `_Ctx.row` (t >= -1) and the slow path of `_vanishes` read.  Two
-readers split larger batches.  `_vanish_batch` gives the verdicts of
-`_vanishes` for a batch of relations, splitting only a nonzero read, which
-names its failing relations; the report's staircase stage sends all
-C(n-1,k-1) full-first-row columns of T in one batch.  `_Ctx.covector`
-returns every field: x^T G for each class x of a batch, placed at the
-sources kappa_i + 1.  A class read is guarded with no table layout to lean
-on: G is upper unitriangular, so x^T G is 0 before the least index i of x
-and x_i at i.  The classes are packed in the order of that index, earliest
-in the high fields, so at kappa those that start later hold the low fields:
-one test per read checks that they are 0, and they are not converted.
+which `_Ctx.row` (t >= -1) and the slow path of `_vanishes` read.  One
+splitter, `_splitter`, splits every larger batch, with one bias and one
+`Struct`.  `_vanish_batch` gives the verdicts of `_vanishes` for a batch
+of relations, splitting only a nonzero read, which names its failing
+relations; the report's staircase stage sends all C(n-1,k-1)
+full-first-row columns of T in one batch.  `_Ctx.read` splits every read
+of a batch of classes x, placed at the sources kappa_i + 1, into the row
+of the (x^T G)[kappa], and transposes the rows into the covectors x^T G.
+G is upper unitriangular, so x^T G is 0 before the least index i of x and
+x_i at i: one guard per class, with no table layout to lean on.
 
 A normal form with t <= -2 needs sigma outside the wider box.  Its row is
 one Jacobi-Trudi determinant det[h_{lam_i - a_j - i + j}(1^n)] per entry,
@@ -138,8 +137,8 @@ the nonzeros of y alone.
 Every residual projector list is a subsequence of the chain T^j e_lam, lam
 in the primitive block and j below the longest short orbit.
 Semiorthogonality passes to subsequences, so `residual_report` checks that
-chain once, reading the covectors of all its members in one batch, and
-then projects by chain position, reading those covectors; the residual
+chain once, from one read of all its members: the check sums the read's
+rows, the projections by chain position dot its covectors.  The residual
 Gram reads the covectors of the residual classes in one more batch.
 
 The fullness determinant is det of the Fonarev classes T^i e_lam in this
@@ -176,7 +175,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice, zip_longest
+from itertools import islice, repeat
 from math import comb
 from operator import add, mul
 from struct import Struct
@@ -354,45 +353,25 @@ class _Ctx:
                 v[i] += c << shift
         return [r for r, s in zip(self.strip_transpose(v), self.sources) if s[-1]], bits
 
-    def covector(self, xs: list[dict[int, int]]) -> list[tuple[int, ...]]:
-        """x^T G for each class x of the batch, in order: the field reader
-        of one `transposed` pass of the x_i at kappa_i + 1.  A read skips the
-        zero fields before the least index i of its class and checks that
-        they are 0 and that field i is x_i (module docstring); AssertionError
-        names kappa_i otherwise."""
-        top, weights, count = len(self.weights), self.weights, len(xs)
-        if not count:
-            return []
+    def read(self, xs: list[dict[int, int]]) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+        """The rows of one split `transposed` pass of the classes x at the
+        sources kappa_i + 1, (x_q^T G)[kappa] in field q of row kappa, and
+        the covectors x^T G, in order, each 0 before the least index i of
+        its class and x_i at i; AssertionError names kappa_i otherwise."""
         lift = [i for i, s in enumerate(self.sources) if s[-1]]  # kappa -> kappa + 1
-        leads = [min(x, default=top) for x in xs]
-        # by least index: position p goes in field count-1-p, the earliest high
-        order = sorted(range(count), key=leads.__getitem__)
-        reads, bits = self.transposed(
-            [[(lift[i], c) for i, c in xs[q].items()] for q in reversed(order)]
-        )
-        size, half = bits // 8, 1 << bits - 1
-        bias = int.from_bytes((b"\x80" + bytes(size - 1)) * count, "big")
-        rows, live, unpack = [], 0, Struct("").unpack
-        for kappa, r in enumerate(reads):
-            start = live
-            while live < count and leads[order[live]] <= kappa:
-                live += 1
-            if live > start:
-                unpack = Struct(f"{size}s" * live).unpack
-            low = bits * (count - live)
-            if r & (1 << low) - 1:  # its lowest nonzero field: a class read before its start
-                i = leads[order[count - 1 - ((r & -r).bit_length() - 1) // bits]]
-                raise AssertionError(f"Kapranov Gram diagonal is not 1 at {weights[i]}")
-            raw = ((r + bias) >> low).to_bytes(size * live, "big")
-            row = [f - half for f in map(int.from_bytes, unpack(raw))]
-            if live > start and any(row[p] != xs[order[p]][kappa] for p in range(start, live)):
-                raise AssertionError(f"Kapranov Gram diagonal is not 1 at {weights[kappa]}")
-            rows.append(row)
-        del reads
-        out: list[tuple[int, ...]] = [(0,) * top] * count
-        for p, col in enumerate(zip_longest(*rows, fillvalue=0)):
-            out[order[p]] = col
-        return out
+        rows, bits = self.transposed([[(lift[i], c) for i, c in x.items()] for x in xs])
+        split = _splitter(bits, len(xs))
+        for kappa, r in enumerate(rows):  # in place: each packed read is freed as its row is made
+            rows[kappa] = split(r)
+        covs = list(zip(*rows))
+        for x, cov in zip(xs, covs):
+            if x and (any(cov[: (i := min(x))]) or cov[i] != x[i]):
+                raise AssertionError(f"Kapranov Gram diagonal is not 1 at {self.weights[i]}")
+        return rows, covs
+
+    def covector(self, xs: list[dict[int, int]]) -> list[tuple[int, ...]]:
+        """x^T G for each class x of the batch, in order, guarded: `read`."""
+        return self.read(xs)[1]
 
     @cached_property
     def twist(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -429,10 +408,9 @@ class _Ctx:
         covectors of the projectors, from one read.
 
         chi(e_j, e_i) for every j >= i is sum_m c_m cov_j[m] over the
-        nonzeros c_m of e_i: one sum of column slices per projector.
+        nonzeros c_m of e_i: one sum of slices of the read's rows per projector.
         """
-        covs = self.covector(projectors)
-        cols = list(zip(*covs))
+        cols, covs = self.read(projectors)
         for i, e in enumerate(projectors):
             vals = [0] * (len(projectors) - i)
             for m, c in e.items():
@@ -489,6 +467,21 @@ def _width(bound: int) -> int:
     return -(-(bound.bit_length() + 1) // 8) * 8
 
 
+def _splitter(bits: int, count: int):
+    """The split of a read of `count` fields at width B into field q, at
+    bit B q, for every q in order: biased by 2^(B-1) per field, nothing
+    borrows (module docstring), and one `to_bytes` and one `Struct` split it."""
+    size, half = bits // 8, 1 << bits - 1
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    unpack, little = Struct(f"{size}s" * count).unpack, repeat("little")
+
+    def split(r: int) -> list[int]:
+        raw = (r + bias).to_bytes(size * count, "little")
+        return [f - half for f in map(int.from_bytes, unpack(raw), little)]
+
+    return split
+
+
 def _sources(ctx: _Ctx, terms: list[tuple[int, tuple[int, ...], int]]) -> list[int | None]:
     """The table source sigma = w + t + 1 of each (coef, w, t) term
     Sigma^w U*(t), the source of its normal form too, or None for a deep
@@ -531,10 +524,10 @@ def kapranov_gram(box: Box) -> tuple[tuple[int, ...], ...]:
 def class_of(e: TwistedSchur) -> KClass:
     """Coordinates of [E] in the Kapranov basis via the triangular solve:
     c_i = chi(e_i, E) - sum_{j > i} G[i, j] c_j, from the last basis index
-    down, with the Gram rows read as the covectors of the unit classes."""
+    down, with the Gram rows of `kapranov_gram`."""
     box = e.box
     ctx = _ctx(box)
-    gram = ctx.covector([{i: 1} for i in range(len(ctx.weights))])
+    gram = kapranov_gram(box)
     c: dict[int, int] = {}
     for i in range(len(ctx.weights) - 1, -1, -1):
         b = euler_char(TwistedSchur(ctx.weights[i], 0, box), e)
@@ -544,7 +537,8 @@ def class_of(e: TwistedSchur) -> KClass:
 
 
 def euler_pairing(box: Box, x: KClass, y: KClass) -> int:
-    """Bilinear Euler form x^T G y on coordinate vectors."""
+    """Bilinear Euler form x^T G y on coordinate vectors.  Each call runs
+    one whole transposed pass: batch many classes through one covector read."""
     ctx = _ctx(box)
     return _dot(ctx.covector([ctx.sparse(x)])[0], ctx.sparse(y))
 
@@ -559,7 +553,9 @@ def mutate_left(box: Box, projectors: list[KClass], x: KClass) -> KClass:
     """Gram-Schmidt x against a semiorthogonal sequence, last projector first.
 
     Every call rejects a projector list that is not Euler-unitriangular, and
-    checks that the result is left-orthogonal to every projector.
+    checks that the result is left-orthogonal to every projector.  Each call
+    runs one whole transposed pass: batch many classes through one covector
+    read of the projectors, as `residual_report` does.
     """
     ctx = _ctx(box)
     es = [ctx.sparse(e) for e in projectors]
@@ -622,11 +618,10 @@ def _vanish_batch(
     from one transposed pass and no table (module docstring).
 
     Relation q, each term at its source sigma = w + t + 1, is column q of
-    one `_Ctx.transposed` pass, at the batch's width B.  Field q of the
-    entry at kappa + 1 is then (c_q^T G)[kappa], and the relation vanishes
-    exactly when that field is 0 at every basis kappa.  A read is 0 exactly
-    when all its fields are; a nonzero read is biased by 2^(B-1) in every
-    field and split by one `to_bytes`, which names its failing relations.
+    one `_Ctx.transposed` pass.  Field q of the entry at kappa + 1 is then
+    (c_q^T G)[kappa], and the relation vanishes exactly when that field is
+    0 at every basis kappa.  A read is 0 exactly when all its fields are;
+    `_splitter` splits a nonzero read, which names its failing relations.
 
     Every term must fit the pairing rows and be a table row
     (w_{k-1} + t >= -1), whatever its coefficient; otherwise ValueError.
@@ -641,15 +636,12 @@ def _vanish_batch(
             column.append((i, coef))
         columns.append(column)
     reads, bits = ctx.transposed(columns)
-    size, count = bits // 8, len(relations)
-    zero = bytes(size - 1) + b"\x80"  # the field 0 biased by 2^(B-1), little-endian
-    bias = int.from_bytes(zero * count, "little")
+    split = _splitter(bits, len(relations))
     failed: set[int] = set()
     for r in reads:
         if r:
-            raw = (r + bias).to_bytes(size * count, "little")
-            failed.update(q for q in range(count) if raw[q * size : (q + 1) * size] != zero)
-    return [q not in failed for q in range(count)]
+            failed.update(q for q, f in enumerate(split(r)) if f)
+    return [q not in failed for q in range(len(relations))]
 
 
 @dataclass(frozen=True)

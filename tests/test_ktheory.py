@@ -204,9 +204,8 @@ class TestChiPair:
 
     def test_corrupt_field_before_the_diagonal_fails_the_gram_check(self, plant):
         # a 1 planted at (1,0) of Gram row (1,1), before its diagonal, where
-        # the true entry is 0: a class read skips that field of e_(1,1), and
-        # the one test on the fields it skips names it, alone in a batch or
-        # among the unit classes
+        # the true entry is 0: the guard on the fields before the least index
+        # of e_(1,1) names it, alone in a batch or among the unit classes
         plant((1, 1), 0, (1, 0))
         ctx = _ctx(Box(2, 4))
         i = ctx.index[1, 1]
@@ -599,15 +598,13 @@ class TestContext:
     def test_residual_decodes_one_covector_per_class(
         self, builds, monkeypatch, k, n, chain, classes
     ):
-        # the residual stage builds no table and stores no row: it reads the
-        # covector of each chain member once, in one batch, then of each
-        # residual class once for the residual Gram, in a second
+        # the residual stage builds no table and stores no row: one read
+        # gives every chain member's covector and the chain check's rows,
+        # and a second the residual classes' covectors for the residual Gram
         reads = []
-        covector = _Ctx.covector
+        read = _Ctx.read
         monkeypatch.setattr(
-            _Ctx,
-            "covector",
-            lambda self, xs: reads.append([dict(x) for x in xs]) or covector(self, xs),
+            _Ctx, "read", lambda self, xs: reads.append([dict(x) for x in xs]) or read(self, xs)
         )
         box = Box(k, n)
         ctx = _ctx(box)

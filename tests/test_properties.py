@@ -488,13 +488,18 @@ def class_batches(draw):
 @PROPERTY
 @given(class_batches())
 @example((Box(3, 6), [{}, {0: 2**300, 19: -1}, {5: 1}, {}, {5: -(2**200), 0: 3}]))
+@example((Box(2, 4), []))
 def test_covector_batch_against_oracle(case):
     # one batched read, at the batch's own width, against x^T G on the
     # oracle's Gram matrix, class by class, in the order given; the
-    # leading-term guard passes on every honest read
+    # leading-term guard passes on every honest read, and the read's rows
+    # are the transpose, one field per class at every basis kappa
     box, batch = case
-    assert _ctx(box).weights == gram_oracle(box)[0]
-    assert _ctx(box).covector(batch) == [covector_oracle(box, x) for x in batch]
+    ctx = _ctx(box)
+    oracle = [covector_oracle(box, x) for x in batch]
+    assert ctx.weights == gram_oracle(box)[0]
+    assert ctx.covector(batch) == oracle
+    assert ctx.read(batch)[0] == [[c[kappa] for c in oracle] for kappa in range(len(ctx.weights))]
 
 
 @st.composite
