@@ -270,9 +270,12 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
     and twist matrix T from the per-box context of `ktheory`, so each is
     computed once per report; the staircase stage checks the T that the
     residual and fullness stages read, all its full-first-row columns in one
-    transposed pass.  No stage builds the pairing table: the residual
-    covectors are transposed reads too, and the theta staircase and the
-    G(4,8) fixture read deep rows, so their zero tests take the slow path.
+    transposed pass, and leaves the verdicts on the context.  The residual
+    stage reads the chain by the twist identity, which needs T to be
+    (x) O(1), so it fails on those verdicts when a column is not K-exact,
+    and runs no second column pass.  No stage builds the pairing table: the
+    residual covectors are transposed reads too, and the theta staircase and
+    the G(4,8) fixture read deep rows, so their zero tests take the slow path.
 
     When the Gram and staircase stages both pass, the Fonarev classes C
     satisfy det(C)^2 = 1 (`ktheory` module docstring), and the fullness stage

@@ -13,11 +13,11 @@ staircase resolution of Sigma^lam U*, twisted by O(1), gives
     [Sigma^lam U*(1)] = -sum_{(c, Sigma^mu U*(s))} c e_{mu+s+1}
 
 over its non-head terms, and every mu+s+1 is a box diagram.  So
-[Sigma^lam U*(i)] = T^i e_lam for i >= 0.  `grex report` checks T itself
-by the batched zero test below: O(1) acts on K_0 by an automorphism and
-the head coefficient is 1, so [Sigma^lam U*] - sum T[kappa, lam]
-[Sigma^kappa U*(-1)] vanishes exactly when lam's staircase is K-exact, and
-merging terms only lowers its sum |coef|, which stays at most 2^n.
+[Sigma^lam U*(i)] = T^i e_lam for i >= 0.  T itself is checked by the
+batched zero test below: O(1) acts on K_0 by an automorphism and the head
+coefficient is 1, so [Sigma^lam U*] - sum T[kappa, lam] [Sigma^kappa U*(-1)]
+vanishes exactly when lam's staircase is K-exact, and merging terms only
+lowers its sum |coef|, which stays at most 2^n.
 
 Pairings of the form chi(Sigma^a U*(t), Sigma^kappa U*) with t <= 0 and both
 diagrams in the box sit in a single cohomological degree, so they reduce to
@@ -27,14 +27,13 @@ function at the point 1^n (Macdonald, *Symmetric Functions*, I.(5.4)):
     chi(Sigma^a U*(t), Sigma^kappa U*) = sum_pi c^lam_{a, pi} dim_n(pi)
                                        = s_{lam/a}(1^n),   lam = kappa - t.
 
-Pairings come in rows: row (a, t) holds chi(Sigma^a U*(t), Sigma^kappa U*)
-for every basis kappa.  As Sigma^{a+m} U*(t) = Sigma^a U*(t+m), a row is
-kept under the normal form of its bundle, the weight ending in 0
-(`bott.normal_form`, read by `_Ctx.row`).  Skew shapes are translation
-invariant, so for a normal form with t >= -1 entry kappa is
-s_{(kappa+1)/sigma}(1^n), where sigma = a + t + 1 is a diagram of the box
-one column wider (for t > 0 both sides vanish unless sigma is inside
-kappa + 1).
+Row (a, t) holds chi(Sigma^a U*(t), Sigma^kappa U*) for every basis kappa,
+under the normal form of its bundle, the weight ending in 0, as
+Sigma^{a+m} U*(t) = Sigma^a U*(t+m) (`bott.normal_form`, read by
+`_Ctx.row`).  Skew shapes are translation invariant, so for a normal form
+with t >= -1 entry kappa is s_{(kappa+1)/sigma}(1^n), where sigma = a + t + 1
+is a diagram of the box one column wider (for t > 0 both sides vanish
+unless sigma is inside kappa + 1).
 
 All those rows are one table, G = H^n over the wider box.  By the branching
 rule s_{lam/sigma}(x, y) = sum_nu s_{nu/sigma}(x) s_{lam/nu}(y), and as
@@ -46,100 +45,81 @@ Each range is fixed once the rows above are, so H is the product of k
 one-row suffix sums, top row first: X[sigma] += X[sigma + e_j] over sigma
 in reverse lexicographic order.  From the unit rows X[sigma] = e_{sigma-1}
 (0 where sigma_{k-1} = 0), n rounds of the k sums leave the row of sigma
-in X[sigma], by additions alone (`_Ctx.table`).
+in X[sigma], by additions alone (`_Ctx.strip_product`).
 
-X[sigma] is one Python int that packs its row at B bits per field, high
-field first: with N = C(n,k) basis diagrams, entry kappa sits at bit
-B (N-1-kappa).  Every kappa with kappa + 1 containing sigma contains
-max(sigma - 1, 0), so row sigma is zero before the basis index lo of that
-diagram, and its int has at most B (N - lo) bits: the zero fields are high
-limbs that Python never stores, and every suffix-sum addition and every sum
-of rows works on the support alone.
+Every entry is at most M, the largest row sum of G, which the same rounds
+give from one small int per source, 1 where sigma_{k-1} >= 1: every entry
+is nonnegative, and each strip is I plus a nonnegative matrix, so every
+partial sum on the way is at most its final entry.  A combination with
+sum |coef| = S has fields of absolute value at most S M.  So, packed at
+B bits per field, B the least whole number of bytes with 2^(B-1) > S M
+(`_width`), a sum is 0 exactly when every field is: the nonzero field of
+lowest order leaves a nonzero remainder.
 
-Every field is bounded by M, the largest row sum of G, max_sigma (G 1)[sigma].
-It comes from the same n rounds of k suffix sums, run on one small int per
-source, 1 where sigma_{k-1} >= 1 and 0 elsewhere (`_Ctx.strip_product`), so
-it costs about 1/N of the table.  Every entry is nonnegative, so it is at
-most its row's sum, and so at most M.  Every partial sum on the way is at
-most its final entry: each strip is I plus a nonnegative matrix, so the
-strips still to come can only raise an entry.  So no field carries, and a
-combination of rows with sum |coef| = S has fields of absolute value at most
-S M.  The table's width is fixed per box: B is the least whole number of
-bytes with 2^(B-1) > 2^n M, and the table is built once at it.  A packed
-sum with S <= cap = (2^(B-1) - 1) // M is 0 exactly when every field is: the nonzero
-field of lowest order, the largest such kappa, leaves a nonzero remainder
-mod 2^(B (N-kappa)).
+The table (`_Ctx.table`) packs row sigma into one int, entry kappa at bit
+B (N-1-kappa), N = C(n,k), at S = 2^n.  Row sigma is zero before the basis
+index lo of max(sigma - 1, 0), so its int stops at B (N - lo) bits, and
+every sum works on the support alone.  Only the per-call zero test
+`_vanishes` reads it, behind `is_zero_combination` and `is_k_exact`: each
+term Sigma^w U*(t) is the row of its source sigma = w + t + 1, the source of
+its normal form too (`_sources`, the one term reader, which refuses a term
+that does not fit), and coef times the packed rows are summed when
+S <= cap = (2^(B-1) - 1) // M and every term is a table row; cap >= 2^n
+covers the staircase of every lam with a full first row (coefficients +-1
+and +-C(n, c) for distinct 0 < c < n).  Any other combination takes the
+slow path: its table rows are one column of the transposed pass below, its
+deep rows are added unpacked, and every field is tested.
 
-So the per-call zero test, `_vanishes`, behind `is_zero_combination` and
-`is_k_exact`, reads the row of each term Sigma^w U*(t) by its source
-sigma = w + t + 1, the source of its normal form too (`_sources`, the one
-term reader, which also refuses a term that does not fit), and sums coef
-times the packed rows as big integers when S <= cap and every term is a
-table row; cap >= 2^n covers the staircase of every lam with a full first
-row (coefficients +-1 and +-C(n, c) for distinct 0 < c < n).  Any other
-combination takes the slow path, which builds no table: its table rows are
-one column of the transposed pass below, read exactly, the deep rows are
-added unpacked, and every field is tested.
-
-Nothing else reads the table.  The build is X = P U, with U the unit rows
-and P the product of the updates x[i] += x[up] of `strip_product`.  For a
-column c over the sources, c^T G = (P^T c)^T U, and row kappa + 1 of U is
-e_kappa (the rows with sigma_{k-1} = 0 are 0), so (c^T G)[kappa] is
-v = P^T c at the source kappa + 1.  P^T is the same updates transposed,
-v[up] += v[i], in the opposite order (`_Ctx.strip_transpose`; the
-transposition principle, Buergisser, Clausen and Shokrollahi, *Algebraic
-Complexity Theory*, 13.1).  The one pass, `_Ctx.transposed`, packs column
-q of a batch in field q at the batch's own width: with S the largest
-sum |coef| of a column, B is the least whole number of bytes with
-2^(B-1) > S M.  The packed ints are exact and the pass is linear, so each
-stays sum_q v_q[sigma] 2^(B q), even where a field outgrows 2^(B-1)
-part-way through.  Only the final read needs the bound: field q at
-kappa + 1 is (c_q^T G)[kappa], of absolute value at most S M < 2^(B-1).
-So a read is 0 exactly when all its fields are, and biased by 2^(B-1) per
-field it lies in [0, 2^B) in every field: nothing borrows, and one
-`to_bytes` splits it.
-
-A batch of one column needs no split: its int at kappa + 1 is its field,
-which `_Ctx.row` (t >= -1) and the slow path of `_vanishes` read.  One
-splitter, `_splitter`, splits every larger batch, with one bias and one
-`Struct`.  `_vanish_batch` gives the verdicts of `_vanishes` for a batch
-of relations, splitting only a nonzero read, which names its failing
-relations; the report's staircase stage sends all C(n-1,k-1)
-full-first-row columns of T in one batch.  `_Ctx.read` splits every read
-of a batch of classes x, placed at the sources kappa_i + 1, into the row
-of the (x^T G)[kappa], and transposes the rows into the covectors x^T G.
-G is upper unitriangular, so x^T G is 0 before the least index i of x and
-x_i at i: one guard per class, with no table layout to lean on.
+Every other reader runs one pass.  The build is X = P U, with U the unit
+rows and P the product of the updates x[i] += x[up].  For a column c over
+the sources, c^T G = (P^T c)^T U, and row kappa + 1 of U is e_kappa, so
+(c^T G)[kappa] is v = P^T c at the source kappa + 1.  P^T is the same
+updates transposed, v[up] += v[i], in the opposite order
+(`_Ctx.strip_transpose`; the transposition principle, Buergisser, Clausen
+and Shokrollahi, *Algebraic Complexity Theory*, 13.1).  `_Ctx.transposed`
+packs column q of a batch in field q at the batch's own width.  The packed
+ints are exact and the pass is linear, so only the final read needs the
+bound, even where a field outgrows 2^(B-1) part-way through; biased by
+2^(B-1) per field nothing borrows, and one `to_bytes` and one `Struct`
+split a read (`_splitter`).  A batch of one column needs no split
+(`_Ctx.row`, the slow path of `_vanishes`).  `_vanish_batch` splits only a
+nonzero read, which names its failing relations; the report's staircase
+stage sends all C(n-1,k-1) full-first-row columns of T in one batch.
+`_Ctx.read` splits the read of classes x, placed at the sources
+kappa_i + 1, into the rows (x^T G)[kappa] and the covectors x^T G.  G is
+upper unitriangular, so x^T G is 0 before the least index i of x and x_i at
+i: one guard per class.
 
 A normal form with t <= -2 needs sigma outside the wider box.  Its row is
 one Jacobi-Trudi determinant det[h_{lam_i - a_j - i + j}(1^n)] per entry,
 lam = kappa - t and h_m(1^n) = C(n+m-1, m), by `_bareiss_det`; it is stored
 as one row, unpacked, and its entries may exceed M.
 
-All per-box state lives on one context, `_ctx(box)`, and only the box used
-last is kept, so a sweep over many boxes frees each one when it moves on.
-The context holds the basis diagrams, the sparse twist matrix, the
-Jacobi-Trudi rows, and the table once the fast path of `_vanishes` needs
-it, which no stage of `grex report` does; each stage computes the classes
-T^i e_lam it reads, once per orbit, by the one twist loop
-(`_Ctx.twisted_classes`, exact or mod 3).  It also holds the skeleton that
-`grex report` verifies, each computed once per box and read only:
-`orbits`, the tuple `orbits(box)`; and `fonarev` and `block`, the Fonarev
-collection and the primitive block built from that tuple.  It holds no
-dense Gram matrix: `kapranov_gram` and `class_of` read the Gram rows as
-the covectors of the unit classes, in one batch.
+All per-box state lives on one context, `_ctx(box)`, kept for the box used
+last alone: the basis diagrams, the sparse twist matrix, the Jacobi-Trudi
+rows, the table once the fast path of `_vanishes` needs it (no stage of
+`grex report` does), the verdicts on T's columns once they are checked, and
+the skeleton that `grex report` verifies, computed once and read only:
+`orbits`, the tuple `orbits(box)`, and `fonarev` and `block`, built from it.
+Each stage computes the classes T^i e_lam it reads, once per orbit, by the
+one twist loop (`_Ctx.twisted_classes`, exact or mod 3).  No dense Gram
+matrix is kept: `kapranov_gram` and `class_of` read the Gram rows as the
+covectors of the unit classes, in one batch.  Inside the module a class is
+sparse, {basis index: coefficient}; its covector x^T G is one read, and
+x^T G y is a dot product over the nonzeros of y alone.
 
-Inside the module a class is sparse, {basis index: coefficient}: the twist,
-the pairing and the checked Gram-Schmidt projection act on that form.  The
-covector x^T G of a class is one read, and x^T G y is a dot product over
-the nonzeros of y alone.
-
-Every residual projector list is a subsequence of the chain T^j e_lam, lam
-in the primitive block and j below the longest short orbit.
-Semiorthogonality passes to subsequences, so `residual_report` checks that
-chain once, from one read of all its members: the check sums the read's
-rows, the projections by chain position dot its covectors.  The residual
-Gram reads the covectors of the residual classes in one more batch.
+Every residual projector list is a subsequence of the chain T^b e_v, v in
+the primitive block and b below the longest short orbit, level b by level.
+(x) O(1) preserves chi, Ext(E(1), F(1)) = Ext(E, F), so once T is (x) O(1)
+the twist identity chi(T^b x, T^a y) = chi(T^(b-a) x, y) holds, and the
+chain needs the pairings of its |block| classes at level 0 alone.  It is
+semiorthogonal exactly when their Gram chi(e_v, e_w) is unitriangular and
+chi(T^d e_v, e_w) = 0 for every d >= 1 (`_Ctx.check_chain`), and as
+chi(T^a e_w, y) = chi(e_w, T^(-a) y), every projection pairs with the
+level-0 covectors alone, level by level (`_project_levels`).  So
+`residual_report` refuses a T whose full-first-row columns are not K-exact.
+The residual Gram reads the residual classes in one more batch, and the
+tau-orbit check compares classes built explicitly.
 
 The fullness determinant is det of the Fonarev classes T^i e_lam in this
 basis, a sparse matrix rich in +-1 entries.  It is eliminated over Z row by
@@ -150,25 +130,20 @@ with n <= 13 under the size guard, G(6,14), G(8,14) and G(5,15)) no Fonarev
 row is deferred; that is measured, not proven.
 
 Once `grex report` has checked the Ext groups and T, it needs only the sign.
-Let C be the matrix whose rows are the Fonarev classes, so that the Euler Gram
-matrix of the collection is G_F = C G_K C^T, with G_K the Kapranov one.  G_K is
-upper unitriangular: its entry (i, kappa), s_{(kappa+1)/(kappa_i+1)}(1^n), is 0
-unless kappa contains kappa_i, and 1 at kappa = kappa_i.  If the staircase
-stage passes, column lam of T is the class of Sigma^lam U*(1), so the rows of C
-are the classes of the Fonarev objects.  If the Gram stage passes, no Ext runs
-from a later object to an earlier one and each object has Hom = k, so G_F is
-unitriangular too.  Then det(C)^2 = det G_F / det G_K = 1, and for an odd prime
-p the residue of det C mod p, 1 or p - 1, fixes its sign.  `_fullness_sign`
-takes p = 3.  It reduces T mod 3 once and builds the classes from it by the
-same twist loop, one pass per orbit.  By Lucas's theorem 3 divides C(n, c)
-unless each base-3 digit of c is at most that of n, so most middle staircase
-terms vanish mod 3; for n = 3^a none is left, and T mod 3 is a signed
-permutation.  The one elimination loop, `_sparse_det`, then runs on least
-absolute residues -1, 0 and 1: every live entry is a pivot, and no row is
-deferred.  The report takes this route only when both of those stages pass.
-Otherwise it eliminates over Z, and so it does when the residue is 0, which
-would mean the two stages contradict each other.  `grex fullness` and `grex
-residual` run no Gram stage, so they always eliminate over Z.
+With C the matrix of Fonarev classes, the Euler Gram matrix of the collection
+is G_F = C G_K C^T, G_K the Kapranov one, unitriangular.  If the staircase
+stage passes, the rows of C are the classes of the Fonarev objects; if the
+Gram stage passes, no Ext runs from a later object to an earlier one and
+each has Hom = k, so G_F is unitriangular too.  Then det(C)^2 = 1, and the
+residue of det C mod an odd prime fixes its sign.  `_fullness_sign` takes 3,
+reduces T mod 3 once and builds the classes by the same twist loop.  By
+Lucas's theorem 3 divides C(n, c) unless each base-3 digit of c is at most
+that of n, so most middle staircase terms vanish mod 3 (for n = 3^a, T mod
+3 is a signed permutation), and `_sparse_det` runs on the residues -1, 0
+and 1: every live entry is a pivot.  The report takes this route only when
+both stages pass.  Otherwise it eliminates over Z, and so it does when the
+residue is 0, which would mean the two stages contradict each other.  `grex
+fullness` and `grex residual` run no Gram stage, so they always do.
 """
 
 from __future__ import annotations
@@ -220,14 +195,12 @@ class _Ctx:
         self.chis: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}  # (a, t <= -2) -> row
         # the sources sigma of the table: the box one column wider
         self.sources = {s: i for i, s in enumerate(_ascending_parts(box.k, box.width + 1))}
-        # M, the largest row sum of the table, which bounds every entry and
-        # every partial sum of its build (module docstring): the strips
-        # applied to the row sums of the unit rows, 1 where sigma_{k-1} >= 1
-        # and 0 elsewhere; the table's width B, for sum |coef| = 2^n; and
-        # cap, the largest sum |coef| one packed sum of table rows holds
+        # M (module docstring); the table's width B, for sum |coef| = 2^n;
+        # and cap, the largest sum |coef| one packed sum of table rows holds
         self.bound = max(self.strip_product([1 if s[-1] else 0 for s in self.sources]))
         self.bits = _width(self.bound << box.n)
         self.cap = ((1 << self.bits - 1) - 1) // self.bound
+        self.twist_exact = None  # the verdicts of `staircase._twist_columns_exact`, once run
 
     @cached_property
     def orbits(self) -> tuple[Orbit, ...]:
@@ -246,14 +219,10 @@ class _Ctx:
 
     def row(self, a: tuple[int, ...], t: int) -> tuple[int, ...]:
         """chi(Sigma^a U*(t), Sigma^kappa U*) for every basis kappa, in order,
-        where a_0 + t and a_0 - a_{k-1} are at most n-k.
-
-        It is read under the normal form (a', t') of the bundle.  With
-        t' >= -1 it is row sigma = a' + t' + 1 of G = H^n over the box one
-        column wider, entry kappa s_{(kappa+1)/sigma}(1^n): the `transposed`
-        pass of the one column e_sigma, not stored.  With t' <= -2 it is one
-        Jacobi-Trudi determinant per entry (`deep_row`), stored once in `chis`.
-        """
+        where a_0 + t and a_0 - a_{k-1} are at most n-k, under the normal form
+        (a', t'): with t' >= -1 row a' + t' + 1 of G, the `transposed` pass of
+        one column, not stored; with t' <= -2 the Jacobi-Trudi row
+        (`deep_row`), stored once in `chis`."""
         a, t = normal_form(a, t)
         if t >= -1:
             return tuple(self.transposed([[(_sources(self, [(1, a, t)])[0], 1)]])[0])
@@ -291,15 +260,12 @@ class _Ctx:
 
     @cached_property
     def table(self) -> list[int]:
-        """The packed rows of every sigma of the wider box, at width B: the
-        fast path of `_vanishes` alone reads them."""
+        """The packed rows, which the fast path of `_vanishes` alone reads."""
         return self.build_table()
 
     def build_table(self) -> list[int]:
-        """X[sigma] = the packed row of sigma at width B: G = H^n applied to
-        the unit rows e_{sigma-1}, each at bit B (N-1-index[sigma-1]).  Row
-        sigma is zero before the basis index lo of max(sigma - 1, 0) (module
-        docstring), so X[sigma] < 2^(B (N - lo))."""
+        """X[sigma], the row of sigma at width B: H^n applied to the unit rows
+        e_{sigma-1}, each at bit B (N-1-index[sigma-1]) (module docstring)."""
         bits, index, top = self.bits, self.index, len(self.weights) - 1
         units = [
             1 << bits * (top - index[tuple(v - 1 for v in s)]) if s[-1] else 0
@@ -309,9 +275,7 @@ class _Ctx:
 
     def strip_product(self, x: list[int]) -> list[int]:
         """H^n x, in place: n rounds of the k one-row suffix sums
-        x[sigma] += x[sigma + e_j], sigma in reverse lexicographic order, top
-        row first.  The table applies it to packed unit rows, the bound to
-        one row sum per source."""
+        x[sigma] += x[sigma + e_j], sigma in reverse lexicographic order."""
         strips = self.strips
         for _ in range(self.box.n):
             for pairs in strips:
@@ -320,11 +284,8 @@ class _Ctx:
         return x
 
     def strip_transpose(self, v: list[int]) -> list[int]:
-        """(H^T)^n v, in place: the exact transpose of `strip_product`, its
-        updates in the opposite order, each x[i] += x[up] taken as
-        v[up] += v[i]: n rounds of the strips from row k-1 to row 0, each
-        from its last pair to its first.  `transposed` applies it to one
-        packed field per column."""
+        """(H^T)^n v, in place: the updates of `strip_product` in the opposite
+        order, each x[i] += x[up] taken as v[up] += v[i]."""
         strips = self.strips[::-1]
         for _ in range(self.box.n):
             for pairs in strips:
@@ -334,16 +295,10 @@ class _Ctx:
 
     def transposed(self, columns: list[list[tuple[int, int]]]) -> tuple[list[int], int]:
         """The one pass: (H^T)^n of a batch of columns, each a list of
-        (source, coef), column q packed in field q, read at the sources
-        kappa + 1: one int per basis kappa, in order, and the width B.
-
-        B is the least whole number of bytes with 2^(B-1) > S M, S the
-        largest sum |coef| of a column, so field q at kappa + 1,
-        (c_q^T G)[kappa], lies strictly between -2^(B-1) and 2^(B-1) (module
-        docstring); the int of a batch of one column is that field itself.
-        The sources kappa + 1 come in basis order: both orders are
-        lexicographic, and kappa -> kappa + 1 keeps it, onto the sources with
-        sigma_{k-1} >= 1."""
+        (source, coef), column q in field q at the width B of S M, S the
+        largest sum |coef| of a column (module docstring), read at the
+        sources kappa + 1, which come in basis order: one int per basis
+        kappa, whose field q is (c_q^T G)[kappa], and B."""
         weight = max((sum(abs(c) for _, c in column) for column in columns), default=0)
         bits = _width(weight * self.bound)
         v = [0] * len(self.sources)
@@ -403,13 +358,12 @@ class _Ctx:
             out.append(_twist_sum(twist, out[-1], modulus))
         return out[:count]
 
-    def check_semiorthogonal(self, projectors: list[dict[int, int]]) -> list[tuple[int, ...]]:
+    def check_semiorthogonal(
+        self, projectors: list[dict[int, int]]
+    ) -> tuple[list[list[int]], list[tuple[int, ...]]]:
         """Raise ValueError unless the list is Euler-unitriangular; return the
-        covectors of the projectors, from one read.
-
-        chi(e_j, e_i) for every j >= i is sum_m c_m cov_j[m] over the
-        nonzeros c_m of e_i: one sum of slices of the read's rows per projector.
-        """
+        one read of the projectors, its rows and covectors: chi(e_j, e_i),
+        j >= i, is one sum of slices of the rows over the nonzeros of e_i."""
         cols, covs = self.read(projectors)
         for i, e in enumerate(projectors):
             vals = [0] * (len(projectors) - i)
@@ -423,7 +377,34 @@ class _Ctx:
                 raise ValueError(
                     f"projectors {i + j} > {i} are not semiorthogonal; check the ordering"
                 )
-        return covs
+        return cols, covs
+
+    def check_chain(
+        self, block: list[int], chain: list[list[dict[int, int]]]
+    ) -> list[list[int]]:
+        """Raise ValueError unless the chain, chain[p][b] = T^b e_v with v =
+        block[p], is Euler-unitriangular level by level (module docstring):
+        the e_v by `check_semiorthogonal`, whose read's rows it returns, and
+        each T^d e_v, d >= 1, by one packed sum over its nonzeros of the
+        `strip_product` of the unit columns e_w, which leaves G[kappa, w] in
+        field w at each source kappa + 1, at the width of S M, S the largest
+        sum |coef| of a chain class."""
+        rows = self.check_semiorthogonal([{v: 1} for v in block])[0]
+        lift = [i for i, s in enumerate(self.sources) if s[-1]]  # kappa -> kappa + 1
+        bits = _width(max(sum(map(abs, y.values())) for ys in chain for y in ys) * self.bound)
+        x = [0] * len(self.sources)
+        for q, v in enumerate(block):
+            x[lift[v]] = 1 << bits * q
+        packed = self.strip_product(x)
+        for p, ys in enumerate(chain):
+            for d, y in enumerate(ys[1:], 1):
+                if s := sum(c * packed[lift[m]] for m, c in y.items()):
+                    i = next(q for q, f in enumerate(_splitter(bits, len(block))(s)) if f)
+                    raise ValueError(
+                        f"projectors {d * len(block) + p} > {i} are not semiorthogonal; "
+                        "check the ordering"
+                    )
+        return rows
 
     def project(
         self, projectors: list[dict[int, int]], covectors: list[tuple[int, ...]], x: dict[int, int]
@@ -468,9 +449,8 @@ def _width(bound: int) -> int:
 
 
 def _splitter(bits: int, count: int):
-    """The split of a read of `count` fields at width B into field q, at
-    bit B q, for every q in order: biased by 2^(B-1) per field, nothing
-    borrows (module docstring), and one `to_bytes` and one `Struct` split it."""
+    """The split of a read of `count` fields at width B into field q, at bit
+    B q, for every q in order, by one bias, `to_bytes` and `Struct`."""
     size, half = bits // 8, 1 << bits - 1
     bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
     unpack, little = Struct(f"{size}s" * count).unpack, repeat("little")
@@ -559,19 +539,15 @@ def mutate_left(box: Box, projectors: list[KClass], x: KClass) -> KClass:
     """
     ctx = _ctx(box)
     es = [ctx.sparse(e) for e in projectors]
-    covs = ctx.check_semiorthogonal(es)
+    covs = ctx.check_semiorthogonal(es)[1]
     return ctx.dense(ctx.project(es, covs, ctx.sparse(x)))
 
 
 def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool:
-    """Whether sum coef * [bundle] vanishes in K_0.
-
-    Tested by summing the pairing rows of the terms (`_vanishes`): the
-    pairings against every basis object determine a class uniquely (the
-    Gram matrix is uni-triangular).  Every bundle must live on the box and
-    fit the pairing rows (`_Ctx.row`), whatever its coefficient; otherwise
-    ValueError.
-    """
+    """Whether sum coef * [bundle] vanishes in K_0, by `_vanishes`: the
+    pairings against the basis determine a class, as G is unitriangular.
+    Every bundle must live on the box and fit the pairing rows (`_Ctx.row`),
+    whatever its coefficient; otherwise ValueError."""
     for _, bundle in terms:
         if bundle.box != box:
             raise ValueError(f"bundle {bundle} lives on a different box")
@@ -580,19 +556,12 @@ def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool
 
 def _vanishes(box: Box, terms: list[tuple[int, tuple[int, ...], int]]) -> bool:
     """Whether sum coef * [Sigma^w U*(t)] over the (coef, w, t) terms vanishes
-    in K_0: the one zero test, behind `is_zero_combination` and
-    `staircase.is_k_exact`, which builds no bundle per term.
-
-    A term with w_{k-1} + t >= -1 is the table row of its source
-    sigma = w + t + 1, the source of its normal form too, so no normal form
-    is taken.  When every term is a table row and sum |coef| <= cap, the
-    rows are summed packed, as big integers, and the total is 0 exactly
-    when every pairing is.  Otherwise, with no table, the table rows are
-    one column of a `_Ctx.transposed` pass, read exactly, the deep rows
-    (w_{k-1} + t < -1) are added unpacked (`_Ctx.row`), and every field is
-    tested.  Every term must fit the pairing rows, whatever its
-    coefficient; otherwise ValueError.
-    """
+    in K_0: the one per-call zero test, which builds no bundle per term.
+    With every term a table row (w_{k-1} + t >= -1) and sum |coef| <= cap,
+    the packed table rows are summed; otherwise they are one column of a
+    `_Ctx.transposed` pass, the deep rows are added unpacked (`_Ctx.row`),
+    and every field is tested (module docstring).  Every term must fit the
+    pairing rows, whatever its coefficient; otherwise ValueError."""
     ctx = _ctx(box)
     rows, deep, weight = [], [], 0
     for (coef, w, t), i in zip(terms, _sources(ctx, terms)):
@@ -614,18 +583,11 @@ def _vanish_batch(
     box: Box, relations: list[list[tuple[int, tuple[int, ...], int]]]
 ) -> list[bool]:
     """For each relation, a list of (coef, w, t) terms, whether
-    sum coef * [Sigma^w U*(t)] vanishes in K_0: the verdicts of `_vanishes`,
-    from one transposed pass and no table (module docstring).
-
-    Relation q, each term at its source sigma = w + t + 1, is column q of
-    one `_Ctx.transposed` pass.  Field q of the entry at kappa + 1 is then
-    (c_q^T G)[kappa], and the relation vanishes exactly when that field is
-    0 at every basis kappa.  A read is 0 exactly when all its fields are;
-    `_splitter` splits a nonzero read, which names its failing relations.
-
-    Every term must fit the pairing rows and be a table row
-    (w_{k-1} + t >= -1), whatever its coefficient; otherwise ValueError.
-    """
+    sum coef * [Sigma^w U*(t)] vanishes in K_0: the verdicts of `_vanishes`
+    from one transposed pass, relation q in column q, and no table.  A read
+    is 0 exactly when all its fields are, and a nonzero one, split, names
+    its failing relations.  Every term must fit the pairing rows and be a
+    table row (w_{k-1} + t >= -1); otherwise ValueError."""
     ctx = _ctx(box)
     columns = []
     for terms in relations:
@@ -658,9 +620,7 @@ class ResidualReport:
     @property
     def gram_is_identity(self) -> bool:
         g = self.residual_gram
-        return all(
-            g[i][j] == (1 if i == j else 0) for i in range(len(g)) for j in range(len(g))
-        )
+        return all(v == (i == j) for i, row in enumerate(g) for j, v in enumerate(row))
 
     @property
     def tau_all_ok(self) -> bool:
@@ -695,30 +655,35 @@ def residual_report(box: Box) -> ResidualReport:
     The induced polarization acts as x -> mutate(primitive block, x (x) O(1))
     and must cycle the classes, closing up to the sign (-1)^(k(n-k)/d).
 
-    Every projector list is read from one checked chain by position, with the
-    covectors its check read in one batch; the residual Gram reads the
-    residual classes in one more.
-    """
+    The projections rest on the twist identity (module docstring): ValueError
+    names a full-first-row column of T that is not K-exact, by the verdicts
+    the report's staircase stage leaves on the context if it ran.  The
+    residual Gram is one more read."""
+    from .staircase import _twist_columns_exact  # staircase imports this module
+
     ctx = _ctx(box)
-    block = [obj.bundle.weight for obj in ctx.block]
     shorts = [(orb.representative, orb.length) for orb in ctx.orbits if orb.length < box.n]
-    o_max = max((o for _, o in shorts), default=0)
-    chain = [c for level in zip(*(ctx.twisted_classes(w, o_max) for w in block)) for c in level]
-    covs = ctx.check_semiorthogonal(chain)
-    width = len(block)
     sign_exponents = tuple(box.k * (box.n - box.k) // (box.n // o) for _, o in shorts)
     residual: list[dict[int, int]] = []
     tau_ok: list[bool] = []
+    if shorts:  # no chain to read otherwise
+        columns = _twist_columns_exact(box) if ctx.twist_exact is None else ctx.twist_exact
+        if bad := [d.parts for d, exact in columns if not exact]:
+            raise ValueError(f"column {bad[0]} of the twist T is not K-exact: T is not (x) O(1)")
+        block = [ctx.index[obj.bundle.weight] for obj in ctx.block]
+        chain = [ctx.twisted_classes(ctx.weights[v], max(o for _, o in shorts)) for v in block]
+        rows = ctx.check_chain(block, chain)
+        pair, every = _pairer(rows, ctx.bound), range(len(block))
     for (mu, o), sign_exp in zip(shorts, sign_exponents):
-        inside = [p for p, w in enumerate(block) if mu.contains(BoxedDiagram(w, box))]
-        fs = []
-        for i, x in enumerate(ctx.twisted_classes(mu.parts, o)):
-            # chain positions: the block at twists 0..i-1, then its part inside mu at twist i
-            picks = [*range(i * width), *(i * width + p for p in inside)]
-            fs.append(ctx.project([chain[q] for q in picks], [covs[q] for q in picks], x))
+        inside = [p for p, v in enumerate(block) if mu.contains(ctx.diagrams[v])]
+        xs = ctx.twisted_classes(mu.parts, o)
+        fs = [_project_levels(rows, pair, block, chain, xs[: i + 1], inside) for i in range(o)]
         residual.extend(fs)
         sign = -1 if sign_exp % 2 else 1
-        polarized = [ctx.project(chain[:width], covs[:width], _twist_sum(ctx.twist, x)) for x in fs]
+        polarized = [
+            _project_levels(rows, pair, block, chain, [_twist_sum(ctx.twist, x)], every)
+            for x in fs
+        ]
         tau_ok.append(polarized == fs[1:] + [{j: sign * v for j, v in fs[0].items()}])
 
     gram = tuple(tuple(_dot(c, y) for y in residual) for c in ctx.covector(residual))
@@ -732,18 +697,68 @@ def residual_report(box: Box) -> ResidualReport:
     )
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant of a square integer matrix: the fallback of
-    `_sparse_det` for the rows it deferred.
+def _project_levels(rows, pair, block, chain, xs: list[dict[int, int]], top) -> dict[int, int]:
+    """The left projection of x = xs[i], i = len(xs) - 1, onto the checked
+    chain (`_Ctx.check_chain`, the rows of whose read are given): the block
+    at twists 0..i-1, then its positions `top` at twist i; xs[d] = T^(d-i) x.
+    Level by level, from a = i down to 0, with the c_(b,v) of the levels
+    b > a found, y = x - sum c_(b,v) T^b e_v pairs with T^a e_w as
+    z = xs[i-a] - sum c_(b,v) T^(b-a) e_v does with e_w (`pair`, by
+    `_pairer`), and a triangular solve with the block Gram gives the c_(a,v):
+    Gram-Schmidt, last projector first, as the projection is unique.
+    AssertionError unless z less the level's terms pairs to 0 with it."""
+    found: list[tuple[int, dict[int, int]]] = []  # (b, {p: c_(b,v)})
+    for a in range(len(xs) - 1, -1, -1):
+        level = range(len(block)) if found else top
+        z = dict(xs[len(xs) - 1 - a])
+        for b, cs in found:
+            for p, c in cs.items():
+                for m, v in chain[p][b - a].items():
+                    z[m] = z.get(m, 0) - c * v
+        r, cs = pair(z), {}
+        for p in reversed(level):
+            if c := r[p] - sum(rows[block[q]][p] * v for q, v in cs.items()):
+                cs[p] = c
+        for p, c in cs.items():
+            z[block[p]] = z.get(block[p], 0) - c
+        r = pair(z)
+        if any(r[p] for p in level):
+            raise AssertionError("mutation lost orthogonality")
+        found.append((a, cs))
+    return {m: v for m, v in z.items() if v}
 
-    Overwrites the rows of `m` (and swaps them) with elimination values, so
-    callers pass a matrix they do not need again.
-    """
+
+def _pairer(rows: list[list[int]], bound: int):
+    """z -> chi(x_q, z) for every class x_q of a read, by its rows, entries in
+    [0, M]: one packed sum over the nonzeros of z at the width of S M,
+    S = sum |z|, split; each row is packed once per width, the widest kept."""
+    packed: dict[int, int] = {}
+    bits, split = 0, None
+
+    def pair(z: dict[int, int]) -> list[int]:
+        nonlocal bits, split
+        if (need := _width(sum(map(abs, z.values())) * bound)) > bits:
+            bits, split = need, _splitter(need, len(rows[0]))
+            packed.clear()
+        total = 0
+        for m, c in z.items():
+            if c:
+                if (row := packed.get(m)) is None:
+                    fields = b"".join(v.to_bytes(bits // 8, "little") for v in rows[m])
+                    row = packed[m] = int.from_bytes(fields, "little")
+                total += c * row
+        return split(total)
+
+    return pair
+
+
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Fraction-free determinant of a square integer matrix, the fallback of
+    `_sparse_det` for the rows it deferred.  Overwrites and swaps the rows."""
     n = len(m)
     if n == 0:
         return 1
-    sign = 1
-    prev = 1
+    sign = prev = 1
     for r in range(n - 1):
         if m[r][r] == 0:
             for rr in range(r + 1, n):
@@ -768,19 +783,14 @@ def _sparse_det(rows: list[dict[int, int]], modulus: int | None = None) -> int:
     integer matrix given as sparse rows {column: entry} over the columns
     0..len(rows)-1.  Consumes the dicts.
 
-    The rows are taken in the order given.  A row with a live entry p = +-1
-    pivots on the first one and clears its column from every other live
-    row, whose entry there is a, by row -= (a p) pivot_row: exact, because
-    1/p = p.  A row without such an entry is deferred, and stays live.  The
-    deferred rows times the unpivoted columns go to `_bareiss_det` at the
-    end, so the result is always the exact integer.  The determinant is the
-    product of the pivots and that remainder, times the sign of the
-    row -> column permutation.
-
-    With an odd modulus, the entries are least absolute residues mod it,
-    every updated entry is reduced to one, and so is the result: the
-    determinant mod the modulus.  Mod 3 those residues are -1, 0 and 1, so
-    every live entry is a pivot and no row is deferred.
+    In the order given, a row with a live entry p = +-1 pivots on the first
+    one and clears its column from every other live row, whose entry there
+    is a, by row -= (a p) pivot_row: exact, as 1/p = p.  A row without one
+    is deferred, and the deferred rows times the unpivoted columns go to
+    `_bareiss_det` at the end; the determinant is the product of the pivots
+    and that remainder, times the sign of the row -> column permutation.
+    With an odd modulus every entry, and the result, is a least absolute
+    residue mod it; mod 3 those are -1, 0 and 1, so no row is deferred.
     """
     half = modulus // 2 if modulus else 0
     n = len(rows)
@@ -857,15 +867,9 @@ def _fonarev_classes(box: Box, modulus: int | None = None) -> list[dict[int, int
 
 def fullness_determinant(box: Box) -> int:
     """det of the Fonarev classes in the Kapranov basis; |det| = 1 certifies
-    that the collection spans K_0.
-
-    The classes T^i e_lam, one twist pass per orbit, are kept by nothing
-    else, so `_sparse_det` consumes them uncopied.  Sparse, a quarter to a
-    half of them basis vectors, they are eliminated on +-1 pivots (as the
-    transpose, of the same determinant) in collection order, which the
-    no-fallback measurements rest on; the result is exact, sign included,
-    fallback or not.
-    """
+    that the collection spans K_0.  The classes T^i e_lam, kept by nothing
+    else, are eliminated uncopied, in collection order (as the transpose, of
+    the same determinant), exactly, sign included (module docstring)."""
     return _sparse_det(_fonarev_classes(box))
 
 
@@ -873,12 +877,8 @@ _SIGN_PRIME = 3
 
 
 def _fullness_sign(box: Box) -> int:
-    """det of the Fonarev classes mod 3, as -1, 0 or 1.
-
-    It is the determinant only where det^2 = 1 is known, which the report's
-    Gram and staircase verdicts give (module docstring): there it is the
-    sign, and 0 means those verdicts contradict each other.  The classes are
-    built from T mod 3, where most staircase terms vanish, and eliminated
-    in collection order, every live entry a pivot.
-    """
+    """det of the Fonarev classes mod 3, as -1, 0 or 1: the determinant
+    only where the report's Gram and staircase verdicts give det^2 = 1
+    (module docstring), and 0 there means those verdicts contradict each
+    other."""
     return _sparse_det(_fonarev_classes(box, _SIGN_PRIME), _SIGN_PRIME)

@@ -150,14 +150,17 @@ def build_staircase(box: Box, lam: BoxedDiagram) -> StaircaseComplex:
 def _twist_columns_exact(box: Box) -> list[tuple[BoxedDiagram, bool]]:
     """Each basis diagram lam with a full first row, in basis order, with
     whether column lam of the twist T untwisted vanishes in K_0: exactly
-    when lam's staircase is K-exact (`ktheory` module docstring)."""
+    when lam's staircase is K-exact (`ktheory` module docstring).  Every
+    call runs the one pass and leaves its verdicts on the per-box context,
+    as `twist_exact`, where `ktheory.residual_report` reads them."""
     ctx = _ctx(box)
     twist, weights = ctx.twist, ctx.weights
     full = [i for i, w in enumerate(weights) if w[0] == box.width]
     verdicts = _vanish_batch(
         box, [[(1, weights[i], 0), *((-v, weights[j], -1) for j, v in twist[i])] for i in full]
     )
-    return [(ctx.diagrams[i], exact) for i, exact in zip(full, verdicts)]
+    ctx.twist_exact = [(ctx.diagrams[i], exact) for i, exact in zip(full, verdicts)]
+    return ctx.twist_exact
 
 
 def is_k_exact(sc: StaircaseComplex) -> bool:

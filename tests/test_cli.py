@@ -439,8 +439,9 @@ class TestReport:
     def test_planted_twist_entry_fails_the_staircase_stage(self, capsys, entry, eliminations):
         # +1 on one entry of column lam of the twist T, the matrix that the
         # residual and fullness stages read: the staircase stage checks T
-        # itself, so it fails for lam alone, and the fullness stage takes
-        # the exact route
+        # itself, so it fails for lam alone; the residual stage, which reads
+        # the twist identity, refuses T from that verdict; and the fullness
+        # stage takes the exact route
         from grex import ktheory
         from grex.diagrams import Box
 
@@ -458,11 +459,41 @@ class TestReport:
         finally:
             ktheory._ctx.cache_clear()  # drop the planted twist
         assert code == 1
-        stage = json.loads(out)["stages"]["staircase"]
+        data = json.loads(out)
+        stage = data["stages"]["staircase"]
         assert stage["verdict"] == "fail"
         assert stage["k_exact_failures"] == [list(lam)]
         assert stage["staircases_checked"] == comb(7, 3)
+        assert data["stages"]["residual"] == {
+            "verdict": "fail",
+            "error": f"column {lam} of the twist T is not K-exact: T is not (x) O(1)",
+        }
         assert eliminations == [None]
+
+    @pytest.mark.parametrize("flags", [(), ("-O",)])
+    def test_planted_twist_entry_fails_grex_residual(self, flags):
+        # `grex residual` runs no staircase stage, so it checks T's
+        # full-first-row columns itself before it reads the twist identity:
+        # +1 on one entry of column lam is a failed verdict, exit 1, naming
+        # lam, with no traceback, also when python -O strips assert statements
+        lam = (4, 3, 1, 0)
+        probe = (
+            "import sys\n"
+            "from grex import ktheory\n"
+            "from grex.cli import main\n"
+            "from grex.diagrams import Box\n"
+            "ctx = ktheory._ctx(Box(4, 8))\n"
+            "cols = list(ctx.twist)\n"
+            f"row, v = cols[ctx.index[{lam}]][0]\n"
+            f"cols[ctx.index[{lam}]] = ((row, v + 1), *cols[ctx.index[{lam}]][1:])\n"
+            "vars(ctx)['twist'] = tuple(cols)\n"
+            "sys.exit(main(['residual', '--k', '4', '--n', '8']))\n"
+        )
+        out = run_python(*flags, "-c", probe)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        message = f"column {lam} of the twist T is not K-exact: T is not (x) O(1)"
+        assert out.stderr == f"error: {message}\n"
 
     def test_planted_weight_out_of_the_box_recorded(self, capsys, monkeypatch):
         # a middle weight off the box would reach the zero test as a missing
@@ -714,7 +745,8 @@ class TestOnePassPerBox:
         full_report(box)
         assert sorted(vars(_ctx(box))) == [
             "bits", "block", "bound", "box", "cap", "chis", "diagrams",
-            "fonarev", "index", "orbits", "sources", "strips", "twist", "weights",
+            "fonarev", "index", "orbits", "sources", "strips", "twist", "twist_exact",
+            "weights",
         ]
 
     def test_report_unpacks_only_deep_rows(self):

@@ -29,7 +29,7 @@ from grex.ktheory import (
     twist_class,
 )
 from grex.lefschetz import fenced_block, fonarev, gram, primitive_block
-from grex.staircase import build_staircase, build_theta_staircase, is_k_exact
+from grex.staircase import _twist_columns_exact, build_staircase, build_theta_staircase, is_k_exact
 from oracles import (
     covector_oracle,
     dimension_oracle,
@@ -39,6 +39,7 @@ from oracles import (
     residual_oracle,
     signed_step,
     signed_step_det,
+    whole_chain_oracle,
 )
 
 
@@ -154,10 +155,14 @@ class TestChiPair:
         and kappa = a + t, that is, to chi(Sigma^a U*(t), Sigma^(a+t) U*), in
         every transposed pass from then on; plant(a, t, kappa) adds it at
         field kappa instead.  With table=True it goes into every table built
-        from then on instead.  No context built with it outlives the test."""
+        from then on instead, and with forward=True into every forward pass
+        (`strip_product`), whose context must be built first.  No context
+        built with it outlives the test."""
         _ctx.cache_clear()
-        yield lambda a, t, kappa=None, table=False: (
-            self.corrupt_tables if table else self.corrupt_passes
+        yield lambda a, t, kappa=None, table=False, forward=False: (
+            self.corrupt_products
+            if forward
+            else self.corrupt_tables if table else self.corrupt_passes
         )(monkeypatch, tuple(v + t + 1 for v in a), kappa)
         _ctx.cache_clear()
 
@@ -177,6 +182,22 @@ class TestChiPair:
             return v
 
         monkeypatch.setattr(_Ctx, "strip_transpose", corrupt)
+
+    @staticmethod
+    def corrupt_products(monkeypatch, sigma, kappa):
+        # the forward pass maps x to P x, and G[sigma, kappa] is
+        # P[sigma, kappa + 1]: adding the input at kappa + 1 to the output at
+        # sigma reads that entry one too high for every packed column
+        product = _Ctx.strip_product
+        source = tuple(v + 1 for v in kappa)
+
+        def corrupt(self, x):
+            planted = x[self.sources[source]]
+            x = product(self, x)
+            x[self.sources[sigma]] += planted
+            return x
+
+        monkeypatch.setattr(_Ctx, "strip_product", corrupt)
 
     @staticmethod
     def corrupt_tables(monkeypatch, sigma, kappa=None):
@@ -238,32 +259,35 @@ class TestChiPair:
             euler_pairing(box, unit(box, i), unit(box, 0))
 
     def test_corrupt_diagonal_fails_the_residual_stage(self, plant):
-        # the chain's covectors are one guarded read: a 2 planted on the
-        # diagonal at (1,1,1), the least index of the chain member e_(1,1,1)
-        # of G(3,6), stops the residual stage, and a pairing sees it only
-        # when its first class has a nonzero there
-        plant((1, 1, 1), 0)
+        # the block's covectors, the level 0 of the chain, are one guarded
+        # read: a 2 planted on the diagonal at (1,1,0), the least index of
+        # the block member e_(1,1,0) of G(3,6), stops the residual stage once
+        # T is checked, and a pairing sees it only when its first class has a
+        # nonzero there
         box = Box(3, 6)
-        with pytest.raises(AssertionError, match="Gram diagonal is not 1 at \\(1, 1, 1\\)"):
+        _twist_columns_exact(box)  # T checked before the plant
+        plant((1, 1, 0), 0)
+        with pytest.raises(AssertionError, match="Gram diagonal is not 1 at \\(1, 1, 0\\)"):
             residual_report(box)
-        i = _ctx(box).index[1, 1, 1]
-        assert euler_pairing(box, unit(box, 0), unit(box, i)) == 20  # dim Lambda^3 C^6
-        with pytest.raises(AssertionError, match="Gram diagonal is not 1 at \\(1, 1, 1\\)"):
+        i = _ctx(box).index[1, 1, 0]
+        assert euler_pairing(box, unit(box, 0), unit(box, i)) == 15  # dim Lambda^2 C^6
+        with pytest.raises(AssertionError, match="Gram diagonal is not 1 at \\(1, 1, 0\\)"):
             euler_pairing(box, unit(box, i), unit(box, 0))
 
     def test_corrupt_off_diagonal_field_fails_the_chain_check(self, plant):
-        # on G(3,9) chain member 9 has a nonzero at (1,1,1) and member 3 one
-        # at (2,0,0): a 1 planted in field (2,0,0) of Gram row (1,1,1), where
-        # the true entry is 0, breaks chi(member 9, member 3) = 0, after the
-        # guard, which reads the diagonal and the fields before it only
+        # on G(3,9) chain member 9, T e_(0,0,0) = e_(1,1,1), has a nonzero at
+        # (1,1,1) and member 3 is e_(2,0,0): a 1 planted in field (2,0,0) of
+        # Gram row (1,1,1) of the forward pass, where the true entry is 0,
+        # breaks chi(member 9, member 3) = 0; the guarded read of the block
+        # does not see it
         box = Box(3, 9)
         assert residual_report(box).gram_is_identity
-        plant((1, 1, 1), 0, (2, 0, 0))
         ctx = _ctx(box)
-        i = ctx.index[1, 1, 1]
-        (row,) = ctx.covector([{i: 1}])
-        assert row[i] == 1 and row[ctx.index[2, 0, 0]] == 1
-        with pytest.raises(ValueError, match="not semiorthogonal"):
+        plant((1, 1, 1), 0, (2, 0, 0), forward=True)
+        x = [0] * len(ctx.sources)
+        x[ctx.sources[3, 1, 1]] = 1
+        assert ctx.strip_product(x)[ctx.sources[2, 2, 2]] == 1
+        with pytest.raises(ValueError, match="^projectors 9 > 3 are not semiorthogonal"):
             residual_report(box)
 
     @pytest.mark.parametrize("k,n,lam", [(2, 4, (2, 1)), (3, 7, (4, 2, 1)), (1, 3, (2,))])
@@ -599,7 +623,8 @@ class TestContext:
         self, builds, monkeypatch, k, n, chain, classes
     ):
         # the residual stage builds no table and stores no row: one read
-        # gives every chain member's covector and the chain check's rows,
+        # gives the covectors of the primitive block's unit classes, the
+        # level 0 of the chain, for the block Gram and every projection,
         # and a second the residual classes' covectors for the residual Gram
         reads = []
         read = _Ctx.read
@@ -613,11 +638,10 @@ class TestContext:
         assert not ctx.chis
         assert "gram" not in vars(ctx)
         assert len(report.residual_classes) == classes
-        assert [len(r) for r in reads] == [chain, classes]
-        block = [obj.bundle.weight for obj in ctx.block]
-        levels = chain // len(block)
-        per_weight = [ctx.twisted_classes(w, levels) for w in block]
-        assert reads[0] == [c[j] for j in range(levels) for c in per_weight]
+        block = [{ctx.index[obj.bundle.weight]: 1} for obj in ctx.block]
+        assert len(block) * max(o for _, o in report.short_diagrams) == chain
+        assert [len(r) for r in reads] == [len(block), classes]
+        assert reads[0] == block
         assert [ctx.dense(x) for x in reads[1]] == list(report.residual_classes)
 
     def test_gram_is_the_untwisted_rows(self):
@@ -829,13 +853,22 @@ class TestResidualReport:
 
     def test_one_chain_check(self, monkeypatch):
         # G(4,8): a primitive block of 8 and a longest short orbit of 4 make a
-        # 32-class chain; every projector list is a subsequence of it
+        # 32-class chain, checked once, by the twist identity, from its 8
+        # level-0 classes, which alone go through the semiorthogonality check
+        # of mutate_left; every projector list is a subsequence of the chain
         box = Box(4, 8)
-        checked, dense = record_checks(monkeypatch), []
-        to_dense = _Ctx.dense
+        checked, dense, chains = record_checks(monkeypatch), [], []
+        to_dense, check_chain = _Ctx.dense, _Ctx.check_chain
         monkeypatch.setattr(_Ctx, "dense", lambda self, x: dense.append(1) or to_dense(self, x))
+        monkeypatch.setattr(
+            _Ctx,
+            "check_chain",
+            lambda self, block, chain: chains.append((len(block), sum(map(len, chain))))
+            or check_chain(self, block, chain),
+        )
         report = residual_report(box)
-        assert checked == [32]
+        assert chains == [(8, 32)]
+        assert checked == [8]
         # the returned classes are the only dense vectors built
         assert len(dense) == len(report.residual_classes) == 6
         fullness_determinant(box)
@@ -843,32 +876,39 @@ class TestResidualReport:
 
     @pytest.mark.parametrize("k,n", [(4, 8), (3, 9), (4, 10)])
     def test_projects_through_fenced_blocks(self, monkeypatch, k, n):
-        # F_mu^i projects through the chain up to twist i, then through the
-        # part of the primitive block inside mu at twist i: fenced_block's
-        # "minus" side, which residual_report selects from its own block
+        # F_mu^i projects T^i e_mu through the chain up to twist i, then
+        # through the part of the primitive block inside mu at twist i:
+        # fenced_block's "minus" side, which residual_report selects from its
+        # own block; each polarized class projects through twist 0 alone
         box = Box(k, n)
-        lists = []
-        project = _Ctx.project
+        calls = []
+        project = ktheory._project_levels
         monkeypatch.setattr(
-            _Ctx,
-            "project",
-            lambda self, ps, covs, x: lists.append(ps) or project(self, ps, covs, x),
+            ktheory,
+            "_project_levels",
+            lambda rows, pair, block, chain, xs, top: calls.append((xs, list(top)))
+            or project(rows, pair, block, chain, xs, top),
         )
         report = residual_report(box)
-        ctx, width, pos = ktheory._ctx(box), len(primitive_block(box)), 0
+        ctx, block, pos = ktheory._ctx(box), [obj.bundle.weight for obj in primitive_block(box)], 0
         assert report.short_diagrams
         for mu, o in report.short_diagrams:
             fenced = [obj.bundle.weight for obj in fenced_block(box, mu, "minus")]
             for i in range(o):
-                at_i = [ctx.twisted_classes(w, i + 1)[i] for w in fenced]
-                assert lists[pos + i][i * width:] == at_i
+                xs, top = calls[pos + i]
+                assert xs == ctx.twisted_classes(mu.parts, i + 1)
+                assert [block[p] for p in top] == fenced
+            for xs, top in calls[pos + o : pos + 2 * o]:
+                assert len(xs) == 1 and top == list(range(len(block)))
             pos += 2 * o  # o projections, then o polarized ones
-        assert pos == len(lists)
+        assert pos == len(calls)
 
     @pytest.mark.parametrize("flags", [(), ("-O",)])
     def test_non_semiorthogonal_chain_raises(self, flags):
         # the primitive block reversed puts chi(O, Sigma^lam U*) != 0 below the
-        # diagonal; python -O strips assert statements, and the check is not one
+        # diagonal of the block Gram, the level 0 of the chain, where the
+        # check names chain positions 1 > 0; python -O strips assert
+        # statements, and the check is not one
         probe = (
             "from grex import ktheory\n"
             "from grex.diagrams import Box\n"
@@ -886,7 +926,8 @@ class TestResidualReport:
             timeout=300,
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.startswith("ValueError:") and "not semiorthogonal" in out.stdout
+        message = "projectors 1 > 0 are not semiorthogonal; check the ordering"
+        assert out.stdout == f"ValueError: {message}\n"
 
     def test_g24(self):
         report = residual_report(Box(2, 4))
@@ -929,6 +970,86 @@ class TestResidualReport:
             assert key in data
         # fullness is its own check; `grex residual` adds it to its payload
         assert "fullness_det" not in data
+
+
+RESIDUAL_BOXES = [(k, n) for n in range(2, 13) for k in range(1, n) if residual_rank(Box(k, n))]
+
+
+class TestTwistIdentity:
+    """`residual_report` reads the chain by the twist identity
+    chi(T^b e_v, T^a e_w) = chi(T^(b-a) e_v, e_w), entrywise against the
+    whole-chain route, which reads the covector of every chain class."""
+
+    @pytest.mark.parametrize("k,n", RESIDUAL_BOXES)
+    def test_matches_the_whole_chain_route(self, monkeypatch, k, n):
+        box = Box(k, n)
+        _ctx.cache_clear()
+        ctx = _ctx(box)
+        passes = []
+        product = _Ctx.strip_product
+        monkeypatch.setattr(
+            _Ctx,
+            "strip_product",
+            lambda self, x: passes.append((list(x), product(self, x))) or passes[-1][1],
+        )
+        report = residual_report(box)
+        monkeypatch.undo()
+        classes, gram, tau, pairs = whole_chain_oracle(box)
+        assert report.residual_classes == classes
+        assert report.residual_gram == gram
+        assert report.tau_orbit_ok == tau
+        # the one forward pass of the chain check: unit column w in field w,
+        # at the width of S M, S the largest sum |coef| of a chain class
+        ((units, packed),) = passes
+        block = [ctx.index[obj.bundle.weight] for obj in ctx.block]
+        o_max = max(o for _, o in report.short_diagrams)
+        chain = [ctx.twisted_classes(ctx.weights[v], o_max) for v in block]
+        weight = max(sum(map(abs, y.values())) for ys in chain for y in ys)
+        bits = ktheory._width(weight * ctx.bound)
+        lift = [i for i, s in enumerate(ctx.sources) if s[-1]]
+        expected = [0] * len(ctx.sources)
+        for q, v in enumerate(block):
+            expected[lift[v]] = 1 << bits * q
+        assert units == expected
+        split = ktheory._splitter(bits, len(block))
+        reads = {
+            (p, d): split(sum(c * packed[lift[m]] for m, c in y.items()))
+            for p, ys in enumerate(chain)
+            for d, y in enumerate(ys)
+        }
+        assert len(pairs) == len(block) ** 2 * sum(range(len(chain[0]) + 1))
+        for (b, p, a, q), value in pairs.items():
+            assert reads[p, b - a][q] == value, (b, p, a, q)
+
+    @pytest.mark.parametrize("k,n", [(3, 6), (4, 8)])
+    def test_pairer_against_exact_row_sums(self, k, n):
+        # one packed sum per class z at the width of sum |z| M: coefficients
+        # of both signs far beyond M, after and before narrower sums, against
+        # the exact sums of the read's rows
+        ctx = _ctx(Box(k, n))
+        rows = ctx.read([{0: 1}, {1: 1}, {3: 1}, {len(ctx.weights) - 1: 1}])[0]
+        pair = ktheory._pairer(rows, ctx.bound)
+        rng = random.Random(10 * k + n)
+        for scale in (1, 10**3, 10**40, 1, 10**80):
+            z = {m: rng.randint(-scale, scale) for m in rng.sample(range(len(rows)), 6)}
+            assert pair(z) == [sum(c * rows[m][q] for m, c in z.items()) for q in range(4)]
+        assert pair({}) == [0] * 4
+
+    def test_each_level_is_checked_orthogonal(self, monkeypatch):
+        # each level is paired again after its triangular solve: a solve fed
+        # pairings one too high, on the first level of the first projection
+        # alone, leaves that level unorthogonal, and the second pairing finds it
+        calls = []
+        pairer = ktheory._pairer
+
+        def first_off(rows, bound):
+            pair = pairer(rows, bound)
+            return lambda z: calls.append(1) or [v + (len(calls) == 1) for v in pair(z)]
+
+        monkeypatch.setattr(ktheory, "_pairer", first_off)
+        with pytest.raises(AssertionError, match="^mutation lost orthogonality$"):
+            residual_report(Box(4, 8))
+        assert len(calls) == 2
 
 
 class TestConeClassConsistency:
