@@ -103,10 +103,18 @@ the skeleton that `grex report` verifies, computed once and read only:
 `orbits`, the tuple `orbits(box)`, and `fonarev` and `block`, built from it.
 Each stage computes the classes T^i e_lam it reads, once per orbit, by the
 one twist loop (`_Ctx.twisted_classes`, exact or mod 3).  No dense Gram
-matrix is kept: `kapranov_gram` and `class_of` read the Gram rows as the
-covectors of the unit classes, in one batch.  Inside the module a class is
-sparse, {basis index: coefficient}; its covector x^T G is one read, and
-x^T G y is a dot product over the nonzeros of y alone.
+matrix is kept: one read of the unit classes gives `kapranov_gram` its
+covectors, the Gram rows, and `class_of` its rows, the Gram columns.
+
+Inside the module a class is sparse, {basis index: coefficient}.  Every
+pairing chi(x_q, z) of the classes x_q of one read with a class z is one
+packed sum over the nonzeros of z of the read's rows (`_pairer`), whose
+entries (x_q^T G)[kappa] are signed and at most S_x M, S_x = max sum |x_q|:
+at the width of sum |z| S_x M, each field biased by 2^(B-1) as `_splitter`
+unbiases it.  Left mutation is Gram-Schmidt: `_Ctx.check_semiorthogonal`
+pairs each projector with the read of all, its Gram column, and checks them
+unitriangular; `_project_levels` projects by `_solve`, the one triangular
+solve (`class_of` shares it), and `mutate_left` is one level of it.
 
 Every residual projector list is a subsequence of the chain T^b e_v, v in
 the primitive block and b below the longest short orbit, level b by level.
@@ -116,10 +124,10 @@ chain needs the pairings of its |block| classes at level 0 alone.  It is
 semiorthogonal exactly when their Gram chi(e_v, e_w) is unitriangular and
 chi(T^d e_v, e_w) = 0 for every d >= 1 (`_Ctx.check_chain`), and as
 chi(T^a e_w, y) = chi(e_w, T^(-a) y), every projection pairs with the
-level-0 covectors alone, level by level (`_project_levels`).  So
-`residual_report` refuses a T whose full-first-row columns are not K-exact.
-The residual Gram reads the residual classes in one more batch, and the
-tau-orbit check compares classes built explicitly.
+level-0 classes alone, level by level.  So `residual_report` refuses a T
+whose full-first-row columns are not K-exact.  The residual Gram pairs the
+residual classes by one more read, none at rank 0, and the tau-orbit check
+compares classes built explicitly.
 
 The fullness determinant is det of the Fonarev classes T^i e_lam in this
 basis, a sparse matrix rich in +-1 entries.  It is eliminated over Z row by
@@ -150,9 +158,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice, repeat
+from itertools import repeat
 from math import comb
-from operator import add, mul
+from operator import add
 from struct import Struct
 
 from .bott import TwistedSchur, euler_char, normal_form
@@ -358,38 +366,34 @@ class _Ctx:
             out.append(_twist_sum(twist, out[-1], modulus))
         return out[:count]
 
-    def check_semiorthogonal(
-        self, projectors: list[dict[int, int]]
-    ) -> tuple[list[list[int]], list[tuple[int, ...]]]:
-        """Raise ValueError unless the list is Euler-unitriangular; return the
-        one read of the projectors, its rows and covectors: chi(e_j, e_i),
-        j >= i, is one sum of slices of the rows over the nonzeros of e_i."""
-        cols, covs = self.read(projectors)
-        for i, e in enumerate(projectors):
-            vals = [0] * (len(projectors) - i)
-            for m, c in e.items():
-                vals = list(map(add, vals, map(c.__mul__, islice(cols[m], i, None))))
-            if vals[0] != 1:
-                raise ValueError(f"projector {i} is not exceptional (chi(e,e) != 1)")
-            vals[0] = 0
-            if any(vals):
-                j = next(j for j, v in enumerate(vals) if v)
-                raise ValueError(
-                    f"projectors {i + j} > {i} are not semiorthogonal; check the ordering"
-                )
-        return cols, covs
+    def pairer(self, xs: list[dict[int, int]]):
+        """The `_pairer` of one `read` of the classes x, whose rows are at
+        most max sum |x| M in absolute value."""
+        weight = max((sum(map(abs, x.values())) for x in xs), default=0)
+        return _pairer(self.read(xs)[0], weight * self.bound)
 
-    def check_chain(
-        self, block: list[int], chain: list[list[dict[int, int]]]
-    ) -> list[list[int]]:
+    def check_semiorthogonal(self, projectors: list[dict[int, int]]):
+        """Raise ValueError unless the list is Euler-unitriangular; return its
+        Gram columns, gram[i][j] = chi(x_j, x_i), and the `pairer` of its one
+        read, which paired each x_i to give column i."""
+        pair = self.pairer(projectors)
+        gram = [pair(x) for x in projectors]
+        for i, column in enumerate(gram):
+            if column[i] != 1:
+                raise ValueError(f"projector {i} is not exceptional (chi(e,e) != 1)")
+            if j := next((j for j in range(i + 1, len(column)) if column[j]), 0):
+                raise ValueError(f"projectors {j} > {i} are not semiorthogonal; check the ordering")
+        return gram, pair
+
+    def check_chain(self, block: list[int], chain: list[list[dict[int, int]]]):
         """Raise ValueError unless the chain, chain[p][b] = T^b e_v with v =
         block[p], is Euler-unitriangular level by level (module docstring):
-        the e_v by `check_semiorthogonal`, whose read's rows it returns, and
-        each T^d e_v, d >= 1, by one packed sum over its nonzeros of the
-        `strip_product` of the unit columns e_w, which leaves G[kappa, w] in
-        field w at each source kappa + 1, at the width of S M, S the largest
-        sum |coef| of a chain class."""
-        rows = self.check_semiorthogonal([{v: 1} for v in block])[0]
+        the e_v by `check_semiorthogonal`, whose block Gram columns and
+        `pairer` it returns, and each T^d e_v, d >= 1, by one packed sum over
+        its nonzeros of the `strip_product` of the unit columns e_w, which
+        leaves G[kappa, w] in field w at each source kappa + 1, at the width
+        of S M, S the largest sum |coef| of a chain class."""
+        checked = self.check_semiorthogonal([{v: 1} for v in block])
         lift = [i for i, s in enumerate(self.sources) if s[-1]]  # kappa -> kappa + 1
         bits = _width(max(sum(map(abs, y.values())) for ys in chain for y in ys) * self.bound)
         x = [0] * len(self.sources)
@@ -404,23 +408,7 @@ class _Ctx:
                         f"projectors {d * len(block) + p} > {i} are not semiorthogonal; "
                         "check the ordering"
                     )
-        return rows
-
-    def project(
-        self, projectors: list[dict[int, int]], covectors: list[tuple[int, ...]], x: dict[int, int]
-    ) -> dict[int, int]:
-        """Gram-Schmidt x against a checked semiorthogonal list, given the
-        covectors of its projectors, last projector first, and check that the
-        result is left-orthogonal to every projector."""
-        y = dict(x)
-        for e, cov in zip(reversed(projectors), reversed(covectors)):
-            if c := _dot(cov, y):
-                for i, v in e.items():
-                    y[i] = y.get(i, 0) - c * v
-        y = {i: v for i, v in y.items() if v}
-        if any(_dot(cov, y) for cov in covectors):
-            raise AssertionError("mutation lost orthogonality")
-        return y
+        return checked
 
     def sparse(self, x: KClass) -> dict[int, int]:
         """The nonzeros of a coordinate vector over the basis."""
@@ -451,8 +439,7 @@ def _width(bound: int) -> int:
 def _splitter(bits: int, count: int):
     """The split of a read of `count` fields at width B into field q, at bit
     B q, for every q in order, by one bias, `to_bytes` and `Struct`."""
-    size, half = bits // 8, 1 << bits - 1
-    bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    size, half, bias = bits // 8, 1 << bits - 1, _bias(bits, count)
     unpack, little = Struct(f"{size}s" * count).unpack, repeat("little")
 
     def split(r: int) -> list[int]:
@@ -460,6 +447,11 @@ def _splitter(bits: int, count: int):
         return [f - half for f in map(int.from_bytes, unpack(raw), little)]
 
     return split
+
+
+def _bias(bits: int, count: int) -> int:
+    """2^(B-1) in each of `count` fields of width B: the bias of a signed read."""
+    return int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * count, "little")
 
 
 def _sources(ctx: _Ctx, terms: list[tuple[int, tuple[int, ...], int]]) -> list[int | None]:
@@ -477,11 +469,6 @@ def _sources(ctx: _Ctx, terms: list[tuple[int, tuple[int, ...], int]]) -> list[i
             # a term at t = -1, as every column of T but its head, is its own source
             out.append(sources[w if t == -1 else tuple(map((t + 1).__add__, w))])
     return out
-
-
-def _dot(covector: tuple[int, ...], y: dict[int, int]) -> int:
-    """x^T G y from the covector of x, over the nonzeros of y."""
-    return sum(map(mul, map(covector.__getitem__, y), y.values()))
 
 
 @lru_cache(maxsize=1)
@@ -502,25 +489,21 @@ def kapranov_gram(box: Box) -> tuple[tuple[int, ...], ...]:
 
 
 def class_of(e: TwistedSchur) -> KClass:
-    """Coordinates of [E] in the Kapranov basis via the triangular solve:
-    c_i = chi(e_i, E) - sum_{j > i} G[i, j] c_j, from the last basis index
-    down, with the Gram rows of `kapranov_gram`."""
-    box = e.box
-    ctx = _ctx(box)
-    gram = kapranov_gram(box)
-    c: dict[int, int] = {}
-    for i in range(len(ctx.weights) - 1, -1, -1):
-        b = euler_char(TwistedSchur(ctx.weights[i], 0, box), e)
-        if v := b - _dot(gram[i], c):
-            c[i] = v
-    return ctx.dense(c)
+    """Coordinates of [E] in the Kapranov basis: the c with
+    sum_j chi(e_i, e_j) c_j = chi(e_i, E) for every i, by `_solve` on the
+    Gram columns, the rows of one read of the unit classes."""
+    box, ctx = e.box, _ctx(e.box)
+    gram = ctx.read([{i: 1} for i in range(len(ctx.weights))])[0]
+    r = [euler_char(TwistedSchur(w, 0, box), e) for w in ctx.weights]
+    return ctx.dense(_solve(gram, r, range(len(r))))
 
 
 def euler_pairing(box: Box, x: KClass, y: KClass) -> int:
-    """Bilinear Euler form x^T G y on coordinate vectors.  Each call runs
-    one whole transposed pass: batch many classes through one covector read."""
+    """Bilinear Euler form x^T G y on coordinate vectors, by the `pairer` of
+    x.  Each call runs one whole transposed pass: batch many classes through
+    one read."""
     ctx = _ctx(box)
-    return _dot(ctx.covector([ctx.sparse(x)])[0], ctx.sparse(y))
+    return ctx.pairer([ctx.sparse(x)])(ctx.sparse(y))[0]
 
 
 def twist_class(box: Box, x: KClass) -> KClass:
@@ -532,15 +515,17 @@ def twist_class(box: Box, x: KClass) -> KClass:
 def mutate_left(box: Box, projectors: list[KClass], x: KClass) -> KClass:
     """Gram-Schmidt x against a semiorthogonal sequence, last projector first.
 
-    Every call rejects a projector list that is not Euler-unitriangular, and
-    checks that the result is left-orthogonal to every projector.  Each call
-    runs one whole transposed pass: batch many classes through one covector
-    read of the projectors, as `residual_report` does.
+    Every call rejects a projector list that is not Euler-unitriangular
+    (`_Ctx.check_semiorthogonal`), and projects x as one level of
+    `_project_levels`, which checks that the result is left-orthogonal to
+    every projector.  Each call runs one whole transposed pass: batch many
+    classes through one read of the projectors, as `residual_report` does.
     """
     ctx = _ctx(box)
     es = [ctx.sparse(e) for e in projectors]
-    covs = ctx.check_semiorthogonal(es)[1]
-    return ctx.dense(ctx.project(es, covs, ctx.sparse(x)))
+    gram, pair = ctx.check_semiorthogonal(es)
+    x = ctx.sparse(x)
+    return ctx.dense(_project_levels(gram, pair, [[e] for e in es], [x], range(len(es))))
 
 
 def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool:
@@ -672,80 +657,98 @@ def residual_report(box: Box) -> ResidualReport:
             raise ValueError(f"column {bad[0]} of the twist T is not K-exact: T is not (x) O(1)")
         block = [ctx.index[obj.bundle.weight] for obj in ctx.block]
         chain = [ctx.twisted_classes(ctx.weights[v], max(o for _, o in shorts)) for v in block]
-        rows = ctx.check_chain(block, chain)
-        pair, every = _pairer(rows, ctx.bound), range(len(block))
+        gram, pair = ctx.check_chain(block, chain)
+        every = range(len(block))
     for (mu, o), sign_exp in zip(shorts, sign_exponents):
         inside = [p for p, v in enumerate(block) if mu.contains(ctx.diagrams[v])]
         xs = ctx.twisted_classes(mu.parts, o)
-        fs = [_project_levels(rows, pair, block, chain, xs[: i + 1], inside) for i in range(o)]
+        fs = [_project_levels(gram, pair, chain, xs[: i + 1], inside) for i in range(o)]
         residual.extend(fs)
         sign = -1 if sign_exp % 2 else 1
         polarized = [
-            _project_levels(rows, pair, block, chain, [_twist_sum(ctx.twist, x)], every)
-            for x in fs
+            _project_levels(gram, pair, chain, [_twist_sum(ctx.twist, x)], every) for x in fs
         ]
         tau_ok.append(polarized == fs[1:] + [{j: sign * v for j, v in fs[0].items()}])
 
-    gram = tuple(tuple(_dot(c, y) for y in residual) for c in ctx.covector(residual))
+    # chi(x_i, x_j) at (i, j); no read of no classes
+    residual_gram = tuple(zip(*map(ctx.pairer(residual), residual))) if residual else ()
     return ResidualReport(
         box=box,
         short_diagrams=tuple(shorts),
         residual_classes=tuple(ctx.dense(x) for x in residual),
-        residual_gram=gram,
+        residual_gram=residual_gram,
         tau_orbit_ok=tuple(tau_ok),
         sign_exponents=sign_exponents,
     )
 
 
-def _project_levels(rows, pair, block, chain, xs: list[dict[int, int]], top) -> dict[int, int]:
+def _project_levels(gram, pair, chain, xs: list[dict[int, int]], top) -> dict[int, int]:
     """The left projection of x = xs[i], i = len(xs) - 1, onto the checked
-    chain (`_Ctx.check_chain`, the rows of whose read are given): the block
-    at twists 0..i-1, then its positions `top` at twist i; xs[d] = T^(d-i) x.
-    Level by level, from a = i down to 0, with the c_(b,v) of the levels
-    b > a found, y = x - sum c_(b,v) T^b e_v pairs with T^a e_w as
-    z = xs[i-a] - sum c_(b,v) T^(b-a) e_v does with e_w (`pair`, by
-    `_pairer`), and a triangular solve with the block Gram gives the c_(a,v):
-    Gram-Schmidt, last projector first, as the projection is unique.
-    AssertionError unless z less the level's terms pairs to 0 with it."""
-    found: list[tuple[int, dict[int, int]]] = []  # (b, {p: c_(b,v)})
+    chain[p][b] = T^b x_p of any level-0 classes x_p, given their Gram columns
+    and pairer: all x_p at twists 0..i-1, then positions `top` at twist i;
+    xs[d] = T^(d-i) x.  From a = i down to 0, with the c_(b,p) of b > a found,
+    x - sum c_(b,p) T^b x_p pairs with T^a x_q as z = xs[i-a] -
+    sum c_(b,p) T^(b-a) x_p does with x_q (module docstring), and `_solve`
+    gives the c_(a,p): Gram-Schmidt, last projector first, as the projection
+    is unique.  AssertionError unless z less the level's terms pairs to 0
+    with it."""
+
+    def drop(z: dict[int, int], cs: dict[int, int], d: int) -> None:  # z -= sum c_p T^d x_p
+        for p, c in cs.items():
+            for m, v in chain[p][d].items():
+                z[m] = z.get(m, 0) - c * v
+
+    found: list[tuple[int, dict[int, int]]] = []  # (b, {p: c_(b,p)})
     for a in range(len(xs) - 1, -1, -1):
-        level = range(len(block)) if found else top
+        level = range(len(chain)) if found else top
         z = dict(xs[len(xs) - 1 - a])
         for b, cs in found:
-            for p, c in cs.items():
-                for m, v in chain[p][b - a].items():
-                    z[m] = z.get(m, 0) - c * v
-        r, cs = pair(z), {}
-        for p in reversed(level):
-            if c := r[p] - sum(rows[block[q]][p] * v for q, v in cs.items()):
-                cs[p] = c
-        for p, c in cs.items():
-            z[block[p]] = z.get(block[p], 0) - c
+            drop(z, cs, b - a)
+        cs = _solve(gram, pair(z), level)
+        drop(z, cs, 0)
+        found.append((a, cs))
         r = pair(z)
         if any(r[p] for p in level):
             raise AssertionError("mutation lost orthogonality")
-        found.append((a, cs))
     return {m: v for m, v in z.items() if v}
 
 
+def _solve(gram, r: list[int], level) -> dict[int, int]:
+    """The nonzero c_p with sum_q chi(x_p, x_q) c_q = r[p], p and q in level,
+    for unitriangular Gram columns gram[q][p] = chi(x_p, x_q): the one
+    triangular solve, c_p = r[p] - sum_{q > p} chi(x_p, x_q) c_q, last p first."""
+    cs: dict[int, int] = {}
+    for p in reversed(level):
+        if c := r[p] - sum(gram[q][p] * v for q, v in cs.items()):
+            cs[p] = c
+    return cs
+
+
 def _pairer(rows: list[list[int]], bound: int):
-    """z -> chi(x_q, z) for every class x_q of a read, by its rows, entries in
-    [0, M]: one packed sum over the nonzeros of z at the width of S M,
-    S = sum |z|, split; each row is packed once per width, the widest kept."""
-    packed: dict[int, int] = {}
-    bits, split = 0, None
+    """z -> chi(x_q, z) for every class x_q of a read, from its rows, whose
+    entries are at most `bound` in absolute value: one packed sum over the
+    nonzeros of z at the width of S bound, S = sum |z|, split.  Each row is
+    packed once per width, the widest kept, signed: each field biased by
+    2^(B-1), as `_splitter` unbiases it, and the packed bias taken off."""
+    count, packed = len(rows[0]), {}
+    bits = size = half = bias = 0
+    split = None
 
     def pair(z: dict[int, int]) -> list[int]:
-        nonlocal bits, split
+        nonlocal bits, size, half, bias, split
+        if len(z) == 1:  # one row, scaled: nothing to pack or split
+            ((m, c),) = z.items()
+            return [c * v for v in rows[m]]
         if (need := _width(sum(map(abs, z.values())) * bound)) > bits:
-            bits, split = need, _splitter(need, len(rows[0]))
+            bits, size, half, split = need, need // 8, 1 << need - 1, _splitter(need, count)
+            bias = _bias(need, count)
             packed.clear()
         total = 0
         for m, c in z.items():
             if c:
                 if (row := packed.get(m)) is None:
-                    fields = b"".join(v.to_bytes(bits // 8, "little") for v in rows[m])
-                    row = packed[m] = int.from_bytes(fields, "little")
+                    fields = [(v + half).to_bytes(size, "little") for v in rows[m]]
+                    row = packed[m] = int.from_bytes(b"".join(fields), "little") - bias
                 total += c * row
         return split(total)
 

@@ -282,42 +282,60 @@ def residual_oracle(box: Box):
 
 
 def whole_chain_oracle(box: Box):
-    """The residual report by the whole-chain route: one
-    `_Ctx.check_semiorthogonal` read of all |block| * o_max chain classes
-    T^b e_v, in level order, then each projection by `_Ctx.project`, last
-    projector first, against the covectors of that read.  Returns the
-    residual classes, their Gram matrix, the tau-orbit verdicts and every
-    chain pairing chi(T^b e_v, T^a e_w) with b >= a, keyed (b, v, a, w) by
-    twist and block position."""
+    """The residual report by the whole-chain route: the covectors of all
+    |block| * o_max chain classes T^b e_v, in level order, from one
+    `_Ctx.covector` read, every chain pairing by a plain dot product over the
+    nonzeros of its second class, the chain checked unitriangular on them,
+    and each projection by plain Gram-Schmidt, last projector first, against
+    those covectors.  Returns the residual classes, their Gram matrix, the
+    tau-orbit verdicts and every chain pairing chi(T^b e_v, T^a e_w) with
+    b >= a, keyed (b, v, a, w) by twist and block position."""
     from grex.diagrams import BoxedDiagram
-    from grex.ktheory import _ctx, _dot, _twist_sum
+    from grex.ktheory import _ctx, _twist_sum
+
+    def dot(covector, y):
+        return sum(covector[i] * v for i, v in y.items())
+
+    def project(projectors, covectors, x):
+        y = dict(x)
+        for e, cov in zip(reversed(projectors), reversed(covectors)):
+            if c := dot(cov, y):
+                for i, v in e.items():
+                    y[i] = y.get(i, 0) - c * v
+        y = {i: v for i, v in y.items() if v}
+        assert not any(dot(cov, y) for cov in covectors), "mutation lost orthogonality"
+        return y
 
     ctx = _ctx(box)
     block = [obj.bundle.weight for obj in ctx.block]
     shorts = [(orb.representative, orb.length) for orb in ctx.orbits if orb.length < box.n]
     o_max = max((o for _, o in shorts), default=0)
     chain = [c for level in zip(*(ctx.twisted_classes(w, o_max) for w in block)) for c in level]
-    covs = ctx.check_semiorthogonal(chain)[1]
+    covs = ctx.covector(chain)
     width = len(block)
-    pairs = {
-        (j // width, j % width, i // width, i % width): _dot(covs[j], chain[i])
+    dots = {
+        (j, i): dot(covs[j], chain[i])
         for j in range(len(chain))
         for i in range(len(chain))
         if j // width >= i // width
     }
+    if any(v != (j == i) for (j, i), v in dots.items() if j >= i):
+        raise ValueError("the chain is not semiorthogonal")
+    pairs = {(j // width, j % width, i // width, i % width): v for (j, i), v in dots.items()}
     residual, tau_ok = [], []
     for mu, o in shorts:
         inside = [p for p, w in enumerate(block) if mu.contains(BoxedDiagram(w, box))]
         fs = []
         for i, x in enumerate(ctx.twisted_classes(mu.parts, o)):
             picks = [*range(i * width), *(i * width + p for p in inside)]
-            fs.append(ctx.project([chain[q] for q in picks], [covs[q] for q in picks], x))
+            fs.append(project([chain[q] for q in picks], [covs[q] for q in picks], x))
         residual.extend(fs)
         sign = (-1) ** (box.k * (box.n - box.k) // (box.n // o))
-        polarized = [ctx.project(chain[:width], covs[:width], _twist_sum(ctx.twist, x)) for x in fs]
+        polarized = [project(chain[:width], covs[:width], _twist_sum(ctx.twist, x)) for x in fs]
         tau_ok.append(polarized == fs[1:] + [{j: sign * v for j, v in fs[0].items()}])
-    gram = tuple(tuple(_dot(c, y) for y in residual) for c in ctx.covector(residual))
-    return tuple(ctx.dense(x) for x in residual), gram, tuple(tau_ok), pairs
+    gram = tuple(tuple(dot(c, y) for y in residual) for c in ctx.covector(residual))
+    dense = [tuple(x.get(i, 0) for i in range(len(ctx.weights))) for x in residual]
+    return tuple(dense), gram, tuple(tau_ok), pairs
 
 
 def uncut_gram(objects, mode: str = "euler", violations_only: bool = False):

@@ -82,6 +82,25 @@ class TestResidual:
         assert abs(data["fullness_det"]) == 1
         assert data["pass"] is True
 
+    def test_rank_zero_runs_no_pass(self, capsys, monkeypatch):
+        # G(4,13) has no short orbit and so no residual class: its residual
+        # report runs no transposed pass, and `grex residual` prints the
+        # empty residual Gram, stdout as recorded while that pass still ran
+        from grex import ktheory
+        from grex.diagrams import Box
+
+        passes, transposed = [], ktheory._Ctx.transposed
+        monkeypatch.setattr(
+            ktheory._Ctx, "transposed", lambda self, columns: passes.append(1) or transposed(self, columns)
+        )
+        assert ktheory.residual_report(Box(4, 13)).residual_gram == ()
+        assert passes == []
+        code, out, _ = run(capsys, "residual", "--k", "4", "--n", "13")
+        assert code == 0
+        assert '"residual_gram": [],' in out
+        digest = "f4d6f262a73acc8ef4d6f9148bbbd4f7ca1058de26e303aa701d5a450f94b276"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestGram:
     def test_fonarev_g36_passes(self, capsys):

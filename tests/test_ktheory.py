@@ -625,7 +625,8 @@ class TestContext:
         # the residual stage builds no table and stores no row: one read
         # gives the covectors of the primitive block's unit classes, the
         # level 0 of the chain, for the block Gram and every projection,
-        # and a second the residual classes' covectors for the residual Gram
+        # and a second the rows that pair the residual classes, for the
+        # residual Gram
         reads = []
         read = _Ctx.read
         monkeypatch.setattr(
@@ -835,6 +836,29 @@ class TestMutateLeft:
         assert mutate_left(box, primitive, x) == first
         assert checked == [3, 3]
 
+    def test_signed_projectors_against_oracle(self):
+        # the first 8 Fonarev classes T^i e_lam of G(2,5): the last has
+        # coefficients of both signs and a covector of both signs, so the
+        # rows of their read are signed and past M; the unit classes 6 and 7
+        # project, to nonzero classes, as by Gram-Schmidt on the oracle's
+        # covectors, last projector first
+        box = Box(2, 5)
+        es = ktheory._fonarev_classes(box)[:8]
+        assert min(es[-1].values()) < 0 and sum(map(abs, es[-1].values())) > 1
+        assert min(covector_oracle(box, es[-1])) < 0
+        size = len(basis(box))
+        dense = [tuple(e.get(m, 0) for m in range(size)) for e in es]
+        covs = [covector_oracle(box, e) for e in es]
+        for i in (6, 7):
+            y = {i: 1}
+            for e, cov in zip(reversed(es), reversed(covs)):
+                c = sum(cov[m] * v for m, v in y.items())
+                for m, v in e.items():
+                    y[m] = y.get(m, 0) - c * v
+            expected = tuple(y.get(m, 0) for m in range(size))
+            assert any(expected)
+            assert mutate_left(box, dense, unit(box, i)) == expected
+
     def test_rejects_wrong_length(self):
         box = Box(2, 4)
         e0 = unit(box, 0)
@@ -886,8 +910,8 @@ class TestResidualReport:
         monkeypatch.setattr(
             ktheory,
             "_project_levels",
-            lambda rows, pair, block, chain, xs, top: calls.append((xs, list(top)))
-            or project(rows, pair, block, chain, xs, top),
+            lambda gram, pair, chain, xs, top: calls.append((xs, list(top)))
+            or project(gram, pair, chain, xs, top),
         )
         report = residual_report(box)
         ctx, block, pos = ktheory._ctx(box), [obj.bundle.weight for obj in primitive_block(box)], 0
@@ -1023,33 +1047,49 @@ class TestTwistIdentity:
 
     @pytest.mark.parametrize("k,n", [(3, 6), (4, 8)])
     def test_pairer_against_exact_row_sums(self, k, n):
-        # one packed sum per class z at the width of sum |z| M: coefficients
-        # of both signs far beyond M, after and before narrower sums, against
-        # the exact sums of the read's rows
+        # one packed sum per class z at the width of sum |z| times the bound
+        # of the rows: coefficients of both signs far beyond M, after and
+        # before narrower sums, and one-term classes, against the exact sums
+        # of the rows of two reads: of unit classes, entries in [0, M], and
+        # of the last 4 Fonarev classes, every other one negated, entries
+        # signed and past M
         ctx = _ctx(Box(k, n))
-        rows = ctx.read([{0: 1}, {1: 1}, {3: 1}, {len(ctx.weights) - 1: 1}])[0]
-        pair = ktheory._pairer(rows, ctx.bound)
+        units = [{0: 1}, {1: 1}, {3: 1}, {len(ctx.weights) - 1: 1}]
+        fonarev = ktheory._fonarev_classes(ctx.box)[-4:]
+        signed = [{m: (-1) ** q * v for m, v in x.items()} for q, x in enumerate(fonarev)]
+        assert any(v < 0 for x in fonarev for v in x.values())
         rng = random.Random(10 * k + n)
-        for scale in (1, 10**3, 10**40, 1, 10**80):
-            z = {m: rng.randint(-scale, scale) for m in rng.sample(range(len(rows)), 6)}
-            assert pair(z) == [sum(c * rows[m][q] for m, c in z.items()) for q in range(4)]
-        assert pair({}) == [0] * 4
+        for xs in (units, signed):
+            rows = ctx.read(xs)[0]
+            bound = max(sum(map(abs, x.values())) for x in xs) * ctx.bound
+            assert max(abs(v) for row in rows for v in row) <= bound
+            if xs is signed:
+                assert min(v for row in rows for v in row) < 0 < bound - 2 * ctx.bound
+            pair = ktheory._pairer(rows, bound)
+            for scale in (1, 10**3, 10**40, 1, 10**80):
+                for size in (6, 1):
+                    z = {m: rng.randint(-scale, scale) for m in rng.sample(range(len(rows)), size)}
+                    assert pair(z) == [sum(c * rows[m][q] for m, c in z.items()) for q in range(4)]
+            assert pair({}) == [0] * 4
 
     def test_each_level_is_checked_orthogonal(self, monkeypatch):
         # each level is paired again after its triangular solve: a solve fed
         # pairings one too high, on the first level of the first projection
-        # alone, leaves that level unorthogonal, and the second pairing finds it
+        # alone, leaves that level unorthogonal, and the second pairing finds
+        # it; the block check pairs each block class first, unplanted
+        box = Box(4, 8)
+        first = len(_ctx(box).block) + 1  # the first pairing after the block check
         calls = []
         pairer = ktheory._pairer
 
         def first_off(rows, bound):
             pair = pairer(rows, bound)
-            return lambda z: calls.append(1) or [v + (len(calls) == 1) for v in pair(z)]
+            return lambda z: calls.append(1) or [v + (len(calls) == first) for v in pair(z)]
 
         monkeypatch.setattr(ktheory, "_pairer", first_off)
         with pytest.raises(AssertionError, match="^mutation lost orthogonality$"):
-            residual_report(Box(4, 8))
-        assert len(calls) == 2
+            residual_report(box)
+        assert len(calls) == first + 1
 
 
 class TestConeClassConsistency:
