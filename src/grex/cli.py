@@ -34,7 +34,6 @@ from .diagrams import (
 from .ktheory import _ctx, _fullness_sign, fullness_determinant, residual_report
 from .lefschetz import fonarev, gram, kapranov
 from .staircase import (
-    _twist_columns_exact,
     appendix_table_check,
     build_staircase,
     build_theta_staircase,
@@ -266,14 +265,14 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
     recorded as failed, with the message under "error".  `jobs` is accepted
     and ignored: every stage runs in this process.
 
-    The stages read the box's orbits, Fonarev collection, primitive block
-    and twist matrix T from the per-box context of `ktheory`, so each is
-    computed once per report; the staircase stage checks the T that the
-    residual and fullness stages read, all its full-first-row columns in one
-    transposed pass, and leaves the verdicts on the context.  The residual
-    stage reads the chain by the twist identity, which needs T to be
-    (x) O(1), so it fails on those verdicts when a column is not K-exact,
-    and runs no second column pass.  No stage builds the pairing table: the
+    The stages read the box's orbits, Fonarev collection, primitive block,
+    twist matrix T and the verdicts on T's full-first-row columns
+    (`_Ctx.twist_exact`, one transposed pass) from the per-box context of
+    `ktheory`, so each is computed once per box.  The staircase stage
+    reports those verdicts on the T that the residual and fullness stages
+    read; the residual stage reads the chain by the twist identity, which
+    needs T to be (x) O(1), so it fails on the same verdicts when a column
+    is not K-exact.  No stage builds the pairing table: the
     residual covectors are transposed reads too, and the theta staircase and
     the G(4,8) fixture read deep rows, so their zero tests take the slow path.
 
@@ -341,7 +340,7 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
         }
 
     def stage_staircase():
-        columns = _twist_columns_exact(box)
+        columns = ctx.twist_exact
         failures = [d.to_json() for d, exact in columns if not exact]
         out = {
             "verdict": "pass" if not failures else "fail",

@@ -15,6 +15,18 @@ length o(lambda).  Every minimal, short (o < n) and primitive (o = n)
 selection reads it, here and in `lefschetz`, `ktheory` and `staircase`.
 `grex report` walks it once per box: the per-box context of `ktheory` keeps
 the tuple, and the report's selections read that.
+
+The jump rule of the staircase of a diagram lambda with a full first row is
+pure index arithmetic on the parts too (`_jumps`).  In the i-th middle term
+Lambda^{c_i} V* (x) Sigma^{mu_i} U*, mu_i keeps the rows of lambda that fit
+left of abscissa X = n-k-i and drops the rest onto the path of lambda'(-1),
+
+    mu_i[r] = lambda[r]                      if lambda[r] <= X
+              max(X, lambda'(-1)[r])         otherwise,
+
+and c_i = |lambda| - |mu_i|; the tail is `_step(lambda)` at twist -1.
+`staircase.build_staircase` builds the complex from it, and the twist T of
+`ktheory` its full-first-row columns.
 """
 
 from __future__ import annotations
@@ -77,7 +89,7 @@ class Box:
 
 def _check_in_box(p: tuple[int, ...], k: int, width: int) -> None:
     """ValueError unless p is a diagram of the k x width box: k weakly decreasing
-    parts in [0, width].  The one in-box test, of `BoxedDiagram` and `staircase`."""
+    parts in [0, width].  The one in-box test, of `BoxedDiagram` and the twist T."""
     if not (len(p) == k and p[-1] >= 0 and p[0] <= width and all(map(ge, p, p[1:]))):
         if len(p) != k:
             raise ValueError(f"diagram must have exactly {k} parts, got {p}")
@@ -126,6 +138,24 @@ def _step(parts: tuple[int, ...], width: int) -> tuple[int, ...]:
     if parts[0] < width:
         return tuple(x + 1 for x in parts)
     return parts[1:] + (0,)
+
+
+def _jumps(box: Box, lam: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """The jump rule: (c_i, mu_i) of the middle terms of the staircase of the
+    diagram lam, i = 1..n-k.  ValueError unless lam has a full first row."""
+    k, n = box.k, box.n
+    if lam[0] != n - k:
+        raise ValueError(f"staircase needs a full first row: lambda_1 = {n - k}")
+    red = (*(x - 1 for x in lam[1:]), -1)  # the path of lambda'(-1)
+    size = sum(lam)
+    out = []
+    for i, x in enumerate(range(n - k - 1, -1, -1), 1):  # x = n-k-i
+        mu = tuple([p if p <= x else x if x > r else r for p, r in zip(lam, red)])
+        c = size - sum(mu)
+        if not 0 < c < n:
+            raise AssertionError(f"box count c_{i} = {c} escaped (0, n)")
+        out.append((c, mu))
+    return out
 
 
 def _orbit_parts(parts: tuple[int, ...], width: int) -> list[tuple[int, ...]]:

@@ -4,7 +4,7 @@ residual classes, and the fullness determinant.
 A class is an integer coordinate vector over the lexicographically ordered
 box diagrams.  `class_of` is the generic route: it recovers the coordinates
 of any bundle from its Euler pairings against the basis by back-substitution
-through the upper uni-triangular Kapranov Gram matrix.
+through the unitriangular Kapranov Gram matrix.
 
 Twisted classes come from the twist T = (x) O(1) instead, whose matrix is pure
 combinatorics.  If lam_1 < n-k, then T e_lam = e_{lam+1}.  If lam_1 = n-k, the
@@ -12,12 +12,13 @@ staircase resolution of Sigma^lam U*, twisted by O(1), gives
 
     [Sigma^lam U*(1)] = -sum_{(c, Sigma^mu U*(s))} c e_{mu+s+1}
 
-over its non-head terms, and every mu+s+1 is a box diagram.  So
-[Sigma^lam U*(i)] = T^i e_lam for i >= 0.  T itself is checked by the
-batched zero test below: O(1) acts on K_0 by an automorphism and the head
-coefficient is 1, so [Sigma^lam U*] - sum T[kappa, lam] [Sigma^kappa U*(-1)]
-vanishes exactly when lam's staircase is K-exact, and merging terms only
-lowers its sum |coef|, which stays at most 2^n.
+over its non-head terms, and every mu+s+1 is a box diagram (`_Ctx.twist`,
+by the jump rule `diagrams._jumps`).  So [Sigma^lam U*(i)] = T^i e_lam for
+i >= 0.  `_Ctx.twist_exact` checks T's C(n-1,k-1) full-first-row columns by
+one batched zero test (`_vanish_batch`): O(1) acts on K_0 by an automorphism
+and the head coefficient is 1, so [Sigma^lam U*] - sum T[kappa, lam]
+[Sigma^kappa U*(-1)] vanishes exactly when lam's staircase is K-exact, and
+merging terms only lowers its sum |coef|, which stays at most 2^n.
 
 Pairings of the form chi(Sigma^a U*(t), Sigma^kappa U*) with t <= 0 and both
 diagrams in the box sit in a single cohomological degree, so they reduce to
@@ -82,13 +83,10 @@ ints are exact and the pass is linear, so only the final read needs the
 bound, even where a field outgrows 2^(B-1) part-way through; biased by
 2^(B-1) per field nothing borrows, and one `to_bytes` and one `Struct`
 split a read (`_splitter`).  A batch of one column needs no split
-(`_Ctx.row`, the slow path of `_vanishes`).  `_vanish_batch` splits only a
-nonzero read, which names its failing relations; the report's staircase
-stage sends all C(n-1,k-1) full-first-row columns of T in one batch.
-`_Ctx.read` splits the read of classes x, placed at the sources
-kappa_i + 1, into the rows (x^T G)[kappa] and the covectors x^T G.  G is
-upper unitriangular, so x^T G is 0 before the least index i of x and x_i at
-i: one guard per class.
+(`_Ctx.row`, the slow path of `_vanishes`).  `_Ctx.read` splits the read
+of classes x, placed at the sources kappa_i + 1, into the rows
+(x^T G)[kappa] and the covectors x^T G.  G is upper unitriangular, so x^T G
+is 0 before the least index i of x and x_i at i: one guard per class.
 
 A normal form with t <= -2 needs sigma outside the wider box.  Its row is
 one Jacobi-Trudi determinant det[h_{lam_i - a_j - i + j}(1^n)] per entry,
@@ -98,13 +96,12 @@ as one row, unpacked, and its entries may exceed M.
 All per-box state lives on one context, `_ctx(box)`, kept for the box used
 last alone: the basis diagrams, the sparse twist matrix, the Jacobi-Trudi
 rows, the table once the fast path of `_vanishes` needs it (no stage of
-`grex report` does), the verdicts on T's columns once they are checked, and
-the skeleton that `grex report` verifies, computed once and read only:
-`orbits`, the tuple `orbits(box)`, and `fonarev` and `block`, built from it.
+`grex report` does), T's verdicts, and the skeleton that `grex report`
+verifies, computed once and read only: `orbits`, the tuple `orbits(box)`,
+and `fonarev` and `block`, built from it.
 Each stage computes the classes T^i e_lam it reads, once per orbit, by the
 one twist loop (`_Ctx.twisted_classes`, exact or mod 3).  No dense Gram
-matrix is kept: one read of the unit classes gives `kapranov_gram` its
-covectors, the Gram rows, and `class_of` its rows, the Gram columns.
+matrix is kept: `kapranov_gram` and `class_of` read the unit classes.
 
 Inside the module a class is sparse, {basis index: coefficient}.  Every
 pairing chi(x_q, z) of the classes x_q of one read with a class z is one
@@ -148,10 +145,7 @@ reduces T mod 3 once and builds the classes by the same twist loop.  By
 Lucas's theorem 3 divides C(n, c) unless each base-3 digit of c is at most
 that of n, so most middle staircase terms vanish mod 3 (for n = 3^a, T mod
 3 is a signed permutation), and `_sparse_det` runs on the residues -1, 0
-and 1: every live entry is a pivot.  The report takes this route only when
-both stages pass.  Otherwise it eliminates over Z, and so it does when the
-residue is 0, which would mean the two stages contradict each other.  `grex
-fullness` and `grex residual` run no Gram stage, so they always do.
+and 1: every live entry is a pivot (`cli.full_report` says when it is taken).
 """
 
 from __future__ import annotations
@@ -165,13 +159,8 @@ from struct import Struct
 
 from .bott import TwistedSchur, euler_char, normal_form
 from .diagrams import (
-    Box,
-    BoxedDiagram,
-    Orbit,
-    _ascending_parts,
-    enumerate_diagrams,
-    orbits,
-    residual_rank,
+    Box, BoxedDiagram, Orbit, _ascending_parts, _check_in_box, _jumps, _step, enumerate_diagrams,
+    orbits, residual_rank,
 )
 from .lefschetz import CollectionObject, LefschetzCollection, _fonarev, _primitive_block
 
@@ -208,7 +197,6 @@ class _Ctx:
         self.bound = max(self.strip_product([1 if s[-1] else 0 for s in self.sources]))
         self.bits = _width(self.bound << box.n)
         self.cap = ((1 << self.bits - 1) - 1) // self.bound
-        self.twist_exact = None  # the verdicts of `staircase._twist_columns_exact`, once run
 
     @cached_property
     def orbits(self) -> tuple[Orbit, ...]:
@@ -339,21 +327,35 @@ class _Ctx:
     @cached_property
     def twist(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Column lam: the class of Sigma^lam U*(1) as sparse (row, coefficient)
-        pairs, from lam's staircase if lam_1 = n-k (`staircase._terms`)."""
-        from .staircase import _terms  # staircase imports this module
-
-        box, index = self.box, self.index
+        pairs, from lam's staircase if lam_1 = n-k (module docstring), each
+        middle mu tested in the box."""
+        box, index, width = self.box, self.index, self.box.width
         cols = []
         for w in self.weights:
-            if w[0] < box.width:
+            if w[0] < width:
                 cols.append(((index[tuple(x + 1 for x in w)], 1),))
                 continue
             col: dict[int, int] = {}
-            for coef, mu, t in _terms(box, w)[1:]:
-                i = index[tuple(x + t + 1 for x in mu)]
-                col[i] = col.get(i, 0) - coef
+            sign = 1
+            for c, mu in _jumps(box, w):
+                _check_in_box(mu, box.k, width)
+                i = index[tuple(x + 1 for x in mu)]
+                col[i] = col.get(i, 0) + sign * comb(box.n, c)
+                sign = -sign
+            i = index[_step(w, width)]
+            col[i] = col.get(i, 0) + sign
             cols.append(tuple(col.items()))
         return tuple(cols)
+
+    @cached_property
+    def twist_exact(self) -> list[tuple[BoxedDiagram, bool]]:
+        """Each basis diagram lam with a full first row, in basis order, with
+        whether column lam of T untwisted vanishes in K_0: exactly when lam's
+        staircase is K-exact (module docstring)."""
+        twist, ws = self.twist, self.weights
+        full = [i for i, w in enumerate(ws) if w[0] == self.box.width]
+        relations = [[(1, ws[i], 0), *((-v, ws[j], -1) for j, v in twist[i])] for i in full]
+        return [(self.diagrams[i], ok) for i, ok in zip(full, _vanish_batch(self.box, relations))]
 
     def twisted_classes(
         self, w: tuple[int, ...], count: int, twist=None, modulus: int | None = None
@@ -491,7 +493,9 @@ def kapranov_gram(box: Box) -> tuple[tuple[int, ...], ...]:
 def class_of(e: TwistedSchur) -> KClass:
     """Coordinates of [E] in the Kapranov basis: the c with
     sum_j chi(e_i, e_j) c_j = chi(e_i, E) for every i, by `_solve` on the
-    Gram columns, the rows of one read of the unit classes."""
+    Gram columns, the rows of one read of the unit classes.  The generic LR +
+    Bott route, uncached: each call runs one whole transposed pass of the N
+    unit classes and N Euler characteristics."""
     box, ctx = e.box, _ctx(e.box)
     gram = ctx.read([{i: 1} for i in range(len(ctx.weights))])[0]
     r = [euler_char(TwistedSchur(w, 0, box), e) for w in ctx.weights]
@@ -541,12 +545,9 @@ def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool
 
 def _vanishes(box: Box, terms: list[tuple[int, tuple[int, ...], int]]) -> bool:
     """Whether sum coef * [Sigma^w U*(t)] over the (coef, w, t) terms vanishes
-    in K_0: the one per-call zero test, which builds no bundle per term.
-    With every term a table row (w_{k-1} + t >= -1) and sum |coef| <= cap,
-    the packed table rows are summed; otherwise they are one column of a
-    `_Ctx.transposed` pass, the deep rows are added unpacked (`_Ctx.row`),
-    and every field is tested (module docstring).  Every term must fit the
-    pairing rows, whatever its coefficient; otherwise ValueError."""
+    in K_0: the one per-call zero test, which builds no bundle per term, by
+    the table or one transposed pass (module docstring).  Every term must fit
+    the pairing rows, whatever its coefficient; otherwise ValueError."""
     ctx = _ctx(box)
     rows, deep, weight = [], [], 0
     for (coef, w, t), i in zip(terms, _sources(ctx, terms)):
@@ -641,19 +642,15 @@ def residual_report(box: Box) -> ResidualReport:
     and must cycle the classes, closing up to the sign (-1)^(k(n-k)/d).
 
     The projections rest on the twist identity (module docstring): ValueError
-    names a full-first-row column of T that is not K-exact, by the verdicts
-    the report's staircase stage leaves on the context if it ran.  The
-    residual Gram is one more read."""
-    from .staircase import _twist_columns_exact  # staircase imports this module
-
+    names a full-first-row column of T that is not K-exact (`_Ctx.twist_exact`);
+    the residual Gram is one more read."""
     ctx = _ctx(box)
     shorts = [(orb.representative, orb.length) for orb in ctx.orbits if orb.length < box.n]
     sign_exponents = tuple(box.k * (box.n - box.k) // (box.n // o) for _, o in shorts)
     residual: list[dict[int, int]] = []
     tau_ok: list[bool] = []
     if shorts:  # no chain to read otherwise
-        columns = _twist_columns_exact(box) if ctx.twist_exact is None else ctx.twist_exact
-        if bad := [d.parts for d, exact in columns if not exact]:
+        if bad := [d.parts for d, exact in ctx.twist_exact if not exact]:
             raise ValueError(f"column {bad[0]} of the twist T is not K-exact: T is not (x) O(1)")
         block = [ctx.index[obj.bundle.weight] for obj in ctx.block]
         chain = [ctx.twisted_classes(ctx.weights[v], max(o for _, o in shorts)) for v in block]

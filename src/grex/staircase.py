@@ -2,24 +2,13 @@
 k = 3, and the fixed G(4,8) sequence.
 
 A staircase for lambda with full first row resolves Sigma^lambda U* by terms
-Lambda^{c_i} V* (x) Sigma^{mu_i} U* and the tail Sigma^{lambda'(-1)} U*.  The
-jump rule is pure index arithmetic: mu_i keeps the rows of lambda that fit
-left of abscissa n-k-i and drops the rest onto the shifted path, i.e.
-
-    mu_i[r] = lambda[r]                      if lambda[r] <= X
-              max(X, lambda'(-1)[r])         otherwise,       X = n-k-i.
+Lambda^{c_i} V* (x) Sigma^{mu_i} U* and the tail Sigma^{lambda'(-1)} U*, by
+the jump rule of `diagrams._jumps`.
 
 Only computable necessary conditions of exactness are checked: the
 alternating sum of classes vanishes, and consecutive terms admit degree-0
-maps.  No differentials are constructed.
-
-`_jumps` is the one jump rule, on plain tuples: `build_staircase` builds its
-complex from it, and `_terms` the triples of `k_class_terms` with no complex,
-from which the twist T in K_0 is built.  `grex report` checks T itself
-(`_twist_columns_exact`): column lam untwisted is a relation exactly when
-lam's staircase is K-exact, and all C(n-1,k-1) columns go to one
-transposed pass (`ktheory._vanish_batch`).  `is_k_exact` checks one
-complex by the per-call zero test (`ktheory._vanishes`).
+maps.  No differentials are constructed.  `is_k_exact` checks one complex by
+the per-call zero test (`ktheory._vanishes`).
 """
 
 from __future__ import annotations
@@ -28,14 +17,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .bott import TwistedSchur, ext_table, normal_form
-from .diagrams import (
-    Box,
-    BoxedDiagram,
-    _check_in_box,
-    _step,
-    theta,
-)
-from .ktheory import _ctx, _vanish_batch, _vanishes, is_zero_combination
+from .diagrams import Box, BoxedDiagram, _jumps, _step, theta
+from .ktheory import _ctx, _vanishes, is_zero_combination
 from .schur import dimension
 
 __all__ = [
@@ -101,39 +84,6 @@ class StaircaseComplex:
         }
 
 
-def _jumps(box: Box, lam: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-    """The jump rule: (c_i, mu_i) of the middle terms of the staircase of the
-    diagram lam, i = 1..n-k.  ValueError unless lam has a full first row."""
-    k, n = box.k, box.n
-    if lam[0] != n - k:
-        raise ValueError(f"staircase needs a full first row: lambda_1 = {n - k}")
-    red = (*(x - 1 for x in lam[1:]), -1)  # the path of lambda'(-1)
-    size = sum(lam)
-    out = []
-    for i, x in enumerate(range(n - k - 1, -1, -1), 1):  # x = n-k-i
-        mu = tuple([p if p <= x else x if x > r else r for p, r in zip(lam, red)])
-        c = size - sum(mu)
-        if not 0 < c < n:
-            raise AssertionError(f"box count c_{i} = {c} escaped (0, n)")
-        out.append((c, mu))
-    return out
-
-
-def _terms(box: Box, lam: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...], int], ...]:
-    """`build_staircase(box, lam).k_class_terms()` from the jump rule on plain
-    tuples, with no complex built: lam and each middle mu tested in the box,
-    and the tail at twist -1 by the step rule, as `build_staircase` takes it."""
-    k, n, width = box.k, box.n, box.width
-    _check_in_box(lam, k, width)
-    out, sign = [(1, lam, 0)], -1
-    for c, mu in _jumps(box, lam):
-        _check_in_box(mu, k, width)
-        out.append((sign * comb(n, c), mu, 0))
-        sign = -sign
-    out.append((sign, _step(lam, width), -1))
-    return tuple(out)
-
-
 def build_staircase(box: Box, lam: BoxedDiagram) -> StaircaseComplex:
     """The staircase resolution of Sigma^lam U* for lam with full first row."""
     if lam.box != box:
@@ -145,22 +95,6 @@ def build_staircase(box: Box, lam: BoxedDiagram) -> StaircaseComplex:
         terms=terms,
         tail=TwistedSchur(_step(lam.parts, box.width), -1, box),
     )
-
-
-def _twist_columns_exact(box: Box) -> list[tuple[BoxedDiagram, bool]]:
-    """Each basis diagram lam with a full first row, in basis order, with
-    whether column lam of the twist T untwisted vanishes in K_0: exactly
-    when lam's staircase is K-exact (`ktheory` module docstring).  Every
-    call runs the one pass and leaves its verdicts on the per-box context,
-    as `twist_exact`, where `ktheory.residual_report` reads them."""
-    ctx = _ctx(box)
-    twist, weights = ctx.twist, ctx.weights
-    full = [i for i, w in enumerate(weights) if w[0] == box.width]
-    verdicts = _vanish_batch(
-        box, [[(1, weights[i], 0), *((-v, weights[j], -1) for j, v in twist[i])] for i in full]
-    )
-    ctx.twist_exact = [(ctx.diagrams[i], exact) for i, exact in zip(full, verdicts)]
-    return ctx.twist_exact
 
 
 def is_k_exact(sc: StaircaseComplex) -> bool:

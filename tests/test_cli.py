@@ -363,22 +363,23 @@ class TestReport:
 
     def test_each_staircase_checked_once(self, capsys, monkeypatch):
         import grex.cli as cli
-        from grex import staircase
+        from grex import ktheory, staircase
 
         theta_head = staircase.build_theta_staircase(2, 2)[0].k_class_terms()[0]
         zero_tests, batches, checked, builds = [], [], [], []
-        vanish, batch = staircase._vanishes, staircase._vanish_batch
+        vanish, batch = staircase._vanishes, ktheory._vanish_batch
         check, build = cli.is_k_exact, staircase.build_staircase
         monkeypatch.setattr(
             staircase, "_vanishes", lambda box, ts: zero_tests.append(ts[0]) or vanish(box, ts)
         )
         monkeypatch.setattr(
-            staircase,
+            ktheory,
             "_vanish_batch",
             lambda box, rs: batches.append([r[0] for r in rs]) or batch(box, rs),
         )
         monkeypatch.setattr(cli, "is_k_exact", lambda sc: checked.append(sc) or check(sc))
         monkeypatch.setattr(staircase, "build_staircase", lambda *a: builds.append(a) or build(*a))
+        ktheory._ctx.cache_clear()  # no verdicts kept from an earlier report
         code, _, _ = run(capsys, "report", "--k", "2", "--n", "4", "--format", "json")
         assert code == 0
         # the three full-first-row columns of the twist are zero-tested in one
@@ -427,22 +428,23 @@ class TestReport:
 
     @pytest.mark.parametrize("i,step", [(2, -1), (-1, 1)])
     def test_planted_coefficient_fails_the_staircase_stage(self, capsys, monkeypatch, i, step):
-        # no honest box reaches k_exact_failures: move one coefficient of one
-        # lam's non-head triples, which the twist reads.  The stage checks
-        # that twist, and the later stages read it too, so only the
-        # staircase stage and the exit code are pinned
-        from grex import ktheory, staircase
+        # no honest box reaches k_exact_failures: move the box count c of one
+        # middle term of one lam's jump rule, and so its coefficient C(n, c),
+        # which the twist reads.  The stage checks that twist, and the later
+        # stages read it too, so only the staircase stage and the exit code
+        # are pinned
+        from grex import ktheory
 
-        lam, terms = (4, 3, 1, 0), staircase._terms
+        lam, jumps = (4, 3, 1, 0), ktheory._jumps
 
         def planted(box, parts):
-            out = list(terms(box, parts))
+            out = jumps(box, parts)
             if parts == lam:
-                c, w, t = out[i]
-                out[i] = (c + step, w, t)
-            return tuple(out)
+                c, mu = out[i]
+                out[i] = (c + step, mu)
+            return out
 
-        monkeypatch.setattr(staircase, "_terms", planted)
+        monkeypatch.setattr(ktheory, "_jumps", planted)
         ktheory._ctx.cache_clear()
         try:
             code, out, _ = run(capsys, "report", "--k", "4", "--n", "8", "--format", "json")
@@ -518,9 +520,9 @@ class TestReport:
         # a middle weight off the box would reach the zero test as a missing
         # table source (KeyError); the in-box test stops it as a ValueError,
         # which the stage records
-        from grex import ktheory, staircase
+        from grex import ktheory
 
-        lam, jumps = (4, 3, 1, 0), staircase._jumps
+        lam, jumps = (4, 3, 1, 0), ktheory._jumps
 
         def planted(box, parts):
             out = jumps(box, parts)
@@ -529,7 +531,7 @@ class TestReport:
                 out[0] = (c, mu[::-1])
             return out
 
-        monkeypatch.setattr(staircase, "_jumps", planted)
+        monkeypatch.setattr(ktheory, "_jumps", planted)
         ktheory._ctx.cache_clear()
         try:
             code, out, err = run(capsys, "report", "--k", "4", "--n", "8", "--format", "json")
@@ -692,16 +694,17 @@ class TestOnePassPerBox:
 
     def test_one_build_per_staircase(self, monkeypatch):
         import grex.cli as cli
-        from grex import diagrams, lefschetz, staircase
+        from grex import diagrams, ktheory, lefschetz, staircase
         from grex.cli import full_report
         from grex.diagrams import Box
         from grex.ktheory import _ctx
 
         jumps, builds, checks, walks, collections = [], [], [], [], []
-        jump, build, check = staircase._jumps, staircase.build_staircase, cli.is_k_exact
+        jump, build, check = diagrams._jumps, staircase.build_staircase, cli.is_k_exact
         walk = diagrams._orbit_parts
         post_init = lefschetz.LefschetzCollection.__post_init__
-        monkeypatch.setattr(staircase, "_jumps", lambda *a: jumps.append(a[1]) or jump(*a))
+        for module in (ktheory, staircase):  # the twist and the complexes
+            monkeypatch.setattr(module, "_jumps", lambda *a: jumps.append(a[1]) or jump(*a))
         monkeypatch.setattr(staircase, "build_staircase", lambda *a: builds.append(1) or build(*a))
         monkeypatch.setattr(cli, "is_k_exact", lambda *a: checks.append(1) or check(*a))
         monkeypatch.setattr(diagrams, "_orbit_parts", lambda *a: walks.append(1) or walk(*a))
@@ -722,6 +725,26 @@ class TestOnePassPerBox:
         assert builds == checks == []
         assert len(walks) == 22
         assert len(collections) <= 1
+
+    def test_twist_verdicts_kept_on_the_context(self, monkeypatch):
+        # the verdicts on T's columns are cached on the per-box context: a
+        # second report on the box, residual stage included, runs no second
+        # column pass, and a new context runs one again
+        from grex import ktheory
+        from grex.cli import full_report
+        from grex.diagrams import Box
+
+        batches = []
+        batch = ktheory._vanish_batch
+        monkeypatch.setattr(ktheory, "_vanish_batch", lambda *a: batches.append(1) or batch(*a))
+        ktheory._ctx.cache_clear()
+        box = Box(3, 6)
+        first = full_report(box)
+        assert full_report(box) == first
+        assert len(batches) == 1
+        ktheory._ctx.cache_clear()
+        assert full_report(box) == first
+        assert len(batches) == 2
 
     @staticmethod
     def fresh(box):
@@ -973,6 +996,38 @@ class TestFreshInterpreter:
             if isinstance(node, ast.Assert)
         ]
         assert found == []
+
+    def test_library_imports_are_module_level_and_acyclic(self):
+        # an import inside a function body hides a cycle between modules: no
+        # function imports, and the relative imports between grex modules
+        # form a DAG
+        import ast
+        import graphlib
+        import pathlib
+
+        files = sorted(pathlib.Path(grex.__file__).parent.glob("*.py"))
+        assert files
+        nested, edges = set(), {}
+        for path in files:
+            tree = ast.parse(path.read_text(), str(path))
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    nested.update(
+                        f"{path.name}:{node.lineno}"
+                        for node in ast.walk(fn)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))
+                    )
+            edges[path.stem] = {
+                name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level
+                for name in ([node.module] if node.module else [a.name for a in node.names])
+            }
+        assert sorted(nested) == []
+        try:
+            tuple(graphlib.TopologicalSorter(edges).static_order())
+        except graphlib.CycleError as exc:
+            pytest.fail(f"relative imports form a cycle: {exc.args[1]}")
 
     def test_library_has_no_unused_imports(self):
         # a name imported into a module must be read there or exported by __all__

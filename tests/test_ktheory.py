@@ -29,7 +29,7 @@ from grex.ktheory import (
     twist_class,
 )
 from grex.lefschetz import fenced_block, fonarev, gram, primitive_block
-from grex.staircase import _twist_columns_exact, build_staircase, build_theta_staircase, is_k_exact
+from grex.staircase import build_staircase, build_theta_staircase, is_k_exact
 from oracles import (
     covector_oracle,
     dimension_oracle,
@@ -265,7 +265,7 @@ class TestChiPair:
         # T is checked, and a pairing sees it only when its first class has a
         # nonzero there
         box = Box(3, 6)
-        _twist_columns_exact(box)  # T checked before the plant
+        _ctx(box).twist_exact  # T checked before the plant
         plant((1, 1, 0), 0)
         with pytest.raises(AssertionError, match="Gram diagonal is not 1 at \\(1, 1, 0\\)"):
             residual_report(box)

@@ -5,11 +5,13 @@ import dataclasses
 
 import pytest
 
+import grex.ktheory as ktheory
 import grex.staircase as staircase
 from grex.bott import TwistedSchur, ext_table
 from grex.diagrams import (
     Box,
     BoxedDiagram,
+    _jumps,
     enumerate_diagrams,
     is_minimal_upper_triangular,
     orbit_length,
@@ -132,38 +134,50 @@ class TestKExactness:
 
 
 class TestTermTriples:
-    """The twist reads each staircase as the (coef, weight, twist) triples of
-    the jump rule, with no complex built; `build_staircase` runs the same
-    jump rule.  So this is a consistency pin, not an oracle: the zero test
-    keeps its Jacobi-Trudi oracle, the twist its LR + Bott route
-    (`TestTwistClass`), and the appendix check its three-phase table."""
+    """The twist T builds each full-first-row column from the jump rule, with
+    no complex built; `build_staircase` runs the same jump rule.  So this is
+    a consistency pin, not an oracle: the zero test keeps its Jacobi-Trudi
+    oracle, the twist its LR + Bott route (`TestTwistClass`), and the
+    appendix check its three-phase table."""
 
     def test_triples_are_the_complex_terms(self):
+        # column lam of T is the complex's non-head terms, negated and
+        # merged at the indices mu + t + 1, in the order of the terms
         for n in range(2, 13):
             for k in range(1, n):
                 box = Box(k, n)
+                ctx = _ctx(box)
                 for lam in staircases_of(box):
-                    terms = build_staircase(box, lam).k_class_terms()
-                    assert staircase._terms(box, lam.parts) == tuple(terms), lam
+                    col = {}
+                    for c, mu, t in build_staircase(box, lam).k_class_terms()[1:]:
+                        i = ctx.index[tuple(x + t + 1 for x in mu)]
+                        col[i] = col.get(i, 0) - c
+                    assert ctx.twist[ctx.index[lam.parts]] == tuple(col.items()), lam
 
     def test_middle_term_out_of_the_box(self, monkeypatch):
-        # the triples route tests lam and each middle weight with the in-box
-        # test of BoxedDiagram, with the same messages
+        # the twist tests each middle weight with the in-box test of
+        # BoxedDiagram, with the same messages
         box = Box(4, 8)
-        jumps = staircase._jumps
         for bad in [(1, 2, 0, 0), (5, 1, 0, 0), (2, 1, 0, -1)]:
-            monkeypatch.setattr(staircase, "_jumps", lambda *a, bad=bad: [(3, bad), *jumps(*a)[1:]])
-            with pytest.raises(ValueError) as terms_error:
-                staircase._terms(box, (4, 3, 1, 0))
+
+            def planted(*a, bad=bad):
+                return [(3, bad), *_jumps(*a)[1:]]
+
+            monkeypatch.setattr(ktheory, "_jumps", planted)
+            monkeypatch.setattr(staircase, "_jumps", planted)
+            with pytest.raises(ValueError) as twist_error:
+                _Ctx(box).twist
             with pytest.raises(ValueError) as diagram_error:
                 build_staircase(box, BoxedDiagram((4, 3, 1, 0), box))
-            assert str(terms_error.value) == str(diagram_error.value)
-            assert str(terms_error.value) == f"not a diagram in the 4x4 box: {bad}"
+            assert str(twist_error.value) == str(diagram_error.value)
+            assert str(twist_error.value) == f"not a diagram in the 4x4 box: {bad}"
         monkeypatch.undo()
         # (1,0,1) is no diagram, though its one middle term (0,0,0) is: the
-        # triples route rejects it with the message of BoxedDiagram
+        # jump rule takes it, and it is stopped where it enters, by the
+        # in-box test of BoxedDiagram
+        assert _jumps(Box(3, 4), (1, 0, 1)) == [(2, (0, 0, 0))]
         with pytest.raises(ValueError, match=r"^not a diagram in the 3x1 box: \(1, 0, 1\)"):
-            staircase._terms(Box(3, 4), (1, 0, 1))
+            build_staircase(Box(3, 4), BoxedDiagram((1, 0, 1), Box(3, 4)))
 
 
 class TestTwistColumns:
@@ -176,7 +190,7 @@ class TestTwistColumns:
             for k in range(1, n):
                 box = Box(k, n)
                 lams = staircases_of(box)
-                got = staircase._twist_columns_exact(box)
+                got = _ctx(box).twist_exact
                 assert got == [(lam, is_k_exact(build_staircase(box, lam))) for lam in lams]
                 assert all(exact for _, exact in got), box
 
@@ -202,7 +216,8 @@ class TestTwistColumns:
                         moved = list(honest[col])
                         moved[entry] = (row, v + step)
                         vars(ctx)["twist"] = (*honest[:col], tuple(moved), *honest[col + 1 :])
-                        got = staircase._twist_columns_exact(box)
+                        vars(ctx).pop("twist_exact", None)  # the verdicts on the honest T
+                        got = ctx.twist_exact
                         assert [d for d, exact in got if not exact] == [lam], (lam, entry, step)
         finally:
             _ctx.cache_clear()
