@@ -31,7 +31,7 @@ from .diagrams import (
     orbits,
     residual_rank,
 )
-from .ktheory import _ctx, _fullness_sign, fullness_determinant, residual_report
+from .ktheory import _ctx, _fullness_sign, _vanish_batch, fullness_determinant, residual_report
 from .lefschetz import fonarev, gram, kapranov
 from .staircase import (
     appendix_table_check,
@@ -218,7 +218,10 @@ def cmd_staircase(args) -> int:
         if box.n % box.k != 0 or box.k < 2 or box.n // box.k < 2:
             return _fail("--theta needs n = k*m with k >= 2 and m >= 2")
         sc, ledger = build_theta_staircase(box.k, box.n // box.k)
-        exact = is_k_exact(sc)
+        try:
+            exact = is_k_exact(sc)
+        except ValueError as exc:  # its deep terms pair through T, and T is refused
+            return _fail(str(exc), 1)
         payload = sc.to_json(k_exact=exact)
         payload["ledger"] = ledger.to_json()
         payload["ledger_complete"] = ledger.complete
@@ -231,7 +234,8 @@ def cmd_staircase(args) -> int:
         sc = build_staircase(box, lam)
     except ValueError as exc:
         return _fail(str(exc))
-    exact = is_k_exact(sc)
+    # one relation: one transposed pass, with no pairing table to build
+    exact = _vanish_batch(box, [sc.k_class_terms()])[0]
     _emit(sc.to_json(k_exact=exact), args)
     return 0 if exact else 1
 
@@ -269,12 +273,17 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
     twist matrix T and the verdicts on T's full-first-row columns
     (`_Ctx.twist_exact`, one transposed pass) from the per-box context of
     `ktheory`, so each is computed once per box.  The staircase stage
-    reports those verdicts on the T that the residual and fullness stages
-    read; the residual stage reads the chain by the twist identity, which
-    needs T to be (x) O(1), so it fails on the same verdicts when a column
-    is not K-exact.  No stage builds the pairing table: the
-    residual covectors are transposed reads too, and the theta staircase and
-    the G(4,8) fixture read deep rows, so their zero tests take the slow path.
+    reports those verdicts on the T that the later stages read.  Three
+    readers need T to be (x) O(1), by the twist identity, and pass the one
+    gate on those verdicts (`_Ctx.check_twist`): the residual stage, which
+    reads the chain by it, and the zero tests of the theta staircase and of
+    the G(4,8) fixture, whose deep terms (t <= -2) pair as rows at t = -1
+    times a power of T.  When a column is not K-exact, the staircase stage
+    still reports its verdicts and records the theta refusal under
+    "theta_error", and the other two fail with the same message.  No stage
+    builds the pairing table or takes a Jacobi-Trudi determinant: the
+    residual covectors are transposed reads, and each deep zero test is one
+    transposed pass folded through T.
 
     When the Gram and staircase stages both pass, the Fonarev classes C
     satisfy det(C)^2 = 1 (`ktheory` module docstring), and the fullness stage
@@ -350,10 +359,12 @@ def full_report(box: Box, jobs: int = 1, timings: dict | None = None) -> dict:
         m = box.n // box.k if box.n % box.k == 0 else 0
         if box.k >= 2 and m >= 2:
             sc, ledger = build_theta_staircase(box.k, m)
-            theta_exact = is_k_exact(sc)
             out["theta_ledger_complete"] = ledger.complete
-            out["theta_k_exact"] = theta_exact
-            if not (theta_exact and ledger.complete):
+            try:
+                out["theta_k_exact"] = is_k_exact(sc)
+            except ValueError as exc:  # its deep terms pair through T, and T is refused
+                out["theta_error"] = str(exc)
+            if not (out.get("theta_k_exact") and ledger.complete):
                 out["verdict"] = "fail"
         if box.k == 3 and box.n % 3 == 0 and box.n // 3 >= 2:
             m3 = box.n // 3

@@ -68,8 +68,9 @@ that does not fit), and coef times the packed rows are summed when
 S <= cap = (2^(B-1) - 1) // M and every term is a table row; cap >= 2^n
 covers the staircase of every lam with a full first row (coefficients +-1
 and +-C(n, c) for distinct 0 < c < n).  Any other combination takes the
-slow path: its table rows are one column of the transposed pass below, its
-deep rows are added unpacked, and every field is tested.
+slow path, the `_Ctx.pairings` of one transposed pass below: its table rows
+are one column, its deep rows (below) one column per level (`_levels`), and
+every entry of the sum is tested.
 
 Every other reader runs one pass.  The build is X = P U, with U the unit
 rows and P the product of the updates x[i] += x[up].  For a column c over
@@ -83,22 +84,33 @@ ints are exact and the pass is linear, so only the final read needs the
 bound, even where a field outgrows 2^(B-1) part-way through; biased by
 2^(B-1) per field nothing borrows, and one `to_bytes` and one `Struct`
 split a read (`_splitter`).  A batch of one column needs no split
-(`_Ctx.row`, the slow path of `_vanishes`).  `_Ctx.read` splits the read
+(`_Ctx.pairings` of level 0 alone).  `_Ctx.read` splits the read
 of classes x, placed at the sources kappa_i + 1, into the rows
 (x^T G)[kappa] and the covectors x^T G.  G is upper unitriangular, so x^T G
 is 0 before the least index i of x and x_i at i: one guard per class.
 
-A normal form with t <= -2 needs sigma outside the wider box.  Its row is
-one Jacobi-Trudi determinant det[h_{lam_i - a_j - i + j}(1^n)] per entry,
-lam = kappa - t and h_m(1^n) = C(n+m-1, m), by `_bareiss_det`; it is stored
-as one row, unpacked, and its entries may exceed M.
+A normal form (a, t) with t <= -2, a deep row, needs sigma outside the
+wider box.  (x) O(1) preserves chi, so once T is (x) O(1), with s = -1 - t,
+
+    chi(Sigma^a U*(t), Sigma^kappa U*) = chi(Sigma^a U*(-1), T^s e_kappa),
+
+and row (a, t) is row (a, -1) times T^s, row (a, -1) being the table row of
+the source a.  `_Ctx.pairings` reads a combination by levels: the table rows
+in field 0 and each deep term in field s at its source a, all in one
+transposed pass, then folds the split fields by Horner in T, total =
+(...(R_top T + R_{top-1}) T ...) T + R_0, one sparse product by the columns
+of T per level.  Its entries may exceed M; they are unpacked ints.  It reads
+T only past `_Ctx.check_twist`, the one gate, which `residual_report` passes
+too: ValueError names a full-first-row column of T that is not K-exact.
 
 All per-box state lives on one context, `_ctx(box)`, kept for the box used
-last alone: the basis diagrams, the sparse twist matrix, the Jacobi-Trudi
-rows, the table once the fast path of `_vanishes` needs it (no stage of
-`grex report` does), T's verdicts, and the skeleton that `grex report`
-verifies, computed once and read only: `orbits`, the tuple `orbits(box)`,
-and `fonarev` and `block`, built from it.
+last alone: the basis diagrams, the sparse twist matrix, T's verdicts, the
+deep rows that `_Ctx.row` was asked for (`chis`; no stage of `grex report`
+stores one, its zero tests fold theirs inside the pass), the table once the
+fast path of `_vanishes` needs it (no stage of `grex report` does), and the
+skeleton that `grex report` verifies, computed once and read only:
+`orbits`, the tuple `orbits(box)`, and `fonarev` and `block`, built from
+it.
 Each stage computes the classes T^i e_lam it reads, once per orbit, by the
 one twist loop (`_Ctx.twisted_classes`, exact or mod 3).  No dense Gram
 matrix is kept: `kapranov_gram` and `class_of` read the unit classes.
@@ -121,8 +133,8 @@ chain needs the pairings of its |block| classes at level 0 alone.  It is
 semiorthogonal exactly when their Gram chi(e_v, e_w) is unitriangular and
 chi(T^d e_v, e_w) = 0 for every d >= 1 (`_Ctx.check_chain`), and as
 chi(T^a e_w, y) = chi(e_w, T^(-a) y), every projection pairs with the
-level-0 classes alone, level by level.  So `residual_report` refuses a T
-whose full-first-row columns are not K-exact.  The residual Gram pairs the
+level-0 classes alone, level by level.  So `residual_report` passes
+`_Ctx.check_twist` first.  The residual Gram pairs the
 residual classes by one more read, none at rank 0, and the tau-orbit check
 compares classes built explicitly.
 
@@ -154,7 +166,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
 from math import comb
-from operator import add
 from struct import Struct
 
 from .bott import TwistedSchur, euler_char, normal_form
@@ -215,29 +226,40 @@ class _Ctx:
 
     def row(self, a: tuple[int, ...], t: int) -> tuple[int, ...]:
         """chi(Sigma^a U*(t), Sigma^kappa U*) for every basis kappa, in order,
-        where a_0 + t and a_0 - a_{k-1} are at most n-k, under the normal form
-        (a', t'): with t' >= -1 row a' + t' + 1 of G, the `transposed` pass of
-        one column, not stored; with t' <= -2 the Jacobi-Trudi row
-        (`deep_row`), stored once in `chis`."""
-        a, t = normal_form(a, t)
-        if t >= -1:
-            return tuple(self.transposed([[(_sources(self, [(1, a, t)])[0], 1)]])[0])
-        r = self.chis.get((a, t))
+        where a_0 + t and a_0 - a_{k-1} are at most n-k: the `pairings` of the
+        one term.  A table row is one column of one pass, not stored; a deep
+        row, row (a', -1) T^s for the normal form (a', t'), s = -1 - t'
+        (`_levels`), is stored once in `chis`."""
+        (i,) = _sources(self, [(1, a, t)])
+        if i is not None:
+            return tuple(self.pairings([[(i, 1)]]))
+        key = normal_form(a, t)
+        r = self.chis.get(key)
         if r is None:
-            r = self.chis[a, t] = self.deep_row(a, t)
+            r = self.chis[key] = tuple(self.pairings(_levels(self, [], [(1, a, t)])))
         return r
 
-    def deep_row(self, a: tuple[int, ...], t: int) -> tuple[int, ...]:
-        """det[h_{lam_i - a_j - i + j}(1^n)], lam = kappa - t, for every basis kappa."""
-        n = self.box.n
-
-        def h(m: int) -> int:
-            return comb(n + m - 1, m) if m >= 0 else 0
-
-        return tuple(
-            _bareiss_det([[h(x - t - y - i + j) for j, y in enumerate(a)] for i, x in enumerate(kappa)])
-            for kappa in self.weights
-        )
+    def pairings(self, levels: list[list[tuple[int, int]]]) -> list[int]:
+        """sum_s (c_s^T G) T^s for the columns c_s = levels[s], each a list of
+        (source, coef): one `transposed` pass, level s in field s, folded by
+        Horner in T, total = (...(R_top T + R_{top-1}) T ...) T + R_0, one
+        sparse product per level (module docstring).  Levels past 0 read T,
+        so they first pass `check_twist`; level 0 alone needs no split."""
+        if len(levels) == 1:
+            return self.transposed(levels)[0]
+        self.check_twist()
+        reads, bits = self.transposed(levels)
+        split = _splitter(bits, len(levels))
+        fields = list(zip(*map(split, reads)))  # fields[s][kappa]
+        twist, total = self.twist, fields.pop()
+        while fields:  # total T + R_s, (total T)[kappa] = sum T[m, kappa] total[m]
+            out = []
+            for r, col in zip(fields.pop(), twist):
+                for m, c in col:
+                    r += c * total[m]
+                out.append(r)
+            total = out
+        return total
 
     @cached_property
     def strips(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -357,6 +379,13 @@ class _Ctx:
         relations = [[(1, ws[i], 0), *((-v, ws[j], -1) for j, v in twist[i])] for i in full]
         return [(self.diagrams[i], ok) for i, ok in zip(full, _vanish_batch(self.box, relations))]
 
+    def check_twist(self) -> None:
+        """The one gate before T is read as (x) O(1), by the twist identity:
+        ValueError names the first full-first-row column of T that is not
+        K-exact (`twist_exact`)."""
+        if bad := [d.parts for d, exact in self.twist_exact if not exact]:
+            raise ValueError(f"column {bad[0]} of the twist T is not K-exact: T is not (x) O(1)")
+
     def twisted_classes(
         self, w: tuple[int, ...], count: int, twist=None, modulus: int | None = None
     ) -> list[dict[int, int]]:
@@ -459,8 +488,8 @@ def _bias(bits: int, count: int) -> int:
 def _sources(ctx: _Ctx, terms: list[tuple[int, tuple[int, ...], int]]) -> list[int | None]:
     """The table source sigma = w + t + 1 of each (coef, w, t) term
     Sigma^w U*(t), the source of its normal form too, or None for a deep
-    term (w_{k-1} + t < -1), whose row is no table entry.  ValueError unless
-    every term fits the pairing rows."""
+    term (w_{k-1} + t < -1), which `_levels` reads.  ValueError unless every
+    term fits the pairing rows."""
     width, sources, out = ctx.box.width, ctx.sources, []
     for _, w, t in terms:
         if max(w[0] + t, w[0] - w[-1]) > width:
@@ -471,6 +500,19 @@ def _sources(ctx: _Ctx, terms: list[tuple[int, tuple[int, ...], int]]) -> list[i
             # a term at t = -1, as every column of T but its head, is its own source
             out.append(sources[w if t == -1 else tuple(map((t + 1).__add__, w))])
     return out
+
+
+def _levels(ctx: _Ctx, rows: list[tuple[int, int]], deep) -> list[list[tuple[int, int]]]:
+    """The levels of `_Ctx.pairings` for the (source, coef) table rows, at
+    level 0, and the deep (coef, w, t) terms: the normal form (a, t') of a
+    deep term pairs as row (a, -1), the table row of the source a, times T^s,
+    s = -1 - t' (module docstring), so it goes to level s at source a."""
+    levels = [rows]
+    for coef, w, t in deep:
+        s = -1 - t - w[-1]
+        levels.extend([] for _ in range(s + 1 - len(levels)))
+        levels[s].append((ctx.sources[tuple(x - w[-1] for x in w)], coef))
+    return levels
 
 
 @lru_cache(maxsize=1)
@@ -534,9 +576,12 @@ def mutate_left(box: Box, projectors: list[KClass], x: KClass) -> KClass:
 
 def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool:
     """Whether sum coef * [bundle] vanishes in K_0, by `_vanishes`: the
-    pairings against the basis determine a class, as G is unitriangular.
-    Every bundle must live on the box and fit the pairing rows (`_Ctx.row`),
-    whatever its coefficient; otherwise ValueError."""
+    pairings against the basis determine a class, as G is unitriangular.  A
+    deep bundle (normal form with t <= -2) pairs as row (a, -1) times T^s, so
+    its combination is read in one transposed pass and folded through T once
+    T passes `_Ctx.check_twist`.  Every bundle must live on the box and fit
+    the pairing rows (`_Ctx.row`), whatever its coefficient, and T must pass
+    the gate when a bundle is deep; otherwise ValueError."""
     for _, bundle in terms:
         if bundle.box != box:
             raise ValueError(f"bundle {bundle} lives on a different box")
@@ -546,8 +591,9 @@ def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool
 def _vanishes(box: Box, terms: list[tuple[int, tuple[int, ...], int]]) -> bool:
     """Whether sum coef * [Sigma^w U*(t)] over the (coef, w, t) terms vanishes
     in K_0: the one per-call zero test, which builds no bundle per term, by
-    the table or one transposed pass (module docstring).  Every term must fit
-    the pairing rows, whatever its coefficient; otherwise ValueError."""
+    the table or the `pairings` of one transposed pass (module docstring).
+    Every term must fit the pairing rows, whatever its coefficient, and a
+    deep term needs T to pass `_Ctx.check_twist`; otherwise ValueError."""
     ctx = _ctx(box)
     rows, deep, weight = [], [], 0
     for (coef, w, t), i in zip(terms, _sources(ctx, terms)):
@@ -559,10 +605,7 @@ def _vanishes(box: Box, terms: list[tuple[int, tuple[int, ...], int]]) -> bool:
                 rows.append((i, coef))
     if not deep and weight <= ctx.cap:
         return not sum(coef * ctx.table[i] for i, coef in rows)
-    total = ctx.transposed([rows])[0]
-    for coef, w, t in deep:
-        total = list(map(add, total, map(coef.__mul__, ctx.row(w, t))))
-    return not any(total)
+    return not any(ctx.pairings(_levels(ctx, rows, deep)))
 
 
 def _vanish_batch(
@@ -642,7 +685,7 @@ def residual_report(box: Box) -> ResidualReport:
     and must cycle the classes, closing up to the sign (-1)^(k(n-k)/d).
 
     The projections rest on the twist identity (module docstring): ValueError
-    names a full-first-row column of T that is not K-exact (`_Ctx.twist_exact`);
+    names a full-first-row column of T that is not K-exact (`_Ctx.check_twist`);
     the residual Gram is one more read."""
     ctx = _ctx(box)
     shorts = [(orb.representative, orb.length) for orb in ctx.orbits if orb.length < box.n]
@@ -650,8 +693,7 @@ def residual_report(box: Box) -> ResidualReport:
     residual: list[dict[int, int]] = []
     tau_ok: list[bool] = []
     if shorts:  # no chain to read otherwise
-        if bad := [d.parts for d, exact in ctx.twist_exact if not exact]:
-            raise ValueError(f"column {bad[0]} of the twist T is not K-exact: T is not (x) O(1)")
+        ctx.check_twist()
         block = [ctx.index[obj.bundle.weight] for obj in ctx.block]
         chain = [ctx.twisted_classes(ctx.weights[v], max(o for _, o in shorts)) for v in block]
         gram, pair = ctx.check_chain(block, chain)

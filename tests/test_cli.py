@@ -262,22 +262,23 @@ class TestRaisingCheck:
         ],
     )
     def test_pairing_row_raises(self, capsys, monkeypatch, argv):
-        # a staircase check reads the per-box table, so a builder that raises
-        # fails it; the residual chain check reads its covectors from one
-        # transposed pass, so a pass whose every read is doubled fails the
-        # guard on the first chain member's leading term
+        # a one-off staircase check reads its one relation from one
+        # transposed pass, so a pass that raises fails it; the residual chain
+        # check reads its covectors from one transposed pass, so a pass whose
+        # every read is doubled fails the guard on the first chain member's
+        # leading term
         from grex import ktheory
 
-        def corrupt(self):
-            raise AssertionError(f"corrupt pairing table on {self.box}")
+        def corrupt(self, v):
+            raise AssertionError(f"corrupt pairing pass on {self.box}")
 
         def doubled(self, v):
             return [2 * x for x in transpose(self, v)]
 
         transpose = ktheory._Ctx.strip_transpose
         if argv[0] == "staircase":
-            monkeypatch.setattr(ktheory._Ctx, "build_table", corrupt)
-            message = "error: corrupt pairing table"
+            monkeypatch.setattr(ktheory._Ctx, "strip_transpose", corrupt)
+            message = "error: corrupt pairing pass"
         else:
             monkeypatch.setattr(ktheory._Ctx, "strip_transpose", doubled)
             message = "error: Kapranov Gram diagonal is not 1 at (0, 0, 0)"
@@ -384,8 +385,8 @@ class TestReport:
         assert code == 0
         # the three full-first-row columns of the twist are zero-tested in one
         # batch, untwisted, head first, in basis order; only the theta
-        # staircase is built and checked as a complex, alone by the table's
-        # zero test
+        # staircase is built and checked as a complex, by one zero test,
+        # which reads the verdicts of that batch at its gate
         assert batches == [[(1, (2, 0), 0), (1, (2, 1), 0), (1, (2, 2), 0)]]
         assert zero_tests == [theta_head]
         assert len(checked) == len(builds) == 1
@@ -430,9 +431,11 @@ class TestReport:
     def test_planted_coefficient_fails_the_staircase_stage(self, capsys, monkeypatch, i, step):
         # no honest box reaches k_exact_failures: move the box count c of one
         # middle term of one lam's jump rule, and so its coefficient C(n, c),
-        # which the twist reads.  The stage checks that twist, and the later
-        # stages read it too, so only the staircase stage and the exit code
-        # are pinned
+        # which the twist reads.  The stage checks that twist and still
+        # reports its verdicts; the theta staircase and the G(4,8) fixture,
+        # whose deep terms pair through T, are refused by the same gate.
+        # The later stages read T too, so only those stages and the exit
+        # code are pinned
         from grex import ktheory
 
         lam, jumps = (4, 3, 1, 0), ktheory._jumps
@@ -451,18 +454,25 @@ class TestReport:
         finally:
             ktheory._ctx.cache_clear()  # drop the twist built from the planted triples
         assert code == 1
-        stage = json.loads(out)["stages"]["staircase"]
-        assert stage["verdict"] == "fail"
-        assert stage["k_exact_failures"] == [list(lam)]
-        assert stage["staircases_checked"] == comb(7, 3)
+        stages = json.loads(out)["stages"]
+        refusal = f"column {lam} of the twist T is not K-exact: T is not (x) O(1)"
+        assert stages["staircase"] == {
+            "verdict": "fail",
+            "staircases_checked": comb(7, 3),
+            "k_exact_failures": [list(lam)],
+            "theta_ledger_complete": True,
+            "theta_error": refusal,
+        }
+        assert stages["g48_fixture"] == {"verdict": "fail", "error": refusal}
 
     @pytest.mark.parametrize("entry", [0, -1])
     def test_planted_twist_entry_fails_the_staircase_stage(self, capsys, entry, eliminations):
         # +1 on one entry of column lam of the twist T, the matrix that the
         # residual and fullness stages read: the staircase stage checks T
-        # itself, so it fails for lam alone; the residual stage, which reads
-        # the twist identity, refuses T from that verdict; and the fullness
-        # stage takes the exact route
+        # itself, so it fails for lam alone; the theta staircase, the
+        # residual stage and the G(4,8) fixture, which read the twist
+        # identity, refuse T from that verdict; and the fullness stage takes
+        # the exact route
         from grex import ktheory
         from grex.diagrams import Box
 
@@ -480,15 +490,16 @@ class TestReport:
         finally:
             ktheory._ctx.cache_clear()  # drop the planted twist
         assert code == 1
-        data = json.loads(out)
-        stage = data["stages"]["staircase"]
-        assert stage["verdict"] == "fail"
-        assert stage["k_exact_failures"] == [list(lam)]
-        assert stage["staircases_checked"] == comb(7, 3)
-        assert data["stages"]["residual"] == {
+        stages = json.loads(out)["stages"]
+        refusal = f"column {lam} of the twist T is not K-exact: T is not (x) O(1)"
+        assert stages["staircase"] == {
             "verdict": "fail",
-            "error": f"column {lam} of the twist T is not K-exact: T is not (x) O(1)",
+            "staircases_checked": comb(7, 3),
+            "k_exact_failures": [list(lam)],
+            "theta_ledger_complete": True,
+            "theta_error": refusal,
         }
+        assert stages["residual"] == stages["g48_fixture"] == {"verdict": "fail", "error": refusal}
         assert eliminations == [None]
 
     @pytest.mark.parametrize("flags", [(), ("-O",)])
@@ -497,6 +508,17 @@ class TestReport:
         # full-first-row columns itself before it reads the twist identity:
         # +1 on one entry of column lam is a failed verdict, exit 1, naming
         # lam, with no traceback, also when python -O strips assert statements
+        self.check_planted_twist_entry(flags, ["residual"])
+
+    @pytest.mark.parametrize("flags", [(), ("-O",)])
+    def test_planted_twist_entry_fails_grex_staircase_theta(self, flags):
+        # the deep terms of the theta staircase pair through T by the twist
+        # identity, so `grex staircase --theta` passes the same gate first:
+        # the same failed verdict, not the invalid-input exit code 2
+        self.check_planted_twist_entry(flags, ["staircase", "--theta"])
+
+    @staticmethod
+    def check_planted_twist_entry(flags, argv):
         lam = (4, 3, 1, 0)
         probe = (
             "import sys\n"
@@ -508,7 +530,7 @@ class TestReport:
             f"row, v = cols[ctx.index[{lam}]][0]\n"
             f"cols[ctx.index[{lam}]] = ((row, v + 1), *cols[ctx.index[{lam}]][1:])\n"
             "vars(ctx)['twist'] = tuple(cols)\n"
-            "sys.exit(main(['residual', '--k', '4', '--n', '8']))\n"
+            f"sys.exit(main({argv} + ['--k', '4', '--n', '8']))\n"
         )
         out = run_python(*flags, "-c", probe)
         assert out.returncode == 1
@@ -791,18 +813,41 @@ class TestOnePassPerBox:
             "weights",
         ]
 
-    def test_report_unpacks_only_deep_rows(self):
-        # every row the report reads with t >= -1 stays packed in the table:
-        # the stored unpacked rows are the Jacobi-Trudi ones, t <= -2
+    def test_report_unpacks_only_deep_rows(self, monkeypatch):
+        # the report stores no row: the deep terms (t <= -2) of the theta
+        # staircase and of the G(4,8) fixture are read as rows (a, -1) in
+        # the one transposed pass of their zero test, each at the level s
+        # of T^s, and folded through T; only `_Ctx.row` stores a deep row
+        from grex import ktheory
         from grex.cli import full_report
         from grex.diagrams import Box
-        from grex.ktheory import _ctx
 
-        _ctx.cache_clear()
+        levels, pairings = [], ktheory._Ctx.pairings
+        monkeypatch.setattr(
+            ktheory._Ctx, "pairings", lambda self, ls: levels.append(len(ls)) or pairings(self, ls)
+        )
+        ktheory._ctx.cache_clear()
         box = Box(4, 8)
         full_report(box)
-        chis = _ctx(box).chis
-        assert chis and all(t <= -2 for _, t in chis)
+        assert not ktheory._ctx(box).chis
+        # the theta staircase reaches T^1, the fixture's S(2,2)U*(-4) T^3
+        assert levels == [2, 4]
+
+    @pytest.mark.parametrize("k,n", [(3, 9), (4, 8), (6, 12)])
+    def test_report_takes_no_determinant(self, monkeypatch, k, n):
+        # the deep rows come from the twist identity, not from Jacobi-Trudi
+        # determinants, and the fullness stage pivots on every row mod 3:
+        # `_bareiss_det`, the fallback of `_sparse_det`, is never reached
+        from grex import ktheory
+        from grex.cli import full_report
+        from grex.diagrams import Box
+
+        def refuse(m):
+            raise AssertionError(f"determinant of a {len(m)}x{len(m)} matrix")
+
+        monkeypatch.setattr(ktheory, "_bareiss_det", refuse)
+        ktheory._ctx.cache_clear()
+        assert full_report(Box(k, n))["pass"] is True
 
     def test_shared_objects_are_read_only(self):
         import dataclasses
@@ -942,7 +987,7 @@ class TestGoldenOutput:
     def test_report_builds_no_table(self, capsys, monkeypatch, case):
         # the staircase columns, the residual covectors and the slow path of
         # the zero test all read transposed passes, and the theta staircases
-        # and the G(4,8) fixture read deep rows (t <= -2), so they take that
+        # and the G(4,8) fixture have deep terms (t <= -2), so they take that
         # slow path: a report that could not build the table still prints
         # its digest
         from grex import ktheory
@@ -957,11 +1002,39 @@ class TestGoldenOutput:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-        # the only rows stored are those deep ones; G(4,10) has neither a
-        # theta staircase nor the fixture, and stores none
-        chis = ktheory._ctx(Box(int(argv[2]), int(argv[4]))).chis
-        assert all(t < -1 for _, t in chis)
-        assert bool(chis) == (case != "report_g410")
+        # the deep rows are folded through T inside their pass, not stored
+        assert not ktheory._ctx(Box(int(argv[2]), int(argv[4]))).chis
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            DIGESTS["staircase_g413"],
+            (
+                ("staircase", "--k", "6", "--n", "14", "--lambda", "8,5,3,2,1,0"),
+                "70f8c7bf9b536edb003d6e59e9b7b1d511977573ca7c9d4470a4cc8d3f5c1b33",
+            ),
+        ],
+        ids=["g413", "g614"],
+    )
+    def test_one_off_staircase_builds_no_table(self, capsys, monkeypatch, argv, digest):
+        # `grex staircase --lambda` checks one relation: one transposed pass
+        # of one column, not a pairing table of every source.  The G(6,14)
+        # digest was recorded while that command still built the table
+        from grex import ktheory
+
+        def refuse(self):
+            raise AssertionError(f"pairing table built on {self.box}")
+
+        passes, transposed = [], ktheory._Ctx.transposed
+        monkeypatch.setattr(ktheory._Ctx, "build_table", refuse)
+        monkeypatch.setattr(
+            ktheory._Ctx, "transposed", lambda self, cs: passes.append(len(cs)) or transposed(self, cs)
+        )
+        ktheory._ctx.cache_clear()  # no table built before the patch
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert passes == [1]
 
     @pytest.mark.parametrize("case", ["report_g411", "report_g59", "report_g710"])
     def test_coprime_report_builds_no_table(self, capsys, monkeypatch, case):

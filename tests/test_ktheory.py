@@ -3,6 +3,7 @@
 import gc
 import os
 import random
+import re
 import subprocess
 import sys
 from math import comb
@@ -109,7 +110,7 @@ class TestChiPair:
             assert got == euler_char(ts(a, t, box), ts(kappa, 0, box)), (a, t, kappa)
 
     def test_deep_twist(self):
-        # a normal form with t <= -2 is one Jacobi-Trudi determinant per entry
+        # a normal form with t <= -2 is row (a, -1) times T^s, s = -1 - t
         box = Box(2, 5)
         ctx = _ctx(box)
         for a, kappa in [((3, 1), (0, 0)), ((0, 0), (3, 3)), ((2, 2), (1, 0))]:
@@ -118,8 +119,9 @@ class TestChiPair:
             assert got > 0
 
     def test_twist_deeper_than_the_recursion_limit(self):
-        # a deep twist is one row of determinants, not a chain of rows: the
-        # store holds the one row of (1, 0), and no table is built for it
+        # a deep twist is one pass and a loop of s sparse products by T, not
+        # a chain of rows: the store holds the one row of (1, 0), and no
+        # table is built for it
         ctx = _Ctx(Box(2, 4))
         t = -sys.getrecursionlimit()
         for kappa, got in zip(ctx.weights, ctx.row((1, 0), t), strict=True):
@@ -340,7 +342,7 @@ class TestChiPair:
             (7, 10, (3, 3, 2, 2, 2, 2, 2), -1, ((1, 1, 0, 0, 0, 0, 0), 0)),
             (12, 14, (2, 2) + (1,) * 10, 0, ((1, 1) + (0,) * 10, 0)),
             # t + m < 0: the very row of the normal form (a - m, t + m), from
-            # the table at t + m = -1 and by determinants at t + m = -2
+            # one pass at t + m = -1 and by the twist identity at t + m = -2
             (4, 8, (3, 2, 2, 1), -2, ((2, 1, 1, 0), -1)),
             (7, 10, (2, 2, 2, 1, 1, 1, 1), -3, ((1, 1, 1, 0, 0, 0, 0), -2)),
             (12, 14, (2,) * 9 + (1,) * 3, -2, ((1,) * 9 + (0,) * 3, -1)),
@@ -353,12 +355,15 @@ class TestChiPair:
             _Ctx, "strip_transpose", lambda self, v: passes.append(1) or transpose(self, v)
         )
         ctx = _Ctx(Box(k, n))
+        verdicts = len(ctx.twist_exact)  # the gate's column pass, before the count
+        passes.clear()
         self.check_row_against_oracles(ctx, a, t)
-        # one transposed pass for a normal form with t + m >= -1, none for a
-        # deeper one, and no table; a table row is read, not stored, and a
-        # deeper one is stored once
+        # one transposed pass for any normal form, the row (a', -1) at level
+        # s for a deeper one, and no table; a table row is read, not stored,
+        # and a deeper one is stored once
         assert builds == []
-        assert len(passes) == (t + a[-1] >= -1)
+        assert verdicts == comb(n - 1, k - 1)
+        assert len(passes) == 1
         normal = (tuple(x - a[-1] for x in a), t + a[-1])
         assert list(ctx.chis) == ([normal] if t + a[-1] <= -2 else [])
         assert (ctx.row(a, t) == ctx.row(*base)) == (t + a[-1] <= 0)
@@ -375,6 +380,74 @@ class TestChiPair:
         g = kapranov_gram(Box(2, 5))
         assert g[0][1] == 5 and g[1][0] == 0
         assert all(g[i][i] == 1 for i in range(10))
+
+
+class TestDeepRows:
+    """A deep row, the normal form (a, t) with t <= -2, is row (a, -1) times
+    T^s, s = -1 - t, by the twist identity chi(E(t), F) = chi(E(-1), F(s)),
+    read once T's full-first-row columns are K-exact."""
+
+    @pytest.mark.parametrize("k,n", [(k, n) for n in range(2, 10) for k in range(1, n)])
+    def test_against_oracles(self, k, n):
+        # every twist -2 .. -(n+1), so T is applied 1 .. n times, for the
+        # empty diagram, the full box and two drawn diagrams; every entry
+        # against one Jacobi-Trudi determinant, a few against LR + Bott
+        box = Box(k, n)
+        ctx = _Ctx(box)
+        ws = ctx.weights
+        rng = random.Random(1000 * k + n)
+        for a in {ws[0], ws[-1], rng.choice(ws), rng.choice(ws)}:
+            for t in range(-2, -n - 2, -1):
+                row = ctx.row(a, t)
+                for kappa, got in zip(ws, row, strict=True):
+                    assert got == jacobi_trudi_oracle(n, a, tuple(x - t for x in kappa)), (a, t)
+                for kappa in rng.sample(ws, min(3, len(ws))):
+                    got = row[ctx.index[kappa]]
+                    assert got == euler_char(ts(a, t, box), ts(kappa, 0, box)), (a, t, kappa)
+        assert all(s <= -2 for _, s in ctx.chis)
+
+    def test_one_transposed_pass_per_deep_zero_test(self, builds, monkeypatch):
+        # the theta staircase of G(3,9) has terms at levels 0, 1 and 2
+        # (t = -2 on (3,1,0), t = -3 on (4,2,0)): after the gate's column
+        # pass, its zero test is one pass of three fields, and stores no row
+        box = Box(3, 9)
+        ctx = _ctx(box)
+        ctx.twist_exact
+        fields, transposed = [], _Ctx.transposed
+        monkeypatch.setattr(
+            _Ctx, "transposed", lambda self, cs: fields.append(len(cs)) or transposed(self, cs)
+        )
+        assert is_k_exact(build_theta_staircase(3, 3)[0])
+        assert fields == [3]
+        assert not ctx.chis and builds == []
+
+    @pytest.mark.parametrize("entry", [0, -1])
+    def test_gate_refuses_a_twist_that_fails_its_columns(self, entry):
+        # +1 on one entry of a full-first-row column of T: every reader of a
+        # deep row refuses T by the gate's message, and a combination of
+        # table rows alone, which never reads T, is still tested
+        box = Box(3, 6)
+        lam = (3, 2, 0)
+        _ctx.cache_clear()
+        ctx = _ctx(box)
+        cols = list(ctx.twist)
+        col = list(cols[ctx.index[lam]])
+        row, v = col[entry]
+        col[entry] = (row, v + 1)
+        cols[ctx.index[lam]] = tuple(col)
+        vars(ctx)["twist"] = tuple(cols)
+        message = "^" + re.escape(f"column {lam} of the twist T is not K-exact: T is not (x) O(1)") + "$"
+        try:
+            with pytest.raises(ValueError, match=message):
+                ctx.row((1, 0, 0), -2)
+            with pytest.raises(ValueError, match=message):
+                is_zero_combination(box, [(1, ts((1, 0, 0), -2, box))])
+            with pytest.raises(ValueError, match=message):
+                is_k_exact(build_theta_staircase(3, 2)[0])
+            assert not ctx.chis
+            assert not is_zero_combination(box, [(1, ts((1, 0, 0), -1, box))])
+        finally:
+            _ctx.cache_clear()  # drop the planted twist
 
 
 class TestFieldWidth:
@@ -658,7 +731,7 @@ class TestContext:
     def test_gram_readers_keep_no_rows(self, k, n):
         # class_of and kapranov_gram read the Gram rows as covectors: the
         # context keeps no dense Gram, and its row store holds
-        # the Jacobi-Trudi rows (t <= -2) alone
+        # the deep rows (t <= -2) alone
         _ctx.cache_clear()
         box = Box(k, n)
         ctx = _ctx(box)
@@ -1303,8 +1376,9 @@ class TestZeroCombination:
 
     def test_deep_twist_entries_above_the_bound(self, builds):
         # a normal form with t <= -2 is no table row, and its entries may
-        # exceed M and even 2^B: the call adds its row unpacked, and the
-        # table rows beside it are read by one transposed pass, with no table
+        # exceed M and even 2^B: the call reads row (a, -1) at level s of
+        # one transposed pass, beside the table rows at level 0, and folds
+        # the levels through T unpacked, with no table
         box = Box(2, 4)
         ctx = _ctx(box)
         deep = ts((1, 0), -300, box)

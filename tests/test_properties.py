@@ -317,8 +317,9 @@ def twisted_rows(draw):
 @PROPERTY
 @given(twisted_rows())
 def test_twisted_row_from_an_empty_store(case):
-    # a fresh context: the row of (a, t) is read from a table built for it,
-    # or made by determinants for a normal form with t <= -2
+    # a fresh context: the row of (a, t) is one column of one transposed
+    # pass, or for a normal form (a', t') with t' <= -2 the row (a', -1) of
+    # that pass times T^(-1-t')
     box, a, t = case
     ctx = _Ctx(box)
     for kappa, got in zip(ctx.weights, ctx.row(a, t), strict=True):
