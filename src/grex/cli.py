@@ -31,7 +31,7 @@ from .diagrams import (
     orbits,
     residual_rank,
 )
-from .ktheory import _ctx, _fullness_sign, _vanish_batch, fullness_determinant, residual_report
+from .ktheory import _ctx, _fullness_sign, fullness_determinant, residual_report
 from .lefschetz import fonarev, gram, kapranov
 from .staircase import (
     appendix_table_check,
@@ -234,8 +234,10 @@ def cmd_staircase(args) -> int:
         sc = build_staircase(box, lam)
     except ValueError as exc:
         return _fail(str(exc))
-    # one relation: one transposed pass, with no pairing table to build
-    exact = _vanish_batch(box, [sc.k_class_terms()])[0]
+    # one relation: one transposed pass, with no pairing table to build; its
+    # levels, with no deep term, are one column at level 0, a batch of one
+    ctx = _ctx(box)
+    exact = ctx.vanish_batch(ctx.levels(sc.k_class_terms(), deep=False)[0])[0]
     _emit(sc.to_json(k_exact=exact), args)
     return 0 if exact else 1
 

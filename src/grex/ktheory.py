@@ -15,10 +15,11 @@ staircase resolution of Sigma^lam U*, twisted by O(1), gives
 over its non-head terms, and every mu+s+1 is a box diagram (`_Ctx.twist`,
 by the jump rule `diagrams._jumps`).  So [Sigma^lam U*(i)] = T^i e_lam for
 i >= 0.  `_Ctx.twist_exact` checks T's C(n-1,k-1) full-first-row columns by
-one batched zero test (`_vanish_batch`): O(1) acts on K_0 by an automorphism
-and the head coefficient is 1, so [Sigma^lam U*] - sum T[kappa, lam]
-[Sigma^kappa U*(-1)] vanishes exactly when lam's staircase is K-exact, and
-merging terms only lowers its sum |coef|, which stays at most 2^n.
+one batched zero test (`_Ctx.vanish_batch`, each column read off T): O(1)
+acts on K_0 by an automorphism and the head coefficient is 1, so
+[Sigma^lam U*] - sum T[kappa, lam] [Sigma^kappa U*(-1)] vanishes exactly
+when lam's staircase is K-exact, and merging terms only lowers its sum
+|coef|, which stays at most 2^n.
 
 Pairings of the form chi(Sigma^a U*(t), Sigma^kappa U*) with t <= 0 and both
 diagrams in the box sit in a single cohomological degree, so they reduce to
@@ -46,7 +47,8 @@ Each range is fixed once the rows above are, so H is the product of k
 one-row suffix sums, top row first: X[sigma] += X[sigma + e_j] over sigma
 in reverse lexicographic order.  From the unit rows X[sigma] = e_{sigma-1}
 (0 where sigma_{k-1} = 0), n rounds of the k sums leave the row of sigma
-in X[sigma], by additions alone (`_Ctx.strip_product`).
+in X[sigma], by additions alone (`_Ctx.strip_product`; `_Ctx.units` places
+the unit rows, kappa at its source `_Ctx.lift[kappa]` = kappa + 1).
 
 Every entry is at most M, the largest row sum of G, which the same rounds
 give from one small int per source, 1 where sigma_{k-1} >= 1: every entry
@@ -61,16 +63,15 @@ The table (`_Ctx.table`) packs row sigma into one int, entry kappa at bit
 B (N-1-kappa), N = C(n,k), at S = 2^n.  Row sigma is zero before the basis
 index lo of max(sigma - 1, 0), so its int stops at B (N - lo) bits, and
 every sum works on the support alone.  Only the per-call zero test
-`_vanishes` reads it, behind `is_zero_combination` and `is_k_exact`: each
-term Sigma^w U*(t) is the row of its source sigma = w + t + 1, the source of
-its normal form too (`_sources`, the one term reader, which refuses a term
-that does not fit), and coef times the packed rows are summed when
-S <= cap = (2^(B-1) - 1) // M and every term is a table row; cap >= 2^n
-covers the staircase of every lam with a full first row (coefficients +-1
-and +-C(n, c) for distinct 0 < c < n).  Any other combination takes the
-slow path, the `_Ctx.pairings` of one transposed pass below: its table rows
-are one column, its deep rows (below) one column per level (`_levels`), and
-every entry of the sum is tested.
+`_Ctx.vanishes` reads it, behind `is_zero_combination` and `is_k_exact`.
+The one term reader `_Ctx.levels` refuses a term that does not fit and puts
+each term Sigma^w U*(t) at level 0, at the source sigma = w + t + 1 of its
+normal form, or a deep one (below) at its level.  The packed rows times coef
+are summed when S <= cap = (2^(B-1) - 1) // M and every term is at level 0;
+cap >= 2^n covers the staircase of every lam with a full first row
+(coefficients +-1 and +-C(n, c) for distinct 0 < c < n).  Any other
+combination takes the slow path, the `_Ctx.pairings` of one transposed pass
+below, and every entry of the sum is tested.
 
 Every other reader runs one pass.  The build is X = P U, with U the unit
 rows and P the product of the updates x[i] += x[up].  For a column c over
@@ -104,10 +105,11 @@ T only past `_Ctx.check_twist`, the one gate, which `residual_report` passes
 too: ValueError names a full-first-row column of T that is not K-exact.
 
 All per-box state lives on one context, `_ctx(box)`, kept for the box used
-last alone: the basis diagrams, the sparse twist matrix, T's verdicts, the
+last alone, and every per-box reader is a method of it that reads no other
+context: the basis diagrams, the sparse twist matrix, T's verdicts, the
 deep rows that `_Ctx.row` was asked for (`chis`; no stage of `grex report`
 stores one, its zero tests fold theirs inside the pass), the table once the
-fast path of `_vanishes` needs it (no stage of `grex report` does), and the
+fast path of `_Ctx.vanishes` needs it (no stage of `grex report` does), and the
 skeleton that `grex report` verifies, computed once and read only:
 `orbits`, the tuple `orbits(box)`, and `fonarev` and `block`, built from
 it.
@@ -153,11 +155,12 @@ stage passes, the rows of C are the classes of the Fonarev objects; if the
 Gram stage passes, no Ext runs from a later object to an earlier one and
 each has Hom = k, so G_F is unitriangular too.  Then det(C)^2 = 1, and the
 residue of det C mod an odd prime fixes its sign.  `_fullness_sign` takes 3,
-reduces T mod 3 once and builds the classes by the same twist loop.  By
-Lucas's theorem 3 divides C(n, c) unless each base-3 digit of c is at most
-that of n, so most middle staircase terms vanish mod 3 (for n = 3^a, T mod
-3 is a signed permutation), and `_sparse_det` runs on the residues -1, 0
-and 1: every live entry is a pivot (`cli.full_report` says when it is taken).
+reduces T mod 3 once and builds the classes by the same twist loop
+(`_Ctx.fonarev_classes`).  By Lucas's theorem 3 divides C(n, c) unless each
+base-3 digit of c is at most that of n, so most middle staircase terms
+vanish mod 3 (for n = 3^a, T mod 3 is a signed permutation), and
+`_sparse_det` runs on the residues -1, 0 and 1: every live entry is a pivot
+(`cli.full_report` says when it is taken).
 """
 
 from __future__ import annotations
@@ -203,9 +206,10 @@ class _Ctx:
         self.chis: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}  # (a, t <= -2) -> row
         # the sources sigma of the table: the box one column wider
         self.sources = {s: i for i, s in enumerate(_ascending_parts(box.k, box.width + 1))}
+        self.lift = [i for i, s in enumerate(self.sources) if s[-1]]  # kappa -> kappa + 1
         # M (module docstring); the table's width B, for sum |coef| = 2^n;
         # and cap, the largest sum |coef| one packed sum of table rows holds
-        self.bound = max(self.strip_product([1 if s[-1] else 0 for s in self.sources]))
+        self.bound = max(self.units(range(len(self.weights)), 0))
         self.bits = _width(self.bound << box.n)
         self.cap = ((1 << self.bits - 1) - 1) // self.bound
 
@@ -229,15 +233,66 @@ class _Ctx:
         where a_0 + t and a_0 - a_{k-1} are at most n-k: the `pairings` of the
         one term.  A table row is one column of one pass, not stored; a deep
         row, row (a', -1) T^s for the normal form (a', t'), s = -1 - t'
-        (`_levels`), is stored once in `chis`."""
-        (i,) = _sources(self, [(1, a, t)])
-        if i is not None:
-            return tuple(self.pairings([[(i, 1)]]))
+        (`levels`), is stored once in `chis`."""
+        levels, _ = self.levels([(1, a, t)])
+        if len(levels) == 1:
+            return tuple(self.pairings(levels))
         key = normal_form(a, t)
         r = self.chis.get(key)
         if r is None:
-            r = self.chis[key] = tuple(self.pairings(_levels(self, [], [(1, a, t)])))
+            r = self.chis[key] = tuple(self.pairings(levels))
         return r
+
+    def levels(self, terms, deep: bool = True) -> tuple[list[list[tuple[int, int]]], int]:
+        """The one term reader: the levels of `pairings` for the (coef, w, t)
+        terms Sigma^w U*(t), and their sum |coef|.  A term with
+        w_{k-1} + t >= -1 is a table row, at level 0 at its source
+        sigma = w + t + 1, the source of its normal form too; a deep term
+        pairs as row (a, -1), the table row of the source a = w - w_{k-1},
+        times T^s, s = -1 - t - w_{k-1} (module docstring), so it goes to
+        level s at source a.  ValueError unless every term fits the pairing
+        rows, whatever its coefficient, and, without `deep`, is a table row."""
+        box, sources, levels, weight = self.box, self.sources, [[]], 0
+        for coef, w, t in terms:
+            if max(w[0] + t, w[0] - w[-1]) > box.width:
+                raise ValueError(f"bundle {TwistedSchur(w, t, box)} does not fit the pairing rows")
+            if (s := -1 - t - w[-1]) > 0 and not deep:
+                raise ValueError(f"bundle {TwistedSchur(w, t, box)} is not a table row")
+            if not coef:
+                continue
+            weight += abs(coef)
+            if s > 0:
+                levels.extend([] for _ in range(s + 1 - len(levels)))
+                levels[s].append((sources[tuple(x - w[-1] for x in w)], coef))
+            else:  # a term at t = -1, as every column of T but its head, is its own source
+                levels[0].append((sources[w if t == -1 else tuple(map((t + 1).__add__, w))], coef))
+        return levels, weight
+
+    def vanishes(self, terms) -> bool:
+        """Whether sum coef * [Sigma^w U*(t)] over the (coef, w, t) terms
+        vanishes in K_0: the one per-call zero test, which builds no bundle
+        per term.  With no deep term and sum |coef| <= cap it sums the packed
+        rows of the table; otherwise it reads the `pairings` of one
+        transposed pass (module docstring).  ValueError as `levels` says, or
+        when a deep term meets a T that fails `check_twist`."""
+        levels, weight = self.levels(terms)
+        if len(levels) == 1 and weight <= self.cap:
+            return not sum(coef * self.table[i] for i, coef in levels[0])
+        return not any(self.pairings(levels))
+
+    def vanish_batch(self, columns: list[list[tuple[int, int]]]) -> list[bool]:
+        """For each column of (source, coef) pairs, level 0 of `levels` for a
+        relation of terms, whether sum coef * (row of the source) vanishes
+        in K_0: the verdicts of `vanishes` from one transposed pass, column q
+        in field q, and no table.  A read is 0 exactly when all its fields
+        are, and a nonzero one, split, names its failing columns."""
+        reads, bits = self.transposed(columns)
+        split = _splitter(bits, len(columns))
+        failed: set[int] = set()
+        for r in reads:
+            if r:
+                failed.update(q for q, f in enumerate(split(r)) if f)
+        return [q not in failed for q in range(len(columns))]
 
     def pairings(self, levels: list[list[tuple[int, int]]]) -> list[int]:
         """sum_s (c_s^T G) T^s for the columns c_s = levels[s], each a list of
@@ -278,18 +333,18 @@ class _Ctx:
 
     @cached_property
     def table(self) -> list[int]:
-        """The packed rows, which the fast path of `_vanishes` alone reads."""
-        return self.build_table()
+        """The packed rows X[sigma], each at width B, which the fast path of
+        `vanishes` alone reads: the `units` e_kappa, kappa at bit
+        B (N-1-kappa) (module docstring)."""
+        return self.units(range(len(self.weights) - 1, -1, -1), self.bits)
 
-    def build_table(self) -> list[int]:
-        """X[sigma], the row of sigma at width B: H^n applied to the unit rows
-        e_{sigma-1}, each at bit B (N-1-index[sigma-1]) (module docstring)."""
-        bits, index, top = self.bits, self.index, len(self.weights) - 1
-        units = [
-            1 << bits * (top - index[tuple(v - 1 for v in s)]) if s[-1] else 0
-            for s in self.sources
-        ]
-        return self.strip_product(units)
+    def units(self, kappas, bits: int) -> list[int]:
+        """H^n of the unit columns e_kappa, kappas[q] in field q of width
+        `bits` at its source kappa + 1: the one forward pass."""
+        x = [0] * len(self.sources)
+        for q, kappa in enumerate(kappas):
+            x[self.lift[kappa]] = 1 << bits * q
+        return self.strip_product(x)
 
     def strip_product(self, x: list[int]) -> list[int]:
         """H^n x, in place: n rounds of the k one-row suffix sums
@@ -324,14 +379,15 @@ class _Ctx:
             shift = bits * q
             for i, c in column:
                 v[i] += c << shift
-        return [r for r, s in zip(self.strip_transpose(v), self.sources) if s[-1]], bits
+        v = self.strip_transpose(v)
+        return [v[i] for i in self.lift], bits
 
     def read(self, xs: list[dict[int, int]]) -> tuple[list[list[int]], list[tuple[int, ...]]]:
         """The rows of one split `transposed` pass of the classes x at the
         sources kappa_i + 1, (x_q^T G)[kappa] in field q of row kappa, and
         the covectors x^T G, in order, each 0 before the least index i of
         its class and x_i at i; AssertionError names kappa_i otherwise."""
-        lift = [i for i, s in enumerate(self.sources) if s[-1]]  # kappa -> kappa + 1
+        lift = self.lift
         rows, bits = self.transposed([[(lift[i], c) for i, c in x.items()] for x in xs])
         split = _splitter(bits, len(xs))
         for kappa, r in enumerate(rows):  # in place: each packed read is freed as its row is made
@@ -374,10 +430,11 @@ class _Ctx:
         """Each basis diagram lam with a full first row, in basis order, with
         whether column lam of T untwisted vanishes in K_0: exactly when lam's
         staircase is K-exact (module docstring)."""
-        twist, ws = self.twist, self.weights
+        twist, ws, sources = self.twist, self.weights, self.sources
         full = [i for i, w in enumerate(ws) if w[0] == self.box.width]
-        relations = [[(1, ws[i], 0), *((-v, ws[j], -1) for j, v in twist[i])] for i in full]
-        return [(self.diagrams[i], ok) for i, ok in zip(full, _vanish_batch(self.box, relations))]
+        # the head Sigma^lam U* at its source lam + 1, each term of T at t = -1 at its own
+        columns = [[(self.lift[i], 1), *((sources[ws[j]], -v) for j, v in twist[i])] for i in full]
+        return [(self.diagrams[i], ok) for i, ok in zip(full, self.vanish_batch(columns))]
 
     def check_twist(self) -> None:
         """The one gate before T is read as (x) O(1), by the twist identity:
@@ -396,6 +453,20 @@ class _Ctx:
         for _ in range(count - 1):
             out.append(_twist_sum(twist, out[-1], modulus))
         return out[:count]
+
+    def fonarev_classes(self, modulus: int | None = None) -> list[dict[int, int]]:
+        """The Fonarev classes T^i e_lam in collection order, fresh dicts: each
+        orbit's o(lam) classes from one twist pass.  With a modulus, T is
+        reduced mod it once, and so is every class."""
+        twist = self.twist
+        if modulus:
+            twist = [tuple(_residues(dict(col), modulus).items()) for col in twist]
+        lengths = {orb.representative.parts: orb.length for orb in self.orbits}
+        classes = {w: self.twisted_classes(w, o, twist, modulus) for w, o in lengths.items()}
+        rows = [classes[obj.bundle.weight][obj.bundle.twist] for obj in self.fonarev.objects]
+        if len(rows) != len(self.diagrams):
+            raise AssertionError("Fonarev collection size does not match rank of K_0")
+        return rows
 
     def pairer(self, xs: list[dict[int, int]]):
         """The `_pairer` of one `read` of the classes x, whose rows are at
@@ -421,16 +492,13 @@ class _Ctx:
         block[p], is Euler-unitriangular level by level (module docstring):
         the e_v by `check_semiorthogonal`, whose block Gram columns and
         `pairer` it returns, and each T^d e_v, d >= 1, by one packed sum over
-        its nonzeros of the `strip_product` of the unit columns e_w, which
-        leaves G[kappa, w] in field w at each source kappa + 1, at the width
-        of S M, S the largest sum |coef| of a chain class."""
+        its nonzeros of the `units` of the block, which leave G[kappa, w] in
+        field w at each source kappa + 1, at the width of S M, S the largest
+        sum |coef| of a chain class."""
         checked = self.check_semiorthogonal([{v: 1} for v in block])
-        lift = [i for i, s in enumerate(self.sources) if s[-1]]  # kappa -> kappa + 1
+        lift = self.lift
         bits = _width(max(sum(map(abs, y.values())) for ys in chain for y in ys) * self.bound)
-        x = [0] * len(self.sources)
-        for q, v in enumerate(block):
-            x[lift[v]] = 1 << bits * q
-        packed = self.strip_product(x)
+        packed = self.units(block, bits)
         for p, ys in enumerate(chain):
             for d, y in enumerate(ys[1:], 1):
                 if s := sum(c * packed[lift[m]] for m, c in y.items()):
@@ -483,36 +551,6 @@ def _splitter(bits: int, count: int):
 def _bias(bits: int, count: int) -> int:
     """2^(B-1) in each of `count` fields of width B: the bias of a signed read."""
     return int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * count, "little")
-
-
-def _sources(ctx: _Ctx, terms: list[tuple[int, tuple[int, ...], int]]) -> list[int | None]:
-    """The table source sigma = w + t + 1 of each (coef, w, t) term
-    Sigma^w U*(t), the source of its normal form too, or None for a deep
-    term (w_{k-1} + t < -1), which `_levels` reads.  ValueError unless every
-    term fits the pairing rows."""
-    width, sources, out = ctx.box.width, ctx.sources, []
-    for _, w, t in terms:
-        if max(w[0] + t, w[0] - w[-1]) > width:
-            raise ValueError(f"bundle {TwistedSchur(w, t, ctx.box)} does not fit the pairing rows")
-        if w[-1] + t < -1:
-            out.append(None)
-        else:
-            # a term at t = -1, as every column of T but its head, is its own source
-            out.append(sources[w if t == -1 else tuple(map((t + 1).__add__, w))])
-    return out
-
-
-def _levels(ctx: _Ctx, rows: list[tuple[int, int]], deep) -> list[list[tuple[int, int]]]:
-    """The levels of `_Ctx.pairings` for the (source, coef) table rows, at
-    level 0, and the deep (coef, w, t) terms: the normal form (a, t') of a
-    deep term pairs as row (a, -1), the table row of the source a, times T^s,
-    s = -1 - t' (module docstring), so it goes to level s at source a."""
-    levels = [rows]
-    for coef, w, t in deep:
-        s = -1 - t - w[-1]
-        levels.extend([] for _ in range(s + 1 - len(levels)))
-        levels[s].append((ctx.sources[tuple(x - w[-1] for x in w)], coef))
-    return levels
 
 
 @lru_cache(maxsize=1)
@@ -575,7 +613,7 @@ def mutate_left(box: Box, projectors: list[KClass], x: KClass) -> KClass:
 
 
 def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool:
-    """Whether sum coef * [bundle] vanishes in K_0, by `_vanishes`: the
+    """Whether sum coef * [bundle] vanishes in K_0, by `_Ctx.vanishes`: the
     pairings against the basis determine a class, as G is unitriangular.  A
     deep bundle (normal form with t <= -2) pairs as row (a, -1) times T^s, so
     its combination is read in one transposed pass and folded through T once
@@ -585,54 +623,7 @@ def is_zero_combination(box: Box, terms: list[tuple[int, TwistedSchur]]) -> bool
     for _, bundle in terms:
         if bundle.box != box:
             raise ValueError(f"bundle {bundle} lives on a different box")
-    return _vanishes(box, [(coef, e.weight, e.twist) for coef, e in terms])
-
-
-def _vanishes(box: Box, terms: list[tuple[int, tuple[int, ...], int]]) -> bool:
-    """Whether sum coef * [Sigma^w U*(t)] over the (coef, w, t) terms vanishes
-    in K_0: the one per-call zero test, which builds no bundle per term, by
-    the table or the `pairings` of one transposed pass (module docstring).
-    Every term must fit the pairing rows, whatever its coefficient, and a
-    deep term needs T to pass `_Ctx.check_twist`; otherwise ValueError."""
-    ctx = _ctx(box)
-    rows, deep, weight = [], [], 0
-    for (coef, w, t), i in zip(terms, _sources(ctx, terms)):
-        if coef:
-            weight += abs(coef)
-            if i is None:
-                deep.append((coef, w, t))
-            else:
-                rows.append((i, coef))
-    if not deep and weight <= ctx.cap:
-        return not sum(coef * ctx.table[i] for i, coef in rows)
-    return not any(ctx.pairings(_levels(ctx, rows, deep)))
-
-
-def _vanish_batch(
-    box: Box, relations: list[list[tuple[int, tuple[int, ...], int]]]
-) -> list[bool]:
-    """For each relation, a list of (coef, w, t) terms, whether
-    sum coef * [Sigma^w U*(t)] vanishes in K_0: the verdicts of `_vanishes`
-    from one transposed pass, relation q in column q, and no table.  A read
-    is 0 exactly when all its fields are, and a nonzero one, split, names
-    its failing relations.  Every term must fit the pairing rows and be a
-    table row (w_{k-1} + t >= -1); otherwise ValueError."""
-    ctx = _ctx(box)
-    columns = []
-    for terms in relations:
-        column = []
-        for (coef, w, t), i in zip(terms, _sources(ctx, terms)):
-            if i is None:
-                raise ValueError(f"bundle {TwistedSchur(w, t, box)} is not a table row")
-            column.append((i, coef))
-        columns.append(column)
-    reads, bits = ctx.transposed(columns)
-    split = _splitter(bits, len(relations))
-    failed: set[int] = set()
-    for r in reads:
-        if r:
-            failed.update(q for q, f in enumerate(split(r)) if f)
-    return [q not in failed for q in range(len(relations))]
+    return _ctx(box).vanishes([(coef, e.weight, e.twist) for coef, e in terms])
 
 
 @dataclass(frozen=True)
@@ -891,28 +882,12 @@ def _residues(x: dict[int, int], modulus: int) -> dict[int, int]:
     return {i: r for i, v in x.items() if (r := (v + half) % modulus - half)}
 
 
-def _fonarev_classes(box: Box, modulus: int | None = None) -> list[dict[int, int]]:
-    """The Fonarev classes T^i e_lam in collection order, fresh dicts: each
-    orbit's o(lam) classes from one twist pass.  With a modulus, T is reduced
-    mod it once, and so is every class."""
-    ctx = _ctx(box)
-    twist = ctx.twist
-    if modulus:
-        twist = [tuple(_residues(dict(col), modulus).items()) for col in twist]
-    lengths = {orb.representative.parts: orb.length for orb in ctx.orbits}
-    classes = {w: ctx.twisted_classes(w, o, twist, modulus) for w, o in lengths.items()}
-    rows = [classes[obj.bundle.weight][obj.bundle.twist] for obj in ctx.fonarev.objects]
-    if len(rows) != len(ctx.diagrams):
-        raise AssertionError("Fonarev collection size does not match rank of K_0")
-    return rows
-
-
 def fullness_determinant(box: Box) -> int:
     """det of the Fonarev classes in the Kapranov basis; |det| = 1 certifies
     that the collection spans K_0.  The classes T^i e_lam, kept by nothing
     else, are eliminated uncopied, in collection order (as the transpose, of
     the same determinant), exactly, sign included (module docstring)."""
-    return _sparse_det(_fonarev_classes(box))
+    return _sparse_det(_ctx(box).fonarev_classes())
 
 
 _SIGN_PRIME = 3
@@ -923,4 +898,4 @@ def _fullness_sign(box: Box) -> int:
     only where the report's Gram and staircase verdicts give det^2 = 1
     (module docstring), and 0 there means those verdicts contradict each
     other."""
-    return _sparse_det(_fonarev_classes(box, _SIGN_PRIME), _SIGN_PRIME)
+    return _sparse_det(_ctx(box).fonarev_classes(_SIGN_PRIME), _SIGN_PRIME)

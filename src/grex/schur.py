@@ -155,8 +155,14 @@ def dimension(w: tuple[int, ...], m: int) -> int:
     full = list(w) + [0] * (m - len(w))
     num = 1
     den = 1
+    end = 0  # past the run of entries equal to full[i]
     for i in range(m):
-        for j in range(i + 1, m):
+        if end <= i:
+            end = i + 1
+            while end < m and full[end] == full[i]:
+                end += 1
+        # a pair of equal entries gives (j - i) / (j - i): skip both products
+        for j in range(end, m):
             num *= full[i] - full[j] + j - i
             den *= j - i
     q, r = divmod(num, den)

@@ -8,7 +8,7 @@ the jump rule of `diagrams._jumps`.
 Only computable necessary conditions of exactness are checked: the
 alternating sum of classes vanishes, and consecutive terms admit degree-0
 maps.  No differentials are constructed.  `is_k_exact` checks one complex by
-the per-call zero test (`ktheory._vanishes`).
+the per-call zero test of the box's K_0 context (`ktheory._Ctx.vanishes`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from math import comb
 
 from .bott import TwistedSchur, ext_table, normal_form
 from .diagrams import Box, BoxedDiagram, _jumps, _step, theta
-from .ktheory import _ctx, _vanishes, is_zero_combination
+from .ktheory import _ctx, is_zero_combination
 from .schur import dimension
 
 __all__ = [
@@ -101,7 +101,7 @@ def is_k_exact(sc: StaircaseComplex) -> bool:
     """Whether the alternating sum of the classes of all terms vanishes in K_0:
     the zero test of `is_zero_combination`, read from `k_class_terms`, with
     no bundle built per term."""
-    return _vanishes(sc.box, sc.k_class_terms())
+    return _ctx(sc.box).vanishes(sc.k_class_terms())
 
 
 @dataclass(frozen=True)

@@ -368,26 +368,29 @@ class TestReport:
 
         theta_head = staircase.build_theta_staircase(2, 2)[0].k_class_terms()[0]
         zero_tests, batches, checked, builds = [], [], [], []
-        vanish, batch = staircase._vanishes, ktheory._vanish_batch
+        vanish, batch = ktheory._Ctx.vanishes, ktheory._Ctx.vanish_batch
         check, build = cli.is_k_exact, staircase.build_staircase
         monkeypatch.setattr(
-            staircase, "_vanishes", lambda box, ts: zero_tests.append(ts[0]) or vanish(box, ts)
+            ktheory._Ctx, "vanishes", lambda self, ts: zero_tests.append(ts[0]) or vanish(self, ts)
         )
-        monkeypatch.setattr(
-            ktheory,
-            "_vanish_batch",
-            lambda box, rs: batches.append([r[0] for r in rs]) or batch(box, rs),
-        )
+
+        def heads(self, columns):  # the head of each column, as (source sigma, coef)
+            sigmas = list(self.sources)
+            batches.append([(sigmas[c[0][0]], c[0][1]) for c in columns])
+            return batch(self, columns)
+
+        monkeypatch.setattr(ktheory._Ctx, "vanish_batch", heads)
         monkeypatch.setattr(cli, "is_k_exact", lambda sc: checked.append(sc) or check(sc))
         monkeypatch.setattr(staircase, "build_staircase", lambda *a: builds.append(a) or build(*a))
         ktheory._ctx.cache_clear()  # no verdicts kept from an earlier report
         code, _, _ = run(capsys, "report", "--k", "2", "--n", "4", "--format", "json")
         assert code == 0
         # the three full-first-row columns of the twist are zero-tested in one
-        # batch, untwisted, head first, in basis order; only the theta
-        # staircase is built and checked as a complex, by one zero test,
-        # which reads the verdicts of that batch at its gate
-        assert batches == [[(1, (2, 0), 0), (1, (2, 1), 0), (1, (2, 2), 0)]]
+        # batch, untwisted, head first (Sigma^lam U* at its source lam + 1),
+        # in basis order; only the theta staircase is built and checked as a
+        # complex, by one zero test, which reads the verdicts of that batch
+        # at its gate
+        assert batches == [[((3, 1), 1), ((3, 2), 1), ((3, 3), 1)]]
         assert zero_tests == [theta_head]
         assert len(checked) == len(builds) == 1
 
@@ -757,8 +760,8 @@ class TestOnePassPerBox:
         from grex.diagrams import Box
 
         batches = []
-        batch = ktheory._vanish_batch
-        monkeypatch.setattr(ktheory, "_vanish_batch", lambda *a: batches.append(1) or batch(*a))
+        batch = ktheory._Ctx.vanish_batch
+        monkeypatch.setattr(ktheory._Ctx, "vanish_batch", lambda *a: batches.append(1) or batch(*a))
         ktheory._ctx.cache_clear()
         box = Box(3, 6)
         first = full_report(box)
@@ -809,7 +812,7 @@ class TestOnePassPerBox:
         full_report(box)
         assert sorted(vars(_ctx(box))) == [
             "bits", "block", "bound", "box", "cap", "chis", "diagrams",
-            "fonarev", "index", "orbits", "sources", "strips", "twist", "twist_exact",
+            "fonarev", "index", "lift", "orbits", "sources", "strips", "twist", "twist_exact",
             "weights",
         ]
 
@@ -996,7 +999,7 @@ class TestGoldenOutput:
         def refuse(self):
             raise AssertionError(f"pairing table built on {self.box}")
 
-        monkeypatch.setattr(ktheory._Ctx, "build_table", refuse)
+        monkeypatch.setattr(ktheory._Ctx, "table", property(refuse))
         ktheory._ctx.cache_clear()  # no table built before the patch
         argv, digest = self.DIGESTS[case]
         code, out, _ = run(capsys, *argv)
@@ -1026,7 +1029,7 @@ class TestGoldenOutput:
             raise AssertionError(f"pairing table built on {self.box}")
 
         passes, transposed = [], ktheory._Ctx.transposed
-        monkeypatch.setattr(ktheory._Ctx, "build_table", refuse)
+        monkeypatch.setattr(ktheory._Ctx, "table", property(refuse))
         monkeypatch.setattr(
             ktheory._Ctx, "transposed", lambda self, cs: passes.append(len(cs)) or transposed(self, cs)
         )
@@ -1046,7 +1049,7 @@ class TestGoldenOutput:
         def refuse(self):
             raise AssertionError(f"pairing table built on {self.box}")
 
-        monkeypatch.setattr(ktheory._Ctx, "build_table", refuse)
+        monkeypatch.setattr(ktheory._Ctx, "table", property(refuse))
         ktheory._ctx.cache_clear()  # no table built before the patch
         argv, digest = self.DIGESTS[case]
         code, out, _ = run(capsys, *argv)
@@ -1158,6 +1161,31 @@ class TestFreshInterpreter:
                     read.add(node.attr)
         unread = [f"{where} {name}" for name, where in defined.items() if name not in read]
         assert unread == []
+
+    def test_context_methods_never_look_the_context_up(self):
+        # a method of the per-box context reads itself: it names neither
+        # `_ctx` nor a module function of ktheory that calls `_ctx`, which
+        # would find or build a context of its own for the box
+        import ast
+        import pathlib
+
+        path = pathlib.Path(grex.__file__).parent / "ktheory.py"
+        tree = ast.parse(path.read_text(), str(path))
+
+        def names(node):
+            return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        lookups = {f.name for f in functions if "_ctx" in names(f)} | {"_ctx"}
+        (context,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Ctx"]
+        reached = [
+            f"{method.name} -> {name}"
+            for method in context.body
+            if isinstance(method, ast.FunctionDef)
+            for name in sorted(names(method) & lookups)
+        ]
+        assert reached == []
+        assert sorted(n for n in lookups if n.startswith("_")) == ["_ctx", "_fullness_sign"]
 
     def test_optimized_mode_keeps_checks_and_output(self):
         # python -O strips assert statements; the report must not depend on them

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from functools import cached_property
 from math import comb
 
 import pytest
@@ -48,6 +49,22 @@ def ts(w, t, box):
     return TwistedSchur(tuple(w), t, box)
 
 
+def patch_table(monkeypatch, wrap):
+    """`_Ctx.table` as wrap(self, table) of the real table, still built at
+    most once per context."""
+    build = _Ctx.table.func
+    table = cached_property(lambda self: wrap(self, build(self)))
+    table.__set_name__(_Ctx, "table")
+    monkeypatch.setattr(_Ctx, "table", table)
+
+
+def vanish_batch(box, relations):
+    """`_Ctx.vanish_batch` of relations of (coef, w, t) terms, each relation
+    read as its one column by `_Ctx.levels`."""
+    ctx = _ctx(box)
+    return ctx.vanish_batch([ctx.levels(r, deep=False)[0][0] for r in relations])
+
+
 def unit(box, index):
     n = len(basis(box))
     return tuple(1 if i == index else 0 for i in range(n))
@@ -57,8 +74,7 @@ def unit(box, index):
 def builds(monkeypatch):
     """A fresh context whose table builds are counted, each by its width."""
     calls = []
-    build = _Ctx.build_table
-    monkeypatch.setattr(_Ctx, "build_table", lambda self: calls.append(self.bits) or build(self))
+    patch_table(monkeypatch, lambda self, table: calls.append(self.bits) or table)
     _ctx.cache_clear()
     yield calls
     _ctx.cache_clear()
@@ -203,17 +219,15 @@ class TestChiPair:
 
     @staticmethod
     def corrupt_tables(monkeypatch, sigma, kappa=None):
-        build = _Ctx.build_table
         if kappa is None:
             kappa = tuple(v - 1 for v in sigma)
 
-        def corrupt(self):
-            x = build(self)
+        def corrupt(self, x):
             field = len(self.weights) - 1 - self.index[kappa]  # high field first
             x[self.sources[sigma]] += 1 << self.bits * field
             return x
 
-        monkeypatch.setattr(_Ctx, "build_table", corrupt)
+        patch_table(monkeypatch, corrupt)
 
     def test_corrupt_field_fails_the_gram_check(self, plant):
         # the Gram rows are the reads of the unit classes, each guarded at
@@ -489,7 +503,7 @@ class TestFieldWidth:
 
         ctx.strips = Watched()
         ctx.strip_product = lambda x: rows.append(x) or product(x)
-        final = [fields(r) for r in ctx.build_table()]
+        final = [fields(r) for r in ctx.table]
         assert len(snapshots) == n * k
         assert snapshots[-1] == final
         for snapshot in snapshots:
@@ -654,7 +668,6 @@ class TestContext:
 
     def test_no_pairing_computed_twice(self, monkeypatch):
         builds, read = [], []
-        build = _Ctx.build_table
 
         class Reads(list):
             """A table that records the source of every row read."""
@@ -663,9 +676,7 @@ class TestContext:
                 read.append(i)
                 return super().__getitem__(i)
 
-        monkeypatch.setattr(
-            _Ctx, "build_table", lambda self: builds.append(1) or Reads(build(self))
-        )
+        patch_table(monkeypatch, lambda self, table: builds.append(1) or Reads(table))
         # the work per box, without a clock: the staircases of the box build
         # one table by `additions` = n * sum_j |pairs_j| big-integer sums,
         # read it at `rows` distinct sources, one per normal form, and
@@ -743,6 +754,18 @@ class TestContext:
         assert _ctx(box) is ctx
         assert "gram" not in vars(ctx)
         assert list(ctx.chis) == [(ctx.weights[0], -2)]
+
+    def test_a_direct_context_reads_itself(self):
+        # a context made directly, not by `_ctx`, takes its deep row and its
+        # gate on T from itself: no second context is built or cached, and
+        # the verdicts on T sit on the context that was asked
+        _ctx.cache_clear()
+        before = _ctx.cache_info()
+        ctx = _Ctx(Box(4, 8))
+        ctx.row((1, 0, 0, 0), -3)
+        ctx.check_twist()
+        assert _ctx.cache_info() == before
+        assert [exact for _, exact in vars(ctx)["twist_exact"]] == [True] * comb(7, 3)
 
 
 class TestTwistClass:
@@ -916,7 +939,7 @@ class TestMutateLeft:
         # project, to nonzero classes, as by Gram-Schmidt on the oracle's
         # covectors, last projector first
         box = Box(2, 5)
-        es = ktheory._fonarev_classes(box)[:8]
+        es = _ctx(box).fonarev_classes()[:8]
         assert min(es[-1].values()) < 0 and sum(map(abs, es[-1].values())) > 1
         assert min(covector_oracle(box, es[-1])) < 0
         size = len(basis(box))
@@ -1128,7 +1151,7 @@ class TestTwistIdentity:
         # signed and past M
         ctx = _ctx(Box(k, n))
         units = [{0: 1}, {1: 1}, {3: 1}, {len(ctx.weights) - 1: 1}]
-        fonarev = ktheory._fonarev_classes(ctx.box)[-4:]
+        fonarev = ctx.fonarev_classes()[-4:]
         signed = [{m: (-1) ** q * v for m, v in x.items()} for q, x in enumerate(fonarev)]
         assert any(v < 0 for x in fonarev for v in x.values())
         rng = random.Random(10 * k + n)
@@ -1420,10 +1443,10 @@ class TestVanishBatch:
         zero = sc.k_class_terms()
         off = [(zero[0][0] - 1, *zero[0][1:]), *zero[1:]]
         relations = [off, zero, [], [(3, (1, 1), -1), (-3, (0, 0), 0)], [(1, (1, 0), 0)]]
-        assert ktheory._vanish_batch(box, relations) == [False, True, True, True, False]
-        assert ktheory._vanish_batch(box, []) == []
+        assert vanish_batch(box, relations) == [False, True, True, True, False]
+        assert vanish_batch(box, []) == []
         assert builds == []
-        assert [ktheory._vanishes(box, r) for r in relations] == [False, True, True, True, False]
+        assert [_ctx(box).vanishes(r) for r in relations] == [False, True, True, True, False]
 
     def test_bad_input_refused(self, builds):
         # a deep term and a term off the pairing rows are refused as
@@ -1440,7 +1463,7 @@ class TestVanishBatch:
             [(0, (3, 0), 0)],
         ):
             with pytest.raises(ValueError):
-                ktheory._vanish_batch(box, [good, bad])
+                vanish_batch(box, [good, bad])
         huge = cap << 200
         relations = [
             good,
@@ -1456,7 +1479,7 @@ class TestVanishBatch:
                 x[ctx.index[w]] = x.get(ctx.index[w], 0) + c
             oracle.append(not any(covector_oracle(box, x)))
         assert oracle == [False, False, True, False, False]
-        assert ktheory._vanish_batch(box, relations) == oracle
+        assert vanish_batch(box, relations) == oracle
         assert builds == []
 
     @pytest.mark.parametrize("k,n", [(1, 4), (2, 4), (2, 5)])
@@ -1475,5 +1498,5 @@ class TestVanishBatch:
             duals.append([(c, w, 0) for c, w in zip(x, ws) if c])
         zero = [(1, ws[0], 0), (-1, (1,) * k, -1)]  # O = Sigma^(1..1)U*(-1)
         batch = [r for d in duals for r in (zero, d)]
-        assert ktheory._vanish_batch(box, batch) == [True, False] * len(ws)
+        assert vanish_batch(box, batch) == [True, False] * len(ws)
         assert builds == []

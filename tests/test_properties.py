@@ -28,8 +28,6 @@ from grex.ktheory import (
     _ctx,
     _Ctx,
     _sparse_det,
-    _vanish_batch,
-    _vanishes,
     class_of,
     euler_pairing,
     is_zero_combination,
@@ -465,8 +463,9 @@ def test_vanish_batch_against_dense_rows(case):
     oracle = [
         not any(dense_sum(box, [(c, TwistedSchur(w, t, box)) for c, w, t in r])) for r in batch
     ]
-    assert _vanish_batch(box, batch) == oracle
-    assert [_vanishes(box, r) for r in batch] == oracle
+    ctx = _ctx(box)
+    assert ctx.vanish_batch([ctx.levels(r, deep=False)[0][0] for r in batch]) == oracle
+    assert [ctx.vanishes(r) for r in batch] == oracle
 
 
 @st.composite

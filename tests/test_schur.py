@@ -1,9 +1,12 @@
 """Weight arithmetic: LR products against the polynomial oracle, dimensions."""
 
 import random
+from math import comb
 
 import pytest
 
+from grex.bott import bott
+from grex.diagrams import Box
 from grex.schur import dimension, dualize, lr_product, twist
 from oracles import dimension_oracle, lr_product_oracle
 
@@ -140,6 +143,20 @@ class TestDimension:
             w = random_weight(rng, k, 0, 4)
             m = rng.randint(k, k + 3)
             assert dimension(w, m) == dimension_oracle(w, m)
+
+    def test_runs_of_equal_entries(self):
+        # each pair of equal entries is a factor 1 of the product: bott's
+        # GL(n) weights carry a run of n - k of them, and n in the thousands
+        # stays cheap
+        assert dimension((1, 1), 3000) == comb(3000, 2)
+        for nu in [(1, -8), (0, -9), (1, -9)]:
+            out = bott(Box(2, 9), nu)
+            assert out.degree == 7 and out.gln_weight[1:8] == (-1,) * 7
+            assert out.dim == dimension_oracle(out.gln_weight, 9)
+        # (1, -1, ..., -1) is Sym^2 of the standard representation, twisted
+        out = bott(Box(2, 2000), (1, -1999))
+        assert out.gln_weight == (1,) + (-1,) * 1999
+        assert out.dim == comb(2001, 2)
 
     def test_self_dual_dimension(self):
         rng = random.Random(33)

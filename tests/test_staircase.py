@@ -203,7 +203,7 @@ class TestTwistColumns:
         def refuse(self):
             raise AssertionError(f"pairing table built on {self.box}")
 
-        monkeypatch.setattr(_Ctx, "build_table", refuse)
+        monkeypatch.setattr(_Ctx, "table", property(refuse))
         box = Box(k, n)
         _ctx.cache_clear()
         ctx = _ctx(box)
