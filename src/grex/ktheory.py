@@ -18,8 +18,7 @@ i >= 0.  `_Ctx.twist_exact` checks T's C(n-1,k-1) full-first-row columns by
 one batched zero test (`_Ctx.vanish_batch`, each column read off T): O(1)
 acts on K_0 by an automorphism and the head coefficient is 1, so
 [Sigma^lam U*] - sum T[kappa, lam] [Sigma^kappa U*(-1)] vanishes exactly
-when lam's staircase is K-exact, and merging terms only lowers its sum
-|coef|, which stays at most 2^n.
+when lam's staircase is K-exact.
 
 Pairings of the form chi(Sigma^a U*(t), Sigma^kappa U*) with t <= 0 and both
 diagrams in the box sit in a single cohomological degree, so they reduce to
@@ -50,28 +49,26 @@ in reverse lexicographic order.  From the unit rows X[sigma] = e_{sigma-1}
 in X[sigma], by additions alone (`_Ctx.strip_product`; `_Ctx.units` places
 the unit rows, kappa at its source `_Ctx.lift[kappa]` = kappa + 1).
 
-Every entry is at most M, the largest row sum of G, which the same rounds
-give from one small int per source, 1 where sigma_{k-1} >= 1: every entry
-is nonnegative, and each strip is I plus a nonnegative matrix, so every
-partial sum on the way is at most its final entry.  A combination with
-sum |coef| = S has fields of absolute value at most S M.  So, packed at
-B bits per field, B the least whole number of bytes with 2^(B-1) > S M
-(`_width`), a sum is 0 exactly when every field is: the nonzero field of
-lowest order leaves a nonzero remainder.
+The sources come in lexicographic order, so s has rank
+sum_j C(s_j + k-1-j, k-j) (hockey stick), and sigma + e_j lies
+C(sigma_j + k-1-j, k-1-j) ranks above sigma (`_Ctx.strips`).
 
-The table (`_Ctx.table`) packs row sigma into one int, entry kappa at bit
-B (N-1-kappa), N = C(n,k), at S = 2^n.  Row sigma is zero before the basis
-index lo of max(sigma - 1, 0), so its int stops at B (N - lo) bits, and
-every sum works on the support alone.  Only the per-call zero test
-`_Ctx.vanishes` reads it, behind `is_zero_combination` and `is_k_exact`.
-The one term reader `_Ctx.levels` refuses a term that does not fit and puts
-each term Sigma^w U*(t) at level 0, at the source sigma = w + t + 1 of its
-normal form, or a deep one (below) at its level.  The packed rows times coef
-are summed when S <= cap = (2^(B-1) - 1) // M and every term is at level 0;
-cap >= 2^n covers the staircase of every lam with a full first row
-(coefficients +-1 and +-C(n, c) for distinct 0 < c < n).  Any other
-combination takes the slow path, the `_Ctx.pairings` of one transposed pass
-below, and every entry of the sum is tested.
+G is nonnegative, so G[sigma, kappa] is at most R(sigma) and C(kappa), the
+sums of its row and column, each computed when first read: `_Ctx.rowsums`
+by one pass of the unit rows in one field, `_Ctx.colsums` by one
+transposed pass (below) of the all-ones vector.  The table (`_Ctx.table`)
+packs row sigma into one int, field kappa w_kappa bits wide, the bit length
+of C(kappa) 2^n, kappa = N-1 lowest, N = C(n,k).  Row sigma is zero before
+the basis index of max(sigma - 1, 0), so its int stops at that field.  With
+cap = min_kappa (2^w_kappa - 1) // C(kappa) >= 2^n, a sum of rows times coef
+with S = sum |coef| <= cap has |field kappa| <= S C(kappa) < 2^w_kappa, so
+its lowest nonzero field leaves a nonzero remainder: it is 0 exactly when
+every field is, with no sign bit, as no table sum is split.  Only the
+per-call zero test `_Ctx.vanishes` reads it, when S <= cap and every term is
+at level 0 of the one term reader `_Ctx.levels` (each at its source
+w + t + 1, a deep one below at its level); cap covers the staircase of every
+full-first-row lam (coefficients +-1 and +-C(n, c), distinct 0 < c < n).
+Anything else takes `_Ctx.pairings`, one transposed pass.
 
 Every other reader runs one pass.  The build is X = P U, with U the unit
 rows and P the product of the updates x[i] += x[up].  For a column c over
@@ -80,15 +77,13 @@ the sources, c^T G = (P^T c)^T U, and row kappa + 1 of U is e_kappa, so
 updates transposed, v[up] += v[i], in the opposite order
 (`_Ctx.strip_transpose`; the transposition principle, Buergisser, Clausen
 and Shokrollahi, *Algebraic Complexity Theory*, 13.1).  `_Ctx.transposed`
-packs column q of a batch in field q at the batch's own width.  The packed
-ints are exact and the pass is linear, so only the final read needs the
-bound, even where a field outgrows 2^(B-1) part-way through; biased by
-2^(B-1) per field nothing borrows, and one `to_bytes` and one `Struct`
-split a read (`_splitter`).  A batch of one column needs no split
-(`_Ctx.pairings` of level 0 alone).  `_Ctx.read` splits the read
-of classes x, placed at the sources kappa_i + 1, into the rows
-(x^T G)[kappa] and the covectors x^T G.  G is upper unitriangular, so x^T G
-is 0 before the least index i of x and x_i at i: one guard per class.
+packs column q of a batch in field q, B bits wide, 2^(B-1) > max_q
+sum |c_q| R in whole bytes (`_width`), which bounds every entry of the read;
+biased by 2^(B-1) per field nothing borrows, and one `to_bytes` and one
+`Struct` split a read (`_splitter`).  `_Ctx.read` splits the read of
+classes x, placed at the sources kappa_i + 1, into the rows (x^T G)[kappa]
+and the covectors x^T G.  G is upper unitriangular, so x^T G is 0 before
+the least index i of x and x_i at i: one guard per class.
 
 A normal form (a, t) with t <= -2, a deep row, needs sigma outside the
 wider box.  (x) O(1) preserves chi, so once T is (x) O(1), with s = -1 - t,
@@ -100,32 +95,29 @@ the source a.  `_Ctx.pairings` reads a combination by levels: the table rows
 in field 0 and each deep term in field s at its source a, all in one
 transposed pass, then folds the split fields by Horner in T, total =
 (...(R_top T + R_{top-1}) T ...) T + R_0, one sparse product by the columns
-of T per level.  Its entries may exceed M; they are unpacked ints.  It reads
-T only past `_Ctx.check_twist`, the one gate, which `residual_report` passes
-too: ValueError names a full-first-row column of T that is not K-exact.
+of T per level, on unpacked ints.  It reads T only past `_Ctx.check_twist`,
+the one gate, which `residual_report` passes too: ValueError names a
+full-first-row column of T that is not K-exact.
 
 All per-box state lives on one context, `_ctx(box)`, kept for the box used
 last alone, and every per-box reader is a method of it that reads no other
-context: the basis diagrams, the sparse twist matrix, T's verdicts, the
-deep rows that `_Ctx.row` was asked for (`chis`; no stage of `grex report`
-stores one, its zero tests fold theirs inside the pass), the table once the
-fast path of `_Ctx.vanishes` needs it (no stage of `grex report` does), and the
-skeleton that `grex report` verifies, computed once and read only:
-`orbits`, the tuple `orbits(box)`, and `fonarev` and `block`, built from
-it.
+context: the basis, the sparse twist matrix, T's verdicts, the deep rows
+`_Ctx.row` was asked for (`chis`; the report's zero tests fold theirs inside
+the pass), R, C and the table once read (the report reads R alone), and
+the skeleton that `grex report` verifies, computed once and read only:
+`orbits`, the tuple `orbits(box)`, and `fonarev` and `block`, built from it.
 Each stage computes the classes T^i e_lam it reads, once per orbit, by the
 one twist loop (`_Ctx.twisted_classes`, exact or mod 3).  No dense Gram
 matrix is kept: `kapranov_gram` and `class_of` read the unit classes.
 
 Inside the module a class is sparse, {basis index: coefficient}.  Every
 pairing chi(x_q, z) of the classes x_q of one read with a class z is one
-packed sum over the nonzeros of z of the read's rows (`_pairer`), whose
-entries (x_q^T G)[kappa] are signed and at most S_x M, S_x = max sum |x_q|:
-at the width of sum |z| S_x M, each field biased by 2^(B-1) as `_splitter`
-unbiases it.  Left mutation is Gram-Schmidt: `_Ctx.check_semiorthogonal`
-pairs each projector with the read of all, its Gram column, and checks them
-unitriangular; `_project_levels` projects by `_solve`, the one triangular
-solve (`class_of` shares it), and `mutate_left` is one level of it.
+packed sum over the nonzeros of z of the read's rows (`_pairer`), at the
+width of sum |z| times their `_Ctx.bound`.  Left mutation is Gram-Schmidt:
+`_Ctx.check_semiorthogonal` pairs each projector with the read of all, its
+Gram column, and checks them unitriangular; `_project_levels` projects by
+`_solve`, the one triangular solve (`class_of` shares it), and
+`mutate_left` is one level of it.
 
 Every residual projector list is a subsequence of the chain T^b e_v, v in
 the primitive block and b below the longest short orbit, level b by level.
@@ -167,7 +159,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import comb
 from struct import Struct
 
@@ -207,11 +199,6 @@ class _Ctx:
         # the sources sigma of the table: the box one column wider
         self.sources = {s: i for i, s in enumerate(_ascending_parts(box.k, box.width + 1))}
         self.lift = [i for i, s in enumerate(self.sources) if s[-1]]  # kappa -> kappa + 1
-        # M (module docstring); the table's width B, for sum |coef| = 2^n;
-        # and cap, the largest sum |coef| one packed sum of table rows holds
-        self.bound = max(self.units(range(len(self.weights)), 0))
-        self.bits = _width(self.bound << box.n)
-        self.cap = ((1 << self.bits - 1) - 1) // self.bound
 
     @cached_property
     def orbits(self) -> tuple[Orbit, ...]:
@@ -271,10 +258,10 @@ class _Ctx:
     def vanishes(self, terms) -> bool:
         """Whether sum coef * [Sigma^w U*(t)] over the (coef, w, t) terms
         vanishes in K_0: the one per-call zero test, which builds no bundle
-        per term.  With no deep term and sum |coef| <= cap it sums the packed
-        rows of the table; otherwise it reads the `pairings` of one
-        transposed pass (module docstring).  ValueError as `levels` says, or
-        when a deep term meets a T that fails `check_twist`."""
+        per term.  With no deep term and sum |coef| <= cap it sums `table`
+        rows; otherwise it reads the `pairings` of one transposed pass
+        (module docstring).  ValueError as `levels` says, or when a deep term
+        meets a T that fails `check_twist`."""
         levels, weight = self.levels(terms)
         if len(levels) == 1 and weight <= self.cap:
             return not sum(coef * self.table[i] for i, coef in levels[0])
@@ -319,32 +306,55 @@ class _Ctx:
     @cached_property
     def strips(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """For each row j, the source pairs (sigma, sigma + e_j), sigma in
-        reverse lexicographic order: one suffix sum of H's factorisation."""
-        sources = self.sources
-        out = []
-        for j in range(self.box.k):
-            pairs = []
-            for s, i in reversed(sources.items()):
-                up = sources.get((*s[:j], s[j] + 1, *s[j + 1 :]))
-                if up is not None:
-                    pairs.append((i, up))
-            out.append(tuple(pairs))
+        reverse lexicographic order: one suffix sum of H's factorisation,
+        each pair by its rank offset (module docstring)."""
+        k, top, out = self.box.k, self.box.width + 1, []
+        ids = [*self.sources.values()]  # one int per index, shared
+        # s behind n-k+1, so that each row's bound is the entry before it
+        down = [(i, (top, *s)) for i, s in zip(reversed(ids), reversed(self.sources))]
+        for j in range(k):
+            step = [comb(v + k - 1 - j, k - 1 - j) for v in range(top)]
+            out.append(tuple((i, ids[i + step[s[j + 1]]]) for i, s in down if s[j + 1] < s[j]))
         return tuple(out)
 
     @cached_property
-    def table(self) -> list[int]:
-        """The packed rows X[sigma], each at width B, which the fast path of
-        `vanishes` alone reads: the `units` e_kappa, kappa at bit
-        B (N-1-kappa) (module docstring)."""
-        return self.units(range(len(self.weights) - 1, -1, -1), self.bits)
+    def rowsums(self) -> list[int]:
+        """R(sigma) for every source: the `units` of the basis in one field."""
+        return self.units(range(len(self.weights)), repeat(0))
 
-    def units(self, kappas, bits: int) -> list[int]:
-        """H^n of the unit columns e_kappa, kappas[q] in field q of width
-        `bits` at its source kappa + 1: the one forward pass."""
+    @cached_property
+    def colsums(self) -> list[int]:
+        """C(kappa) for every basis kappa: one unpacked transposed pass."""
+        v = self.strip_transpose([1] * len(self.sources))
+        return [v[i] for i in self.lift]
+
+    @cached_property
+    def cap(self) -> int:
+        """The largest sum |coef| of a zero test by `table` rows."""
+        n = self.box.n
+        return min(((1 << (c << n).bit_length()) - 1) // c for c in self.colsums)
+
+    @cached_property
+    def table(self) -> list[int]:
+        """The packed rows X[sigma]: the `units` e_kappa, kappa in field kappa,
+        w_kappa bits wide, N-1 lowest (module docstring)."""
+        n = self.box.n
+        widths = [(c << n).bit_length() for c in reversed(self.colsums)]
+        return self.units(range(len(self.weights) - 1, -1, -1), accumulate(widths, initial=0))
+
+    def units(self, kappas, shifts) -> list[int]:
+        """H^n of the unit columns e_kappa, 1 << shift at each source
+        kappa + 1: the one forward pass."""
         x = [0] * len(self.sources)
-        for q, kappa in enumerate(kappas):
-            x[self.lift[kappa]] = 1 << bits * q
+        for kappa, shift in zip(kappas, shifts):
+            x[self.lift[kappa]] = 1 << shift
         return self.strip_product(x)
+
+    def bound(self, columns) -> int:
+        """max sum |coef| R(sigma) over columns of (sigma, coef): it bounds
+        their reads."""
+        r = self.rowsums
+        return max((sum(abs(c) * r[i] for i, c in column) for column in columns), default=0)
 
     def strip_product(self, x: list[int]) -> list[int]:
         """H^n x, in place: n rounds of the k one-row suffix sums
@@ -367,13 +377,11 @@ class _Ctx:
         return v
 
     def transposed(self, columns: list[list[tuple[int, int]]]) -> tuple[list[int], int]:
-        """The one pass: (H^T)^n of a batch of columns, each a list of
-        (source, coef), column q in field q at the width B of S M, S the
-        largest sum |coef| of a column (module docstring), read at the
-        sources kappa + 1, which come in basis order: one int per basis
-        kappa, whose field q is (c_q^T G)[kappa], and B."""
-        weight = max((sum(abs(c) for _, c in column) for column in columns), default=0)
-        bits = _width(weight * self.bound)
+        """The one pass: (H^T)^n of a batch of columns of (source, coef),
+        column q in field q at the width B of their `bound`, read at the
+        sources kappa + 1, in basis order: one int per basis kappa, whose
+        field q is (c_q^T G)[kappa], and B."""
+        bits = _width(self.bound(columns))
         v = [0] * len(self.sources)
         for q, column in enumerate(columns):
             shift = bits * q
@@ -469,10 +477,10 @@ class _Ctx:
         return rows
 
     def pairer(self, xs: list[dict[int, int]]):
-        """The `_pairer` of one `read` of the classes x, whose rows are at
-        most max sum |x| M in absolute value."""
-        weight = max((sum(map(abs, x.values())) for x in xs), default=0)
-        return _pairer(self.read(xs)[0], weight * self.bound)
+        """The `_pairer` of one `read` of the classes x, at their `bound`."""
+        lift = self.lift
+        bound = self.bound([(lift[i], c) for i, c in x.items()] for x in xs)
+        return _pairer(self.read(xs)[0], bound)
 
     def check_semiorthogonal(self, projectors: list[dict[int, int]]):
         """Raise ValueError unless the list is Euler-unitriangular; return its
@@ -492,13 +500,12 @@ class _Ctx:
         block[p], is Euler-unitriangular level by level (module docstring):
         the e_v by `check_semiorthogonal`, whose block Gram columns and
         `pairer` it returns, and each T^d e_v, d >= 1, by one packed sum over
-        its nonzeros of the `units` of the block, which leave G[kappa, w] in
-        field w at each source kappa + 1, at the width of S M, S the largest
-        sum |coef| of a chain class."""
+        its nonzeros of the `units` of the block, G[kappa, w] in field w at
+        kappa + 1, at the width of the chain's `bound`."""
         checked = self.check_semiorthogonal([{v: 1} for v in block])
         lift = self.lift
-        bits = _width(max(sum(map(abs, y.values())) for ys in chain for y in ys) * self.bound)
-        packed = self.units(block, bits)
+        bits = _width(self.bound([(lift[m], c) for m, c in y.items()] for ys in chain for y in ys))
+        packed = self.units(block, range(0, bits * len(block), bits))
         for p, ys in enumerate(chain):
             for d, y in enumerate(ys[1:], 1):
                 if s := sum(c * packed[lift[m]] for m, c in y.items()):
@@ -757,9 +764,8 @@ def _solve(gram, r: list[int], level) -> dict[int, int]:
 def _pairer(rows: list[list[int]], bound: int):
     """z -> chi(x_q, z) for every class x_q of a read, from its rows, whose
     entries are at most `bound` in absolute value: one packed sum over the
-    nonzeros of z at the width of S bound, S = sum |z|, split.  Each row is
-    packed once per width, the widest kept, signed: each field biased by
-    2^(B-1), as `_splitter` unbiases it, and the packed bias taken off."""
+    nonzeros of z at the width of sum |z| bound, split.  Each row is packed
+    once per width, the widest kept, biased as `_splitter` unbiases it."""
     count, packed = len(rows[0]), {}
     bits = size = half = bias = 0
     split = None

@@ -420,3 +420,22 @@ def signed_step_det(box: Box) -> int:
                 seen.add(i)
                 i = perm[i]
     return det * (-1) ** (len(perm) - cycles)
+
+
+def strips_oracle(box: Box) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """`_Ctx.strips` by tuple build and dict lookup: the sources, every
+    weakly decreasing k-vector bounded by n-k+1, sorted lexicographically,
+    and for each row j the index pairs (sigma, sigma + e_j), sigma in
+    reverse lexicographic order, wherever sigma + e_j is a source too."""
+    k = box.k
+    found = combinations_with_replacement(range(box.n - k + 2), k)
+    sources = {s: i for i, s in enumerate(sorted(tuple(sorted(c, reverse=True)) for c in found))}
+    out = []
+    for j in range(k):
+        pairs = []
+        for s, i in reversed(sources.items()):
+            up = sources.get((*s[:j], s[j] + 1, *s[j + 1 :]))
+            if up is not None:
+                pairs.append((i, up))
+        out.append(tuple(pairs))
+    return tuple(out)

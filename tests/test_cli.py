@@ -811,9 +811,8 @@ class TestOnePassPerBox:
         box = Box(4, 10)
         full_report(box)
         assert sorted(vars(_ctx(box))) == [
-            "bits", "block", "bound", "box", "cap", "chis", "diagrams",
-            "fonarev", "index", "lift", "orbits", "sources", "strips", "twist", "twist_exact",
-            "weights",
+            "block", "box", "chis", "diagrams", "fonarev", "index", "lift", "orbits",
+            "rowsums", "sources", "strips", "twist", "twist_exact", "weights",
         ]
 
     def test_report_unpacks_only_deep_rows(self, monkeypatch):

@@ -41,6 +41,7 @@ from oracles import (
     residual_oracle,
     signed_step,
     signed_step_det,
+    strips_oracle,
     whole_chain_oracle,
 )
 
@@ -49,13 +50,23 @@ def ts(w, t, box):
     return TwistedSchur(tuple(w), t, box)
 
 
-def patch_table(monkeypatch, wrap):
-    """`_Ctx.table` as wrap(self, table) of the real table, still built at
-    most once per context."""
-    build = _Ctx.table.func
+def patch_table(monkeypatch, wrap, name="table"):
+    """`_Ctx.table`, or the cached member named, as wrap(self, value) of the
+    real one, still built at most once per context."""
+    build = getattr(_Ctx, name).func
     table = cached_property(lambda self: wrap(self, build(self)))
-    table.__set_name__(_Ctx, "table")
-    monkeypatch.setattr(_Ctx, "table", table)
+    table.__set_name__(_Ctx, name)
+    monkeypatch.setattr(_Ctx, name, table)
+
+
+def layout(ctx):
+    """The widths w_kappa of the table's fields, the bit length of
+    C(kappa) 2^n, and their bit offsets, kappa = N-1 lowest."""
+    widths = [(c << ctx.box.n).bit_length() for c in ctx.colsums]
+    offsets = [0] * len(widths)
+    for kappa in range(len(widths) - 2, -1, -1):
+        offsets[kappa] = offsets[kappa + 1] + widths[kappa + 1]
+    return widths, offsets
 
 
 def vanish_batch(box, relations):
@@ -72,9 +83,9 @@ def unit(box, index):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """A fresh context whose table builds are counted, each by its width."""
+    """A fresh context whose table builds are counted, each by its cap."""
     calls = []
-    patch_table(monkeypatch, lambda self, table: calls.append(self.bits) or table)
+    patch_table(monkeypatch, lambda self, table: calls.append(self.cap) or table)
     _ctx.cache_clear()
     yield calls
     _ctx.cache_clear()
@@ -223,8 +234,7 @@ class TestChiPair:
             kappa = tuple(v - 1 for v in sigma)
 
         def corrupt(self, x):
-            field = len(self.weights) - 1 - self.index[kappa]  # high field first
-            x[self.sources[sigma]] += 1 << self.bits * field
+            x[self.sources[sigma]] += 1 << layout(self)[1][self.index[kappa]]  # at its own offset
             return x
 
         patch_table(monkeypatch, corrupt)
@@ -319,8 +329,8 @@ class TestChiPair:
 
     @pytest.mark.parametrize("k,n,lam", [(2, 4, (2, 1)), (3, 7, (4, 2, 1)), (1, 3, (2,))])
     def test_corrupt_lowest_order_field_fails_a_staircase(self, plant, k, n, lam):
-        # field kappa = the full box is the lowest-order one, bits 0..B-1 of
-        # every entry: the zero test's proof starts from it
+        # field kappa = the full box is the lowest-order one, bits
+        # 0..w_kappa - 1 of every entry: the zero test's proof starts from it
         box = Box(k, n)
         sc = build_staircase(box, BoxedDiagram(lam, box))
         plant(lam, 0, (box.width,) * k, table=True)
@@ -329,14 +339,15 @@ class TestChiPair:
     @pytest.mark.parametrize("k,n", [(2, 4), (4, 8), (5, 9)])
     def test_rows_stop_at_their_support(self, k, n):
         # row sigma is zero before the basis index lo of sigma - 1, and the
-        # high-field-first layout keeps those zero fields out of its int
+        # high-field-first layout keeps those zero fields out of its int,
+        # which ends with field lo
         ctx = _Ctx(Box(k, n))
-        size = ctx.bits * len(ctx.weights)
+        widths, offsets = layout(ctx)
         for s, i in ctx.sources.items():
             lo = ctx.index[tuple(max(v - 1, 0) for v in s)]
             x = ctx.table[i]
             assert x >= 0
-            assert x.bit_length() <= size - ctx.bits * lo, s
+            assert x.bit_length() <= offsets[lo] + widths[lo], s
 
     @staticmethod
     def check_row_against_oracles(ctx, a, t):
@@ -465,30 +476,33 @@ class TestDeepRows:
 
 
 class TestFieldWidth:
-    """The bound M, the largest row sum of the table, against routes that
-    share none of its code, and the width it gives."""
+    """The row sums R(sigma) and column sums C(kappa) of the table against
+    routes that share none of their code, and the widths they give."""
 
     @pytest.mark.parametrize("k,n", [(k, n) for n in range(2, 8) for k in range(1, n)])
     def test_bound_is_the_largest_row_sum(self, k, n):
         # row sigma of the table holds s_{(kappa+1)/sigma}(1^n) for every
-        # basis kappa: its sum, one Jacobi-Trudi determinant per entry
+        # basis kappa: its sum, and each column's, one Jacobi-Trudi
+        # determinant per entry; every entry is nonnegative, so at most both
         ctx = _Ctx(Box(k, n))
         lams = [tuple(v + 1 for v in kappa) for kappa in ctx.weights]
-        sums = [sum(jacobi_trudi_oracle(n, sigma, lam) for lam in lams) for sigma in ctx.sources]
-        assert ctx.bound == max(sums)
+        rows = [[jacobi_trudi_oracle(n, sigma, lam) for lam in lams] for sigma in ctx.sources]
+        assert ctx.rowsums == [sum(row) for row in rows]
+        assert ctx.colsums == [sum(column) for column in zip(*rows)]
+        assert min(map(min, rows)) >= 0
 
     @pytest.mark.parametrize("k,n", [(3, 6), (4, 8)])
     def test_partial_sums_stay_below_their_entries(self, k, n):
         # the strips are I plus a nonnegative matrix, so every field of every
         # row, after every strip of the build, is at most its final entry,
-        # and so at most the bound: no field ever carries into the next
+        # and so at most its column sum: no field ever carries into the next
         ctx = _Ctx(Box(k, n))
-        bits, top = ctx.bits, len(ctx.weights)
-        mask = (1 << bits) - 1
+        widths, offsets = layout(ctx)
+        total, rowsums = sum(widths), ctx.rowsums  # their passes before the watch
 
         def fields(r):
-            assert 0 <= r < 1 << bits * top
-            return [r >> bits * (top - 1 - i) & mask for i in range(top)]
+            assert 0 <= r < 1 << total
+            return [r >> at & (1 << w) - 1 for w, at in zip(widths, offsets)]
 
         snapshots, rows = [], []
         strips, product = ctx.strips, ctx.strip_product
@@ -509,20 +523,33 @@ class TestFieldWidth:
         for snapshot in snapshots:
             for row, last in zip(snapshot, final, strict=True):
                 assert all(v <= w for v, w in zip(row, last, strict=True))
-        assert max(map(max, final)) <= ctx.bound
+        assert [sum(row) for row in final] == rowsums
+        assert [sum(column) for column in zip(*final)] == ctx.colsums
 
     @pytest.mark.parametrize("k,n", [(k, n) for n in range(2, 13) for k in range(1, n)])
     def test_cap_covers_every_staircase(self, k, n):
-        # a staircase's sum |coef| is at most 2^n, which one packed sum holds
+        # a staircase's sum |coef| is at most 2^n, which one packed sum
+        # holds: cap C(kappa) < 2^w_kappa for every field, and cap is the
+        # largest such sum
         ctx = _Ctx(Box(k, n))
+        widths, _ = layout(ctx)
         assert ctx.cap >= 1 << n
-        assert ctx.bound << n < 1 << ctx.bits - 1
+        assert all(ctx.cap * c < 1 << w for c, w in zip(ctx.colsums, widths, strict=True))
+        assert any(((ctx.cap + 1) * c) >> w for c, w in zip(ctx.colsums, widths))
 
     @pytest.mark.parametrize("k,n,bits", [(4, 8, 40), (7, 10, 48), (6, 12, 72)])
     def test_widths(self, k, n, bits):
-        # pinned, so that a return to the loose bound s_R(1^{n+2k}),
-        # R = ((n-k+1)^k), shows: it gives 56, 80 and 104
-        assert _Ctx(Box(k, n)).bits == bits
+        # pinned, so that a return to one width for every field shows: the
+        # byte width of 2^n M, M the largest row sum, gave `bits` a field
+        ctx = _Ctx(Box(k, n))
+        widths, _ = layout(ctx)
+        assert bits == ktheory._width(max(ctx.rowsums) << n)
+        assert (min(widths), max(widths), sum(widths)) == {
+            (4, 8): (16, 36, 2063),  # 2800 at one width
+            (7, 10): (20, 45, 4584),  # 5760
+            (6, 12): (24, 70, 52360),  # 66528
+        }[k, n]
+        assert sum(widths) < bits * len(widths)
 
 
 class TestClassOf:
@@ -616,7 +643,8 @@ class TestEulerPairing:
     @pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (4, 8)])
     def test_huge_coefficients_against_dense_product(self, builds, monkeypatch, k, n):
         # sum |coef| far past the table's cap: each covector is read at a
-        # width of its own, past the table's, with no table, and equals x^T G
+        # width of its own, past the table's widest field, with no table,
+        # and equals x^T G
         widths = []
         transposed = _Ctx.transposed
 
@@ -646,7 +674,7 @@ class TestEulerPairing:
                 dense = sum(x[i] * g[i][j] * y[j] for i in range(size) for j in range(size))
                 assert euler_pairing(box, x, y) == dense
         assert builds == []
-        assert min(widths) <= ctx.bits < max(widths)
+        assert min(widths) <= max(layout(ctx)[0]) < max(widths)
 
 
 class TestContext:
@@ -699,6 +727,42 @@ class TestContext:
             assert box.n * sum(map(len, ctx.strips)) == additions, box
             assert len(set(read)) == rows, box
             assert not ctx.chis
+
+    @pytest.mark.parametrize(
+        "boxes", [[Box(k, n) for k in range(1, n)] for n in range(2, 13)] + [[Box(6, 14)]]
+    )
+    def test_strips_against_the_oracle(self, boxes):
+        # each pair (sigma, sigma + e_j) by its rank offset, in order, against
+        # the tuple build and dict lookup of the oracle
+        for box in boxes:
+            assert _Ctx(box).strips == strips_oracle(box), box
+
+    def test_passes_of_the_zero_tests(self, monkeypatch):
+        # a fresh context's staircases of G(3,7) run one forward pass, the
+        # table, and one transposed pass, its column sums, and never the row
+        # sums; the report runs the row sums once, for its widths, and
+        # builds neither the column sums nor the table
+        from grex.cli import full_report
+
+        forward, backward, sums = [], [], []
+        product, transpose = _Ctx.strip_product, _Ctx.strip_transpose
+        monkeypatch.setattr(_Ctx, "strip_product", lambda s, x: forward.append(1) or product(s, x))
+        monkeypatch.setattr(
+            _Ctx, "strip_transpose", lambda s, v: backward.append(1) or transpose(s, v)
+        )
+        patch_table(monkeypatch, lambda self, r: sums.append(1) or r, "rowsums")
+        _ctx.cache_clear()
+        box = Box(3, 7)
+        self.check_staircases(box)
+        ctx = _ctx(box)
+        assert (len(forward), len(backward), sums) == (1, 1, [])
+        assert {"table", "colsums"} <= set(vars(ctx))
+        _ctx.cache_clear()
+        box = Box(4, 8)
+        assert full_report(box)["pass"] is True
+        assert sums == [1]
+        assert not {"table", "colsums", "cap"} & set(vars(_ctx(box)))
+        _ctx.cache_clear()
 
     @pytest.mark.parametrize(
         "k,n,chain,classes", [(3, 9, 27, 3), (4, 8, 32, 6), (4, 10, 100, 10), (6, 12, 450, 24)]
@@ -1105,6 +1169,7 @@ class TestTwistIdentity:
         box = Box(k, n)
         _ctx.cache_clear()
         ctx = _ctx(box)
+        ctx.rowsums  # the one other forward pass, which the widths read
         passes = []
         product = _Ctx.strip_product
         monkeypatch.setattr(
@@ -1119,14 +1184,16 @@ class TestTwistIdentity:
         assert report.residual_gram == gram
         assert report.tau_orbit_ok == tau
         # the one forward pass of the chain check: unit column w in field w,
-        # at the width of S M, S the largest sum |coef| of a chain class
+        # at the width of the largest sum |coef| R(sigma) of a chain class,
+        # each coefficient at its source sigma = kappa + 1
         ((units, packed),) = passes
         block = [ctx.index[obj.bundle.weight] for obj in ctx.block]
         o_max = max(o for _, o in report.short_diagrams)
         chain = [ctx.twisted_classes(ctx.weights[v], o_max) for v in block]
-        weight = max(sum(map(abs, y.values())) for ys in chain for y in ys)
-        bits = ktheory._width(weight * ctx.bound)
         lift = [i for i, s in enumerate(ctx.sources) if s[-1]]
+        r = ctx.rowsums
+        weight = max(sum(abs(c) * r[lift[m]] for m, c in y.items()) for ys in chain for y in ys)
+        bits = ktheory._width(weight)
         expected = [0] * len(ctx.sources)
         for q, v in enumerate(block):
             expected[lift[v]] = 1 << bits * q
@@ -1144,12 +1211,14 @@ class TestTwistIdentity:
     @pytest.mark.parametrize("k,n", [(3, 6), (4, 8)])
     def test_pairer_against_exact_row_sums(self, k, n):
         # one packed sum per class z at the width of sum |z| times the bound
-        # of the rows: coefficients of both signs far beyond M, after and
-        # before narrower sums, and one-term classes, against the exact sums
-        # of the rows of two reads: of unit classes, entries in [0, M], and
-        # of the last 4 Fonarev classes, every other one negated, entries
-        # signed and past M
+        # of the rows, max_x sum |x_i| R(kappa_i + 1): coefficients of both
+        # signs far beyond M, the largest row sum, after and before narrower
+        # sums, and one-term classes, against the exact sums of the rows of
+        # two reads: of unit classes, entries in [0, M], and of the last 4
+        # Fonarev classes, every other one negated, entries signed and past M
         ctx = _ctx(Box(k, n))
+        lift = [i for i, s in enumerate(ctx.sources) if s[-1]]
+        r, top = ctx.rowsums, max(ctx.rowsums)
         units = [{0: 1}, {1: 1}, {3: 1}, {len(ctx.weights) - 1: 1}]
         fonarev = ctx.fonarev_classes()[-4:]
         signed = [{m: (-1) ** q * v for m, v in x.items()} for q, x in enumerate(fonarev)]
@@ -1157,10 +1226,13 @@ class TestTwistIdentity:
         rng = random.Random(10 * k + n)
         for xs in (units, signed):
             rows = ctx.read(xs)[0]
-            bound = max(sum(map(abs, x.values())) for x in xs) * ctx.bound
+            bound = max(sum(abs(c) * r[lift[i]] for i, c in x.items()) for x in xs)
+            assert bound == ctx.bound([(lift[i], c) for i, c in x.items()] for x in xs)
             assert max(abs(v) for row in rows for v in row) <= bound
-            if xs is signed:
-                assert min(v for row in rows for v in row) < 0 < bound - 2 * ctx.bound
+            if xs is units:
+                assert bound <= top
+            else:
+                assert min(v for row in rows for v in row) < 0 < bound - 2 * top
             pair = ktheory._pairer(rows, bound)
             for scale in (1, 10**3, 10**40, 1, 10**80):
                 for size in (6, 1):
@@ -1390,23 +1462,24 @@ class TestZeroCombination:
         sc = build_staircase(box, BoxedDiagram((3, 1, 0), box))
         combo = [(c, ts(w, t, box)) for c, w, t in sc.k_class_terms()]
         big = [(c << 300, e) for c, e in combo]
-        bits = _ctx(box).bits
+        cap = _ctx(box).cap
         assert is_zero_combination(box, big)
         big[-1] = (big[-1][0] + 1, big[-1][1])
         assert not is_zero_combination(box, big)
         assert is_zero_combination(box, combo)
-        assert _ctx(box).bits == bits and builds == [bits]
+        assert _ctx(box).cap == cap and builds == [cap]
 
     def test_deep_twist_entries_above_the_bound(self, builds):
         # a normal form with t <= -2 is no table row, and its entries may
-        # exceed M and even 2^B: the call reads row (a, -1) at level s of
-        # one transposed pass, beside the table rows at level 0, and folds
-        # the levels through T unpacked, with no table
+        # exceed every row and column sum of the table and even 2^w of its
+        # widest field: the call reads row (a, -1) at level s of one
+        # transposed pass, beside the table rows at level 0, and folds the
+        # levels through T unpacked, with no table
         box = Box(2, 4)
         ctx = _ctx(box)
         deep = ts((1, 0), -300, box)
         peak = max(ctx.row((1, 0), -300))
-        assert peak > ctx.bound and peak >> ctx.bits
+        assert peak > max(ctx.rowsums + ctx.colsums) and peak >> max(layout(ctx)[0])
         # S^(2,1)U*(-301) is the same bundle as S^(1,0)U*(-300)
         same = ts((2, 1), -301, box)
         assert is_zero_combination(box, [(1, deep), (-1, same)])
@@ -1416,20 +1489,22 @@ class TestZeroCombination:
         assert builds == []
 
     def test_too_narrow_fields_would_alias(self, builds):
-        # on P^1 the rows of O and O(1) are (1, 2) and (0, 1), packed high
-        # field first as 2^B + 2 and 1, so these coefficients give the
-        # fields (-1, 2^B): a nonzero class whose packed sum at the table's
-        # width B is -(2^B + 2) + (2^B + 2) = 0, which the slow path, one
+        # on P^1 the table's fields are 4 and 5 bits wide, the bit lengths
+        # of 2^2 C(kappa), C = (3, 6), and cap = 5; the rows of O and O(1),
+        # (1, 2) and (0, 1), pack as 2^5 + 2 and 1, so these coefficients,
+        # sum |coef| = 35 past cap, give the fields (-1, 2^5): a nonzero
+        # class whose packed sum is -(2^5 + 2) + (2^5 + 2) = 0, the carry of
+        # the low field cancelled in the narrowest, which the slow path, one
         # column of one transposed pass, still sees
         box = Box(1, 2)
         ctx = _ctx(box)
-        b = ctx.bits
-        combo = [(-1, ts((0,), 0, box)), ((1 << b) + 2, ts((1,), 0, box))]
+        assert layout(ctx) == ([4, 5], [5, 0]) and ctx.cap == 5
+        combo = [(-1, ts((0,), 0, box)), ((1 << 5) + 2, ts((1,), 0, box))]
         rows = [ctx.table[ctx.sources[tuple(v + 1 for v in e.weight)]] for _, e in combo]
-        assert rows == [(1 << b) + 2, 1]
+        assert rows == [(1 << 5) + 2, 1]
         assert sum(c * r for (c, _), r in zip(combo, rows)) == 0
         assert not is_zero_combination(box, combo)
-        assert builds == [b]
+        assert builds == [5]
 
 
 class TestVanishBatch:

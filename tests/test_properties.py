@@ -346,9 +346,11 @@ def test_table_rows_against_jacobi_trudi(case):
     row = ctx.row(a, t)
     for kappa, got in zip(ctx.weights, row, strict=True):
         assert got == jacobi_trudi_oracle(box.n, a, tuple(x - t for x in kappa)), (kappa, got)
-    # a table row is at most M, and the first field width holds 2^n times M
+    # a table row, of the source a + t + 1, sums to its R(sigma), and each
+    # entry is at most its column sum C(kappa)
     if t + a[-1] >= -1:
-        assert max(row) <= ctx.bound and ctx.bound << box.n < 1 << ctx.bits - 1
+        assert sum(row) == ctx.rowsums[ctx.sources[tuple(x + t + 1 for x in a)]]
+        assert all(v <= c for v, c in zip(row, ctx.colsums, strict=True))
 
 
 @st.composite
@@ -466,6 +468,71 @@ def test_vanish_batch_against_dense_rows(case):
     ctx = _ctx(box)
     assert ctx.vanish_batch([ctx.levels(r, deep=False)[0][0] for r in batch]) == oracle
     assert [ctx.vanishes(r) for r in batch] == oracle
+
+
+@st.composite
+def table_sums(draw):
+    """A box with n <= 10 and a combination of table rows within the
+    table's cap: the staircase of a diagram with a full first row with +-1
+    planted on one term, the sign that keeps it within cap, or up to six
+    terms whose coefficients share cap, some beside their negation on a
+    shifted weight."""
+    box = draw(st.sampled_from([Box(k, n) for n in range(2, 11) for k in range(1, n)]))
+    cap = _ctx(box).cap
+    diagrams = [d.parts for d in enumerate_diagrams(box, "all")]
+    if draw(st.booleans()):
+        full = [BoxedDiagram(w, box) for w in diagrams if w[0] == box.width]
+        terms = list(build_staircase(box, draw(st.sampled_from(full))).k_class_terms())
+        i = draw(st.integers(0, len(terms) - 1))
+        c, w, t = terms[i]
+        d = draw(st.sampled_from([-1, 1]))
+        if sum(abs(v) for v, _, _ in terms) - abs(c) + abs(c + d) > cap:
+            d = -d
+        terms[i] = (c + d, w, t)
+        return box, terms
+    count = draw(st.integers(1, 6))
+    terms = []
+    for _ in range(count):
+        w = draw(st.sampled_from(diagrams))
+        t = draw(st.integers(-1 - w[-1], box.width - w[0]))
+        c = draw(st.integers(-(cap // (2 * count)), cap // (2 * count)))
+        terms.append((c, w, t))
+        if draw(st.booleans()):
+            m = draw(st.integers(-w[-1], 2))
+            terms.append((-c, tuple(x + m for x in w), t - m))
+    return box, draw(st.permutations(terms))
+
+
+def _one_field(box, pick):
+    """The basis combination whose pairings are v e_kappa, for the field
+    kappa of the table that `pick` (min or max) takes by its column sum, so
+    its width, and the largest v within cap: the dual class of kappa,
+    solved on the oracle's Gram matrix, times v."""
+    ctx = _ctx(box)
+    kappa = pick(range(len(ctx.colsums)), key=ctx.colsums.__getitem__)
+    ws, g = gram_oracle(box)
+    x = []
+    for j in range(len(ws)):
+        x.append((j == kappa) - sum(x[m] * g[m][j] for m in range(j)))
+    v = ctx.cap // sum(map(abs, x))
+    assert v >= 1
+    return box, [(v * c, w, 0) for c, w in zip(x, ws) if c]
+
+
+@PROPERTY
+@given(table_sums())
+@example(_one_field(Box(1, 4), min))
+@example(_one_field(Box(2, 10), max))
+def test_table_sums_against_the_transposed_read(case):
+    # the fast path of `_Ctx.vanishes`, one packed sum of table rows at
+    # per-column widths, against the transposed read of the same level 0:
+    # a planted +-1 is never hidden, and no field spills into its
+    # neighbours, the narrowest and the widest alike
+    box, terms = case
+    ctx = _ctx(box)
+    levels, weight = ctx.levels(terms, deep=False)
+    assert weight <= ctx.cap
+    assert ctx.vanishes(terms) == (not any(ctx.pairings(levels)))
 
 
 @st.composite
