@@ -178,11 +178,8 @@ def cmd_ext(args) -> int:
     box = _box_from(args)
     if args.lam is None or args.mu is None:
         return _fail("ext needs --lambda and --mu")
-    try:
-        e = TwistedSchur(args.lam, 0, box)
-        f = TwistedSchur(args.mu, args.twist, box)
-    except ValueError as exc:
-        return _fail(str(exc))
+    e = TwistedSchur(args.lam, 0, box)
+    f = TwistedSchur(args.mu, args.twist, box)
     table = ext_table(e, f)
     payload = {
         "box": box.to_json(),
@@ -229,15 +226,11 @@ def cmd_staircase(args) -> int:
         return 0 if exact and ledger.complete else 1
     if args.lam is None:
         return _fail("staircase needs --lambda or --theta")
-    try:
-        lam = BoxedDiagram(args.lam, box)
-        sc = build_staircase(box, lam)
-    except ValueError as exc:
-        return _fail(str(exc))
-    # one relation: one transposed pass, with no pairing table to build; its
-    # levels, with no deep term, are one column at level 0, a batch of one
+    sc = build_staircase(box, BoxedDiagram(args.lam, box))
+    # one relation, with no pairing table to build: its pairings, one
+    # transposed pass of its one level, which needs no split
     ctx = _ctx(box)
-    exact = ctx.vanish_batch(ctx.levels(sc.k_class_terms(), deep=False)[0])[0]
+    exact = not any(ctx.pairings(ctx.levels(sc.k_class_terms())[0]))
     _emit(sc.to_json(k_exact=exact), args)
     return 0 if exact else 1
 

@@ -68,7 +68,7 @@ per-call zero test `_Ctx.vanishes` reads it, when S <= cap and every term is
 at level 0 of the one term reader `_Ctx.levels` (each at its source
 w + t + 1, a deep one below at its level); cap covers the staircase of every
 full-first-row lam (coefficients +-1 and +-C(n, c), distinct 0 < c < n).
-Anything else takes `_Ctx.pairings`, one transposed pass.
+Anything else, and `grex staircase --lambda`, takes `_Ctx.pairings`.
 
 Every other reader runs one pass.  The build is X = P U, with U the unit
 rows and P the product of the updates x[i] += x[up].  For a column c over
@@ -77,10 +77,11 @@ the sources, c^T G = (P^T c)^T U, and row kappa + 1 of U is e_kappa, so
 updates transposed, v[up] += v[i], in the opposite order
 (`_Ctx.strip_transpose`; the transposition principle, Buergisser, Clausen
 and Shokrollahi, *Algebraic Complexity Theory*, 13.1).  `_Ctx.transposed`
-packs column q of a batch in field q, B bits wide, 2^(B-1) > max_q
-sum |c_q| R in whole bytes (`_width`), which bounds every entry of the read;
-biased by 2^(B-1) per field nothing borrows, and one `to_bytes` and one
-`Struct` split a read (`_splitter`).  `_Ctx.read` splits the read of
+alone sizes a read: column q of a batch in field q, B bits wide, 2^(B-1) >
+max_q sum |c_q| R in whole bytes (`_width`), which bounds every entry of the
+read, and it returns the split at B of `_codec`, the one layout of signed
+fields: biased by 2^(B-1) each, nothing borrows.  One column is its own
+field, of no width, and reads no R.  `_Ctx.read` splits the read of
 classes x, placed at the sources kappa_i + 1, into the rows (x^T G)[kappa]
 and the covectors x^T G.  G is upper unitriangular, so x^T G is 0 before
 the least index i of x and x_i at i: one guard per class.
@@ -230,7 +231,7 @@ class _Ctx:
             r = self.chis[key] = tuple(self.pairings(levels))
         return r
 
-    def levels(self, terms, deep: bool = True) -> tuple[list[list[tuple[int, int]]], int]:
+    def levels(self, terms) -> tuple[list[list[tuple[int, int]]], int]:
         """The one term reader: the levels of `pairings` for the (coef, w, t)
         terms Sigma^w U*(t), and their sum |coef|.  A term with
         w_{k-1} + t >= -1 is a table row, at level 0 at its source
@@ -238,17 +239,15 @@ class _Ctx:
         pairs as row (a, -1), the table row of the source a = w - w_{k-1},
         times T^s, s = -1 - t - w_{k-1} (module docstring), so it goes to
         level s at source a.  ValueError unless every term fits the pairing
-        rows, whatever its coefficient, and, without `deep`, is a table row."""
+        rows, whatever its coefficient."""
         box, sources, levels, weight = self.box, self.sources, [[]], 0
         for coef, w, t in terms:
             if max(w[0] + t, w[0] - w[-1]) > box.width:
                 raise ValueError(f"bundle {TwistedSchur(w, t, box)} does not fit the pairing rows")
-            if (s := -1 - t - w[-1]) > 0 and not deep:
-                raise ValueError(f"bundle {TwistedSchur(w, t, box)} is not a table row")
             if not coef:
                 continue
             weight += abs(coef)
-            if s > 0:
+            if (s := -1 - t - w[-1]) > 0:
                 levels.extend([] for _ in range(s + 1 - len(levels)))
                 levels[s].append((sources[tuple(x - w[-1] for x in w)], coef))
             else:  # a term at t = -1, as every column of T but its head, is its own source
@@ -272,26 +271,23 @@ class _Ctx:
         relation of terms, whether sum coef * (row of the source) vanishes
         in K_0: the verdicts of `vanishes` from one transposed pass, column q
         in field q, and no table.  A read is 0 exactly when all its fields
-        are, and a nonzero one, split, names its failing columns."""
-        reads, bits = self.transposed(columns)
-        split = _splitter(bits, len(columns))
+        are, and a nonzero one, split by the pass, names its failing columns."""
+        reads, split = self.transposed(columns)
         failed: set[int] = set()
         for r in reads:
             if r:
                 failed.update(q for q, f in enumerate(split(r)) if f)
         return [q not in failed for q in range(len(columns))]
 
-    def pairings(self, levels: list[list[tuple[int, int]]]) -> list[int]:
+    def pairings(self, levels: list[list[tuple[int, int]]]) -> list[int] | tuple[int, ...]:
         """sum_s (c_s^T G) T^s for the columns c_s = levels[s], each a list of
         (source, coef): one `transposed` pass, level s in field s, folded by
         Horner in T, total = (...(R_top T + R_{top-1}) T ...) T + R_0, one
         sparse product per level (module docstring).  Levels past 0 read T,
-        so they first pass `check_twist`; level 0 alone needs no split."""
-        if len(levels) == 1:
-            return self.transposed(levels)[0]
-        self.check_twist()
-        reads, bits = self.transposed(levels)
-        split = _splitter(bits, len(levels))
+        so they first pass `check_twist`; level 0 alone is its own read."""
+        if len(levels) > 1:
+            self.check_twist()
+        reads, split = self.transposed(levels)
         fields = list(zip(*map(split, reads)))  # fields[s][kappa]
         twist, total = self.twist, fields.pop()
         while fields:  # total T + R_s, (total T)[kappa] = sum T[m, kappa] total[m]
@@ -376,19 +372,21 @@ class _Ctx:
                     v[up] += v[i]
         return v
 
-    def transposed(self, columns: list[list[tuple[int, int]]]) -> tuple[list[int], int]:
-        """The one pass: (H^T)^n of a batch of columns of (source, coef),
-        column q in field q at the width B of their `bound`, read at the
-        sources kappa + 1, in basis order: one int per basis kappa, whose
-        field q is (c_q^T G)[kappa], and B."""
-        bits = _width(self.bound(columns))
+    def transposed(self, columns: list[list[tuple[int, int]]]):
+        """The one pass, and the one place that sizes a read: (H^T)^n of a
+        batch of columns of (source, coef), column q in field q at the width
+        B of their `bound`, read at the sources kappa + 1, in basis order:
+        one int per basis kappa, whose field q is (c_q^T G)[kappa], and the
+        `_codec` split at B.  One column is its own field, at no width: it
+        reads no `bound`."""
+        bits = 0 if len(columns) == 1 else _width(self.bound(columns))
         v = [0] * len(self.sources)
         for q, column in enumerate(columns):
             shift = bits * q
             for i, c in column:
                 v[i] += c << shift
         v = self.strip_transpose(v)
-        return [v[i] for i in self.lift], bits
+        return [v[i] for i in self.lift], _codec(bits, len(columns))[1]
 
     def read(self, xs: list[dict[int, int]]) -> tuple[list[list[int]], list[tuple[int, ...]]]:
         """The rows of one split `transposed` pass of the classes x at the
@@ -396,8 +394,7 @@ class _Ctx:
         the covectors x^T G, in order, each 0 before the least index i of
         its class and x_i at i; AssertionError names kappa_i otherwise."""
         lift = self.lift
-        rows, bits = self.transposed([[(lift[i], c) for i, c in x.items()] for x in xs])
-        split = _splitter(bits, len(xs))
+        rows, split = self.transposed([[(lift[i], c) for i, c in x.items()] for x in xs])
         for kappa, r in enumerate(rows):  # in place: each packed read is freed as its row is made
             rows[kappa] = split(r)
         covs = list(zip(*rows))
@@ -501,7 +498,7 @@ class _Ctx:
         the e_v by `check_semiorthogonal`, whose block Gram columns and
         `pairer` it returns, and each T^d e_v, d >= 1, by one packed sum over
         its nonzeros of the `units` of the block, G[kappa, w] in field w at
-        kappa + 1, at the width of the chain's `bound`."""
+        kappa + 1, at the width of the chain's `bound`, split by `_codec`."""
         checked = self.check_semiorthogonal([{v: 1} for v in block])
         lift = self.lift
         bits = _width(self.bound([(lift[m], c) for m, c in y.items()] for ys in chain for y in ys))
@@ -509,7 +506,7 @@ class _Ctx:
         for p, ys in enumerate(chain):
             for d, y in enumerate(ys[1:], 1):
                 if s := sum(c * packed[lift[m]] for m, c in y.items()):
-                    i = next(q for q, f in enumerate(_splitter(bits, len(block))(s)) if f)
+                    i = next(q for q, f in enumerate(_codec(bits, len(block))[1](s)) if f)
                     raise ValueError(
                         f"projectors {d * len(block) + p} > {i} are not semiorthogonal; "
                         "check the ordering"
@@ -542,22 +539,27 @@ def _width(bound: int) -> int:
     return -(-(bound.bit_length() + 1) // 8) * 8
 
 
-def _splitter(bits: int, count: int):
-    """The split of a read of `count` fields at width B into field q, at bit
-    B q, for every q in order, by one bias, `to_bytes` and `Struct`."""
-    size, half, bias = bits // 8, 1 << bits - 1, _bias(bits, count)
+def _codec(bits: int, count: int):
+    """(pack, split) of `count` signed fields in one int, field q at bit
+    B q, B = bits in whole bytes: split takes back any sum of packed ints
+    whose fields stay below 2^(B-1) in size, biased by 2^(B-1) per field,
+    by one `to_bytes` and one `Struct`.  One field is its own int: both are
+    the identity."""
+    if count == 1:
+        return sum, lambda r: [r]
+    size, half = bits // 8, 1 << bits - 1
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
     unpack, little = Struct(f"{size}s" * count).unpack, repeat("little")
+
+    def pack(fields) -> int:
+        raw = b"".join([(f + half).to_bytes(size, "little") for f in fields])
+        return int.from_bytes(raw, "little") - bias
 
     def split(r: int) -> list[int]:
         raw = (r + bias).to_bytes(size * count, "little")
         return [f - half for f in map(int.from_bytes, unpack(raw), little)]
 
-    return split
-
-
-def _bias(bits: int, count: int) -> int:
-    """2^(B-1) in each of `count` fields of width B: the bias of a signed read."""
-    return int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * count, "little")
+    return pack, split
 
 
 @lru_cache(maxsize=1)
@@ -765,26 +767,23 @@ def _pairer(rows: list[list[int]], bound: int):
     """z -> chi(x_q, z) for every class x_q of a read, from its rows, whose
     entries are at most `bound` in absolute value: one packed sum over the
     nonzeros of z at the width of sum |z| bound, split.  Each row is packed
-    once per width, the widest kept, biased as `_splitter` unbiases it."""
+    once per width by the `_codec` of that width, the widest kept."""
     count, packed = len(rows[0]), {}
-    bits = size = half = bias = 0
-    split = None
+    bits, pack, split = 0, None, None
 
     def pair(z: dict[int, int]) -> list[int]:
-        nonlocal bits, size, half, bias, split
+        nonlocal bits, pack, split
         if len(z) == 1:  # one row, scaled: nothing to pack or split
             ((m, c),) = z.items()
             return [c * v for v in rows[m]]
         if (need := _width(sum(map(abs, z.values())) * bound)) > bits:
-            bits, size, half, split = need, need // 8, 1 << need - 1, _splitter(need, count)
-            bias = _bias(need, count)
+            bits, (pack, split) = need, _codec(need, count)
             packed.clear()
         total = 0
         for m, c in z.items():
             if c:
                 if (row := packed.get(m)) is None:
-                    fields = [(v + half).to_bytes(size, "little") for v in rows[m]]
-                    row = packed[m] = int.from_bytes(b"".join(fields), "little") - bias
+                    row = packed[m] = pack(rows[m])
                 total += c * row
         return split(total)
 

@@ -125,6 +125,13 @@ class TestExt:
         assert data["ext"] == {"2": 1}
         assert data["euler"] == 1
 
+    def test_rejects_bad_weight(self, capsys):
+        code, out, err = run(capsys, "ext", "--k", "3", "--n", "6", "--lambda", "1,2,0",
+                             "--mu", "1,0,0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: weight is not weakly decreasing: (1, 2, 0)\n"
+
     def test_csv_rejected(self, capsys):
         code, _, err = run(capsys, "ext", "--k", "2", "--n", "4", "--lambda", "1,0",
                            "--mu", "1,0", "--format", "csv")
@@ -149,9 +156,11 @@ class TestStaircase:
         assert data["ledger_complete"] is True
 
     def test_rejects_bad_lambda(self, capsys):
-        code, _, err = run(capsys, "staircase", "--k", "3", "--n", "6",
-                           "--lambda", "2,1,0", "--format", "json")
+        code, out, err = run(capsys, "staircase", "--k", "3", "--n", "6",
+                             "--lambda", "2,1,0", "--format", "json")
         assert code == 2
+        assert out == ""
+        assert err == "error: staircase needs a full first row: lambda_1 = 3\n"
 
     def test_theta_and_lambda_exclusive(self, capsys):
         code, out, err = run(capsys, "staircase", "--k", "3", "--n", "6", "--theta",
@@ -1020,23 +1029,29 @@ class TestGoldenOutput:
     )
     def test_one_off_staircase_builds_no_table(self, capsys, monkeypatch, argv, digest):
         # `grex staircase --lambda` checks one relation: one transposed pass
-        # of one column, not a pairing table of every source.  The G(6,14)
-        # digest was recorded while that command still built the table
+        # of one column, not a pairing table of every source, and as one
+        # column is its own field, no forward pass of the row sums for a
+        # width.  The G(6,14) digest was recorded while that command still
+        # built the table
         from grex import ktheory
 
         def refuse(self):
             raise AssertionError(f"pairing table built on {self.box}")
 
         passes, transposed = [], ktheory._Ctx.transposed
+        forward, product = [], ktheory._Ctx.strip_product
         monkeypatch.setattr(ktheory._Ctx, "table", property(refuse))
         monkeypatch.setattr(
             ktheory._Ctx, "transposed", lambda self, cs: passes.append(len(cs)) or transposed(self, cs)
+        )
+        monkeypatch.setattr(
+            ktheory._Ctx, "strip_product", lambda self, x: forward.append(1) or product(self, x)
         )
         ktheory._ctx.cache_clear()  # no table built before the patch
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-        assert passes == [1]
+        assert passes == [1] and forward == []
 
     @pytest.mark.parametrize("case", ["report_g411", "report_g59", "report_g710"])
     def test_coprime_report_builds_no_table(self, capsys, monkeypatch, case):
@@ -1185,6 +1200,31 @@ class TestFreshInterpreter:
         ]
         assert reached == []
         assert sorted(n for n in lookups if n.startswith("_")) == ["_ctx", "_fullness_sign"]
+
+    def test_one_owner_of_the_packed_layout(self):
+        # a read is sized and split where it is made: only `_Ctx.transposed`,
+        # `_Ctx.check_chain` and `_pairer` call `_width` or `_codec`, every
+        # other reader takes its split from the pass, and the cli asks for
+        # pairings, not for a batch of verdicts
+        import ast
+        import pathlib
+
+        here = pathlib.Path(grex.__file__).parent
+        tree = ast.parse((here / "ktheory.py").read_text())
+        callers = set()
+        for node in tree.body:
+            methods = node.body if isinstance(node, ast.ClassDef) else [node]
+            for f in methods:
+                if isinstance(f, ast.FunctionDef):
+                    for call in ast.walk(f):
+                        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+                            if call.func.id in ("_width", "_codec"):
+                                callers.add(f.name)
+        assert callers == {"transposed", "check_chain", "_pairer"}
+        cli = ast.parse((here / "cli.py").read_text())
+        names = {n.attr for n in ast.walk(cli) if isinstance(n, ast.Attribute)}
+        names |= {n.id for n in ast.walk(cli) if isinstance(n, ast.Name)}
+        assert "vanish_batch" not in names and "pairings" in names
 
     def test_optimized_mode_keeps_checks_and_output(self):
         # python -O strips assert statements; the report must not depend on them

@@ -71,9 +71,11 @@ def layout(ctx):
 
 def vanish_batch(box, relations):
     """`_Ctx.vanish_batch` of relations of (coef, w, t) terms, each relation
-    read as its one column by `_Ctx.levels`."""
+    read as its one column by `_Ctx.levels`, which must hold level 0 alone."""
     ctx = _ctx(box)
-    return ctx.vanish_batch([ctx.levels(r, deep=False)[0][0] for r in relations])
+    columns = [ctx.levels(r)[0] for r in relations]
+    assert all(len(levels) == 1 for levels in columns)
+    return ctx.vanish_batch([levels[0] for levels in columns])
 
 
 def unit(box, index):
@@ -642,18 +644,11 @@ class TestEulerPairing:
 
     @pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (4, 8)])
     def test_huge_coefficients_against_dense_product(self, builds, monkeypatch, k, n):
-        # sum |coef| far past the table's cap: each covector is read at a
-        # width of its own, past the table's widest field, with no table,
-        # and equals x^T G
-        widths = []
-        transposed = _Ctx.transposed
-
-        def record(self, columns):
-            v, bits = transposed(self, columns)
-            widths.append(bits)
-            return v, bits
-
-        monkeypatch.setattr(_Ctx, "transposed", record)
+        # sum |coef| far past the table's cap: each covector is read as its
+        # own field, of no width, and each pairing packed at a width of its
+        # own, past the table's widest field, with no table, and equals x^T G
+        widths, codec = [], ktheory._codec
+        monkeypatch.setattr(ktheory, "_codec", lambda bits, q: widths.append(bits) or codec(bits, q))
         box = Box(k, n)
         ctx = _ctx(box)
         g = kapranov_gram(box)
@@ -674,7 +669,8 @@ class TestEulerPairing:
                 dense = sum(x[i] * g[i][j] * y[j] for i in range(size) for j in range(size))
                 assert euler_pairing(box, x, y) == dense
         assert builds == []
-        assert min(widths) <= max(layout(ctx)[0]) < max(widths)
+        assert 0 in widths
+        assert min(filter(None, widths)) <= max(layout(ctx)[0]) < max(widths)
 
 
 class TestContext:
@@ -818,6 +814,16 @@ class TestContext:
         assert _ctx(box) is ctx
         assert "gram" not in vars(ctx)
         assert list(ctx.chis) == [(ctx.weights[0], -2)]
+
+    def test_a_one_column_read_runs_no_row_sums(self, monkeypatch):
+        # a table row is one column of one transposed pass, its own field:
+        # it needs no width, so a fresh context reads no bound and runs no
+        # forward pass at all
+        forward, product = [], _Ctx.strip_product
+        monkeypatch.setattr(_Ctx, "strip_product", lambda s, x: forward.append(1) or product(s, x))
+        ctx = _Ctx(Box(3, 6))
+        assert ctx.row((1, 0, 0), 0) == covector_oracle(ctx.box, {ctx.index[(1, 0, 0)]: 1})
+        assert "rowsums" not in vars(ctx) and forward == []
 
     def test_a_direct_context_reads_itself(self):
         # a context made directly, not by `_ctx`, takes its deep row and its
@@ -1198,7 +1204,7 @@ class TestTwistIdentity:
         for q, v in enumerate(block):
             expected[lift[v]] = 1 << bits * q
         assert units == expected
-        split = ktheory._splitter(bits, len(block))
+        _, split = ktheory._codec(bits, len(block))
         reads = {
             (p, d): split(sum(c * packed[lift[m]] for m, c in y.items()))
             for p, ys in enumerate(chain)
@@ -1523,22 +1529,33 @@ class TestVanishBatch:
         assert builds == []
         assert [_ctx(box).vanishes(r) for r in relations] == [False, True, True, True, False]
 
-    def test_bad_input_refused(self, builds):
-        # a deep term and a term off the pairing rows are refused as
-        # ValueError, whatever their coefficients; a relation past the
-        # table's cap is read at a width of its own and gets the oracle's
-        # verdict
+    def test_bad_input_refused(self, builds, monkeypatch):
+        # a term off the pairing rows is refused as ValueError, whatever its
+        # coefficient; a deep term is read at its level s >= 1, at the source
+        # a = w - w_{k-1}, and its zero test reads `pairings`; a relation
+        # past the table's cap is read at a width of its own and gets the
+        # oracle's verdict
         box = Box(2, 4)
         ctx = _ctx(box)
         cap = ctx.cap
         good = [(1, (1, 0), 0)]
-        for bad in (
-            [(0, (1, 0), -2)],
-            [(1, (2, 1), -3)],
-            [(0, (3, 0), 0)],
-        ):
-            with pytest.raises(ValueError):
-                vanish_batch(box, [good, bad])
+        with pytest.raises(ValueError, match="does not fit the pairing rows"):
+            vanish_batch(box, [good, [(0, (3, 0), 0)]])
+        read, pairings = [], _Ctx.pairings
+        monkeypatch.setattr(_Ctx, "pairings", lambda self, ls: read.append(ls) or pairings(self, ls))
+        for deep in ([(0, (1, 0), -2)], [(1, (2, 1), -3)]):
+            ((coef, w, t),) = deep
+            s, a = -1 - t - w[-1], tuple(x - w[-1] for x in w)
+            assert s >= 1 and a == (1, 0)
+            # it fits the rows whatever its coefficient; a live one is at level s
+            live = [[]] * s + [[(ctx.sources[a], 1)]]
+            assert ctx.levels(deep) == ((live, 1) if coef else ([[]], 0))
+            assert ctx.levels([(1, w, t)]) == (live, 1)
+            del read[:]
+            bundle = TwistedSchur(w, t, box)
+            assert not is_zero_combination(box, [(1, bundle)])
+            assert is_zero_combination(box, [(1, bundle), (-1, bundle)])
+            assert read[0] == live and len(read) == 2
         huge = cap << 200
         relations = [
             good,

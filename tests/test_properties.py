@@ -25,6 +25,7 @@ from grex.diagrams import Box, BoxedDiagram, enumerate_diagrams
 from grex.lefschetz import CollectionObject, GramResult, gram
 from grex.ktheory import (
     _bareiss_det,
+    _codec,
     _ctx,
     _Ctx,
     _sparse_det,
@@ -466,7 +467,9 @@ def test_vanish_batch_against_dense_rows(case):
         not any(dense_sum(box, [(c, TwistedSchur(w, t, box)) for c, w, t in r])) for r in batch
     ]
     ctx = _ctx(box)
-    assert ctx.vanish_batch([ctx.levels(r, deep=False)[0][0] for r in batch]) == oracle
+    columns = [ctx.levels(r)[0] for r in batch]  # table rows: level 0 alone
+    assert all(len(levels) == 1 for levels in columns)
+    assert ctx.vanish_batch([levels[0] for levels in columns]) == oracle
     assert [ctx.vanishes(r) for r in batch] == oracle
 
 
@@ -530,8 +533,8 @@ def test_table_sums_against_the_transposed_read(case):
     # neighbours, the narrowest and the widest alike
     box, terms = case
     ctx = _ctx(box)
-    levels, weight = ctx.levels(terms, deep=False)
-    assert weight <= ctx.cap
+    levels, weight = ctx.levels(terms)
+    assert len(levels) == 1 and weight <= ctx.cap
     assert ctx.vanishes(terms) == (not any(ctx.pairings(levels)))
 
 
@@ -567,6 +570,47 @@ def test_covector_batch_against_oracle(case):
     assert ctx.weights == gram_oracle(box)[0]
     assert ctx.covector(batch) == oracle
     assert ctx.read(batch)[0] == [[c[kappa] for c in oracle] for kappa in range(len(ctx.weights))]
+
+
+@st.composite
+def packed_sums(draw):
+    """A width B in {8, 16, 24, 64}, a field count from 0 to 6, one list of
+    fields below 2^(B-1) in size, and a signed sum of up to four such lists
+    whose every field stays below 2^(B-1): each field below 2^(B-1) / S, S
+    the sum |coef| of the sum."""
+    bits, count = draw(st.sampled_from([8, 16, 24, 64])), draw(st.integers(0, 6))
+    top = (1 << bits - 1) - 1
+    coefs = draw(st.lists(st.integers(-3, 3), max_size=4))
+    small = top // max(1, sum(map(abs, coefs)))
+
+    def fields(bound):
+        return st.lists(st.integers(-bound, bound), min_size=count, max_size=count)
+
+    return bits, count, draw(fields(top)), [(c, draw(fields(small))) for c in coefs]
+
+
+def _edges(bits, count):
+    """Fields at +-(2^(B-1) - 1), packed alone and reached by a sum."""
+    vs = [(-1) ** q * ((1 << bits - 1) - 1) for q in range(count)]
+    return bits, count, vs, [(-1, vs), (2, vs)]
+
+
+@PROPERTY
+@given(packed_sums())
+@example(_edges(8, 6))
+@example(_edges(16, 2))
+@example(_edges(24, 5))
+@example(_edges(64, 3))
+@example((8, 1, [1 << 100], [(3, [-(1 << 200)]), (-1, [1 << 90])]))
+def test_codec_splits_what_it_packs(case):
+    # split(pack(vs)) == vs, and a signed sum of packed ints whose fields
+    # stay below 2^(B-1) splits to the sum of their fields, none borrowing
+    # from its neighbour; one field is its own int, at any size
+    bits, count, vs, terms = case
+    pack, split = _codec(bits, count)
+    assert split(pack(vs)) == vs
+    total = [sum(c * v[q] for c, v in terms) for q in range(count)]
+    assert split(sum(c * pack(v) for c, v in terms)) == total
 
 
 @st.composite
