@@ -14,7 +14,12 @@ sorted by the minimal upper triangular representative lambda, each with its
 length o(lambda).  Every minimal, short (o < n) and primitive (o = n)
 selection reads it, here and in `lefschetz`, `ktheory` and `staircase`.
 `grex report` walks it once per box: the per-box context of `ktheory` keeps
-the tuple, and the report's selections read that.
+the tuple, and the report's selections read that.  The walk itself is
+`_orbits`, over the box's diagrams as given: `orbits(box)` enumerates fresh
+ones and keeps nothing, while the context passes its own, so every member
+of its orbits is one of the context's diagrams.  `_ascending_parts` lists
+the parts of a box in lexicographic order, by one iterative build with no
+recursive generator, for `enumerate_diagrams`, `orbits` and the context.
 
 The jump rule of the staircase of a diagram lambda with a full first row is
 pure index arithmetic on the parts too (`_jumps`).  In the i-th middle term
@@ -181,24 +186,33 @@ def orbit_length(box: Box, parts: tuple[int, ...]) -> int:
 
 def orbit_of(d: BoxedDiagram) -> Orbit:
     """The cyclic orbit through d, with the minimal upper triangular representative."""
-    members = [BoxedDiagram(p, d.box) for p in _orbit_parts(d.parts, d.box.width)]
-    upper = [m for m in members if is_upper_triangular(m)]
-    rep = min(upper, key=lambda m: m.parts)
+    return _orbit([BoxedDiagram(p, d.box) for p in _orbit_parts(d.parts, d.box.width)])
+
+
+def _orbit(members: list[BoxedDiagram]) -> Orbit:
+    """The orbit of these members, in walk order, with its representative."""
+    rep = min((m for m in members if is_upper_triangular(m)), key=lambda m: m.parts)
     return Orbit(representative=rep, members=tuple(members), length=len(members))
 
 
 def orbits(box: Box) -> list[Orbit]:
     """The orbits of the cyclic action on all diagrams of the box, sorted by
     representative; each orbit's members start at its smallest diagram."""
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for parts in _ascending_parts(box.k, box.width):
-        if parts not in seen:
-            orb = orbit_of(BoxedDiagram(parts, box))
-            seen.update(m.parts for m in orb.members)
-            out.append(orb)
-    out.sort(key=lambda orb: orb.representative.parts)
-    return out
+    diagrams = enumerate_diagrams(box, "all")
+    return list(_orbits(diagrams, {d.parts: i for i, d in enumerate(diagrams)}))
+
+
+def _orbits(diagrams, index: dict[tuple[int, ...], int]) -> tuple[Orbit, ...]:
+    """`orbits` from all diagrams of a box in lexicographic order, `index`
+    their positions by parts: every member is one of these objects."""
+    width, seen, out = diagrams[0].box.width, bytearray(len(diagrams)), []
+    for i, d in enumerate(diagrams):
+        if not seen[i]:  # the smallest diagram of a new orbit
+            ids = [index[p] for p in _orbit_parts(d.parts, width)]
+            for j in ids:
+                seen[j] = 1
+            out.append(_orbit([diagrams[j] for j in ids]))
+    return tuple(sorted(out, key=lambda orb: orb.representative.parts))
 
 
 def is_upper_triangular(d: BoxedDiagram) -> bool:
@@ -222,18 +236,19 @@ def is_minimal_upper_triangular(d: BoxedDiagram) -> bool:
     return orbit_of(d).representative == d
 
 
-def _ascending_parts(k: int, width: int):
-    """All weakly decreasing length-k vectors bounded by width, lex ascending."""
-
-    def gen(rows: int, cap: int):
-        if rows == 0:
-            yield ()
-            return
-        for v in range(cap + 1):
-            for rest in gen(rows - 1, v):
-                yield (v,) + rest
-
-    yield from gen(k, width)
+def _ascending_parts(k: int, width: int) -> list[tuple[int, ...]]:
+    """All weakly decreasing length-k vectors bounded by width, lex ascending,
+    built one leading part at a time: the vectors with leading part v are v
+    ahead of the first ends[v] of the shorter ones, those led by at most v."""
+    out, ends = [()], [1] * (width + 1)
+    for _ in range(k):
+        longer = []
+        for v in range(width + 1):
+            head = (v,)
+            longer += [head + rest for rest in out[: ends[v]]]
+            ends[v] = len(longer)
+        out = longer
+    return out
 
 
 def enumerate_diagrams(box: Box, selection: str = "all") -> list[BoxedDiagram]:

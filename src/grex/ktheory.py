@@ -106,7 +106,8 @@ context: the basis, the sparse twist matrix, T's verdicts, the deep rows
 `_Ctx.row` was asked for (`chis`; the report's zero tests fold theirs inside
 the pass), R, C and the table once read (the report reads R alone), and
 the skeleton that `grex report` verifies, computed once and read only:
-`orbits`, the tuple `orbits(box)`, and `fonarev` and `block`, built from it.
+`orbits`, `orbits(box)` of the `diagrams` that `staircase` reads too, and
+`fonarev` and `block`.
 Each stage computes the classes T^i e_lam it reads, once per orbit, by the
 one twist loop (`_Ctx.twisted_classes`, exact or mod 3).  No dense Gram
 matrix is kept: `kapranov_gram` and `class_of` read the unit classes.
@@ -166,8 +167,8 @@ from struct import Struct
 
 from .bott import TwistedSchur, euler_char, normal_form
 from .diagrams import (
-    Box, BoxedDiagram, Orbit, _ascending_parts, _check_in_box, _jumps, _step, enumerate_diagrams,
-    orbits, residual_rank,
+    Box, BoxedDiagram, Orbit, _ascending_parts, _check_in_box, _jumps, _orbits, _step,
+    enumerate_diagrams, residual_rank,
 )
 from .lefschetz import CollectionObject, LefschetzCollection, _fonarev, _primitive_block
 
@@ -203,8 +204,8 @@ class _Ctx:
 
     @cached_property
     def orbits(self) -> tuple[Orbit, ...]:
-        """`orbits(box)`: the one orbit pass of the box."""
-        return tuple(orbits(self.box))
+        """`orbits(box)` of `diagrams`: the one orbit pass of the box."""
+        return _orbits(self.diagrams, self.index)
 
     @cached_property
     def fonarev(self) -> LefschetzCollection:
@@ -474,9 +475,10 @@ class _Ctx:
         return rows
 
     def pairer(self, xs: list[dict[int, int]]):
-        """The `_pairer` of one `read` of the classes x, at their `bound`."""
+        """The `_pairer` of one `read` of the classes x, at their `bound`,
+        which one class, one field, does not read."""
         lift = self.lift
-        bound = self.bound([(lift[i], c) for i, c in x.items()] for x in xs)
+        bound = self.bound([(lift[i], c) for i, c in x.items()] for x in xs) if xs[1:] else 0
         return _pairer(self.read(xs)[0], bound)
 
     def check_semiorthogonal(self, projectors: list[dict[int, int]]):

@@ -9,6 +9,12 @@ Only computable necessary conditions of exactness are checked: the
 alternating sum of classes vanishes, and consecutive terms admit degree-0
 maps.  No differentials are constructed.  `is_k_exact` checks one complex by
 the per-call zero test of the box's K_0 context (`ktheory._Ctx.vanishes`).
+
+Every box diagram here is that context's own validated object (`_diagram`:
+one lookup in its `index`, no second in-box test): the middle terms of a
+staircase, the theta staircase's lam and its renormalised terms, the terms
+of a membership ledger and the G(4,8) fixture's mu.  Parts that miss the
+index are no box diagram, and raise the ValueError of `BoxedDiagram`.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .bott import TwistedSchur, ext_table, normal_form
-from .diagrams import Box, BoxedDiagram, _jumps, _step, theta
+from .diagrams import Box, BoxedDiagram, _check_in_box, _jumps, _step, theta
 from .ktheory import _ctx, is_zero_combination
 from .schur import dimension
 
@@ -88,13 +94,23 @@ def build_staircase(box: Box, lam: BoxedDiagram) -> StaircaseComplex:
     """The staircase resolution of Sigma^lam U* for lam with full first row."""
     if lam.box != box:
         raise ValueError(f"{lam} lives on a different box")
-    terms = tuple(StaircaseTerm(c, BoxedDiagram(mu, box), 0) for c, mu in _jumps(box, lam.parts))
+    jumps, ctx = _jumps(box, lam.parts), _ctx(box)
+    terms = tuple(StaircaseTerm(c, _diagram(ctx, mu), 0) for c, mu in jumps)
     return StaircaseComplex(
         box=box,
         head=TwistedSchur(lam.parts, 0, box),
         terms=terms,
         tail=TwistedSchur(_step(lam.parts, box.width), -1, box),
     )
+
+
+def _diagram(ctx, parts: tuple[int, ...]) -> BoxedDiagram:
+    """The diagram with these parts of the K_0 context's box: its own object.
+    Every box diagram is in the `index`, so a miss fails the in-box test of
+    `BoxedDiagram`, with its ValueError."""
+    if (i := ctx.index.get(parts)) is None:
+        _check_in_box(parts, ctx.box.k, ctx.box.width)
+    return ctx.diagrams[i]
 
 
 def is_k_exact(sc: StaircaseComplex) -> bool:
@@ -146,7 +162,7 @@ def membership_ledger(
     assignments = []
     unassigned = []
     for idx, (w, t) in enumerate(middle):
-        d = BoxedDiagram(w, box)
+        d = _diagram(ctx, w)
         slot = None
         if w in primitive:
             if t == 0 and mu.contains(d):
@@ -174,13 +190,13 @@ def build_theta_staircase(k: int, m: int) -> tuple[StaircaseComplex, MembershipL
         raise ValueError("theta staircase needs k >= 2 and m >= 2")
     th = theta(k, m)
     box = th.box
-    lam = BoxedDiagram(tuple(x + (m - 1) for x in th.parts), box)
-    raw = build_staircase(box, lam)
-    minimal = {orb.representative for orb in _ctx(box).orbits}
+    ctx = _ctx(box)
+    raw = build_staircase(box, _diagram(ctx, tuple(x + (m - 1) for x in th.parts)))
+    minimal = {orb.representative for orb in ctx.orbits}
     terms = []
     for t in raw.terms:
         weight, twist = normal_form(t.mu.parts, 1 - m)
-        alpha = BoxedDiagram(weight, box)
+        alpha = _diagram(ctx, weight)
         if alpha not in minimal:
             raise RuntimeError(
                 f"theta staircase term {alpha} is not minimal upper triangular"
@@ -296,7 +312,7 @@ def g48_sequence_check() -> G48Report:
                 break
         adjacency.append(found)
 
-    mu = BoxedDiagram((2, 2, 0, 0), box)
+    mu = _diagram(_ctx(box), (2, 2, 0, 0))
     middle = []
     for summands in G48_SEQUENCE[1:-1]:
         for factors, w, t in summands:

@@ -182,6 +182,22 @@ def word_period(box: Box, parts: tuple[int, ...]) -> int:
     return next(r for r in range(1, n + 1) if n % r == 0 and word[r:] + word[:r] == word)
 
 
+def ascending_parts_oracle(k: int, width: int):
+    """All weakly decreasing length-k vectors bounded by width, lex
+    ascending, by the recursive generators: the leading part ascends, each
+    ahead of every shorter vector bounded by it."""
+
+    def gen(rows: int, cap: int):
+        if rows == 0:
+            yield ()
+            return
+        for v in range(cap + 1):
+            for rest in gen(rows - 1, v):
+                yield (v,) + rest
+
+    yield from gen(k, width)
+
+
 def ext_table_oracle(box: Box, a: tuple[int, ...], s: int, b: tuple[int, ...], t: int) -> dict[int, int]:
     """Ext^*(Sigma^a U*(s), Sigma^b U*(t)) from the monomial character of
     Sigma^dual(a) (x) Sigma^b: dot-straighten each monomial at the GL(k)

@@ -1226,6 +1226,21 @@ class TestFreshInterpreter:
         names |= {n.id for n in ast.walk(cli) if isinstance(n, ast.Name)}
         assert "vanish_batch" not in names and "pairings" in names
 
+    def test_staircase_builds_no_diagram(self):
+        # staircase.py reads every box diagram from the K_0 context of its
+        # box, so it never calls BoxedDiagram itself
+        import ast
+        import pathlib
+
+        path = pathlib.Path(grex.__file__).parent / "staircase.py"
+        calls = [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Call)
+            and "BoxedDiagram" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+        assert calls == []
+
     def test_optimized_mode_keeps_checks_and_output(self):
         # python -O strips assert statements; the report must not depend on them
         argv = ["-m", "grex.cli", "report", "--k", "3", "--n", "6", "--format", "json"]

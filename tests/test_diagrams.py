@@ -23,9 +23,9 @@ from grex.diagrams import (
     residual_rank,
     theta,
 )
-from grex.ktheory import _ctx
+from grex.ktheory import _ctx, _Ctx
 from grex.lefschetz import CollectionObject, LefschetzCollection, fonarev, primitive_block
-from oracles import word_period
+from oracles import ascending_parts_oracle, word_period
 
 B36 = Box(3, 6)
 
@@ -98,8 +98,32 @@ class TestOrbits:
         for i, m in enumerate(orb.members):
             assert cyclic_step(m) == orb.members[(i + 1) % orb.length]
 
+    def test_context_orbits_match_the_stateless_walk(self):
+        # the context's orbits hold its own diagrams, and equal the orbits
+        # that the public walk builds afresh, field by field and in order
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                box = Box(k, n)
+                ctx, fresh = _Ctx(box), orbits(box)
+                assert [o.representative for o in ctx.orbits] == [o.representative for o in fresh]
+                assert [o.members for o in ctx.orbits] == [o.members for o in fresh]
+                assert [o.length for o in ctx.orbits] == [o.length for o in fresh]
+                own = ctx.diagrams
+                for orb in ctx.orbits:
+                    assert all(m is own[ctx.index[m.parts]] for m in orb.members), (k, n)
+                    assert any(orb.representative is m for m in orb.members)
+
 
 class TestEnumeration:
+    def test_ascending_parts_against_recursive_oracle(self):
+        # the iterative build gives the recursive generators' vectors, in
+        # their order, also for no rows and for the empty box
+        for k in range(8):
+            for width in range(10):
+                got = diagrams_mod._ascending_parts(k, width)
+                assert got == list(ascending_parts_oracle(k, width)), (k, width)
+                assert len(got) == comb(k + width, k)
+
     def test_single_row_box(self):
         got = [x.parts for x in enumerate_diagrams(Box(1, 4), "all")]
         assert got == [(0,), (1,), (2,), (3,)]

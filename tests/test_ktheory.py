@@ -645,8 +645,9 @@ class TestEulerPairing:
     @pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (4, 8)])
     def test_huge_coefficients_against_dense_product(self, builds, monkeypatch, k, n):
         # sum |coef| far past the table's cap: each covector is read as its
-        # own field, of no width, and each pairing packed at a width of its
-        # own, past the table's widest field, with no table, and equals x^T G
+        # own field, of no width, and paired unpacked, with no table, and
+        # equals x^T G y; a read of all the classes packs each pairing at the
+        # width of sum |y| times their bound, past the table's widest field
         widths, codec = [], ktheory._codec
         monkeypatch.setattr(ktheory, "_codec", lambda bits, q: widths.append(bits) or codec(bits, q))
         box = Box(k, n)
@@ -664,13 +665,23 @@ class TestEulerPairing:
             (cap,) + (0,) * (size - 1),  # at the table's cap
             (cap, -1) + (0,) * (size - 2),  # just past it
         ]
-        for x in classes:
-            for y in classes:
-                dense = sum(x[i] * g[i][j] * y[j] for i in range(size) for j in range(size))
-                assert euler_pairing(box, x, y) == dense
+        dense = [
+            [sum(x[i] * g[i][j] * y[j] for i in range(size) for j in range(size)) for x in classes]
+            for y in classes
+        ]
+        widths.clear()
+        for q, x in enumerate(classes):
+            for y, column in zip(classes, dense):
+                assert euler_pairing(box, x, y) == column[q]
         assert builds == []
-        assert 0 in widths
-        assert min(filter(None, widths)) <= max(layout(ctx)[0]) < max(widths)
+        assert set(widths) == {0, 8}  # one field: the identity split at any width
+        xs = [ctx.sparse(x) for x in classes]
+        bound = ctx.bound([(ctx.lift[i], c) for i, c in x.items()] for x in xs)
+        pair = ctx.pairer(xs)
+        assert [pair(ctx.sparse(y)) for y in classes] == dense
+        assert builds == []
+        widest = ktheory._width(max(sum(map(abs, y)) for y in classes) * bound)
+        assert max(widths) == widest > max(layout(ctx)[0])
 
 
 class TestContext:
@@ -824,6 +835,21 @@ class TestContext:
         ctx = _Ctx(Box(3, 6))
         assert ctx.row((1, 0, 0), 0) == covector_oracle(ctx.box, {ctx.index[(1, 0, 0)]: 1})
         assert "rowsums" not in vars(ctx) and forward == []
+
+    def test_one_class_pairer_runs_no_row_sums(self, monkeypatch):
+        # one class is one field of its read: neither `pairer` nor
+        # `euler_pairing` needs a width, so neither reads a bound or runs a
+        # forward pass
+        forward, product = [], _Ctx.strip_product
+        monkeypatch.setattr(_Ctx, "strip_product", lambda s, x: forward.append(1) or product(s, x))
+        box = Box(3, 6)
+        ctx, cov = _Ctx(box), covector_oracle(box, {0: 1})
+        assert ctx.pairer([{0: 1}])({0: 1, 3: 2}) == [cov[0] + 2 * cov[3]]
+        assert "rowsums" not in vars(ctx) and forward == []
+        _ctx.cache_clear()
+        y = tuple(i % 3 - 1 for i in range(comb(6, 3)))
+        assert euler_pairing(box, unit(box, 0), y) == sum(map(int.__mul__, y, cov))
+        assert "rowsums" not in vars(_ctx(box)) and forward == []
 
     def test_a_direct_context_reads_itself(self):
         # a context made directly, not by `_ctx`, takes its deep row and its

@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+import grex.diagrams as diagrams_mod
 import grex.ktheory as ktheory
 import grex.staircase as staircase
 from grex.bott import TwistedSchur, ext_table
@@ -178,6 +179,48 @@ class TestTermTriples:
         assert _jumps(Box(3, 4), (1, 0, 1)) == [(2, (0, 0, 0))]
         with pytest.raises(ValueError, match=r"^not a diagram in the 3x1 box: \(1, 0, 1\)"):
             build_staircase(Box(3, 4), BoxedDiagram((1, 0, 1), Box(3, 4)))
+
+
+class TestInterning:
+    """Every box diagram of a staircase is its K_0 context's own object,
+    looked up by its parts; only a miss runs the in-box test."""
+
+    def test_terms_are_the_contexts_diagrams(self):
+        box = Box(4, 12)
+        ctx = _ctx(box)
+        own = ctx.diagrams
+        for lam in staircases_of(box):
+            for term in build_staircase(box, lam).terms:
+                assert term.mu is own[ctx.index[term.mu.parts]]
+        sc, _ = build_theta_staircase(3, 4)
+        ctx = _ctx(sc.box)
+        assert all(t.mu is ctx.diagrams[ctx.index[t.mu.parts]] for t in sc.terms)
+
+    def test_built_staircases_run_no_in_box_test(self, monkeypatch):
+        # once the context exists, the 165 staircases of G(4,12) validate
+        # no diagram again: their middle terms are looked up
+        box = Box(4, 12)
+        lams = [d for d in _ctx(box).diagrams if d.parts[0] == box.width]
+        assert len(lams) == 165
+        calls, check = [], diagrams_mod._check_in_box
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(diagrams_mod, "_check_in_box", counted)
+        monkeypatch.setattr(staircase, "_check_in_box", counted)
+        for lam in lams:
+            build_staircase(box, lam)
+        assert calls == []
+
+    def test_a_lookup_miss_raises_the_in_box_error(self):
+        box = Box(4, 12)
+        mu = _ctx(box).diagrams[0]
+        with pytest.raises(ValueError, match=r"^not a diagram in the 4x8 box: \(9, 0, 0, 0\)$"):
+            membership_ledger(box, mu, [((9, 0, 0, 0), 0)])
+        with pytest.raises(ValueError, match=r"^diagram must have exactly 4 parts, got \(1, 0\)$"):
+            staircase._diagram(_ctx(box), (1, 0))
 
 
 class TestTwistColumns:
